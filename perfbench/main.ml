@@ -373,6 +373,12 @@ let scaled_wall t = t.wall *. t.speed
 
 let scaled_cpu t = t.cpu *. t.speed
 
+(* The process's peak over the timed repetitions.  Not a median: the
+   OCaml heap grows over the first repetitions before it levels off, so
+   the early repetitions peak lower, and a median flips between the two
+   levels from run to run. *)
+let max_rss rss reps = List.fold_left (fun acc r -> Float.max acc (rss r)) 0.0 reps
+
 (* Repeat [f] until [seconds] have passed, at least [min_reps] times. *)
 let repeat ~seconds ~min_reps f =
   let min_reps = if seconds < 1.0 then 1 else min_reps in
@@ -523,11 +529,11 @@ let campaign_rep shape ~seed =
                 in
                 (campaign, report)))
       in
-      Printf.eprintf "[perfbench] repetition: %.3fs wall, %.3fs cpu, host speed %.3f\n%!"
-        timing.wall timing.cpu timing.speed;
-      ( campaign,
-        report,
-        { summary = Harness.summary campaign; timing; host_gc; rss_mb = peak_rss_mb () } ))
+      let rss_mb = peak_rss_mb () in
+      Printf.eprintf
+        "[perfbench] repetition: %.3fs wall, %.3fs cpu, host speed %.3f, peak rss %.1f MB\n%!"
+        timing.wall timing.cpu timing.speed rss_mb;
+      (campaign, report, { summary = Harness.summary campaign; timing; host_gc; rss_mb }))
 
 let plan_for shape ~seed ~minheap =
   let c = harness_config shape ~seed ~cache_dir:"" in
@@ -599,15 +605,11 @@ let minheap_rep ~seed =
       in
       let m_timing = sum_timings (List.map (fun s -> s.s_timing) searches) in
       let p = Profile.diff (Profile.snapshot ()) p0 in
-      Printf.eprintf "[perfbench] repetition: %.3fs wall, %.3fs cpu, host speed %.3f\n%!"
-        m_timing.wall m_timing.cpu m_timing.speed;
-      {
-        searches;
-        m_timing;
-        simulate_s = Profile.seconds p.Profile.simulate_us;
-        m_host_gc;
-        m_rss_mb = peak_rss_mb ();
-      })
+      let m_rss_mb = peak_rss_mb () in
+      Printf.eprintf
+        "[perfbench] repetition: %.3fs wall, %.3fs cpu, host speed %.3f, peak rss %.1f MB\n%!"
+        m_timing.wall m_timing.cpu m_timing.speed m_rss_mb;
+      { searches; m_timing; simulate_s = Profile.seconds p.Profile.simulate_us; m_host_gc; m_rss_mb })
 
 (* Set-up for the minheap workload: one roomy warm-up run per benchmark
    (the heap is the whole machine, so it always completes). *)
@@ -962,7 +964,7 @@ let run_campaign_workload shape ~workload ~seed ~seconds ~trace =
       m "cells_per_s" "1/s" (float cells /. execute_s);
       m "sim_mcycles_per_s" "Mcycles/s" (!mcycles /. execute_s);
       m "cpu_s" "s" (med (fun r -> scaled_cpu r.timing));
-      m "peak_rss_mb" "MB" (med (fun r -> r.rss_mb));
+      m "peak_rss_mb" "MB" (max_rss (fun r -> r.rss_mb) reps);
       m "setup_s" "s" (median (List.map scaled_wall setups));
     ]
   in
@@ -1085,7 +1087,7 @@ let run_minheap_workload ~seed ~seconds ~trace =
       m "cells_per_s" "1/s" (float n_probes /. wall);
       m "sim_mcycles_per_s" "Mcycles/s" (sim_mcycles probes /. wall);
       m "cpu_s" "s" (med (fun r -> scaled_cpu r.m_timing));
-      m "peak_rss_mb" "MB" (med (fun r -> r.m_rss_mb));
+      m "peak_rss_mb" "MB" (max_rss (fun r -> r.m_rss_mb) reps);
       m "setup_s" "s" (median (List.map scaled_wall setups));
     ]
   in
