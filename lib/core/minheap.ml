@@ -29,15 +29,14 @@ let default_config () =
     tapes = tapes_enabled ();
   }
 
-(* Key the caches on everything that can change the answer, including a
-   fingerprint of the cost model (minimum heaps move when costs do). *)
-let cost_fingerprint (c : Cost_model.t) = Hashtbl.hash c land 0xFFFFFF
-
+(* Key the caches on everything that can change the answer: every spec
+   field (through its digest) and every cost-model field (minimum heaps
+   move when costs do).  The name stays in the clear for readability. *)
 let cache_key config (spec : Spec.t) =
-  Printf.sprintf "%s|packets=%d|threads=%d|gc=%s|seed=%d|region=%d|cpus=%d|cost=%x"
-    spec.Spec.name spec.Spec.packets_per_thread spec.Spec.mutator_threads
-    (Registry.name config.gc) config.seed config.region_words
-    config.machine.Machine.cpus (cost_fingerprint config.cost)
+  Printf.sprintf "%s|spec=%s|gc=%s|seed=%d|region=%d|cpus=%d|%s" spec.Spec.name
+    (Spec.digest spec) (Registry.name config.gc) config.seed config.region_words
+    config.machine.Machine.cpus
+    (Gcr_sched.Cache_key.render_cost config.cost)
 
 let memo : (string, int) Hashtbl.t = Hashtbl.create 32
 

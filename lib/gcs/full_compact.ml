@@ -26,51 +26,54 @@ let run (ctx : Gc_types.ctx) ~pool ~on_done =
       ~on_mark:(fun _ -> 0)
   in
   !(ctx.Gc_types.iter_roots) (Tracer.add_root tracer);
-  (* Compaction state, filled in between the two phases. *)
-  let survivors = Vec.create () in
+  (* Compaction state, filled in between the two phases: every marked
+     object, in region order and then each region's object order. *)
+  let survivors = ref [||] in
+  let n_survivors = ref 0 in
   let cursor = ref 0 in
   let target = Allocator.create heap ~space:Region.Old in
+  (* One walk per region frees the unmarked residents, collects the
+     survivors and releases the region; the mark phase has counted exactly
+     the survivors, so their array is allocated once at its final size. *)
   let prepare_compaction () =
+    let into = Array.make (Tracer.objects_marked tracer) Obj_model.null in
+    let n = ref 0 in
     Heap.iter_regions
       (fun r ->
         if not (Region.space_equal r.Region.space Region.Free) then begin
-          Heap.purge_unmarked heap r;
-          Heap.iter_resident_objects heap r (fun id -> Vec.push survivors id)
+          n := Heap.sweep_unmarked heap r ~into ~pos:!n;
+          Heap.release_region_keep_objects heap r
         end)
       heap;
-    Heap.iter_regions
-      (fun r ->
-        if not (Region.space_equal r.Region.space Region.Free) then
-          Heap.release_region_keep_objects heap r)
-      heap
+    survivors := into;
+    n_survivors := !n
   in
-  let place id =
-    let rec attempt retried =
-      match Allocator.current_region target with
-      | Some dst when Heap.place_object heap id dst -> ()
-      | Some _ | None ->
-          if retried then ctx.Gc_types.oom "full compaction could not place a survivor"
-          else begin
-            (match Allocator.refill target with
-            | None -> ctx.Gc_types.oom "full compaction found no free region"
-            | Some _ -> ());
-            attempt true
-          end
-    in
-    attempt false
+  let rec place id ~retried =
+    match Allocator.current_region target with
+    | Some dst when Heap.place_object heap id dst -> ()
+    | Some _ | None ->
+        if retried then ctx.Gc_types.oom "full compaction could not place a survivor"
+        else begin
+          (match Allocator.refill target with
+          | None -> ctx.Gc_types.oom "full compaction found no free region"
+          | Some _ -> ());
+          place id ~retried:true
+        end
   in
+  let compact_per_word = ctx.Gc_types.cost.Cost_model.compact_per_word in
+  let update_ref_per_edge = ctx.Gc_types.cost.Cost_model.update_ref_per_edge in
   let compact_slice ~worker:_ =
+    let survivors = !survivors in
     let cost = ref 0 in
-    let n = Vec.length survivors in
-    let stop = min n (!cursor + slice_budget) in
+    let stop = min !n_survivors (!cursor + slice_budget) in
     while !cursor < stop do
-      let id = Vec.get survivors !cursor in
+      let id = survivors.(!cursor) in
       incr cursor;
-      place id;
+      place id ~retried:false;
       cost :=
         !cost
-        + (ctx.Gc_types.cost.Cost_model.compact_per_word * Heap.obj_size heap id)
-        + (ctx.Gc_types.cost.Cost_model.update_ref_per_edge * Heap.obj_nfields heap id)
+        + (compact_per_word * Heap.obj_size heap id)
+        + (update_ref_per_edge * Heap.obj_nfields heap id)
     done;
     !cost
   in

@@ -9,6 +9,8 @@ type t = {
   collector_id : int;  (** interned pool name, tagging phase events *)
   obs : Obs.t;
   threads : Engine.thread array;
+  termination : int;
+      (** cycles of the logarithmic termination barrier each worker passes *)
   mutable active : int;  (** workers still pulling slices in this phase *)
   mutable phase_running : bool;
 }
@@ -30,6 +32,9 @@ let create ctx ~count ~name =
     collector_id = Obs.intern obs name;
     obs;
     threads = Array.init count spawn;
+    termination =
+      ctx.Gc_types.cost.Cost_model.termination_per_worker
+      * Cost_model.log2_ceil (max 2 count);
     active = 0;
     phase_running = false;
   }
@@ -40,39 +45,40 @@ let name t = t.name
 
 let busy t = t.phase_running
 
-let termination_cost t =
-  let workers = count t in
-  t.ctx.Gc_types.cost.Cost_model.termination_per_worker * Cost_model.log2_ceil (max 2 workers)
-
+(* Each worker's pull and finish continuations are built once per phase
+   and resubmitted for every slice, so a slice allocates nothing here. *)
 let run_phase t ~phase ~work ~on_done =
   if t.phase_running then invalid_arg "Worker_pool.run_phase: phase already running";
   t.phase_running <- true;
   t.active <- count t;
   let engine = t.ctx.Gc_types.engine in
   let dispatch_cost = t.ctx.Gc_types.cost.Cost_model.gc_task_dispatch in
-  let finish_worker th =
-    Obs.phase_end t.obs ~time:(Engine.now engine) ~collector_id:t.collector_id ~phase
-      ~tid:(Engine.thread_id th);
-    Engine.park engine th;
-    t.active <- t.active - 1;
-    if t.active = 0 then begin
-      t.phase_running <- false;
-      on_done ()
-    end
-  in
-  let rec pull worker th () =
-    let cost = work ~worker in
-    if cost > 0 then Engine.submit engine th ~cycles:(cost + dispatch_cost) (pull worker th)
-    else
-      (* Termination barrier, then park until the next phase. *)
-      Engine.submit engine th ~cycles:(termination_cost t) (fun () -> finish_worker th)
+  let start worker th =
+    let finish () =
+      Obs.phase_end t.obs ~time:(Engine.now engine) ~collector_id:t.collector_id ~phase
+        ~tid:(Engine.thread_id th);
+      Engine.park engine th;
+      t.active <- t.active - 1;
+      if t.active = 0 then begin
+        t.phase_running <- false;
+        on_done ()
+      end
+    in
+    let rec pull () =
+      let cost = work ~worker in
+      if cost > 0 then Engine.submit engine th ~cycles:(cost + dispatch_cost) pull
+      else
+        (* Termination barrier, then park until the next phase. *)
+        Engine.submit engine th ~cycles:t.termination finish
+    in
+    Engine.resume engine th pull
   in
   Array.iter
     (fun th ->
       Obs.phase_begin t.obs ~time:(Engine.now engine) ~collector_id:t.collector_id ~phase
         ~tid:(Engine.thread_id th))
     t.threads;
-  Array.iteri (fun worker th -> Engine.resume engine th (pull worker th)) t.threads
+  Array.iteri start t.threads
 
 let rec run_phases t phases ~on_done =
   match phases with

@@ -370,20 +370,29 @@ let release_region t (r : Region.t) =
     r.objects;
   free_region_bookkeeping t r
 
-let purge_unmarked t (r : Region.t) =
+(* Both orders are the vec order and must stay so: the free order decides
+   which ids and field extents later allocations recycle, and the survivor
+   order decides where compaction places each object. *)
+let sweep_unmarked t (r : Region.t) ~into ~pos =
   let store = t.store in
-  Vec.iter
-    (fun id ->
-      if
-        Obj_model.is_live store id
-        && Obj_model.region store id = r.index
-        && Obj_model.mark store id <> t.epoch
-      then begin
+  let epoch = t.epoch in
+  let index = r.index in
+  let objects = r.objects in
+  let pos = ref pos in
+  for i = 0 to Vec.length objects - 1 do
+    let id = Vec.get objects i in
+    if Obj_model.is_live store id && Obj_model.region store id = index then
+      if Obj_model.mark store id = epoch then begin
+        into.(!pos) <- id;
+        incr pos
+      end
+      else begin
         t.live_count <- t.live_count - 1;
         t.live_words <- t.live_words - Obj_model.size store id;
         Obj_model.free store id
-      end)
-    r.objects
+      end
+  done;
+  !pos
 
 (* Free one object in place, as RC reclamation does.  The region keeps its
    [used_words] (the garbage words are what fragmentation-driven evacuation

@@ -174,9 +174,12 @@ val release_region : t -> Region.t -> unit
 (** Reclaims the region: every object still resident dies (its field
     extent is recycled); the region returns to the free pool. *)
 
-val purge_unmarked : t -> Region.t -> unit
-(** Kills every resident object not marked in the current epoch (the sweep
-    half of mark-sweep). *)
+val sweep_unmarked : t -> Region.t -> into:Obj_model.id array -> pos:int -> int
+(** The sweep half of mark-sweep, fused with survivor collection: walking
+    the region's residents in object order, kills each one not marked in
+    the current epoch and writes each marked one into [into] from index
+    [pos].  Returns the index after the last survivor written.  Raises
+    [Invalid_argument] if [into] is too short. *)
 
 val free_object : t -> Obj_model.id -> unit
 (** Kill one object in place (RC reclamation).  The owning region keeps
@@ -193,8 +196,8 @@ val compact_region_objects : t -> Region.t -> unit
 
 val release_region_keep_objects : t -> Region.t -> unit
 (** Returns the region to the free pool {e without} touching the object
-    store.  Used by sliding compaction, which first purges dead objects,
-    then resets all regions, then re-places the survivors with
+    store.  Used by sliding compaction, which sweeps dead objects out of
+    each region and releases it, then re-places the survivors with
     {!place_object}.  The caller must re-place every resident object. *)
 
 val place_object : t -> Obj_model.id -> Region.t -> bool

@@ -25,7 +25,7 @@ let fields_capacity ~size =
    total allocation count, and the hot ids stay dense in cache.  Recycling
    is safe because nothing holds a dead id: roots and heap references keep
    their targets live by construction, and every path that frees an object
-   (region release, compaction purge) also clears or rebuilds the region's
+   (region release, compaction sweep) also clears or rebuilds the region's
    object vec in the same pause, so a reused id can never alias a stale
    entry.  [alloc] rewrites every per-id attribute, so a recycled id is
    indistinguishable from a fresh one.  Field extents in the arena are

@@ -14,6 +14,10 @@ val version : string
     socket handshake carries it: a worker whose build renders keys
     differently must not share a result store with the coordinator. *)
 
+val render_cost : Gcr_mach.Cost_model.t -> string
+(** Every cost-model field, in declaration order — the cost part of
+    {!render}, also used to key minimum-heap search results. *)
+
 val render : Gcr_runtime.Run.config -> string option
 (** The canonical single-line rendering that is hashed.  Exposed so tests
     (and cache-entry validation) can compare the full content, not just

@@ -185,6 +185,30 @@ let test_minheap_properties () =
   let again = Minheap.find ~config spec in
   check Alcotest.int "memoised" words again
 
+(* The memo key must cover every field that can move the answer, including
+   cost-model fields and spec fields past the first few a structural hash
+   reads.  The seed is one no search uses, so the recorded answer (which
+   persists in the file cache) cannot leak into other tests. *)
+let test_minheap_key_covers_every_field () =
+  Minheap.clear_memo ();
+  let spec = Spec.scale (Suite.find_exn "jme") 0.1 in
+  let config = { (Minheap.default_config ()) with Minheap.seed = 90_017 } in
+  Minheap.record config spec 4096;
+  check (Alcotest.option Alcotest.int) "same config hits" (Some 4096)
+    (Minheap.find_cached config spec);
+  let cost =
+    {
+      config.Minheap.cost with
+      Gcr_mach.Cost_model.compact_per_word =
+        config.Minheap.cost.Gcr_mach.Cost_model.compact_per_word + 1;
+    }
+  in
+  check (Alcotest.option Alcotest.int) "compact_per_word misses" None
+    (Minheap.find_cached { config with Minheap.cost } spec);
+  check (Alcotest.option Alcotest.int) "spec write rate misses" None
+    (Minheap.find_cached config
+       { spec with Spec.writes_per_packet = spec.Spec.writes_per_packet + 1 })
+
 let suite =
   [
     Alcotest.test_case "cells populated" `Quick test_cells_populated;
@@ -198,4 +222,6 @@ let suite =
     Alcotest.test_case "report generators run" `Quick test_report_generators_run;
     Alcotest.test_case "validation bound holds" `Quick test_validation_bound_holds;
     Alcotest.test_case "minheap properties" `Quick test_minheap_properties;
+    Alcotest.test_case "minheap key covers every field" `Quick
+      test_minheap_key_covers_every_field;
   ]

@@ -116,9 +116,13 @@ let test_purge_unmarked () =
   let drop = alloc_exn h r ~size:4 ~nfields:0 in
   ignore (Heap.begin_mark_epoch h);
   Heap.set_marked h keep;
-  Heap.purge_unmarked h r;
+  let into = Array.make 2 Obj_model.null in
+  let n = Heap.sweep_unmarked h r ~into ~pos:1 in
+  check Alcotest.int "one survivor written" 2 n;
+  check Alcotest.int "survivor after pos" keep into.(1);
   check Alcotest.bool "marked survives" true (Heap.is_live h keep);
-  check Alcotest.bool "unmarked purged" false (Heap.is_live h drop)
+  check Alcotest.bool "unmarked purged" false (Heap.is_live h drop);
+  check Alcotest.int "live count" 1 (Heap.live_objects h)
 
 let test_release_keep_objects_and_place () =
   let h = make_heap () in
@@ -197,6 +201,111 @@ let prop_accounting =
       Heap.used_words h = !sum_cursors
       && Heap.free_regions h + List.length !taken = Heap.total_regions h)
 
+(* qcheck: the sweep agrees with a reference two-walk implementation (free
+   every unmarked resident, then list the residents): same survivors in the
+   same order, same live counts, and — because it must free in the same
+   order — the same ids and field extents handed to later allocations.
+   Moves leave stale and duplicate entries in object vecs and a release
+   recycles ids before the mark, so the walks see non-trivial vecs and
+   free lists. *)
+type sweep_op = Alloc of int * int | Move of int * int | Release of int
+
+let sweep_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun slot nf -> Alloc (slot, nf)) (int_bound 3) (int_bound 4));
+        (2, map2 (fun pick slot -> Move (pick, slot)) (int_bound 63) (int_bound 3));
+        (1, map (fun slot -> Release slot) (int_bound 3));
+      ])
+
+let print_sweep_op = function
+  | Alloc (slot, nf) -> Printf.sprintf "alloc(%d,%d)" slot nf
+  | Move (pick, slot) -> Printf.sprintf "move(%d,%d)" pick slot
+  | Release slot -> Printf.sprintf "release(%d)" slot
+
+let build_swept_heap ops marks =
+  let h = Heap.create ~capacity_words:(12 * 64) ~region_words:64 () in
+  let space i = if i mod 2 = 0 then Region.Eden else Region.Old in
+  let slots = Array.init 4 (fun i -> Option.get (Heap.take_free_region h ~space:(space i))) in
+  let objs = ref [] in
+  List.iter
+    (function
+      | Alloc (slot, nf) ->
+          let id = Heap.alloc_in_region h slots.(slot) ~size:(nf + 3) ~nfields:nf in
+          if not (Obj_model.is_null id) then objs := id :: !objs
+      | Move (pick, slot) -> (
+          match List.filter (Heap.is_live h) !objs with
+          | [] -> ()
+          | live ->
+              let id = List.nth live (pick mod List.length live) in
+              ignore (Heap.move_object h id slots.(slot)))
+      | Release slot ->
+          Heap.release_region h slots.(slot);
+          slots.(slot) <- Option.get (Heap.take_free_region h ~space:(space slot)))
+    ops;
+  ignore (Heap.begin_mark_epoch h);
+  (* the shrinker may empty [marks]: then nothing is marked *)
+  let marked i = marks <> [] && List.nth marks (i mod List.length marks) in
+  List.iteri
+    (fun i id -> if Heap.is_live h id && marked i then Heap.set_marked h id)
+    (List.rev !objs);
+  h
+
+let swept_by_two_walks h =
+  let survivors = ref [] in
+  Heap.iter_regions
+    (fun r ->
+      if not (Region.space_equal r.Region.space Region.Free) then begin
+        Gcr_util.Vec.iter
+          (fun id ->
+            if
+              Heap.is_live h id
+              && Heap.obj_region h id = r.Region.index
+              && not (Heap.is_marked h id)
+            then Heap.free_object h id)
+          r.Region.objects;
+        Heap.iter_resident_objects h r (fun id -> survivors := id :: !survivors)
+      end)
+    h;
+  List.rev !survivors
+
+let swept_by_sweep h =
+  let bound = ref 0 in
+  Heap.iter_regions (fun r -> bound := !bound + Gcr_util.Vec.length r.Region.objects) h;
+  let into = Array.make !bound Obj_model.null in
+  let n = ref 0 in
+  Heap.iter_regions
+    (fun r ->
+      if not (Region.space_equal r.Region.space Region.Free) then
+        n := Heap.sweep_unmarked h r ~into ~pos:!n)
+    h;
+  Array.to_list (Array.sub into 0 !n)
+
+let next_allocations h =
+  let r = Option.get (Heap.take_free_region h ~space:Region.Old) in
+  List.map
+    (fun nf ->
+      let id = Heap.alloc_in_region h r ~size:(nf + 3) ~nfields:nf in
+      (id, Obj_model.field_extent (Heap.store h) id))
+    [ 2; 0; 1; 4; 2; 3; 1; 0; 2; 4; 1 ]
+
+let prop_sweep_matches_two_walks =
+  QCheck.Test.make ~name:"sweep matches the two-walk purge" ~count:200
+    QCheck.(
+      pair
+        (make ~print:(Print.list print_sweep_op) Gen.(list_size (int_range 1 80) sweep_op_gen))
+        (list_of_size Gen.(int_range 1 16) bool))
+    (fun (ops, marks) ->
+      let a = build_swept_heap ops marks in
+      let b = build_swept_heap ops marks in
+      let old_survivors = swept_by_two_walks a in
+      let new_survivors = swept_by_sweep b in
+      old_survivors = new_survivors
+      && Heap.live_objects a = Heap.live_objects b
+      && Heap.live_words_exact a = Heap.live_words_exact b
+      && next_allocations a = next_allocations b)
+
 let suite =
   [
     Alcotest.test_case "geometry" `Quick test_geometry;
@@ -215,4 +324,5 @@ let suite =
     Alcotest.test_case "reachable_from" `Quick test_reachable_from;
     Alcotest.test_case "regions in space" `Quick test_regions_in_space;
     QCheck_alcotest.to_alcotest prop_accounting;
+    QCheck_alcotest.to_alcotest prop_sweep_matches_two_walks;
   ]
