@@ -6,8 +6,6 @@
      GCR_SCALE        workload scale (default 0.25 here; 1.0 = full runs)
      GCR_INVOCATIONS  invocations per configuration (default 3 here)
      GCR_BENCHMARKS   comma-separated subset of the suite
-     GCR_JOBS         worker domains for the campaign (default 1 = serial;
-                      any value yields bit-identical tables and figures)
      GCR_CACHE_DIR    on-disk result cache; re-running a campaign replays
                       already-measured configurations from disk
      GCR_SKIP_MICRO   set to skip the Bechamel section *)
@@ -53,10 +51,9 @@ let run_campaign () =
       log_progress = true;
     }
   in
-  Printf.printf "campaign: scale=%.2f invocations=%d benchmarks=%d jobs=%d cache=%s\n%!"
+  Printf.printf "campaign: scale=%.2f invocations=%d benchmarks=%d cache=%s\n%!"
     config.Harness.scale config.Harness.invocations
     (List.length (benchmarks ()))
-    config.Harness.jobs
     (Option.value config.Harness.cache_dir ~default:"off");
   let t0 = Unix.gettimeofday () in
   let campaign =

@@ -515,15 +515,13 @@ let bench_warm_overhead ~cells ~reps =
 
 (* Campaign throughput: one fixed grid (lusearch, the production
    collectors, several heap factors and invocations) executed through the
-   multi-process fabric and through the in-process domain pool, in
-   cells/second of host time.  The minheap is memoized before any timed
-   region so every variant times the grid alone.
+   multi-process fabric and in-process, in cells/second of host time.
+   The minheap is memoized before any timed region so every variant times
+   the grid alone.
 
    The tracked figure is the fabric at 4 workers — the executor campaigns
-   default to on multicore hosts.  The pool variants ride along untracked
-   (the jobs=4 pool is throttled by cross-domain minor STW, which is the
-   fabric's reason to exist; its number documents the gap rather than
-   gating it). *)
+   default to on multicore hosts.  The in-process variant rides along
+   untracked. *)
 let campaign_grid ~smoke =
   let spec = Suite.find_exn "lusearch" in
   let config =
@@ -541,9 +539,9 @@ let campaign_grid ~smoke =
   in
   (config, spec)
 
-let bench_campaign ~smoke ~workers ~jobs =
+let bench_campaign ~smoke ~workers =
   let config, spec = campaign_grid ~smoke in
-  let config = { config with Harness.workers; jobs } in
+  let config = { config with Harness.workers } in
   let reps = if smoke then 1 else 2 in
   (* best-of over seconds-per-cell: the host is shared, so the fastest
      rep is the least-disturbed one *)
@@ -589,7 +587,6 @@ let bench_dist_campaign ~smoke ~workers =
     {
       config with
       Harness.workers = Some workers;
-      jobs = 1;
       listen = Some ("127.0.0.1", 0);
       connect_timeout = 30.0;
       on_listen =
@@ -614,74 +611,6 @@ let bench_dist_campaign ~smoke ~workers =
     best := min !best (dt /. float_of_int cells)
   done;
   1.0 /. !best
-
-(* Size-aware vs round-robin dealing on a deliberately skewed grid: six
-   specs spanning a ~30x per-group cost range, three invocations each on
-   four workers.  Group sizes are diverse (the classic LPT instance),
-   so cost-blind plan-order dealing stacks two big groups on one worker
-   while a neighbour prefetches two featherweights, and only
-   tail-stealing partially recovers; size-aware dealing sorts the ready
-   list by cost *and* balances queued cost across workers, so the big
-   groups are spread from the start.  The residual gap is modest by
-   design — queue-based dealing and prefetch stealing bound any
-   straggler penalty — which is itself a property this kernel
-   documents. *)
-let bench_sched_skew ~smoke ~workers =
-  let specs =
-    List.map Suite.find_exn
-      [ "jme"; "luindex"; "batik"; "fop"; "h2"; "lusearch" ]
-  in
-  let config =
-    {
-      (Harness.default_config ()) with
-      Harness.invocations = 3;
-      scale = 0.02;
-      heap_factors = (if smoke then [ 1.9 ] else [ 1.9; 3.0 ]);
-      log_progress = false;
-      cache_dir = None;
-      jobs = 1;
-      workers = Some workers;
-    }
-  in
-  (* settle every spec's minheap outside the timed region so the probe
-     wave doesn't pollute the scheduler comparison *)
-  List.iter
-    (fun spec ->
-      ignore
-        (Minheap.find
-           ~config:
-             {
-               Minheap.machine = config.Harness.machine;
-               cost = config.Harness.cost;
-               region_words = config.Harness.region_words;
-               seed = config.Harness.base_seed;
-               gc = Registry.G1;
-               tapes = config.Harness.tapes;
-             }
-           (Spec.scale spec config.Harness.scale)))
-    specs;
-  let time sched =
-    let config = { config with Harness.sched = Some sched } in
-    let t0 = Unix.gettimeofday () in
-    let campaign =
-      Harness.run_campaign config ~benchmarks:specs ~gcs:Registry.production
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    (dt, (Harness.summary campaign).Harness.cells)
-  in
-  (* interleave the reps so slow host phases hit both schedulers alike,
-     and keep the best of each: the comparison is about deal order, not
-     about who drew the noisier time slice *)
-  let reps = if smoke then 1 else 3 in
-  let best_sa = ref infinity and best_rr = ref infinity and cells = ref 1 in
-  for _ = 1 to reps do
-    let dt_sa, n = time Fabric.Size_aware in
-    let dt_rr, _ = time Fabric.Round_robin in
-    best_sa := min !best_sa dt_sa;
-    best_rr := min !best_rr dt_rr;
-    cells := n
-  done;
-  (float_of_int !cells /. !best_sa, float_of_int !cells /. !best_rr)
 
 (* Socket-frame overhead in isolation: a request/reply pair of modest
    frames over a Unix socketpair, both endpoints in-process.  µs per
@@ -727,41 +656,16 @@ let run_campaign_kernels () =
            tapes = config.Harness.tapes;
          }
        scaled);
-  (* fabric first: OCaml forbids fork for the rest of the process once
-     any domain has ever been spawned, and the jobs=4 pool spawns them.
-     The cold (GCR_WARM=0) variant must also run before the pool kernels
-     for the same reason. *)
-  let fabric = bench_campaign ~smoke ~workers:(Some 4) ~jobs:1 in
+  let fabric = bench_campaign ~smoke ~workers:(Some 4) in
   record "campaign/cells_per_sec" fabric "cells/s" Higher_is_better;
   record "campaign/warm_cells_per_sec" fabric "cells/s" Higher_is_better;
-  Unix.putenv "GCR_WARM" "0";
-  let fabric_cold = bench_campaign ~smoke ~workers:(Some 4) ~jobs:1 in
-  Unix.putenv "GCR_WARM" "1";
-  record ~tracked:false "campaign/cold_cells_per_sec" fabric_cold "cells/s"
-    Higher_is_better;
-  record ~tracked:false "campaign/warm_speedup_vs_cold" (fabric /. fabric_cold) "x"
-    Higher_is_better;
-  (* socket fabric and the scheduler A/B also fork — they too must stay
-     ahead of the domain-spawning pool kernels *)
   let dist = bench_dist_campaign ~smoke ~workers:4 in
   record "campaign/dist_cells_per_sec" dist "cells/s" Higher_is_better;
   record ~tracked:false "campaign/dist_tax_vs_pipe" (fabric /. dist) "x"
     Lower_is_better;
-  let sa, rr = bench_sched_skew ~smoke ~workers:4 in
-  record ~tracked:false "campaign/sizeaware_cells_per_sec" sa "cells/s"
-    Higher_is_better;
-  record ~tracked:false "campaign/roundrobin_cells_per_sec" rr "cells/s"
-    Higher_is_better;
-  record ~tracked:false "campaign/sizeaware_speedup_vs_rr" (sa /. rr) "x"
-    Higher_is_better;
-  let pool_serial = bench_campaign ~smoke ~workers:None ~jobs:1 in
-  record ~tracked:false "campaign/pool_j1_cells_per_sec" pool_serial "cells/s"
-    Higher_is_better;
-  let pool_parallel = bench_campaign ~smoke ~workers:None ~jobs:4 in
-  record ~tracked:false "campaign/pool_j4_cells_per_sec" pool_parallel "cells/s"
-    Higher_is_better;
-  record ~tracked:false "campaign/fabric_speedup_vs_pool_j4"
-    (fabric /. pool_parallel) "x" Higher_is_better
+  let serial = bench_campaign ~smoke ~workers:None in
+  record ~tracked:false "campaign/serial_cells_per_sec" serial "cells/s"
+    Higher_is_better
 
 let run_wall_clock () =
   Printf.printf "wall-clock kernels (%s)\n%!" (if options.smoke then "smoke" else "full");

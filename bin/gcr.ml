@@ -85,22 +85,15 @@ let quiet_arg =
   let doc = "Suppress progress output." in
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
 
-let jobs_arg =
-  let doc =
-    "Worker domains draining the campaign queue (default: $(b,GCR_JOBS) or 1). \
-     Campaign output is bit-identical for every value."
-  in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let workers_arg =
   let doc =
     "Forked worker processes executing the campaign through the multi-process \
      fabric (default: $(b,GCR_WORKERS) if set, else in-process).  Each worker owns \
      a whole OCaml runtime, so throughput scales with cores; campaign output is \
-     bit-identical for every worker count.  When both $(b,--workers) and \
-     $(b,--jobs) are given, the fabric wins: $(b,--jobs) is ignored with a notice."
+     bit-identical for every worker count.  $(b,-j) and $(b,--jobs) are other \
+     names for this option."
   in
-  Arg.(value & opt (some int) None & info [ "w"; "workers" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some int) None & info [ "w"; "workers"; "j"; "jobs" ] ~docv:"N" ~doc)
 
 let listen_arg =
   let doc =
@@ -140,9 +133,17 @@ let cache_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
-(* Runs that ended in OOM / degeneration / budget exhaustion make the
-   whole invocation fail: reasons on stderr, distinct exit code. *)
+(* Every failure — a bad flag or file, or a run that ended in OOM /
+   degeneration / budget exhaustion — exits with this code and a reason
+   on stderr. *)
 let failed_run_exit = 3
+
+let die fmt =
+  Printf.ksprintf
+    (fun reason ->
+      Printf.eprintf "gcr: %s\n%!" reason;
+      exit failed_run_exit)
+    fmt
 
 let exit_on_failures measurements =
   match Measurement.failure_lines measurements with
@@ -151,23 +152,25 @@ let exit_on_failures measurements =
       List.iter (fun l -> Printf.eprintf "gcr: %s\n" l) lines;
       exit failed_run_exit
 
+let write_or_die write = try write () with Sys_error msg -> die "cannot write %s" msg
+
+(* Output paths are checked before anything is simulated, so a bad path
+   fails at once instead of after the whole run; no file is left behind. *)
+let check_writable path =
+  let existed = Sys.file_exists path in
+  write_or_die (fun () ->
+      close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path);
+      if not existed then Sys.remove path)
+
 let default_benchmarks = function [] -> Suite.all | bs -> bs
 
 let default_gcs = function [] -> Harness.default_gcs | gs -> gs
 
-let resolve_jobs = function
-  | Some n when n > 0 -> n
-  | Some _ -> 1
-  | None -> Pool.default_jobs ()
-
-(* Worker-count validation is strict where --jobs is forgiving: a typo'd
-   GCR_WORKERS silently running a campaign single-process would quietly
-   invalidate a throughput study, so bad values refuse to run at all. *)
+(* Worker-count validation is strict: a typo'd GCR_WORKERS silently
+   running a campaign single-process would quietly invalidate a
+   throughput study, so bad values refuse to run at all. *)
 let resolve_workers arg =
-  let reject reason =
-    Printf.eprintf "gcr: invalid worker count: %s\n%!" reason;
-    exit failed_run_exit
-  in
+  let reject reason = die "invalid worker count: %s" reason in
   match arg with
   | Some n when n > 0 -> Some n
   | Some n ->
@@ -193,9 +196,7 @@ let resolve_controller s =
   match Controller.of_name s with
   | Some c -> c
   | None ->
-      Printf.eprintf "gcr: unknown controller %S (valid: %s)\n%!" s
-        (String.concat ", " Controller.valid_names);
-      exit failed_run_exit
+      die "unknown controller %S (valid: %s)" s (String.concat ", " Controller.valid_names)
 
 let resolve_controllers = function
   | [] -> [ Controller.fixed ]
@@ -228,9 +229,7 @@ let resolve_cache_dir arg =
       (* validate eagerly: a bad cache location should be a clean CLI
          error before the campaign starts, not a mid-run exception *)
       try Some (Result_cache.dir (Result_cache.create ~dir))
-      with Sys_error msg ->
-        Printf.eprintf "gcr: unusable cache directory: %s\n%!" msg;
-        exit 1)
+      with Sys_error msg -> die "unusable cache directory: %s" msg)
 
 let no_tapes_arg =
   let doc =
@@ -245,29 +244,16 @@ let resolve_listen = function
   | Some s -> (
       match parse_host_port s with
       | Ok hp -> Some hp
-      | Error msg ->
-          Printf.eprintf "gcr: invalid --listen address: %s\n%!" msg;
-          exit failed_run_exit)
+      | Error msg -> die "invalid --listen address: %s" msg)
 
 let harness_config ?(controllers = [ Controller.fixed ]) ?listen
-    ?(connect_timeout = 30.0) ~invocations ~scale ~seed ~factors ~quiet ~jobs ~workers
+    ?(connect_timeout = 30.0) ~invocations ~scale ~seed ~factors ~quiet ~workers
     ~cache_dir ~no_tapes () =
   let defaults = Harness.default_config () in
   let workers = resolve_workers workers in
-  (* Both parallelism knobs at once: the fabric subsumes the domain pool,
-     so it wins — but say so rather than silently ignoring a flag. *)
-  (match (workers, jobs) with
-  | Some w, Some j ->
-      Printf.eprintf
-        "gcr: both --workers %d and --jobs %d given; the multi-process fabric wins \
-         and --jobs is ignored\n%!"
-        w j
-  | _ -> ());
   let listen = resolve_listen listen in
   (match (listen, workers) with
-  | Some _, None ->
-      Printf.eprintf "gcr: --listen requires --workers N (the fleet size)\n%!";
-      exit failed_run_exit
+  | Some _, None -> die "--listen requires --workers N (the fleet size)"
   | _ -> ());
   {
     defaults with
@@ -276,7 +262,6 @@ let harness_config ?(controllers = [ Controller.fixed ]) ?listen
     base_seed = seed;
     heap_factors = factors;
     log_progress = not quiet;
-    jobs = resolve_jobs jobs;
     workers;
     cache_dir = resolve_cache_dir cache_dir;
     tapes = defaults.Harness.tapes && not no_tapes;
@@ -311,27 +296,21 @@ let list_cmd =
 let read_tape_exn path =
   match Tape.read_file path with
   | Ok tape -> tape
-  | Error msg ->
-      Printf.eprintf "gcr: invalid tape %s: %s\n" path msg;
-      exit 1
+  | Error msg -> die "invalid tape %s: %s" path msg
 
 (* A tape is only meaningful against the exact spec it was recorded for;
    resolve the benchmark by name and refuse a digest mismatch (usually a
    --scale that differs from the recording). *)
 let tape_resolve_spec ~scale tape =
   match Suite.find tape.Tape.benchmark with
-  | None ->
-      Printf.eprintf "gcr: tape benchmark %S is not in the suite\n" tape.Tape.benchmark;
-      exit 1
+  | None -> die "tape benchmark %S is not in the suite" tape.Tape.benchmark
   | Some spec ->
       let spec = Spec.scale spec scale in
-      if not (String.equal (Spec.digest spec) tape.Tape.spec_digest) then begin
-        Printf.eprintf
-          "gcr: tape %S was recorded against a different spec (digest %s, this \
-           invocation resolves to %s); pass the --scale it was recorded at\n"
+      if not (String.equal (Spec.digest spec) tape.Tape.spec_digest) then
+        die
+          "tape %S was recorded against a different spec (digest %s, this invocation \
+           resolves to %s); pass the --scale it was recorded at"
           tape.Tape.benchmark tape.Tape.spec_digest (Spec.digest spec);
-        exit 1
-      end;
       spec
 
 (* ---------- run ---------- *)
@@ -345,14 +324,15 @@ let execute_traced ~trace_out config =
   let m = Run.execute ~on_engine config in
   (match !captured with
   | Some (obs, trace) ->
-      Perfetto.write_file trace_out obs trace;
+      write_or_die (fun () -> Perfetto.write_file trace_out obs trace);
       Printf.eprintf "gcr: wrote %d events to %s\n%!" (Obs.Trace.length trace) trace_out
   | None -> ());
   m
 
 let run_cmd =
-  let run benchmarks gcs factor invocations scale seed jobs cache_dir trace_out tape_file
+  let run benchmarks gcs factor invocations scale seed cache_dir trace_out tape_file
       controller_name =
+    Option.iter check_writable trace_out;
     let gcs = default_gcs gcs in
     let controller = resolve_controller controller_name in
     let cache =
@@ -384,10 +364,7 @@ let run_cmd =
           | [] -> ()
           | bs when List.exists (fun b -> String.equal b.Spec.name spec.Spec.name) bs ->
               ()
-          | _ ->
-              Printf.eprintf "gcr: --tape %s replays benchmark %S; drop -b or pass it\n"
-                path spec.Spec.name;
-              exit 1);
+          | _ -> die "--tape %s replays benchmark %S; drop -b or pass it" path spec.Spec.name);
           let image = Decision_source.image_of_tape ~spec tape in
           let minheap = Minheap.find spec in
           let heap_words = int_of_float (factor *. float_of_int minheap) in
@@ -402,15 +379,16 @@ let run_cmd =
     in
     let measurements =
       match trace_out with
-      | None -> Pool.map ~jobs:(resolve_jobs jobs) ?cache configs
+      | None ->
+          let state = Run.new_state () in
+          List.map (Pool.execute ?cache ~state) configs
       | Some file -> (
           match configs with
           | [ config ] -> [ execute_traced ~trace_out:file config ]
           | _ ->
-              Printf.eprintf
-                "gcr: --trace-out records a single run; pick one benchmark and one \
-                 collector with -n 1\n";
-              exit 1)
+              die
+                "--trace-out records a single run; pick one benchmark and one collector \
+                 with -n 1")
     in
     List.iter
       (fun m ->
@@ -448,7 +426,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run benchmark/collector configurations and print measurements")
     Term.(
       const run $ benchmarks_arg $ gcs_arg $ factor_arg $ invocations_arg $ scale_arg
-      $ seed_arg $ jobs_arg $ cache_dir_arg $ trace_out_arg $ tape_arg $ controller_arg)
+      $ seed_arg $ cache_dir_arg $ trace_out_arg $ tape_arg $ controller_arg)
 
 (* ---------- minheap ---------- *)
 
@@ -470,10 +448,10 @@ let minheap_cmd =
 (* ---------- campaign-backed commands ---------- *)
 
 let build_campaign ?controllers ?listen ?connect_timeout benchmarks gcs invocations
-    scale seed factors quiet jobs workers cache_dir no_tapes =
+    scale seed factors quiet workers cache_dir no_tapes =
   let config =
     harness_config ?controllers ?listen ?connect_timeout ~invocations ~scale ~seed
-      ~factors ~quiet ~jobs ~workers ~cache_dir ~no_tapes ()
+      ~factors ~quiet ~workers ~cache_dir ~no_tapes ()
   in
   Harness.run_campaign config ~benchmarks:(default_benchmarks benchmarks)
     ~gcs:(default_gcs gcs)
@@ -518,11 +496,11 @@ let artefact_arg =
     & info [] ~docv:"ARTEFACT" ~doc)
 
 let artefact_cmd =
-  let run artefact benchmarks gcs invocations scale seed factors quiet jobs workers
-      cache_dir no_tapes =
+  let run artefact benchmarks gcs invocations scale seed factors quiet workers cache_dir
+      no_tapes =
     let campaign =
-      build_campaign benchmarks gcs invocations scale seed factors quiet jobs workers
-        cache_dir no_tapes
+      build_campaign benchmarks gcs invocations scale seed factors quiet workers cache_dir
+        no_tapes
     in
     print_artefact campaign artefact;
     exit_on_failures (Harness.all_measurements campaign)
@@ -532,13 +510,12 @@ let artefact_cmd =
        ~doc:"Run the needed campaign and regenerate a paper table or figure")
     Term.(
       const run $ artefact_arg $ benchmarks_arg $ gcs_arg $ invocations_arg $ scale_arg
-      $ seed_arg $ factors_arg $ quiet_arg $ jobs_arg $ workers_arg $ cache_dir_arg
-      $ no_tapes_arg)
+      $ seed_arg $ factors_arg $ quiet_arg $ workers_arg $ cache_dir_arg $ no_tapes_arg)
 
 (* Per-phase breakdown of where the campaign's wall time went.  Wall
    times partition [elapsed_s]; the self-times under "execute" are summed
-   across pool domains and fabric workers, so under parallel execution
-   they can exceed the execute wall time. *)
+   across fabric workers, so under parallel execution they can exceed the
+   execute wall time. *)
 let print_profile (s : Harness.exec_summary) =
   let pct part = if s.Harness.elapsed_s > 0.0 then 100.0 *. part /. s.Harness.elapsed_s else 0.0 in
   Printf.printf "\n== campaign profile ==\n";
@@ -567,12 +544,12 @@ let profile_arg =
   Arg.(value & flag & info [ "profile" ] ~doc)
 
 let campaign_cmd =
-  let run benchmarks gcs invocations scale seed factors quiet jobs workers cache_dir
-      no_tapes profile controller_names listen connect_timeout =
+  let run benchmarks gcs invocations scale seed factors quiet workers cache_dir no_tapes
+      profile controller_names listen connect_timeout =
     let controllers = resolve_controllers controller_names in
     let campaign =
       build_campaign ~controllers ?listen ~connect_timeout benchmarks gcs invocations
-        scale seed factors quiet jobs workers cache_dir no_tapes
+        scale seed factors quiet workers cache_dir no_tapes
     in
     print_artefact campaign "all";
     let s = Harness.summary campaign in
@@ -590,8 +567,8 @@ let campaign_cmd =
        ~doc:"Run the full grid and print every table and figure of the paper")
     Term.(
       const run $ benchmarks_arg $ gcs_arg $ invocations_arg $ scale_arg $ seed_arg
-      $ factors_arg $ quiet_arg $ jobs_arg $ workers_arg $ cache_dir_arg $ no_tapes_arg
-      $ profile_arg $ controllers_arg $ listen_arg $ connect_timeout_arg)
+      $ factors_arg $ quiet_arg $ workers_arg $ cache_dir_arg $ no_tapes_arg $ profile_arg
+      $ controllers_arg $ listen_arg $ connect_timeout_arg)
 
 (* ---------- worker ---------- *)
 
@@ -600,24 +577,18 @@ let worker_cmd =
     let host, port =
       match parse_host_port connect with
       | Ok hp -> hp
-      | Error msg ->
-          Printf.eprintf "gcr: invalid --connect address: %s\n%!" msg;
-          exit failed_run_exit
+      | Error msg -> die "invalid --connect address: %s" msg
     in
     let store =
       match store_dir with
       | None -> None
       | Some dir -> (
           try Some (Gcr_sched.Artifact_store.create ~dir)
-          with Sys_error msg ->
-            Printf.eprintf "gcr: unusable store directory: %s\n%!" msg;
-            exit 1)
+          with Sys_error msg -> die "unusable store directory: %s" msg)
     in
     match Gcr_sched.Fabric.worker_connect ~host ~port ?store ~retry_for () with
     | Ok code -> exit code
-    | Error msg ->
-        Printf.eprintf "gcr: %s\n%!" msg;
-        exit failed_run_exit
+    | Error msg -> die "%s" msg
   in
   let connect_arg =
     let doc =
@@ -695,10 +666,9 @@ let trace_cmd =
                ends)\n"
               file s.Perfetto.events s.Perfetto.pause_slices s.Perfetto.phase_slices
               s.Perfetto.begins s.Perfetto.ends
-        | Error msg ->
-            Printf.eprintf "gcr: invalid trace %s: %s\n" file msg;
-            exit 1)
+        | Error msg -> die "invalid trace %s: %s" file msg)
     | None ->
+        check_writable out;
         let controller = resolve_controller controller_name in
         let spec = Spec.scale bench scale in
         let minheap = Minheap.find spec in
@@ -745,6 +715,7 @@ let market_cmd =
   let run bench tenants gc controller_name budget_factor epoch_cycles deadline_ms scale
       seed quiet trace_out =
     let controller = resolve_controller controller_name in
+    Option.iter check_writable trace_out;
     let log = if quiet then None else Some (fun s -> Printf.eprintf "%s\n%!" s) in
     let captured = ref None in
     let on_tenant_engine =
@@ -762,13 +733,11 @@ let market_cmd =
       try
         Market.run ~bench ?epoch_cycles ~deadline_ms ?log ?on_tenant_engine ~tenants ~gc
           ~controller ~budget_factor ~scale ~seed ()
-      with Invalid_argument msg ->
-        Printf.eprintf "gcr: %s\n" msg;
-        exit 1
+      with Invalid_argument msg -> die "%s" msg
     in
     (match (trace_out, !captured) with
     | Some file, Some (obs, trace) ->
-        Perfetto.write_file file obs trace;
+        write_or_die (fun () -> Perfetto.write_file file obs trace);
         Printf.eprintf "gcr: wrote %d events (tenant 0) to %s\n%!"
           (Obs.Trace.length trace) file
     | _ -> ());
@@ -844,6 +813,7 @@ let tape_file_pos =
 
 let tape_record_cmd =
   let run bench scale seed out via_run factor =
+    check_writable out;
     let spec = Spec.scale bench scale in
     let tape =
       match via_run with
@@ -867,11 +837,9 @@ let tape_record_cmd =
           let (_ : Measurement.t) = Run.execute config in
           (match !captured with
           | Some t -> t
-          | None ->
-              Printf.eprintf "gcr: run finished without producing a tape\n";
-              exit 1)
+          | None -> die "run finished without producing a tape")
     in
-    Tape.write_file tape ~path:out;
+    write_or_die (fun () -> Tape.write_file tape ~path:out);
     Printf.printf "%s: %d draws, digest %s\n" out (Tape.draws tape) (Tape.digest tape)
   in
   let bench_arg =
@@ -926,11 +894,7 @@ let tape_verify_cmd =
       if String.equal (render live) (render replayed) then
         Printf.printf "replay check: bit-identical to a live run under %s at %gx\n"
           (Registry.name gc) factor
-      else begin
-        Printf.eprintf "gcr: replay diverged from the live run under %s at %gx\n"
-          (Registry.name gc) factor;
-        exit 1
-      end
+      else die "replay diverged from the live run under %s at %gx" (Registry.name gc) factor
     end
   in
   let replay_check_arg =

@@ -20,13 +20,10 @@ type config = {
   region_words : int;
   heap_factors : float list;
   log_progress : bool;
-  jobs : int;
   workers : int option;
       (** [Some n]: execute through the multi-process fabric with [n]
-          forked worker processes (sidestepping the cross-domain minor
-          STW that throttles the domain pool); [None]: the in-process
-          domain pool with [jobs] domains.  Either way the recorded
-          campaign is bit-identical. *)
+          forked worker processes; [None]: one cell after another in this
+          process.  Either way the recorded campaign is bit-identical. *)
   cache_dir : string option;
   tapes : bool;
       (** replay each (benchmark, seed) cell group from one generated
@@ -44,9 +41,6 @@ type config = {
   on_listen : (int -> unit) option;
       (** called with the actual bound port once accepting (tests and
           benches fork their workers from here, race-free) *)
-  sched : Gcr_sched.Fabric.sched option;
-      (** fabric scheduling policy; [None] = [GCR_FABRIC_SCHED] or
-          size-aware *)
 }
 
 let paper_heap_factors = [ 1.4; 1.9; 2.4; 3.0; 3.7; 4.4; 5.2; 6.0 ]
@@ -83,7 +77,6 @@ let default_config () =
     region_words = Run.default_region_words;
     heap_factors = default_heap_factors;
     log_progress = true;
-    jobs = Pool.default_jobs ();
     workers = None;
     cache_dir = Sys.getenv_opt "GCR_CACHE_DIR";
     tapes = Minheap.tapes_enabled ();
@@ -91,14 +84,13 @@ let default_config () =
     listen = None;
     connect_timeout = 30.0;
     on_listen = None;
-    sched = None;
   }
 
 type exec_summary = {
   cells : int;
   cache_hits : int;
   cache_misses : int;
-  worker_processes : int;  (** 0 when the in-process pool executed *)
+  worker_processes : int;  (** 0 when the in-process loop executed *)
   per_worker : int array;
   reassigned_cells : int;
   parent_cells : int;
@@ -174,7 +166,7 @@ let runs ?(controller = Controller.fixed) t ~bench ~gc ~factor =
 (* --- Executors: fill the plan's result slots. --- *)
 
 (* Execution accounting threaded from the executor branch into the
-   summary; the pool branch leaves the fabric-only fields at zero. *)
+   summary; the in-process branch leaves the fabric-only fields at zero. *)
 type exec_info = {
   x_hits : int;
   x_workers : int;
@@ -189,20 +181,21 @@ type exec_info = {
   x_rows : Fabric.worker_row list;
 }
 
-(* In-process domain pool, one sibling group at a time: generate the
-   group's tape image once, replay it in every cell, then drop it before
-   the next group (images of full-size benchmarks are tens of MB). *)
-let execute_pool config plan results =
+(* In-process, one sibling group at a time: generate the group's tape
+   image once, replay it in every cell, then drop it before the next
+   group (images of full-size benchmarks are tens of MB).  One warm run
+   state serves every cell of the campaign. *)
+let execute_serial config plan results =
   let cache = Option.map (fun dir -> Result_cache.create ~dir) config.cache_dir in
-  let hit_counter = Atomic.make 0 in
+  let state = Run.new_state () in
+  let hits = ref 0 in
   List.iter
     (fun (g : Planner.group) ->
       if config.log_progress then
         Printf.eprintf "[harness] invocation %d/%d: %s\n%!" (g.Planner.invocation + 1)
           config.invocations g.Planner.spec.Spec.name;
-      let configs = List.map (fun (c : Planner.cell) -> c.Planner.config) g.Planner.cells in
-      let configs =
-        if not config.tapes then configs
+      let tape =
+        if not config.tapes then Run.Tape_off
         else begin
           let tape_started = Unix.gettimeofday () in
           let tape =
@@ -210,18 +203,22 @@ let execute_pool config plan results =
               (Gcr_workloads.Tape_gen.image ~spec:g.Planner.spec ~seed:g.Planner.seed)
           in
           Gcr_runtime.Profile.add_tape_s (Unix.gettimeofday () -. tape_started);
-          List.map (fun rc -> { rc with Run.tape }) configs
+          tape
         end
       in
-      let measurements = Pool.map ~jobs:config.jobs ?cache ~hits:hit_counter configs in
-      List.iter2
-        (fun (c : Planner.cell) m -> results.(c.Planner.index) <- Some m)
-        g.Planner.cells measurements)
+      List.iter
+        (fun (c : Planner.cell) ->
+          let m, hit =
+            Pool.execute_cached ?cache ~state { c.Planner.config with Run.tape }
+          in
+          if hit then incr hits;
+          results.(c.Planner.index) <- Some m)
+        g.Planner.cells)
     (Planner.groups plan);
-  (* the pool runs in this process, so its setup/tape/simulate self-time
-     is already on the local [Profile] counters *)
+  (* the cells ran in this process, so their setup/tape/simulate
+     self-time is already on the local [Profile] counters *)
   {
-    x_hits = Atomic.get hit_counter;
+    x_hits = !hits;
     x_workers = 0;
     x_per_worker = [||];
     x_reassigned = 0;
@@ -381,7 +378,7 @@ let run_campaign config ~benchmarks ~gcs =
     match config.workers with
     | None ->
         (* In-process path: minheap searches run inline (memoised), then
-           the domain pool fills the plan. *)
+           the cells run one after another. *)
         List.iter
           (fun spec ->
             let words = Minheap.find ~config:minheap_config spec in
@@ -393,7 +390,7 @@ let run_campaign config ~benchmarks ~gcs =
         let results : Measurement.t option array = Array.make n_cells None in
         let plan_done = Unix.gettimeofday () in
         let prof_plan = Gcr_runtime.Profile.snapshot () in
-        let info = execute_pool config plan results in
+        let info = execute_serial config plan results in
         (plan, results, plan_done, prof_plan, info)
     | Some workers ->
         (* Fabric path: one session carries the minheap probe waves and
@@ -414,7 +411,7 @@ let run_campaign config ~benchmarks ~gcs =
         let session =
           Fabric.start ~workers ~store
             ~cache_results:(config.cache_dir <> None)
-            ~log ?sched:config.sched ?listen:config.listen
+            ~log ?listen:config.listen
             ~connect_timeout:config.connect_timeout ?on_listen:config.on_listen
             ~plan_digest:(campaign_digest config specs gcs) ()
         in
@@ -533,7 +530,7 @@ let run_campaign config ~benchmarks ~gcs =
   in
   if config.log_progress then begin
     let worker_note =
-      if info.x_workers = 0 then Printf.sprintf "pool jobs=%d" config.jobs
+      if info.x_workers = 0 then "in-process"
       else
         Printf.sprintf "fabric workers=%d [%s]%s%s%s%s%s" info.x_workers
           (String.concat " "

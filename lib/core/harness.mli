@@ -6,7 +6,7 @@
     memory.
 
     The harness is split into a pure {!Planner} (grid → ordered cell
-    specs) and the executors here: the in-process domain pool and the
+    specs) and the executors here: an in-process loop and the
     multi-process {!Gcr_sched.Fabric}.  Both fill the plan's result
     slots and the reduction reads them back in submission order, so the
     recorded campaign is bit-identical whichever executor ran it and at
@@ -23,18 +23,12 @@ type config = {
   region_words : int;
   heap_factors : float list;
   log_progress : bool;  (** one stderr line per configuration *)
-  jobs : int;
-      (** worker domains draining the campaign queue; 1 = serial.  Results
-          are reassembled in submission order, so any value produces
-          bit-identical campaigns (the differential tests in
-          [test/test_sched.ml] hold this to account) *)
   workers : int option;
       (** [Some n]: execute through the multi-process campaign fabric
           with [n] forked worker processes — each owns a whole OCaml
-          runtime, so throughput scales with cores instead of being
-          throttled by cross-domain minor STW.  [None] (default): the
-          in-process domain pool.  Campaign results are bit-identical
-          either way. *)
+          runtime, so throughput scales with cores.  [None] (default):
+          one cell after another in this process, on one warm run state.
+          Campaign results are bit-identical either way. *)
   cache_dir : string option;
       (** when set, completed runs are stored in (and replayed from) an
           on-disk {!Gcr_sched.Result_cache} keyed by the full run config;
@@ -65,11 +59,6 @@ type config = {
       (** called once with the actual bound port when the coordinator
           starts accepting — tests and benches fork their workers from
           here, race-free *)
-  sched : Gcr_sched.Fabric.sched option;
-      (** fabric scheduling policy; [None] defers to [GCR_FABRIC_SCHED]
-          (default size-aware).  Either policy yields the identical
-          report — scheduling moves cells between workers, never changes
-          their results *)
 }
 
 val paper_heap_factors : float list
@@ -87,15 +76,15 @@ val default_gcs : Gcr_gcs.Registry.kind list
 
 val default_config : unit -> config
 (** 8 invocations at scale 1.0 over {!default_heap_factors}, serial,
-    in-process, no result cache; [GCR_INVOCATIONS], [GCR_SCALE],
-    [GCR_JOBS], and [GCR_CACHE_DIR] override.  ([GCR_WORKERS] is a CLI
+    in-process, no result cache; [GCR_INVOCATIONS], [GCR_SCALE] and
+    [GCR_CACHE_DIR] override.  ([GCR_WORKERS] is a CLI
     concern: the library default is always [workers = None].) *)
 
 type exec_summary = {
   cells : int;  (** grid cells executed (invocations included) *)
   cache_hits : int;  (** cells replayed from the result cache *)
   cache_misses : int;  (** cells actually executed *)
-  worker_processes : int;  (** fabric worker count; 0 = in-process pool *)
+  worker_processes : int;  (** fabric worker count; 0 = in-process *)
   per_worker : int array;  (** cells completed per fabric worker *)
   reassigned_cells : int;  (** cells requeued after a worker crash *)
   parent_cells : int;  (** cells the fabric parent ran as a backstop *)
@@ -106,7 +95,7 @@ type exec_summary = {
   reduce_s : float;  (** wall time reducing slots into the report *)
   setup_s : float;
       (** engine/heap construction (or warm reset) self-time within the
-          execute phase, summed across pool domains and fabric workers *)
+          execute phase, summed across this process and fabric workers *)
   tape_s : float;
       (** tape generate/fetch/decode self-time within the execute phase *)
   simulate_s : float;  (** in-simulation self-time within the execute phase *)

@@ -132,11 +132,11 @@ let probe_run_config config (spec : Spec.t) ~tape heap_words =
     controller = Gcr_policy.Controller.fixed;
   }
 
-let completes config spec ?state ~tape heap_words =
+let completes config spec ~state ~tape heap_words =
   Measurement.completed
     (Pool.execute
        ?cache:(Lazy.force result_cache)
-       ?state
+       ~state
        (probe_run_config config spec ~tape heap_words))
 
 (* The search as an explicit state machine, so an external driver — the
@@ -221,7 +221,7 @@ let search config spec =
   (* One warm run-state serves every probe of the search: the bisection
      is a long chain of same-spec runs, exactly the reuse the warm path
      exists for. *)
-  let state = if Run.warm_enabled () then Some (Run.new_state ()) else None in
+  let state = Run.new_state () in
   let s = Search.start config spec in
   let rec loop () =
     match Search.probe_regions s with
@@ -230,7 +230,7 @@ let search config spec =
         | Some words -> words
         | None -> assert false)
     | Some n ->
-        let completed = completes config spec ?state ~tape (n * config.region_words) in
+        let completed = completes config spec ~state ~tape (n * config.region_words) in
         Search.advance s ~completed;
         loop ()
   in

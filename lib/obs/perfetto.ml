@@ -398,10 +398,11 @@ let validate_string contents =
   with Invalid msg -> Error ("invalid JSON: " ^ msg)
 
 let validate_file path =
-  let ic = open_in_bin path in
-  let contents =
+  match
+    let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  validate_string contents
+  with
+  | exception Sys_error msg -> Error msg
+  | contents -> validate_string contents

@@ -23,3 +23,5 @@ val validate_string : string -> (summary, string) result
     begin/end slice events balance. *)
 
 val validate_file : string -> (summary, string) result
+(** {!validate_string} on a file's contents; [Error] too when the file
+    cannot be read. *)

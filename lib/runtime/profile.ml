@@ -3,9 +3,9 @@
    Three wall-clock accumulators — run setup (everything Run.execute does
    before handing control to the engine), tape preparation (generation,
    store round-trips, image decode), and simulation (Engine.run itself) —
-   kept as atomic microsecond counters so pool domains can add to them
-   concurrently.  Fabric workers run in their own processes and ship
-   their deltas back inside result frames; the harness sums both sources.
+   kept as microsecond counters.  Fabric workers run in their own
+   processes and ship their deltas back inside result frames; the
+   harness sums both sources.
 
    Host-time only: nothing here feeds back into simulated results. *)
 
@@ -13,15 +13,15 @@ type snapshot = { setup_us : int; tape_us : int; simulate_us : int }
 
 let zero = { setup_us = 0; tape_us = 0; simulate_us = 0 }
 
-let setup = Atomic.make 0
+let setup = ref 0
 
-let tape = Atomic.make 0
+let tape = ref 0
 
-let simulate = Atomic.make 0
+let simulate = ref 0
 
 let add counter seconds =
   let us = int_of_float (seconds *. 1e6) in
-  if us > 0 then ignore (Atomic.fetch_and_add counter us)
+  if us > 0 then counter := !counter + us
 
 let add_setup_s s = add setup s
 
@@ -31,9 +31,9 @@ let add_simulate_s s = add simulate s
 
 let snapshot () =
   {
-    setup_us = Atomic.get setup;
-    tape_us = Atomic.get tape;
-    simulate_us = Atomic.get simulate;
+    setup_us = !setup;
+    tape_us = !tape;
+    simulate_us = !simulate;
   }
 
 let diff a b =

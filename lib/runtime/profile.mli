@@ -1,7 +1,7 @@
 (** Per-process phase self-time accounting (host wall clock) behind the
     campaign summary's phase breakdown and [gcr campaign --profile].
 
-    Three atomic accumulators: run {e setup} (building engine, heap,
+    Three accumulators: run {e setup} (building engine, heap,
     collector, and workload state before the engine runs), {e tape}
     preparation (generation, artifact-store round-trips, image decode),
     and {e simulate} ([Engine.run] itself).  [Run.execute] and the

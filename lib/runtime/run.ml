@@ -57,14 +57,6 @@ let new_state () = { st_engine = None; st_heap = None }
 
 let state_heap state = state.st_heap
 
-(* Warm-path opt-out for A/B comparison and bisecting: GCR_WARM=0 makes
-   every executor build fresh state per cell, as before.  Read per call —
-   the bench flips it mid-process. *)
-let warm_enabled () =
-  match Sys.getenv_opt "GCR_WARM" with
-  | Some ("0" | "false" | "off") -> false
-  | Some _ | None -> true
-
 (* Healthy runs use a few engine events per packet plus a few dozen per
    collection; 100x headroom separates "slow" from "pathological". *)
 let default_max_events (spec : Spec.t) =

@@ -55,8 +55,8 @@ type state
 (** A per-worker pool of the expensive per-run structures (engine + obs
     spine, heap + object store).  The first {!execute} through a state
     builds them; every later one resets them in place — same results,
-    bit for bit, without the per-cell allocation storm.  A state must
-    only ever be used by one domain at a time. *)
+    bit for bit, without the per-cell allocation storm.  A state serves
+    one run at a time. *)
 
 val new_state : unit -> state
 (** An empty pool; the first run through it populates it. *)
@@ -65,12 +65,6 @@ val state_heap : state -> Gcr_heap.Heap.t option
 (** The pooled heap, if one has been built — post-run inspection for the
     reuse≡fresh differential suite ({!Gcr_heap.Heap.history_digest}
     comparison). *)
-
-val warm_enabled : unit -> bool
-(** Whether executors should pool run state across cells.  [GCR_WARM=0]
-    (or [false] / [off]) disables it — the A/B switch the fabric smoke
-    test and the cold benchmark kernels use.  Read from the environment
-    on every call. *)
 
 val default_config :
   spec:Gcr_workloads.Spec.t -> gc:Gcr_gcs.Registry.kind -> heap_words:int -> seed:int -> config

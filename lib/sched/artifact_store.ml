@@ -155,15 +155,19 @@ let find_tape_bytes t ~spec_digest ~seed ~threads =
           memo_drop path;
           None)
 
-let stamp = Atomic.make 0
+(* Temp files are named by pid and a per-process stamp (forked workers
+   inherit the stamp), so concurrent publishers never share one. *)
+let stamp = ref 0
 
-let write_tape_file t ~spec_digest ~seed ~threads data tape =
-  let path = tape_path t ~spec_digest ~seed ~threads in
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d.%d" path (Unix.getpid ())
-      (Domain.self () :> int)
-      (Atomic.fetch_and_add stamp 1)
+(* [data] is [tape]'s own bytes — generated or already verified by the
+   caller — so the memo can hold the tape without a read-back. *)
+let write_tape_file t data (tape : Tape.t) =
+  let path =
+    tape_path t ~spec_digest:tape.Tape.spec_digest ~seed:tape.Tape.seed
+      ~threads:(Array.length tape.Tape.streams)
   in
+  incr stamp;
+  let tmp = Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) !stamp in
   try
     let oc = open_out_bin tmp in
     output_string oc data;
@@ -176,28 +180,7 @@ let store_tape_bytes t data =
   match Tape.of_string data with
   | Error e -> Error e
   | Ok tape ->
-      let spec_digest = tape.Tape.spec_digest in
-      let seed = tape.Tape.seed in
-      let threads = Array.length tape.Tape.streams in
-      write_tape_file t ~spec_digest ~seed ~threads data tape;
+      write_tape_file t data tape;
       Ok ()
 
-let store_tape t (tape : Tape.t) =
-  let path =
-    tape_path t ~spec_digest:tape.Tape.spec_digest ~seed:tape.Tape.seed
-      ~threads:(Array.length tape.Tape.streams)
-  in
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d.%d" path (Unix.getpid ())
-      (Domain.self () :> int)
-      (Atomic.fetch_and_add stamp 1)
-  in
-  try
-    let oc = open_out_bin tmp in
-    output_string oc (Tape.to_string tape);
-    close_out oc;
-    Sys.rename tmp path;
-    (* the publisher generated these bytes itself — they are proven for
-       this process without a read-back *)
-    memo_add path tape
-  with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ())
+let store_tape t tape = write_tape_file t (Tape.to_string tape) tape

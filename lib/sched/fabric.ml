@@ -16,8 +16,6 @@ type group = {
   cells : (int * Run.config) list;
 }
 
-type sched = Size_aware | Round_robin
-
 type stats = {
   cells : int;
   cache_hits : int;
@@ -77,11 +75,6 @@ let timeout_of_env () =
   match Option.bind (Sys.getenv_opt "GCR_FABRIC_TIMEOUT_S") float_of_string_opt with
   | Some t -> t
   | None -> default_timeout_s
-
-let sched_of_env () =
-  match Sys.getenv_opt "GCR_FABRIC_SCHED" with
-  | Some ("fifo" | "roundrobin" | "rr") -> Round_robin
-  | Some _ | None -> Size_aware
 
 (* Handshake payloads are Wire-encoded, not marshalled: they are parsed
    before the two sides have proven they run the same build, so the
@@ -193,12 +186,12 @@ let group_tape ~fetch (g : group) =
     Run.Tape_replay image
   end
 
-let execute_group ?state ~fetch ~cache ~on_result (g : group) =
+let execute_group ~state ~fetch ~cache ~on_result (g : group) =
   let tape = group_tape ~fetch g in
   List.iter
     (fun (index, config) ->
       let config = { config with Run.tape } in
-      let m, hit = Pool.execute_cached ?cache ?state config in
+      let m, hit = Pool.execute_cached ?cache ~state config in
       on_result index hit m)
     g.cells
 
@@ -218,7 +211,7 @@ exception Quit_worker of int
 let worker_main ~id ~store ~cache ~ep ~verbose =
   let crash_after = crash_after ~id in
   let garble_after = garble_after ~id in
-  let state = if Run.warm_enabled () then Some (Run.new_state ()) else None in
+  let state = Run.new_state () in
   let scratch = Buffer.create 65536 in
   let batch : (int * bool * Measurement.t) list ref = ref [] in
   let batch_len = ref 0 in
@@ -333,7 +326,7 @@ let worker_main ~id ~store ~cache ~ep ~verbose =
       (fun (index, config) ->
         heartbeat ();
         let config = { config with Run.tape } in
-        let m, hit = Pool.execute_cached ?cache ?state config in
+        let m, hit = Pool.execute_cached ?cache ~state config in
         on_result index hit m)
       g.cells;
     flush ()
@@ -524,7 +517,6 @@ type session = {
   cache_results : bool;
   log : string -> unit;
   obs : Obs.t option;
-  sched : sched;
   timeout_s : float;
   ws : wrec array;
   scratch : Buffer.t;
@@ -694,9 +686,8 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
 (* --- Session lifecycle. --- *)
 
 let start ~workers ~store ~cache_results ?(log = fun (_ : string) -> ()) ?obs
-    ?sched ?listen ?(connect_timeout = 30.0) ?on_listen ?(plan_digest = "") () =
+    ?listen ?(connect_timeout = 30.0) ?on_listen ?(plan_digest = "") () =
   if workers < 1 then invalid_arg "Fabric.start: workers must be >= 1";
-  let sched = match sched with Some s -> s | None -> sched_of_env () in
   let old_sigpipe =
     (* a worker that died mid-read must surface as EPIPE, not kill us *)
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
@@ -725,7 +716,6 @@ let start ~workers ~store ~cache_results ?(log = fun (_ : string) -> ()) ?obs
       cache_results;
       log;
       obs;
-      sched;
       timeout_s = timeout_of_env ();
       ws = Array.of_list ws;
       scratch = Buffer.create 65536;
@@ -836,31 +826,27 @@ let dispatch session ~n_cells groups =
   let stolen = ref 0 in
   let wire_tapes = ref 0 in
   let worker_profile = ref Profile.zero in
-  (* The ready list is the scheduler: size-aware keeps it sorted by
-     descending cost (largest first — LPT — so the big groups cannot land
-     last on an otherwise-drained fleet), round-robin keeps plan order. *)
+  (* The ready list is the scheduler: sorted by descending cost (largest
+     first — LPT — so the big groups cannot land last on an
+     otherwise-drained fleet). *)
   let before a b =
     (* strict priority of slot a over slot b *)
     slots.(a).g.cost > slots.(b).g.cost
     || (slots.(a).g.cost = slots.(b).g.cost && a < b)
   in
   let ready =
-    let ids = List.init (Array.length slots) Fun.id in
     ref
-      (match session.sched with
-      | Round_robin -> ids
-      | Size_aware -> List.stable_sort (fun a b -> if before a b then -1 else 1) ids)
+      (List.stable_sort
+         (fun a b -> if before a b then -1 else 1)
+         (List.init (Array.length slots) Fun.id))
   in
   let insert_ready gid =
     slots.(gid).sstate <- `Ready;
-    match session.sched with
-    | Round_robin -> ready := !ready @ [ gid ]
-    | Size_aware ->
-        let rec ins = function
-          | [] -> [ gid ]
-          | x :: rest -> if before x gid then x :: ins rest else gid :: x :: rest
-        in
-        ready := ins !ready
+    let rec ins = function
+      | [] -> [ gid ]
+      | x :: rest -> if before x gid then x :: ins rest else gid :: x :: rest
+    in
+    ready := ins !ready
   in
   let worker_died w =
     if w.alive then begin
@@ -1008,20 +994,16 @@ let dispatch session ~n_cells groups =
     (* deal: largest group to the least-loaded live worker (LPT).  Never
        fill one worker's queue before another sees anything — that would
        re-deal a freshly stolen group straight back to its victim.
-       Size-aware load is the *cost* already queued on the worker (so a
-       prefetched heavyweight counts for what it is, and two big groups
-       are never stacked while a neighbour holds two cheap ones);
-       round-robin stays cost-blind and compares queue length only. *)
+       Load is the *cost* already queued on the worker (so a prefetched
+       heavyweight counts for what it is, and two big groups are never
+       stacked while a neighbour holds two cheap ones). *)
     let queued_cost w =
       List.fold_left (fun acc s -> acc +. s.g.cost) 0.0 w.queue
     in
     let lighter a b =
       (* strict: is a less loaded than b? *)
-      match session.sched with
-      | Round_robin -> List.length a.queue < List.length b.queue
-      | Size_aware ->
-          let ca = queued_cost a and cb = queued_cost b in
-          ca < cb || (ca = cb && List.length a.queue < List.length b.queue)
+      let ca = queued_cost a and cb = queued_cost b in
+      ca < cb || (ca = cb && List.length a.queue < List.length b.queue)
     in
     let rec deal () =
       match !ready with
@@ -1103,9 +1085,7 @@ let dispatch session ~n_cells groups =
      remain — execute them in this process so the campaign always
      completes.  The coordinator's own setup/tape/simulate time lands in
      this process's {!Profile} counters, not in [worker_profile]. *)
-  let backstop_state =
-    if Run.warm_enabled () && !ready <> [] then Some (Run.new_state ()) else None
-  in
+  let backstop_state = Run.new_state () in
   let cache =
     if session.cache_results then Some (Artifact_store.results session.store) else None
   in
@@ -1116,7 +1096,7 @@ let dispatch session ~n_cells groups =
         ready := rest;
         let s = slots.(gid) in
         s.sstate <- `Done;
-        execute_group ?state:backstop_state
+        execute_group ~state:backstop_state
           ~fetch:(fun (g : group) -> store_tape_fetch session.store ~spec:g.spec ~seed:g.seed)
           ~cache
           ~on_result:(fun index hit m ->
@@ -1147,15 +1127,3 @@ let dispatch session ~n_cells groups =
       wire_tapes = !wire_tapes;
       worker_profile = !worker_profile;
     } )
-
-(* --- One-shot compatibility wrapper. --- *)
-
-let run ~workers ~store ~cache_results ?log ?obs ?sched ?listen ?connect_timeout
-    ?on_listen ?plan_digest ~n_cells groups =
-  let session =
-    start ~workers ~store ~cache_results ?log ?obs ?sched ?listen ?connect_timeout
-      ?on_listen ?plan_digest ()
-  in
-  Fun.protect
-    ~finally:(fun () -> shutdown session)
-    (fun () -> dispatch session ~n_cells groups)

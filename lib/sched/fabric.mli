@@ -14,16 +14,15 @@
       over the wire (digest-verified on receipt, exactly like a store
       read) and publishes tapes it had to generate.
 
-    Workers run {e warm} unless [GCR_WARM=0]: each recycles one
-    {!Gcr_runtime.Run.state} (engine + heap) across every cell it
-    executes, and memoizes the decoded replay image per (spec, seed) so
-    sibling groups placed back to back decode their tape once.
+    Workers run {e warm}: each recycles one {!Gcr_runtime.Run.state}
+    (engine + heap) across every cell it executes, and memoizes the
+    decoded replay image per (spec, seed) so sibling groups placed back
+    to back decode their tape once.
 
-    Scheduling is size-aware by default: the coordinator deals the
-    costliest groups first (LPT) with a per-worker queue depth of 2, and
-    when workers go idle it revokes the {e prefetched} tail of a
-    straggler's queue and re-deals it (work-stealing at group
-    granularity).  Reduction is by plan index and first-write-wins, so
+    Scheduling is size-aware: the coordinator deals the costliest groups
+    first (LPT) with a per-worker queue depth of 2, and when workers go
+    idle it revokes the {e prefetched} tail of a straggler's queue and
+    re-deals it (work-stealing at group granularity).  Reduction is by plan index and first-write-wins, so
     neither stealing nor worker death can change a byte of the report —
     only who computes it.
 
@@ -47,10 +46,6 @@ type group = {
           [make_collector] closure (closures cannot cross processes) *)
 }
 (** One sibling batch: every cell shares (spec, seed), hence one tape. *)
-
-type sched =
-  | Size_aware  (** deal largest-first, steal from stragglers (default) *)
-  | Round_robin  (** FIFO in plan order — kept for scheduler A/B runs *)
 
 type stats = {
   cells : int;  (** total result slots *)
@@ -76,10 +71,6 @@ type worker_row = {
   row_alive : bool;
 }
 
-val sched_of_env : unit -> sched
-(** [GCR_FABRIC_SCHED]: ["fifo"], ["roundrobin"], or ["rr"] select
-    {!Round_robin}; anything else (or unset) is {!Size_aware}. *)
-
 (** {2 Sessions}
 
     A session owns the worker fleet; {!dispatch} runs one wave of groups
@@ -95,7 +86,6 @@ val start :
   cache_results:bool ->
   ?log:(string -> unit) ->
   ?obs:Gcr_obs.Obs.t ->
-  ?sched:sched ->
   ?listen:string * int ->
   ?connect_timeout:float ->
   ?on_listen:(int -> unit) ->
@@ -136,22 +126,6 @@ val worker_deaths : session -> int
 
 val stolen_groups : session -> int
 (** Session-cumulative; {!stats}[.stolen_groups] is per wave. *)
-
-val run :
-  workers:int ->
-  store:Artifact_store.t ->
-  cache_results:bool ->
-  ?log:(string -> unit) ->
-  ?obs:Gcr_obs.Obs.t ->
-  ?sched:sched ->
-  ?listen:string * int ->
-  ?connect_timeout:float ->
-  ?on_listen:(int -> unit) ->
-  ?plan_digest:string ->
-  n_cells:int ->
-  group list ->
-  Gcr_runtime.Measurement.t array * stats
-(** {!start} + one {!dispatch} + {!shutdown}. *)
 
 (** {2 Worker side} *)
 

@@ -5,11 +5,6 @@ module Spec = Gcr_workloads.Spec
 module Run = Gcr_runtime.Run
 module Measurement = Gcr_runtime.Measurement
 
-let default_jobs () =
-  match Option.bind (Sys.getenv_opt "GCR_JOBS") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | Some _ | None -> 1
-
 let on_execute : (Run.config -> unit) ref = ref (fun _ -> ())
 
 (* The measurement recorded for an invocation whose run raised: same
@@ -77,44 +72,3 @@ let execute_cached ?cache ?state config =
       (measurement, false)
 
 let execute ?cache ?state config = fst (execute_cached ?cache ?state config)
-
-let map ?(jobs = 1) ?cache ?hits configs =
-  let queue = Array.of_list configs in
-  let n = Array.length queue in
-  let results = Array.make n None in
-  let workers = min jobs n in
-  (* One run-state pool per draining domain: consecutive cells recycle
-     the engine and heap instead of reallocating them.  A state is only
-     ever touched by its owning domain. *)
-  let make_state () = if Run.warm_enabled () then Some (Run.new_state ()) else None in
-  let execute_slot state config =
-    let m, hit = execute_cached ?cache ?state config in
-    if hit then Option.iter Atomic.incr hits;
-    Some m
-  in
-  if workers <= 1 then begin
-    let state = make_state () in
-    Array.iteri (fun i config -> results.(i) <- execute_slot state config) queue
-  end
-  else begin
-    (* FIFO via an atomic cursor; each slot of [results] is written by
-       exactly one domain, and the joins below publish every write. *)
-    let next = Atomic.make 0 in
-    let worker () =
-      let state = make_state () in
-      let rec drain () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- execute_slot state queue.(i);
-          drain ()
-        end
-      in
-      drain ()
-    in
-    let domains = List.init workers (fun _ -> Domain.spawn worker) in
-    List.iter Domain.join domains
-  end;
-  Array.to_list
-    (Array.map
-       (function Some m -> m | None -> invalid_arg "Pool.map: unfilled slot")
-       results)

@@ -1,25 +1,19 @@
-(** Fixed-size domain pool for campaign execution.
-
-    A campaign is a FIFO queue of independent run configurations; the
-    pool drains it with [jobs] worker domains and reassembles results in
-    submission order, so campaign output is a pure function of the
-    submitted configs — independent of scheduling, core count, and cache
-    state.  [Run.execute] is deterministic and shares no mutable state
-    across runs (each builds its own heap, engine, collector, and PRNG),
-    which is what makes the parallel campaign bit-identical to the serial
-    one; [test/test_sched.ml] enforces exactly that.
+(** One crash-isolated, cache-aware campaign invocation — the unit every
+    executor runs: the harness's in-process loop, fabric workers, the
+    fabric coordinator's backstop and the min-heap search.
+    [Run.execute] is deterministic and shares no mutable state across
+    runs, so a campaign's result is a pure function of its configs,
+    whichever executor ran them.
 
     Crash isolation: an exception escaping one run (a buggy workload, a
     collector invariant failure) becomes a [Failed] measurement for that
     invocation only; the rest of the campaign is unaffected. *)
 
-val default_jobs : unit -> int
-(** [GCR_JOBS] when set to a positive integer, else 1 (serial). *)
-
 val on_execute : (Gcr_runtime.Run.config -> unit) ref
 (** Test hook, called immediately before every {e fresh} [Run.execute]
-    (cache hits do not fire it).  Runs on worker domains: install an
-    atomic counter, not arbitrary shared-state mutation.  Default: no-op. *)
+    (cache hits do not fire it).  It runs in the process that executes
+    the cell, so a forked fabric worker fires its own inherited copy.
+    Default: no-op. *)
 
 val execute :
   ?cache:Result_cache.t -> ?state:Gcr_runtime.Run.state ->
@@ -39,18 +33,3 @@ val execute_cached :
   Gcr_runtime.Measurement.t * bool
 (** [execute] plus whether the measurement was replayed from the cache —
     the figure the campaign summary's hit/miss accounting is built on. *)
-
-val map :
-  ?jobs:int ->
-  ?cache:Result_cache.t ->
-  ?hits:int Atomic.t ->
-  Gcr_runtime.Run.config list ->
-  Gcr_runtime.Measurement.t list
-(** [map ~jobs configs] executes every config and returns measurements in
-    submission order.  [jobs <= 1] (the default) runs inline on the
-    calling domain — the serial baseline the differential tests compare
-    against; higher values spawn [min jobs (length configs)] domains.
-    [hits], when given, is incremented once per cache hit (worker domains
-    increment it atomically).  Unless [GCR_WARM=0], each draining domain
-    pools run state across its cells ({!Gcr_runtime.Run.state});
-    results are bit-identical warm or cold. *)

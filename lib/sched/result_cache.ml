@@ -32,10 +32,11 @@ let dir t = t.dir
 
 let path t ~digest = Filename.concat t.dir (digest ^ ".run")
 
-(* Distinguishes temp files of concurrent writers.  Same-process domains
-   get distinct stamps; cross-process collisions on one key are resolved
-   by the atomic rename (last writer wins, both wrote equal content). *)
-let stamp = Atomic.make 0
+(* Temp files are named by pid and a per-process stamp, so no two
+   writers ever share one: processes storing the same key each write
+   their own file, and the atomic rename makes the last complete one the
+   entry.  The pid matters because forked workers inherit the stamp. *)
+let stamp = ref 0
 
 let read_entry path : (string * Measurement.t) option =
   match open_in_bin path with
@@ -83,11 +84,8 @@ let store t (config : Run.config) measurement =
   | Some rendering -> (
       let digest = Digest.to_hex (Digest.string rendering) in
       let final = path t ~digest in
-      let tmp =
-        Printf.sprintf "%s.tmp.%d.%d" final
-          (Domain.self () :> int)
-          (Atomic.fetch_and_add stamp 1)
-      in
+      incr stamp;
+      let tmp = Printf.sprintf "%s.tmp.%d.%d" final (Unix.getpid ()) !stamp in
       try
         let oc = open_out_bin tmp in
         let body = Marshal.to_string ((rendering, measurement) : string * Measurement.t) [] in

@@ -7,9 +7,10 @@
     so corrupted, truncated, or colliding entries are discarded — a bad
     cache file can cost a re-run, never a wrong measurement.
 
-    Writes go through a temp file and an atomic [Sys.rename], so
-    concurrent writers (domains of one campaign, or several processes
-    sharing a cache directory) cannot expose half-written entries. *)
+    Writes go through a per-process temp file and an atomic
+    [Sys.rename], so concurrent writers (fabric workers, or several
+    campaigns sharing a cache directory) cannot expose half-written
+    entries. *)
 
 type t
 

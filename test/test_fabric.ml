@@ -6,7 +6,9 @@
 
 module Registry = Gcr_gcs.Registry
 module Suite = Gcr_workloads.Suite
+module Run = Gcr_runtime.Run
 module Harness = Gcr_core.Harness
+module Planner = Gcr_core.Planner
 module Metrics = Gcr_core.Metrics
 module Minheap = Gcr_core.Minheap
 module Fabric = Gcr_sched.Fabric
@@ -27,30 +29,21 @@ let fresh_dir =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
     dir
 
-(* OCaml 5 forbids [Unix.fork] for the whole life of a process once any
-   domain has ever been spawned, and [Pool.map ~jobs:n>1] spawns
-   domains.  So this suite (a) uses the domain pool's serial inline path
-   ([jobs = 1]) as the reference for the fork-based tests, (b) runs the
-   [jobs = 2] domain-pool comparison as its *last* test, and (c) is
-   registered before any other domain-spawning suite in [test_main]. *)
-
-let campaign_config ~workers ~jobs =
+let campaign_config ~workers =
   {
     (Harness.default_config ()) with
     Harness.invocations = 2;
     scale = 0.1;
     heap_factors = [ 1.9; 3.0 ];
     log_progress = false;
-    jobs;
     workers;
     cache_dir = None;
   }
 
 let benchmarks = [ Suite.find_exn "h2" ]
 
-let run_with ?(jobs = 1) ~workers () =
-  Harness.run_campaign (campaign_config ~workers ~jobs) ~benchmarks
-    ~gcs:Registry.production
+let run_with ~workers () =
+  Harness.run_campaign (campaign_config ~workers) ~benchmarks ~gcs:Registry.production
 
 let serial = lazy (run_with ~workers:None ())
 
@@ -120,7 +113,38 @@ let test_summary_accounting () =
     (Array.fold_left ( + ) 0 s.Harness.per_worker + s.Harness.parent_cells);
   check Alcotest.bool "campaign took measurable time" true (s.Harness.elapsed_s > 0.0);
   let p = Harness.summary (Lazy.force serial) in
-  check Alcotest.int "pool reports no worker processes" 0 p.Harness.worker_processes
+  check Alcotest.int "in-process run reports no worker processes" 0
+    p.Harness.worker_processes
+
+(* The warm workers' reuse≡fresh contract, end to end: every cell of the
+   fabric campaign equals [Run.execute] of its planned config on fresh
+   state (no tape, no pooled engine or heap). *)
+let test_fabric_cells_equal_fresh_runs () =
+  let campaign = Lazy.force fabric4 in
+  let config = Harness.config_of campaign in
+  let plan =
+    Planner.plan ~controllers:config.Harness.controllers
+      ~invocations:config.Harness.invocations ~base_seed:config.Harness.base_seed
+      ~machine:config.Harness.machine ~cost:config.Harness.cost
+      ~region_words:config.Harness.region_words ~heap_factors:config.Harness.heap_factors
+      ~minheap:(fun ~bench -> Harness.minheap_words campaign ~bench)
+      ~specs:(Harness.benchmarks campaign) ~gcs:(Harness.gcs campaign) ()
+  in
+  List.iter
+    (fun (c : Planner.cell) ->
+      let recorded =
+        List.nth_opt
+          (Harness.runs ~controller:c.Planner.controller campaign ~bench:c.Planner.bench
+             ~gc:c.Planner.gc ~factor:c.Planner.factor)
+          c.Planner.invocation
+      in
+      check Alcotest.bool
+        (Printf.sprintf "cell %d (%s %s@%g #%d) equals a fresh run" c.Planner.index
+           c.Planner.bench (Registry.name c.Planner.gc) c.Planner.factor
+           c.Planner.invocation)
+        true
+        (recorded = Some (Run.execute c.Planner.config)))
+    (Planner.cells plan)
 
 (* A worker that dies mid-group must have its unfinished cells reassigned
    — and the recorded campaign must not show a trace of the crash. *)
@@ -136,25 +160,6 @@ let test_worker_crash_reassigns () =
   check Alcotest.int "every cell still accounted" s.Harness.cells
     (Array.fold_left ( + ) 0 s.Harness.per_worker + s.Harness.parent_cells);
   check_campaigns_identical ~what:"serial vs crashed fabric" (Lazy.force serial) crashed
-
-(* --- Scheduler A/B: either policy yields the identical report. --- *)
-
-let test_round_robin_identical () =
-  let config =
-    { (campaign_config ~workers:(Some 2) ~jobs:1) with
-      Harness.sched = Some Fabric.Round_robin
-    }
-  in
-  let rr = Harness.run_campaign config ~benchmarks ~gcs:Registry.production in
-  check_campaigns_identical ~what:"serial vs round-robin fabric" (Lazy.force serial) rr
-
-(* --- S2: both parallelism knobs at once — the fabric wins. --- *)
-
-let test_fabric_wins_over_jobs () =
-  let both = run_with ~jobs:4 ~workers:(Some 2) () in
-  let s = Harness.summary both in
-  check Alcotest.int "fabric executed (jobs ignored)" 2 s.Harness.worker_processes;
-  check_campaigns_identical ~what:"serial vs jobs+workers" (Lazy.force serial) both
 
 (* --- Socket transport: the same fabric over TCP. ---
 
@@ -183,7 +188,7 @@ let run_socket ?cache_dir ~store_dirs () =
   let pids = ref [] in
   let config =
     {
-      (campaign_config ~workers:(Some (List.length store_dirs)) ~jobs:1) with
+      (campaign_config ~workers:(Some (List.length store_dirs))) with
       Harness.cache_dir;
       listen = Some ("127.0.0.1", 0);
       connect_timeout = 30.0;
@@ -229,7 +234,7 @@ let test_socket_fabric_identical () =
 let test_socket_mixed_store_identical () =
   let dir = fresh_dir () in
   let warm_config =
-    { (campaign_config ~workers:(Some 1) ~jobs:1) with
+    { (campaign_config ~workers:(Some 1)) with
       Harness.cache_dir = Some dir;
       heap_factors = [ 1.9 ];
     }
@@ -293,7 +298,6 @@ let tiny_campaign ~workers ~cache_dir =
       scale = 0.1;
       heap_factors = [ 1.9 ];
       log_progress = false;
-      jobs = 1;
       workers;
       cache_dir;
     }
@@ -371,12 +375,6 @@ let test_tape_corruption_regenerates () =
       check Alcotest.bool (Printf.sprintf "%s healed" t) true (Sys.file_exists path))
     tapes
 
-(* Last on purpose: spawning domains forbids every later fork (above). *)
-let test_domain_pool_identical () =
-  let pool = run_with ~workers:None ~jobs:2 () in
-  check_campaigns_identical ~what:"serial vs domain pool" (Lazy.force serial) pool;
-  check_campaigns_identical ~what:"domain pool vs workers=4" pool (Lazy.force fabric4)
-
 let suite =
   [
     Alcotest.test_case "workers=1 identical to serial" `Quick
@@ -384,9 +382,9 @@ let suite =
     Alcotest.test_case "workers=4 identical to serial and workers=1" `Quick
       test_fabric_four_workers_identical;
     Alcotest.test_case "summary accounting" `Quick test_summary_accounting;
+    Alcotest.test_case "workers=4 cells equal fresh runs" `Quick
+      test_fabric_cells_equal_fresh_runs;
     Alcotest.test_case "worker crash reassigns cells" `Quick test_worker_crash_reassigns;
-    Alcotest.test_case "round-robin scheduler identical" `Quick test_round_robin_identical;
-    Alcotest.test_case "--workers wins over --jobs" `Quick test_fabric_wins_over_jobs;
     Alcotest.test_case "socket fabric identical (probes over the wire)" `Quick
       test_socket_fabric_identical;
     Alcotest.test_case "mixed-store socket fleet identical" `Quick
@@ -398,6 +396,4 @@ let suite =
     Alcotest.test_case "result corruption re-executes" `Quick
       test_result_corruption_reexecutes;
     Alcotest.test_case "tape corruption regenerates" `Quick test_tape_corruption_regenerates;
-    Alcotest.test_case "domain pool identical to serial and fabric" `Quick
-      test_domain_pool_identical;
   ]

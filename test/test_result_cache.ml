@@ -34,11 +34,11 @@ let entries dir =
 
 (* Count fresh Run.execute calls under [f] via the scheduler hook. *)
 let counting_executes f =
-  let count = Atomic.make 0 in
+  let count = ref 0 in
   let saved = !Pool.on_execute in
-  Pool.on_execute := (fun _ -> Atomic.incr count);
+  Pool.on_execute := (fun _ -> incr count);
   let result = Fun.protect ~finally:(fun () -> Pool.on_execute := saved) f in
-  (result, Atomic.get count)
+  (result, !count)
 
 let tiny = Spec.scale (Suite.find_exn "jme") 0.1
 
@@ -64,7 +64,6 @@ let campaign_config ~cache_dir =
     scale = 0.1;
     heap_factors = [ 1.9 ];
     log_progress = false;
-    jobs = 2;
     cache_dir = Some cache_dir;
   }
 
@@ -135,6 +134,52 @@ let test_corrupted_entries_discarded () =
   check Alcotest.int "digest/content mismatch is re-executed" 1 mismatched;
   check Alcotest.bool "mismatch re-execution matches the original" true (m1 = m3)
 
+(* Two processes storing the same configurations in the same order — two
+   identical campaigns sharing a cache directory, say.  A forked child
+   inherits the parent's temp-file counter, so temp names must still
+   differ between the two, or one writer truncates the file the other is
+   about to publish.  Each process reads every entry back as soon as it
+   has stored it: a reader that meets a torn entry deletes it.  Many
+   large entries make the two writers overlap often. *)
+let test_concurrent_processes_store () =
+  let cache = Result_cache.create ~dir:(fresh_dir ()) in
+  let m =
+    { (Pool.execute (tiny_config 41)) with
+      Measurement.outcome = Measurement.Failed (String.make 50_000 'x') }
+  in
+  let configs = List.init 512 (fun i -> tiny_config (1000 + i)) in
+  let store_all () =
+    List.length
+      (List.filter
+         (fun c ->
+           Result_cache.store cache c m;
+           Result_cache.find cache c <> Some m)
+         configs)
+  in
+  let release_r, release_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close release_w;
+      ignore (Unix.read release_r (Bytes.create 1) 0 1);
+      Unix._exit (match store_all () with misses -> min misses 100 | exception _ -> 101)
+  | pid ->
+      Unix.close release_r;
+      ignore (Unix.write_substring release_w "x" 0 1);
+      let misses = store_all () in
+      Unix.close release_w;
+      check Alcotest.int "parent read back every entry it stored" 0 misses;
+      check Alcotest.bool "child read back every entry it stored" true
+        (snd (Unix.waitpid [] pid) = Unix.WEXITED 0);
+      List.iter
+        (fun c ->
+          check Alcotest.bool
+            (Printf.sprintf "entry for seed %d intact" c.Run.seed)
+            true
+            (Result_cache.find cache c = Some m))
+        configs;
+      check Alcotest.int "no temp files left" (List.length configs)
+        (Array.length (Sys.readdir (Result_cache.dir cache)))
+
 let test_custom_collector_bypasses_cache () =
   let cache = Result_cache.create ~dir:(fresh_dir ()) in
   let custom =
@@ -157,6 +202,8 @@ let suite =
     Alcotest.test_case "warm campaign executes zero runs" `Quick
       test_warm_campaign_executes_zero_runs;
     Alcotest.test_case "corrupted entries discarded" `Quick test_corrupted_entries_discarded;
+    Alcotest.test_case "concurrent processes store intact entries" `Quick
+      test_concurrent_processes_store;
     Alcotest.test_case "custom collector bypasses cache" `Quick
       test_custom_collector_bypasses_cache;
   ]

@@ -1,105 +1,15 @@
-(* The differential suite behind the scheduler's central promise: a
-   parallel campaign is bit-identical to the serial one — measurements,
-   min-heaps, LBO values, geomeans — and one crashing invocation never
-   takes the campaign down with it. *)
+(* Crash isolation: one crashing invocation never takes the campaign
+   down with it.  (Serial vs parallel campaign equivalence lives in
+   [test/test_fabric.ml].) *)
 
 module Registry = Gcr_gcs.Registry
 module Suite = Gcr_workloads.Suite
 module Spec = Gcr_workloads.Spec
 module Run = Gcr_runtime.Run
 module Measurement = Gcr_runtime.Measurement
-module Harness = Gcr_core.Harness
-module Metrics = Gcr_core.Metrics
 module Pool = Gcr_sched.Pool
 
 let check = Alcotest.check
-
-let campaign_config jobs =
-  {
-    (Harness.default_config ()) with
-    Harness.invocations = 2;
-    scale = 0.1;
-    heap_factors = [ 1.9; 3.0 ];
-    log_progress = false;
-    jobs;
-    cache_dir = None;
-  }
-
-let benchmarks = [ Suite.find_exn "h2" ]
-
-let serial =
-  lazy (Harness.run_campaign (campaign_config 1) ~benchmarks ~gcs:Registry.production)
-
-let parallel =
-  lazy (Harness.run_campaign (campaign_config 4) ~benchmarks ~gcs:Registry.production)
-
-let all_gcs = Registry.Epsilon :: Registry.production
-
-let factors = [ 1.9; 3.0 ]
-
-(* Measurements are plain data (ints, strings, lists, histograms of int
-   arrays), so structural equality is bit-equality of everything the
-   reports are derived from. *)
-let test_measurements_identical () =
-  let s = Lazy.force serial and p = Lazy.force parallel in
-  List.iter
-    (fun gc ->
-      List.iter
-        (fun factor ->
-          let rs = Harness.runs s ~bench:"h2" ~gc ~factor
-          and rp = Harness.runs p ~bench:"h2" ~gc ~factor in
-          check Alcotest.int
-            (Printf.sprintf "run count %s@%g" (Registry.name gc) factor)
-            (List.length rs) (List.length rp);
-          check Alcotest.bool
-            (Printf.sprintf "measurements bit-identical %s@%g" (Registry.name gc) factor)
-            true (rs = rp))
-        factors)
-    all_gcs
-
-let test_minheaps_identical () =
-  let s = Lazy.force serial and p = Lazy.force parallel in
-  check Alcotest.int "minheap words equal"
-    (Harness.minheap_words s ~bench:"h2")
-    (Harness.minheap_words p ~bench:"h2")
-
-let test_lbo_identical () =
-  let s = Lazy.force serial and p = Lazy.force parallel in
-  List.iter
-    (fun metric ->
-      List.iter
-        (fun gc ->
-          List.iter
-            (fun factor ->
-              let vs = Harness.lbo_value s metric ~bench:"h2" ~gc ~factor
-              and vp = Harness.lbo_value p metric ~bench:"h2" ~gc ~factor in
-              check Alcotest.bool
-                (Printf.sprintf "lbo equal %s@%g" (Registry.name gc) factor)
-                true (vs = vp);
-              let gs = Harness.lbo_geomean s metric ~benches:[ "h2" ] ~gc ~factor
-              and gp = Harness.lbo_geomean p metric ~benches:[ "h2" ] ~gc ~factor in
-              check Alcotest.bool
-                (Printf.sprintf "geomean equal %s@%g" (Registry.name gc) factor)
-                true (gs = gp))
-            factors)
-        Registry.production)
-    [ Metrics.Wall_time; Metrics.Cpu_cycles ]
-
-(* Pool.map must reassemble results in submission order whatever the
-   interleaving: seeds are a fingerprint of which config produced which
-   slot. *)
-let test_submission_order_preserved () =
-  let spec = Spec.scale (Suite.find_exn "jme") 0.1 in
-  let configs =
-    List.init 8 (fun i ->
-        Run.default_config ~spec ~gc:Registry.Serial ~heap_words:40_000 ~seed:(100 + i))
-  in
-  let results = Pool.map ~jobs:4 configs in
-  List.iteri
-    (fun i (m : Measurement.t) ->
-      check Alcotest.int (Printf.sprintf "slot %d keeps its seed" i) (100 + i)
-        m.Measurement.seed)
-    results
 
 let contains haystack needle =
   let n = String.length needle and len = String.length haystack in
@@ -114,8 +24,9 @@ let test_crash_isolation () =
   let boom =
     { (ok 2) with Run.gc = Registry.G1; make_collector = Some boom_collector }
   in
-  let results = Pool.map ~jobs:4 [ ok 1; boom; ok 3; ok 4 ] in
-  (match results with
+  (* one warm state through the crash, as the campaign executors run *)
+  let state = Run.new_state () in
+  match List.map (Pool.execute ~state) [ ok 1; boom; ok 3; ok 4 ] with
   | [ a; b; c; d ] ->
       check Alcotest.bool "run 1 completed" true (Measurement.completed a);
       check Alcotest.bool "run 3 completed" true (Measurement.completed c);
@@ -124,18 +35,10 @@ let test_crash_isolation () =
       | Measurement.Failed reason ->
           check Alcotest.bool "failure names the exception" true (contains reason "boom")
       | Measurement.Completed -> Alcotest.fail "crashing run reported Completed");
-      (* the surviving runs are exactly what a serial, crash-free campaign
-         of the same configs produces *)
-      let reference = Pool.map ~jobs:1 [ ok 1; ok 3; ok 4 ] in
+      (* the surviving runs are exactly what fresh, crash-free runs of the
+         same configs produce *)
       check Alcotest.bool "survivors unaffected by the crash" true
-        ([ a; c; d ] = reference)
-  | _ -> Alcotest.fail "expected four results")
+        ([ a; c; d ] = List.map Run.execute [ ok 1; ok 3; ok 4 ])
+  | _ -> Alcotest.fail "expected four results"
 
-let suite =
-  [
-    Alcotest.test_case "parallel measurements identical" `Quick test_measurements_identical;
-    Alcotest.test_case "parallel minheaps identical" `Quick test_minheaps_identical;
-    Alcotest.test_case "parallel lbo identical" `Quick test_lbo_identical;
-    Alcotest.test_case "submission order preserved" `Quick test_submission_order_preserved;
-    Alcotest.test_case "crash isolation" `Quick test_crash_isolation;
-  ]
+let suite = [ Alcotest.test_case "crash isolation" `Quick test_crash_isolation ]
