@@ -559,10 +559,10 @@ let bench_campaign ~smoke ~workers =
 
 (* The same grid over the socket transport on loopback: the coordinator
    binds an ephemeral port and the workers are forked [worker_connect]
-   children with no artifact store, so every tape crosses the wire and
-   every result rides a marshalled batch frame.  The spread between this
-   and the pipe figure above is the TCP framing + tape-transfer tax the
-   cross-host deployment pays. *)
+   children with no result cache.  Each worker generates the tapes it
+   replays, and every result rides a marshalled batch frame.  The spread
+   between this and the pipe figure above is the TCP framing and
+   handshake tax the cross-host deployment pays. *)
 let fork_socket_worker ~port =
   match Unix.fork () with
   | 0 ->

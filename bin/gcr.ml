@@ -528,7 +528,7 @@ let print_profile (s : Harness.exec_summary) =
   Printf.printf "execute self-time (summed across workers):\n";
   Printf.printf "  setup     %8.2fs  (engine/heap construction or warm reset)\n"
     s.Harness.setup_s;
-  Printf.printf "  tape      %8.2fs  (generate/fetch/decode)\n" s.Harness.tape_s;
+  Printf.printf "  tape      %8.2fs  (generate/decode)\n" s.Harness.tape_s;
   Printf.printf "  simulate  %8.2fs\n" s.Harness.simulate_s;
   let other =
     s.Harness.execute_s -. s.Harness.setup_s -. s.Harness.tape_s -. s.Harness.simulate_s
@@ -579,14 +579,14 @@ let worker_cmd =
       | Ok hp -> hp
       | Error msg -> die "invalid --connect address: %s" msg
     in
-    let store =
+    let cache =
       match store_dir with
       | None -> None
       | Some dir -> (
-          try Some (Gcr_sched.Artifact_store.create ~dir)
+          try Some (Gcr_sched.Result_cache.create ~dir)
           with Sys_error msg -> die "unusable store directory: %s" msg)
     in
-    match Gcr_sched.Fabric.worker_connect ~host ~port ?store ~retry_for () with
+    match Gcr_sched.Fabric.worker_connect ~host ~port ?cache ~retry_for () with
     | Ok code -> exit code
     | Error msg -> die "%s" msg
   in
@@ -601,10 +601,11 @@ let worker_cmd =
   in
   let store_arg =
     let doc =
-      "Content-addressed artifact store for tapes and cached results (point \
-       co-located workers at the coordinator's $(b,--cache-dir)).  Without it the \
-       worker fetches tapes over the socket — digest-verified on receipt — and \
-       caches nothing."
+      "Result cache directory: when the coordinator caches results (it has a \
+       $(b,--cache-dir)), this worker replays already-measured cells from $(i,DIR) \
+       and stores the ones it runs there.  Point co-located workers at the \
+       coordinator's $(b,--cache-dir).  Without it the worker caches nothing.  \
+       Either way the worker generates the workload tapes it replays."
     in
     Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
   in

@@ -7,7 +7,6 @@ module Measurement = Gcr_runtime.Measurement
 module Stats = Gcr_util.Stats
 module Pool = Gcr_sched.Pool
 module Result_cache = Gcr_sched.Result_cache
-module Artifact_store = Gcr_sched.Artifact_store
 module Fabric = Gcr_sched.Fabric
 module Controller = Gcr_policy.Controller
 
@@ -108,7 +107,6 @@ type exec_summary = {
   probe_cells : int;  (** minheap probe runs dispatched through the fabric *)
   worker_deaths : int;
   stolen_groups : int;
-  wire_tapes : int;  (** tapes served over the socket to storeless workers *)
   worker_rows : Fabric.worker_row list;  (** per-worker accounting (fabric) *)
 }
 
@@ -177,7 +175,6 @@ type exec_info = {
   x_probe_cells : int;
   x_deaths : int;
   x_stolen : int;
-  x_wire : int;
   x_rows : Fabric.worker_row list;
 }
 
@@ -227,28 +224,8 @@ let execute_serial config plan results =
     x_probe_cells = 0;
     x_deaths = 0;
     x_stolen = 0;
-    x_wire = 0;
     x_rows = [];
   }
-
-let rec make_temp_store_dir n =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gcr-fabric-%d-%d" (Unix.getpid ()) n)
-  in
-  match Unix.mkdir dir 0o700 with
-  | () -> dir
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> make_temp_store_dir (n + 1)
-
-let remove_dir dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | entries ->
-      Array.iter
-        (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
-        entries;
-      (try Unix.rmdir dir with Unix.Unix_error _ -> ())
 
 (* One planner group as a fabric group: the cost estimate rides along so
    the size-aware scheduler can deal largest-first. *)
@@ -262,10 +239,10 @@ let fabric_group_of config (g : Planner.group) =
       List.map (fun (c : Planner.cell) -> (c.Planner.index, c.Planner.config)) g.Planner.cells;
   }
 
-(* What a socket worker pins in its handshake before any plan exists
-   (minheap probes precede planning): a digest of the whole campaign
-   request plus the cache-key format version.  Builds that would plan
-   different grids — or key results differently — get different digests. *)
+(* The plan digest a socket worker receives in its welcome and prints,
+   computed before any plan exists (minheap probes precede planning): a
+   digest of the whole campaign request plus the cache-key format
+   version.  No side compares it; it names the campaign in worker logs. *)
 let campaign_digest config specs gcs =
   let b = Buffer.create 256 in
   Buffer.add_string b Gcr_sched.Cache_key.version;
@@ -396,29 +373,19 @@ let run_campaign config ~benchmarks ~gcs =
         (* Fabric path: one session carries the minheap probe waves and
            then the grid, so probes share the workers' transport, warm
            state, and result cache. *)
-        let store, cleanup =
-          match config.cache_dir with
-          | Some dir -> (Artifact_store.create ~dir, fun () -> ())
-          | None ->
-              (* tapes still need a rendezvous point; results stay uncached *)
-              let dir = make_temp_store_dir 0 in
-              (Artifact_store.create ~dir, fun () -> remove_dir dir)
-        in
         let log =
           if config.log_progress then fun line -> Printf.eprintf "[fabric] %s\n%!" line
           else fun _ -> ()
         in
         let session =
-          Fabric.start ~workers ~store
-            ~cache_results:(config.cache_dir <> None)
+          Fabric.start ~workers
+            ?cache:(Option.map (fun dir -> Result_cache.create ~dir) config.cache_dir)
             ~log ?listen:config.listen
             ~connect_timeout:config.connect_timeout ?on_listen:config.on_listen
             ~plan_digest:(campaign_digest config specs gcs) ()
         in
         Fun.protect
-          ~finally:(fun () ->
-            Fabric.shutdown session;
-            cleanup ())
+          ~finally:(fun () -> Fabric.shutdown session)
           (fun () ->
             let probe_cells =
               fabric_minheaps session minheap_config config specs minheaps ~log_minheap
@@ -442,7 +409,6 @@ let run_campaign config ~benchmarks ~gcs =
                 x_probe_cells = probe_cells;
                 x_deaths = Fabric.worker_deaths session;
                 x_stolen = Fabric.stolen_groups session;
-                x_wire = stats.Fabric.wire_tapes;
                 x_rows = Fabric.worker_rows session;
               }
             in
@@ -524,7 +490,6 @@ let run_campaign config ~benchmarks ~gcs =
       probe_cells = info.x_probe_cells;
       worker_deaths = info.x_deaths;
       stolen_groups = info.x_stolen;
-      wire_tapes = info.x_wire;
       worker_rows = info.x_rows;
     }
   in
@@ -532,7 +497,7 @@ let run_campaign config ~benchmarks ~gcs =
     let worker_note =
       if info.x_workers = 0 then "in-process"
       else
-        Printf.sprintf "fabric workers=%d [%s]%s%s%s%s%s" info.x_workers
+        Printf.sprintf "fabric workers=%d [%s]%s%s%s%s" info.x_workers
           (String.concat " "
              (Array.to_list (Array.mapi (Printf.sprintf "w%d=%d") info.x_per_worker)))
           (if info.x_reassigned > 0 then Printf.sprintf " reassigned=%d" info.x_reassigned
@@ -541,7 +506,6 @@ let run_campaign config ~benchmarks ~gcs =
           (if info.x_probe_cells > 0 then Printf.sprintf " probes=%d" info.x_probe_cells
            else "")
           (if info.x_stolen > 0 then Printf.sprintf " stolen=%d" info.x_stolen else "")
-          (if info.x_wire > 0 then Printf.sprintf " wire-tapes=%d" info.x_wire else "")
     in
     Printf.eprintf
       "[harness] %d cells in %.1fs (plan %.1fs, execute %.1fs at %.1f cells/s, reduce \
@@ -557,11 +521,8 @@ let run_campaign config ~benchmarks ~gcs =
         summary.limit_changes summary.peak_footprint_words summary.mean_footprint_words;
     List.iter
       (fun (r : Fabric.worker_row) ->
-        Printf.eprintf "[harness]   worker %d (%s, %s): %d cells%s%s\n%!" r.Fabric.row_id
+        Printf.eprintf "[harness]   worker %d (%s, %s): %d cells%s\n%!" r.Fabric.row_id
           r.Fabric.row_transport r.Fabric.row_host r.Fabric.row_cells
-          (if r.Fabric.row_wire_tapes > 0 then
-             Printf.sprintf ", %d wire tapes" r.Fabric.row_wire_tapes
-           else "")
           (if r.Fabric.row_alive then "" else " (died)"))
       summary.worker_rows
   end;

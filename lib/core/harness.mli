@@ -31,10 +31,10 @@ type config = {
           Campaign results are bit-identical either way. *)
   cache_dir : string option;
       (** when set, completed runs are stored in (and replayed from) an
-          on-disk {!Gcr_sched.Result_cache} keyed by the full run config;
-          with [workers] set, the same directory is the fabric's
-          content-addressed {!Gcr_sched.Artifact_store} for tapes and
-          results.  [None] disables result caching *)
+          on-disk {!Gcr_sched.Result_cache} keyed by the full run config,
+          by every executor, fabric workers included.  Tapes are never
+          stored: each executor generates the images it replays.  [None]
+          disables result caching *)
   tapes : bool;
       (** record-once / replay-many workload tapes: each (benchmark, seed)
           cell group generates its decision stream once and every cell in
@@ -97,7 +97,7 @@ type exec_summary = {
       (** engine/heap construction (or warm reset) self-time within the
           execute phase, summed across this process and fabric workers *)
   tape_s : float;
-      (** tape generate/fetch/decode self-time within the execute phase *)
+      (** tape generate/decode self-time within the execute phase *)
   simulate_s : float;  (** in-simulation self-time within the execute phase *)
   cells_per_sec : float;  (** cells / [execute_s] — the execution rate *)
   limit_changes : int;
@@ -113,8 +113,6 @@ type exec_summary = {
   worker_deaths : int;  (** workers declared dead during the session *)
   stolen_groups : int;
       (** prefetched groups revoked from stragglers and re-dealt *)
-  wire_tapes : int;
-      (** tapes served over the socket to workers without a shared store *)
   worker_rows : Gcr_sched.Fabric.worker_row list;
       (** per-worker accounting (host, transport, session-cumulative
           cells); empty on the in-process path *)

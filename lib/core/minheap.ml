@@ -91,25 +91,9 @@ let file_cache_loaded = ref false
    process, on top of the minheap.tsv memo of final answers. *)
 let result_cache = lazy (Result_cache.of_env ())
 
-(* Likewise the search tape: published to (and fetched from) the same
-   content-addressed store the campaign fabric uses, so a campaign and
-   its minheap searches generate each (spec, seed) tape exactly once
-   across all processes. *)
-let tape_store = lazy (Gcr_sched.Artifact_store.of_env ())
-
 let tape_image ~spec ~seed =
   let started = Unix.gettimeofday () in
-  let image =
-    match Lazy.force tape_store with
-    | None -> Gcr_workloads.Tape_gen.image ~spec ~seed
-    | Some store -> (
-        match Gcr_sched.Artifact_store.find_tape store ~spec ~seed with
-        | Some tape -> Gcr_workloads.Decision_source.image_of_tape ~spec tape
-        | None ->
-            let tape = Gcr_workloads.Tape_gen.generate ~spec ~seed in
-            Gcr_sched.Artifact_store.store_tape store tape;
-            Gcr_workloads.Decision_source.image_of_tape ~spec tape)
-  in
+  let image = Gcr_workloads.Tape_gen.image ~spec ~seed in
   Gcr_runtime.Profile.add_tape_s (Unix.gettimeofday () -. started);
   image
 

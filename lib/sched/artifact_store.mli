@@ -1,20 +1,14 @@
-(** Content-addressed artifact store: workload tapes and run results
-    unified under one digest scheme in one directory.
+(** Content-addressed tape store: [GCRTAPE1] workload tapes in one
+    directory, each addressed by a digest of its {e recipe} (the spec
+    digest, the seed and the thread count), so a reader can look a tape
+    up before anyone has generated it.
 
-    Every artifact is addressed by a digest of its {e recipe} (for
-    results, the full {!Cache_key} rendering of the run config; for
-    tapes, the spec digest + seed + thread count) and is {e verified on
-    read}: result entries carry the rendering and a payload checksum,
-    tape artifacts are the self-checksummed [GCRTAPE1] bytes plus a
-    header cross-check against the requested recipe.  A corrupted,
-    truncated, or mislabelled artifact therefore reads as a miss — the
-    consumer cleanly re-generates or re-executes — never as a wrong
-    result.  Writes are atomic (tmp + rename), so concurrent workers and
-    even concurrent campaigns can share a store.
-
-    The fabric's worker processes fetch tapes from here instead of
-    receiving multi-megabyte images over the wire, and push results
-    through the same directory the in-process result cache reads. *)
+    No executor calls this module.  Every executor generates the replay
+    image it needs with [Tape_gen.image] — the image is a pure function
+    of (spec, seed), and generating it costs less than serialising,
+    writing, reading and parsing it.  The module stays for the
+    repository benchmark's traced walk, which times a publish and a
+    fetch per tape. *)
 
 type t
 
@@ -22,56 +16,13 @@ val create : dir:string -> t
 (** Creates [dir] (and parents) if needed; raises [Sys_error] if the path
     exists and is not a directory. *)
 
-val of_env : unit -> t option
-(** A store rooted at [GCR_CACHE_DIR], when set and usable. *)
-
-val dir : t -> string
-
-val results : t -> Result_cache.t
-(** The result side of the store — the same on-disk layout
-    {!Gcr_sched.Result_cache} has always used, so a store and a plain
-    result cache rooted at one directory interoperate. *)
-
-val find_result :
-  t -> Gcr_runtime.Run.config -> Gcr_runtime.Measurement.t option
-
-val store_result : t -> Gcr_runtime.Run.config -> Gcr_runtime.Measurement.t -> unit
-
-val find_tape : t -> spec:Gcr_workloads.Spec.t -> seed:int -> Gcr_tape.Tape.t option
-(** The tape for [(spec, seed)], if a valid artifact exists.  Invalid
-    artifacts (bad checksum, header mismatch) are deleted and read as
-    [None].
-
-    Tapes this process has already {e proven} — published via
-    {!store_tape}, or fetched and checksummed once — are served from a
-    small per-process memo without touching the disk again, so a
-    publisher's immediate re-fetch costs no read or re-hash.  The memo
-    never outlives the process: a cold reader always verifies the bytes
-    on disk, and on-disk corruption is still a clean miss for it. *)
-
 val store_tape : t -> Gcr_tape.Tape.t -> unit
-(** Atomically publish a tape under its recipe address.  The published
-    tape is immediately memoized for this process (see {!find_tape}). *)
+(** Atomically publish a tape under its recipe address (temp file named
+    by pid, then rename).  IO errors are swallowed. *)
 
 val find_tape_bytes :
   t -> spec_digest:string -> seed:int -> threads:int -> string option
-(** The verified [GCRTAPE1] serialisation for the recipe, for shipping
-    over the fabric's wire protocol: bytes are checksum-validated and
-    header-cross-checked before being served, so a storeless worker
-    receives exactly what {!find_tape} would have decoded.  Invalid
-    artifacts are deleted and read as [None] — the same
-    verify-on-read-degrades-to-miss discipline. *)
-
-val store_tape_bytes : t -> string -> (unit, string) result
-(** Accept tape bytes published over the wire: validated first
-    ([Tape.of_string]), then written atomically under the address the
-    {e bytes themselves} prove (their header), never an address the
-    sender claims.  [Error] if the bytes fail validation — a corrupt
-    publish cannot poison the store. *)
-
-val check_bytes :
-  spec_digest:string -> seed:int -> threads:int -> string ->
-  Gcr_tape.Tape.t option
-(** Validate wire-received tape bytes against the recipe that was asked
-    for: checksummed decode plus header cross-check.  [None] means the
-    receiver must treat the transfer as a miss and regenerate. *)
+(** The [GCRTAPE1] bytes stored for the recipe, verified on read: the
+    bytes must pass their own checksum ([Tape.of_string]) and their
+    header must name the requested recipe.  Invalid artifacts are
+    deleted and read as [None], never as a wrong decision stream. *)

@@ -1,5 +1,4 @@
 module Wire = Gcr_tape.Wire
-module Tape = Gcr_tape.Tape
 module Spec = Gcr_workloads.Spec
 module Tape_gen = Gcr_workloads.Tape_gen
 module Decision_source = Gcr_workloads.Decision_source
@@ -23,7 +22,6 @@ type stats = {
   reassigned_cells : int;
   parent_cells : int;
   stolen_groups : int;
-  wire_tapes : int;
   worker_profile : Profile.snapshot;
 }
 
@@ -32,7 +30,6 @@ type worker_row = {
   row_host : string;
   row_transport : string;
   row_cells : int;
-  row_wire_tapes : int;
   row_alive : bool;
 }
 
@@ -42,25 +39,21 @@ type worker_row = {
 
 (* Checksummed frames (see {!Transport}); one tag byte each.  The
    coordinator speaks the identical protocol to forked pipe workers and
-   TCP socket workers — the only differences are the handshake (sockets
-   only) and how tapes travel (shared store vs wire fetch). *)
+   TCP socket workers; only sockets handshake.  No tape crosses the
+   wire: every worker generates the replay images it needs. *)
 
-let protocol_version = 1
+let protocol_version = 2
 
 (* coordinator -> worker *)
 let tag_welcome = 'W'
 let tag_group = 'G'
 let tag_revoke = 'R'
-let tag_tape_data = 'T'
-let tag_tape_miss = 'M'
 let tag_quit = 'Q'
 
 (* worker -> coordinator *)
 let tag_hello = 'H'
 let tag_batch = 'B'
 let tag_ack = 'A'
-let tag_tape_fetch = 'F'
-let tag_tape_publish = 'P'
 let tag_heartbeat = 'h'
 
 let heartbeat_interval_s = 1.0
@@ -79,23 +72,28 @@ let timeout_of_env () =
 (* Handshake payloads are Wire-encoded, not marshalled: they are parsed
    before the two sides have proven they run the same build, so the
    format must be robust to any byte sequence (the cursor raises
-   [Wire.Corrupt], it never faults). *)
+   [Wire.Corrupt], it never faults).  Both sides read the protocol
+   version first and parse nothing else on a mismatch, because the rest
+   of the layout may differ between versions (version 1's hello carried
+   a has-store byte).  The welcome's layout is unchanged since version
+   1, so an old worker can still read it and name the mismatch. *)
 
-let hello_payload ~has_store =
+let hello_payload () =
   let b = Buffer.create 80 in
   Wire.put_varint b protocol_version;
   Wire.put_string b Cache_key.version;
-  Buffer.add_char b (if has_store then '\001' else '\000');
   Wire.put_string b (Printf.sprintf "%s/%d" (Unix.gethostname ()) (Unix.getpid ()));
   Buffer.contents b
 
+(* [Error proto] on a version mismatch; [Ok (cache-key version, host)]. *)
 let read_hello payload =
   let c = Wire.cursor payload in
   let proto = Wire.get_varint c "hello protocol version" in
-  let ckv = Wire.get_string c "hello cache-key version" in
-  let has_store = Wire.get_byte c "hello has-store" <> 0 in
-  let host = Wire.get_string c "hello host" in
-  (proto, ckv, has_store, host)
+  if proto <> protocol_version then Error proto
+  else
+    let ckv = Wire.get_string c "hello cache-key version" in
+    let host = Wire.get_string c "hello host" in
+    Ok (ckv, host)
 
 let welcome_payload ~worker_id ~plan_digest ~cache_results =
   let b = Buffer.create 120 in
@@ -106,14 +104,18 @@ let welcome_payload ~worker_id ~plan_digest ~cache_results =
   Buffer.add_char b (if cache_results then '\001' else '\000');
   Buffer.contents b
 
+(* [Error proto] on a version mismatch; [Ok (cache-key version, plan
+   digest, worker id, cache-results flag)]. *)
 let read_welcome payload =
   let c = Wire.cursor payload in
   let proto = Wire.get_varint c "welcome protocol version" in
-  let ckv = Wire.get_string c "welcome cache-key version" in
-  let plan_digest = Wire.get_string c "welcome plan digest" in
-  let worker_id = Wire.get_varint c "welcome worker id" in
-  let cache_results = Wire.get_byte c "welcome cache-results" <> 0 in
-  (proto, ckv, plan_digest, worker_id, cache_results)
+  if proto <> protocol_version then Error proto
+  else
+    let ckv = Wire.get_string c "welcome cache-key version" in
+    let plan_digest = Wire.get_string c "welcome plan digest" in
+    let worker_id = Wire.get_varint c "welcome worker id" in
+    let cache_results = Wire.get_byte c "welcome cache-results" <> 0 in
+    Ok (ckv, plan_digest, worker_id, cache_results)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection for the differential suite                          *)
@@ -143,12 +145,11 @@ let garble_bytes = String.make 10 '\xff'
 (* Worker process                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-process memo of decoded replay images, keyed by the tape recipe.
-   Sibling groups differing only in collector or heap size land on the
-   same worker back to back; decoding the multi-megabyte tape once per
-   worker instead of once per group is most of the warm-path win on the
-   tape-replay grid.  Tiny LRU — group scheduling is contiguous, so two
-   slots of history already cover interleavings. *)
+(* Per-process memo of generated replay images, keyed by (spec digest,
+   seed).  A grid tape belongs to one group, but a minheap search sends
+   each probe as its own single-cell group with the same (spec, seed),
+   wave after wave, so a worker generates a search's image once, not
+   once per probe.  Tiny LRU — a few searches run side by side. *)
 let image_memo_cap = 4
 
 let image_memo : ((string * int) * Decision_source.image) list ref = ref []
@@ -164,32 +165,25 @@ let memoized_image key make =
       image_memo := (key, image) :: rest;
       image
 
-(* Tape via the shared store: content-addressed fetch; first consumer
-   generates and publishes. *)
-let store_tape_fetch store ~spec ~seed =
-  match Artifact_store.find_tape store ~spec ~seed with
-  | Some tape -> tape
-  | None ->
-      let tape = Tape_gen.generate ~spec ~seed in
-      Artifact_store.store_tape store tape;
-      tape
-
-let group_tape ~fetch (g : group) =
+let group_tape (g : group) =
   if not g.tapes then Run.Tape_off
   else begin
     let started = Unix.gettimeofday () in
-    let key = (Spec.digest g.spec, g.seed) in
     let image =
-      memoized_image key (fun () -> Decision_source.image_of_tape ~spec:g.spec (fetch g))
+      memoized_image (Spec.digest g.spec, g.seed) (fun () ->
+          Tape_gen.image ~spec:g.spec ~seed:g.seed)
     in
     Profile.add_tape_s (Unix.gettimeofday () -. started);
     Run.Tape_replay image
   end
 
-let execute_group ~state ~fetch ~cache ~on_result (g : group) =
-  let tape = group_tape ~fetch g in
+(* [before_cell] runs ahead of each cell: the worker loop heartbeats
+   there. *)
+let execute_group ?(before_cell = ignore) ~state ~cache ~on_result (g : group) =
+  let tape = group_tape g in
   List.iter
     (fun (index, config) ->
+      before_cell ();
       let config = { config with Run.tape } in
       let m, hit = Pool.execute_cached ?cache ~state config in
       on_result index hit m)
@@ -205,10 +199,8 @@ let batch_cap = 32
 exception Quit_worker of int
 
 (* The worker loop, shared by forked pipe workers and socket workers.
-   [store = None] is the storeless remote worker: tapes are fetched over
-   the wire ([tag_tape_fetch]) and generated-then-published on a miss.
    Returns the exit code; forked workers wrap it in [_exit]. *)
-let worker_main ~id ~store ~cache ~ep ~verbose =
+let worker_main ~id ~cache ~ep ~verbose =
   let crash_after = crash_after ~id in
   let garble_after = garble_after ~id in
   let state = Run.new_state () in
@@ -269,66 +261,15 @@ let worker_main ~id ~store ~cache ~ep ~verbose =
       send tag_ack (Buffer.contents b)
     end
     else if tag = tag_quit then quit := true
-    else raise (Quit_worker 3) (* tape reply outside a fetch, or unknown tag *)
+    else raise (Quit_worker 3) (* unknown tag *)
   in
   let heartbeat () =
     if Unix.gettimeofday () -. !last_tx >= heartbeat_interval_s then begin
       if !batch_len > 0 then flush () else send tag_heartbeat ""
     end
   in
-  let generate_and_publish (g : group) =
-    let tape = Tape_gen.generate ~spec:g.spec ~seed:g.seed in
-    (match store with
-    | Some st -> Artifact_store.store_tape st tape
-    | None -> (
-        (* publish the bytes so the coordinator (and its other workers)
-           never generate this tape again *)
-        try send tag_tape_publish (Tape.to_string tape) with Unix.Unix_error _ -> ()));
-    tape
-  in
-  let fetch_tape (g : group) =
-    match store with
-    | Some st -> store_tape_fetch st ~spec:g.spec ~seed:g.seed
-    | None ->
-        let spec_digest = Spec.digest g.spec in
-        let threads = g.spec.Spec.mutator_threads in
-        let b = Buffer.create 80 in
-        Wire.put_string b spec_digest;
-        Wire.put_varint b g.seed;
-        Wire.put_varint b threads;
-        send tag_tape_fetch (Buffer.contents b);
-        (* The reply is the next tape frame; group/revoke/quit frames may
-           arrive interleaved and are handled in place. *)
-        let rec wait () =
-          match Transport.recv ep with
-          | None -> raise (Quit_worker 0)
-          | Some (tag, payload) ->
-              if tag = tag_tape_data then begin
-                match Artifact_store.check_bytes ~spec_digest ~seed:g.seed ~threads payload with
-                | Some tape -> tape
-                | None ->
-                    (* damaged in flight: the verify-on-read discipline
-                       degrades the transfer to a miss *)
-                    generate_and_publish g
-              end
-              else if tag = tag_tape_miss then generate_and_publish g
-              else begin
-                handle tag payload;
-                wait ()
-              end
-        in
-        wait ()
-  in
   let execute (_gid, g) =
-    let fetch = fetch_tape in
-    let tape = group_tape ~fetch g in
-    List.iter
-      (fun (index, config) ->
-        heartbeat ();
-        let config = { config with Run.tape } in
-        let m, hit = Pool.execute_cached ?cache ~state config in
-        on_result index hit m)
-      g.cells;
+    execute_group ~before_cell:heartbeat ~state ~cache ~on_result g;
     flush ()
   in
   (* Pick up already-arrived control frames (revokes!) without blocking,
@@ -395,7 +336,7 @@ let resolve_addr host port =
       | { Unix.h_addr_list; _ } -> Unix.ADDR_INET (h_addr_list.(0), port)
       | exception Not_found -> failwith ("unknown host " ^ host))
 
-let worker_connect ~host ~port ?store ?(retry_for = 30.0) () =
+let worker_connect ~host ~port ?cache ?(retry_for = 30.0) () =
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
   match resolve_addr host port with
   | exception Failure msg -> Error msg
@@ -407,9 +348,8 @@ let worker_connect ~host ~port ?store ?(retry_for = 30.0) () =
         let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
         match Unix.connect fd addr with
         | () ->
-            (* the protocol is request/response (tape fetch, revoke/ack):
-               Nagle + delayed ACK would serialise those exchanges into
-               ~40ms stalls *)
+            (* revoke/ack is a request/response exchange: Nagle + delayed
+               ACK would serialise it into ~40ms stalls *)
             (try Unix.setsockopt fd Unix.TCP_NODELAY true
              with Unix.Unix_error _ -> ());
             Some fd
@@ -442,7 +382,7 @@ let worker_connect ~host ~port ?store ?(retry_for = 30.0) () =
             Error msg
           in
           match
-            Transport.send ep ~tag:tag_hello (hello_payload ~has_store:(store <> None));
+            Transport.send ep ~tag:tag_hello (hello_payload ());
             Transport.recv ep
           with
           | exception Transport.Corrupt msg | exception Wire.Corrupt msg ->
@@ -455,36 +395,28 @@ let worker_connect ~host ~port ?store ?(retry_for = 30.0) () =
           | Some (_, payload) -> (
               match read_welcome payload with
               | exception Wire.Corrupt msg -> fail ("corrupt welcome: " ^ msg)
-              | proto, ckv, plan_digest, worker_id, cache_results ->
-                  if proto <> protocol_version then
-                    fail
-                      (Printf.sprintf
-                         "protocol version mismatch: coordinator speaks v%d, this build v%d"
-                         proto protocol_version)
-                  else if not (String.equal ckv Cache_key.version) then
-                    fail
-                      (Printf.sprintf
-                         "cache-key version mismatch: coordinator %s, this build %s"
-                         ckv Cache_key.version)
-                  else begin
-                    Printf.eprintf
-                      "gcr worker %d: connected to %s:%d (plan %s%s)\n%!"
-                      worker_id host port
-                      (if plan_digest = "" then "unnamed" else plan_digest)
-                      (match store with
-                      | Some st -> "; store " ^ Artifact_store.dir st
-                      | None -> "; tapes over the wire");
-                    let cache =
-                      match store with
-                      | Some st when cache_results -> Some (Artifact_store.results st)
-                      | Some _ | None -> None
-                    in
-                    let code =
-                      worker_main ~id:worker_id ~store ~cache ~ep ~verbose:true
-                    in
-                    Transport.close ep;
-                    Ok code
-                  end)))
+              | Error proto ->
+                  fail
+                    (Printf.sprintf
+                       "protocol version mismatch: coordinator speaks v%d, this build v%d"
+                       proto protocol_version)
+              | Ok (ckv, _, _, _) when not (String.equal ckv Cache_key.version) ->
+                  fail
+                    (Printf.sprintf
+                       "cache-key version mismatch: coordinator %s, this build %s" ckv
+                       Cache_key.version)
+              | Ok (_, plan_digest, worker_id, cache_results) ->
+                  Printf.eprintf "gcr worker %d: connected to %s:%d (plan %s%s)\n%!"
+                    worker_id host port
+                    (if plan_digest = "" then "unnamed" else plan_digest)
+                    (match cache with
+                    | Some c -> "; result cache " ^ Result_cache.dir c
+                    | None -> "");
+                  (* results are cached only when the coordinator caches too *)
+                  let cache = if cache_results then cache else None in
+                  let code = worker_main ~id:worker_id ~cache ~ep ~verbose:true in
+                  Transport.close ep;
+                  Ok code)))
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
@@ -501,7 +433,6 @@ type wrec = {
   mutable revoking : int option;  (** gid of an in-flight revoke *)
   mutable last_rx : float;
   mutable cells_total : int;  (** session-cumulative, probe waves included *)
-  mutable wire_tapes_total : int;
 }
 
 and slot = {
@@ -513,8 +444,7 @@ and slot = {
 }
 
 type session = {
-  store : Artifact_store.t;
-  cache_results : bool;
+  cache : Result_cache.t option;
   log : string -> unit;
   obs : Obs.t option;
   timeout_s : float;
@@ -552,7 +482,7 @@ let emit_steal session ~victim ~thief ~cells =
 
 (* --- Spawning: forked pipe workers. --- *)
 
-let spawn_forked ~store ~cache_results ~id ~close_in_child =
+let spawn_forked ~cache ~id ~close_in_child =
   let req_read, req_write = Unix.pipe ~cloexec:false () in
   let resp_read, resp_write = Unix.pipe ~cloexec:false () in
   match Unix.fork () with
@@ -562,10 +492,8 @@ let spawn_forked ~store ~cache_results ~id ~close_in_child =
       (* the parent-side ends of earlier siblings, inherited across the
          fork: close them so sibling EOFs are not kept artificially open *)
       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) close_in_child;
-      let cache = if cache_results then Some (Artifact_store.results store) else None in
       let ep = Transport.of_fds ~recv:req_read ~send:resp_write in
-      Unix._exit
-        (try worker_main ~id ~store:(Some store) ~cache ~ep ~verbose:false with _ -> 1)
+      Unix._exit (try worker_main ~id ~cache ~ep ~verbose:false with _ -> 1)
   | pid ->
       Unix.close req_read;
       Unix.close resp_write;
@@ -580,7 +508,6 @@ let spawn_forked ~store ~cache_results ~id ~close_in_child =
         revoking = None;
         last_rx = Unix.gettimeofday ();
         cells_total = 0;
-        wire_tapes_total = 0;
       }
 
 (* --- Socket accept + handshake. --- *)
@@ -618,7 +545,7 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
     | Some (_, payload) -> (
         match read_hello payload with
         | exception Wire.Corrupt msg -> reject ("corrupt hello: " ^ msg)
-        | proto, ckv, has_store, peer_host -> (
+        | hello -> (
             let id = !count in
             (* answer with our versions even on mismatch, so the worker can
                print the precise incompatibility before exiting 3 *)
@@ -627,36 +554,33 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
                 (welcome_payload ~worker_id:id ~plan_digest ~cache_results)
             with
             | exception Unix.Unix_error (e, _, _) -> reject (Unix.error_message e)
-            | () ->
-                if proto <> protocol_version then
-                  reject
-                    (Printf.sprintf "protocol version mismatch (worker v%d, ours v%d)"
-                       proto protocol_version)
-                else if not (String.equal ckv Cache_key.version) then
-                  reject
-                    (Printf.sprintf "cache-key version mismatch (worker %s, ours %s)" ckv
-                       Cache_key.version)
-                else begin
-                  incr count;
-                  log
-                    (Printf.sprintf "worker %d connected from %s%s" id peer_host
-                       (if has_store then " (own store)" else " (tapes over the wire)"));
-                  ws :=
-                    {
-                      w_id = id;
-                      w_host = peer_host;
-                      w_transport = "socket";
-                      ep;
-                      pid = None;
-                      alive = true;
-                      queue = [];
-                      revoking = None;
-                      last_rx = Unix.gettimeofday ();
-                      cells_total = 0;
-                      wire_tapes_total = 0;
-                    }
-                    :: !ws
-                end))
+            | () -> (
+                match hello with
+                | Error proto ->
+                    reject
+                      (Printf.sprintf "protocol version mismatch (worker v%d, ours v%d)"
+                         proto protocol_version)
+                | Ok (ckv, _) when not (String.equal ckv Cache_key.version) ->
+                    reject
+                      (Printf.sprintf "cache-key version mismatch (worker %s, ours %s)" ckv
+                         Cache_key.version)
+                | Ok (_, peer_host) ->
+                    incr count;
+                    log (Printf.sprintf "worker %d connected from %s" id peer_host);
+                    ws :=
+                      {
+                        w_id = id;
+                        w_host = peer_host;
+                        w_transport = "socket";
+                        ep;
+                        pid = None;
+                        alive = true;
+                        queue = [];
+                        revoking = None;
+                        last_rx = Unix.gettimeofday ();
+                        cells_total = 0;
+                      }
+                      :: !ws)))
   in
   let rec accept_loop () =
     if !count < expected then begin
@@ -685,8 +609,7 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
 
 (* --- Session lifecycle. --- *)
 
-let start ~workers ~store ~cache_results ?(log = fun (_ : string) -> ()) ?obs
-    ?listen ?(connect_timeout = 30.0) ?on_listen ?(plan_digest = "") () =
+let start ~workers ?cache ?(log = fun (_ : string) -> ()) ?obs ?listen ?(connect_timeout = 30.0) ?on_listen ?(plan_digest = "") () =
   if workers < 1 then invalid_arg "Fabric.start: workers must be >= 1";
   let old_sigpipe =
     (* a worker that died mid-read must surface as EPIPE, not kill us *)
@@ -696,14 +619,14 @@ let start ~workers ~store ~cache_results ?(log = fun (_ : string) -> ()) ?obs
     match listen with
     | Some (host, port) ->
         accept_workers ~log ~host ~port ~expected:workers ~connect_timeout ~plan_digest
-          ~cache_results ~on_listen
+          ~cache_results:(cache <> None) ~on_listen
     | None ->
         (* spawn in id order; each child closes the parent-side pipe ends
            of the workers spawned before it *)
         let rec spawn id acc close_fds =
           if id >= workers then List.rev acc
           else begin
-            let w = spawn_forked ~store ~cache_results ~id ~close_in_child:close_fds in
+            let w = spawn_forked ~cache ~id ~close_in_child:close_fds in
             let close_fds = Transport.recv_fd w.ep :: Transport.send_fd w.ep :: close_fds in
             spawn (id + 1) (w :: acc) close_fds
           end
@@ -712,8 +635,7 @@ let start ~workers ~store ~cache_results ?(log = fun (_ : string) -> ()) ?obs
   in
   let session =
     {
-      store;
-      cache_results;
+      cache;
       log;
       obs;
       timeout_s = timeout_of_env ();
@@ -764,7 +686,6 @@ let worker_rows session =
            row_host = w.w_host;
            row_transport = w.w_transport;
            row_cells = w.cells_total;
-           row_wire_tapes = w.wire_tapes_total;
            row_alive = w.alive;
          })
        session.ws)
@@ -824,7 +745,6 @@ let dispatch session ~n_cells groups =
   let reassigned = ref 0 in
   let parent_cells = ref 0 in
   let stolen = ref 0 in
-  let wire_tapes = ref 0 in
   let worker_profile = ref Profile.zero in
   (* The ready list is the scheduler: sorted by descending cost (largest
      first — LPT — so the big groups cannot land last on an
@@ -935,25 +855,6 @@ let dispatch session ~n_cells groups =
           insert_ready gid
         end
       end
-    end
-    else if tag = tag_tape_fetch then begin
-      let c = Wire.cursor payload in
-      let spec_digest = Wire.get_string c "tape fetch spec digest" in
-      let seed = Wire.get_varint c "tape fetch seed" in
-      let threads = Wire.get_varint c "tape fetch threads" in
-      match
-        Artifact_store.find_tape_bytes session.store ~spec_digest ~seed ~threads
-      with
-      | Some bytes ->
-          w.wire_tapes_total <- w.wire_tapes_total + 1;
-          incr wire_tapes;
-          Transport.send ~scratch:session.scratch w.ep ~tag:tag_tape_data bytes
-      | None -> Transport.send ~scratch:session.scratch w.ep ~tag:tag_tape_miss ""
-    end
-    else if tag = tag_tape_publish then begin
-      match Artifact_store.store_tape_bytes session.store payload with
-      | Ok () -> ()
-      | Error e -> session.log ("rejected published tape: " ^ e)
     end
     else begin
       session.log (Printf.sprintf "worker %d: unexpected frame tag %C" w.w_id tag);
@@ -1086,9 +987,6 @@ let dispatch session ~n_cells groups =
      completes.  The coordinator's own setup/tape/simulate time lands in
      this process's {!Profile} counters, not in [worker_profile]. *)
   let backstop_state = Run.new_state () in
-  let cache =
-    if session.cache_results then Some (Artifact_store.results session.store) else None
-  in
   while !ready <> [] do
     match !ready with
     | [] -> ()
@@ -1096,9 +994,7 @@ let dispatch session ~n_cells groups =
         ready := rest;
         let s = slots.(gid) in
         s.sstate <- `Done;
-        execute_group ~state:backstop_state
-          ~fetch:(fun (g : group) -> store_tape_fetch session.store ~spec:g.spec ~seed:g.seed)
-          ~cache
+        execute_group ~state:backstop_state ~cache:session.cache
           ~on_result:(fun index hit m ->
             match results.(index) with
             | Some _ -> ()
@@ -1124,6 +1020,5 @@ let dispatch session ~n_cells groups =
       reassigned_cells = !reassigned;
       parent_cells = !parent_cells;
       stolen_groups = !stolen;
-      wire_tapes = !wire_tapes;
       worker_profile = !worker_profile;
     } )

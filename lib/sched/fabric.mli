@@ -6,18 +6,20 @@
     Two transports, one protocol:
 
     - {e pipe}: the coordinator forks [workers] children sharing its
-      artifact store — the classic single-host fabric.
+      result cache — the classic single-host fabric.
     - {e socket}: with [listen], the coordinator accepts TCP workers
       started elsewhere via [gcr worker --connect] ({!worker_connect}).
-      The handshake pins the protocol version, the {!Cache_key.version},
-      and the plan digest.  A worker without a shared store fetches tapes
-      over the wire (digest-verified on receipt, exactly like a store
-      read) and publishes tapes it had to generate.
+      The handshake checks the protocol version and the
+      {!Cache_key.version}; the welcome also carries the plan digest,
+      which the worker prints.
 
-    Workers run {e warm}: each recycles one {!Gcr_runtime.Run.state}
-    (engine + heap) across every cell it executes, and memoizes the
-    decoded replay image per (spec, seed) so sibling groups placed back
-    to back decode their tape once.
+    No tape travels between processes: every worker (and the
+    coordinator's backstop) generates the replay image a group needs
+    with [Tape_gen.image], a pure function of (spec, seed).  Workers run
+    {e warm}: each recycles one {!Gcr_runtime.Run.state} (engine + heap)
+    across every cell it executes, and memoizes the replay image per
+    (spec, seed), so the probe waves of a minheap search generate it
+    once.
 
     Scheduling is size-aware: the coordinator deals the costliest groups
     first (LPT) with a per-worker queue depth of 2, and when workers go
@@ -54,7 +56,6 @@ type stats = {
   reassigned_cells : int;  (** cells requeued after a worker death *)
   parent_cells : int;  (** cells the coordinator executed as a backstop *)
   stolen_groups : int;  (** groups revoked and re-dealt, this wave *)
-  wire_tapes : int;  (** tapes served to storeless workers, this wave *)
   worker_profile : Gcr_runtime.Profile.snapshot;
       (** summed setup/tape/simulate self-time the worker processes
           reported in their result batches.  The coordinator's own
@@ -67,7 +68,6 @@ type worker_row = {
   row_host : string;  (** ["local"] for forked workers, else "host/pid" *)
   row_transport : string;  (** ["pipe"] or ["socket"] *)
   row_cells : int;  (** session-cumulative, probe waves included *)
-  row_wire_tapes : int;
   row_alive : bool;
 }
 
@@ -82,8 +82,7 @@ type session
 
 val start :
   workers:int ->
-  store:Artifact_store.t ->
-  cache_results:bool ->
+  ?cache:Result_cache.t ->
   ?log:(string -> unit) ->
   ?obs:Gcr_obs.Obs.t ->
   ?listen:string * int ->
@@ -100,8 +99,11 @@ val start :
     pass.  A mismatched worker is answered with our versions and then
     dropped, so it can report the precise incompatibility before exiting.
     A short fleet — even an empty one — is not an error: the backstop
-    guarantees completion.  [obs] receives worker lifecycle events
-    (spawn, death, steal).  Raises [Invalid_argument] on [workers < 1]. *)
+    guarantees completion.  With [cache], forked workers and the
+    backstop replay and store results through it, and the welcome tells
+    socket workers to use their own cache, if they have one.  [obs]
+    receives worker lifecycle events (spawn, death, steal).  Raises
+    [Invalid_argument] on [workers < 1]. *)
 
 val dispatch :
   session ->
@@ -132,15 +134,15 @@ val stolen_groups : session -> int
 val worker_connect :
   host:string ->
   port:int ->
-  ?store:Artifact_store.t ->
+  ?cache:Result_cache.t ->
   ?retry_for:float ->
   unit ->
   (int, string) result
 (** The [gcr worker --connect] entry point: connect (retrying refused
     connections for [retry_for] seconds, default 30 — workers are often
     started before the coordinator), handshake, then serve groups until
-    quit or EOF.  With [store], tapes and result caching go through it;
-    without, tapes arrive over the wire.  [Ok code] is the process exit
-    code (0 = clean, 3 = corrupt stream or protocol trouble); [Error]
-    describes a connect or handshake failure (callers print it and
-    exit 3). *)
+    quit or EOF.  With [cache], results are replayed from and stored in
+    it whenever the coordinator caches results too.  [Ok code] is the
+    process exit code (0 = clean, 3 = corrupt stream or protocol
+    trouble); [Error] describes a connect or handshake failure, such as
+    a protocol version mismatch (callers print it and exit 3). *)

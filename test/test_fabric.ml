@@ -1,8 +1,8 @@
 (* The differential suite behind the campaign fabric's central promise:
    a multi-process campaign is bit-identical to the in-process one — at
-   any worker count, through worker crashes, and through artifact-store
+   any worker count, through worker crashes, through result-cache
    corruption (which must read as a miss and re-execute, never as a
-   wrong result). *)
+   wrong result), and past peers that speak another protocol version. *)
 
 module Registry = Gcr_gcs.Registry
 module Suite = Gcr_workloads.Suite
@@ -12,9 +12,17 @@ module Planner = Gcr_core.Planner
 module Metrics = Gcr_core.Metrics
 module Minheap = Gcr_core.Minheap
 module Fabric = Gcr_sched.Fabric
-module Artifact_store = Gcr_sched.Artifact_store
+module Result_cache = Gcr_sched.Result_cache
+module Transport = Gcr_sched.Transport
+module Cache_key = Gcr_sched.Cache_key
+module Wire = Gcr_tape.Wire
 
 let check = Alcotest.check
+
+let contains haystack needle =
+  let n = String.length needle and len = String.length haystack in
+  let rec go i = i + n <= len && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
 
 let fresh_dir =
   let counter = ref 0 in
@@ -168,13 +176,13 @@ let test_worker_crash_reassigns () =
    is race-free.  Each child becomes a real [gcr worker --connect]
    process via [Fabric.worker_connect]. *)
 
-let fork_socket_worker ~port ~store_dir =
+let fork_socket_worker ~port ~cache_dir =
   match Unix.fork () with
   | 0 ->
-      let store = Option.map (fun dir -> Artifact_store.create ~dir) store_dir in
+      let cache = Option.map (fun dir -> Result_cache.create ~dir) cache_dir in
       Unix._exit
         (match
-           Fabric.worker_connect ~host:"127.0.0.1" ~port ?store ~retry_for:20.0 ()
+           Fabric.worker_connect ~host:"127.0.0.1" ~port ?cache ~retry_for:20.0 ()
          with
         | Ok code -> code
         | Error msg ->
@@ -182,13 +190,13 @@ let fork_socket_worker ~port ~store_dir =
             3)
   | pid -> pid
 
-(* [store_dirs]: one entry per worker; [None] forks a storeless worker
-   that fetches tapes over the wire. *)
-let run_socket ?cache_dir ~store_dirs () =
+(* [worker_caches]: one entry per worker, the worker's own result cache
+   directory ([gcr worker --store]); [None] forks a worker without one. *)
+let run_socket ?cache_dir ~worker_caches () =
   let pids = ref [] in
   let config =
     {
-      (campaign_config ~workers:(Some (List.length store_dirs))) with
+      (campaign_config ~workers:(Some (List.length worker_caches))) with
       Harness.cache_dir;
       listen = Some ("127.0.0.1", 0);
       connect_timeout = 30.0;
@@ -196,21 +204,21 @@ let run_socket ?cache_dir ~store_dirs () =
         Some
           (fun port ->
             List.iter
-              (fun store_dir -> pids := fork_socket_worker ~port ~store_dir :: !pids)
-              store_dirs);
+              (fun cache_dir -> pids := fork_socket_worker ~port ~cache_dir :: !pids)
+              worker_caches);
     }
   in
   let campaign = Harness.run_campaign config ~benchmarks ~gcs:Registry.production in
   let statuses = List.map (fun pid -> snd (Unix.waitpid [] pid)) !pids in
   (campaign, statuses)
 
-(* Two storeless workers: every tape crosses the wire (fetch on hit,
-   generate-and-publish on miss).  The minheap memo is cleared first so
-   the probe searches ride the socket as first-class plan cells. *)
+(* Two workers without a result cache, each generating the tapes it
+   replays.  The minheap memo is cleared first so the probe searches
+   ride the socket as first-class plan cells. *)
 let test_socket_fabric_identical () =
   let reference = Lazy.force serial in
   Minheap.clear_memo ();
-  let campaign, statuses = run_socket ~store_dirs:[ None; None ] () in
+  let campaign, statuses = run_socket ~worker_caches:[ None; None ] () in
   check_campaigns_identical ~what:"serial vs socket fabric" reference campaign;
   let s = Harness.summary campaign in
   check Alcotest.bool "probes rode the fabric" true (s.Harness.probe_cells > 0);
@@ -226,11 +234,13 @@ let test_socket_fabric_identical () =
       check Alcotest.bool "socket worker exited cleanly" true (st = Unix.WEXITED 0))
     statuses
 
-(* One worker sharing the coordinator's store, one fetching over the
-   wire: warm the store's tapes first (a pipe-fabric campaign on a
-   narrower factor grid — same (spec, seed) groups, so the same tapes),
-   then check the mixed fleet reproduces the serial report and that
-   tapes really were served over the socket. *)
+(* One worker sharing the coordinator's result cache, one with none:
+   warm the cache first (a pipe-fabric campaign on a narrower factor
+   grid, whose cells are a subset of this grid's), then check the mixed
+   fleet reproduces the serial report and that the worker with the cache
+   replayed the warmed entries.  The plan has two groups and the dealer
+   gives each worker one, so the cached worker always holds warmed
+   cells. *)
 let test_socket_mixed_store_identical () =
   let dir = fresh_dir () in
   let warm_config =
@@ -243,12 +253,13 @@ let test_socket_mixed_store_identical () =
     Harness.run_campaign warm_config ~benchmarks ~gcs:Registry.production
   in
   let campaign, statuses =
-    run_socket ~cache_dir:dir ~store_dirs:[ Some dir; None ] ()
+    run_socket ~cache_dir:dir ~worker_caches:[ Some dir; None ] ()
   in
   check_campaigns_identical ~what:"serial vs mixed-store socket fabric"
     (Lazy.force serial) campaign;
   let s = Harness.summary campaign in
-  check Alcotest.bool "tapes were served over the wire" true (s.Harness.wire_tapes > 0);
+  check Alcotest.bool "the cached worker replayed warmed cells" true
+    (s.Harness.cache_hits > 0);
   List.iter
     (fun st ->
       check Alcotest.bool "socket worker exited cleanly" true (st = Unix.WEXITED 0))
@@ -262,7 +273,7 @@ let test_socket_worker_crash_reassigns () =
   let campaign, statuses =
     Fun.protect
       ~finally:(fun () -> Unix.putenv "GCR_FABRIC_CRASH_AFTER" "")
-      (fun () -> run_socket ~store_dirs:[ None; None ] ())
+      (fun () -> run_socket ~worker_caches:[ None; None ] ())
   in
   let s = Harness.summary campaign in
   check Alcotest.bool "cells were reassigned" true (s.Harness.reassigned_cells > 0);
@@ -288,7 +299,7 @@ let test_garbled_stream_reassigns () =
   check Alcotest.bool "the garbler was declared dead" true (s.Harness.worker_deaths >= 1);
   check_campaigns_identical ~what:"serial vs garbled fabric" (Lazy.force serial) garbled
 
-(* --- Artifact-store corruption: flip one byte, observe a clean miss. --- *)
+(* --- The result cache: corruption is a clean miss, and no tapes. --- *)
 
 let tiny_campaign ~workers ~cache_dir =
   let config =
@@ -355,25 +366,122 @@ let test_result_corruption_reexecutes () =
   check Alcotest.int "the re-execution healed the store" cells
     (Harness.summary again).Harness.cache_hits
 
-let test_tape_corruption_regenerates () =
+(* Workers generate the tapes they replay: a fabric campaign with a cache
+   directory leaves only result entries there. *)
+let test_fabric_stores_no_tapes () =
   let dir = fresh_dir () in
-  let first = tiny_campaign ~workers:(Some 2) ~cache_dir:(Some dir) in
-  let tapes = artifacts dir ~suffix:".tape" in
-  check Alcotest.bool "campaign published tape artifacts" true (tapes <> []);
-  List.iter (fun t -> flip_byte (Filename.concat dir t)) tapes;
-  (* every tape now fails its checksum: workers must regenerate them and
-     still replay every result from the (intact) result cache *)
-  let after = tiny_campaign ~workers:(Some 2) ~cache_dir:(Some dir) in
-  check Alcotest.bool "corrupt tapes do not change the campaign" true
-    (Harness.all_measurements first = Harness.all_measurements after);
-  check Alcotest.int "results still hit" (Harness.summary after).Harness.cells
-    (Harness.summary after).Harness.cache_hits;
-  (* the regenerated artifacts are valid again *)
+  let (_ : Harness.campaign) = tiny_campaign ~workers:(Some 2) ~cache_dir:(Some dir) in
+  let files = Array.to_list (Sys.readdir dir) in
+  check Alcotest.bool "the campaign cached results" true (files <> []);
   List.iter
-    (fun t ->
-      let path = Filename.concat dir t in
-      check Alcotest.bool (Printf.sprintf "%s healed" t) true (Sys.file_exists path))
-    tapes
+    (fun f ->
+      check Alcotest.bool (Printf.sprintf "%s is a result entry" f) true
+        (Filename.check_suffix f ".run"))
+    files
+
+(* --- Protocol version skew. ---
+
+   Version 1 workers carried a has-store byte in their hello and could
+   fetch tapes over the wire; version 2 has neither.  Each side reads
+   the peer's version before anything else, answers a mismatch with its
+   own versions, and drops the peer. *)
+
+let v1_hello () =
+  let b = Buffer.create 64 in
+  Wire.put_varint b 1;
+  Wire.put_string b Cache_key.version;
+  Buffer.add_char b '\001' (* has-store *);
+  Wire.put_string b "v1-peer";
+  Buffer.contents b
+
+let v1_welcome () =
+  let b = Buffer.create 64 in
+  Wire.put_varint b 1;
+  Wire.put_string b Cache_key.version;
+  Wire.put_string b "";
+  Wire.put_varint b 0;
+  Buffer.add_char b '\000' (* cache-results *);
+  Buffer.contents b
+
+let connect_loopback port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.0;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Transport.of_socket fd
+
+(* A raw peer speaking version 1 must get the coordinator's version-2
+   welcome and then EOF; the child exits 0 only if it saw exactly that.
+   No worker joins, so the backstop runs every cell. *)
+let fork_v1_peer ~port =
+  match Unix.fork () with
+  | 0 ->
+      Unix._exit
+        (try
+           let ep = connect_loopback port in
+           Transport.send ep ~tag:'H' (v1_hello ());
+           match Transport.recv ep with
+           | Some ('W', payload)
+             when Wire.get_varint (Wire.cursor payload) "welcome version" = 2 -> (
+               match Transport.recv ep with None -> 0 | Some _ -> 4)
+           | Some _ | None -> 5
+         with _ -> 6)
+  | pid -> pid
+
+let test_v1_hello_refused () =
+  let pid = ref None in
+  let config =
+    {
+      (campaign_config ~workers:(Some 1)) with
+      Harness.listen = Some ("127.0.0.1", 0);
+      connect_timeout = 2.0;
+      on_listen = Some (fun port -> pid := Some (fork_v1_peer ~port));
+    }
+  in
+  let campaign = Harness.run_campaign config ~benchmarks ~gcs:Registry.production in
+  let status =
+    match !pid with Some pid -> snd (Unix.waitpid [] pid) | None -> Unix.WEXITED (-1)
+  in
+  check Alcotest.bool "the v1 peer got a v2 welcome, then EOF" true
+    (status = Unix.WEXITED 0);
+  let s = Harness.summary campaign in
+  check Alcotest.int "no worker joined" 0 (List.length s.Harness.worker_rows);
+  check Alcotest.int "the backstop ran every cell" s.Harness.cells s.Harness.parent_cells;
+  check_campaigns_identical ~what:"serial vs backstop after a refused peer"
+    (Lazy.force serial) campaign
+
+(* A fake coordinator answers the hello with a version-1 welcome. *)
+let test_v1_welcome_refused () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 1;
+  let port = match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+  match Unix.fork () with
+  | 0 ->
+      Unix._exit
+        (try
+           let fd, _ = Unix.accept sock in
+           Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.0;
+           let ep = Transport.of_socket fd in
+           match Transport.recv ep with
+           | Some ('H', _) ->
+               Transport.send ep ~tag:'W' (v1_welcome ());
+               (* the worker hangs up after reading the welcome *)
+               ignore (Transport.recv ep);
+               0
+           | Some _ | None -> 5
+         with _ -> 6)
+  | pid ->
+      Unix.close sock;
+      let result = Fabric.worker_connect ~host:"127.0.0.1" ~port ~retry_for:5.0 () in
+      let _, status = Unix.waitpid [] pid in
+      (match result with
+      | Error msg ->
+          check Alcotest.bool
+            (Printf.sprintf "%S names the mismatch" msg)
+            true
+            (contains msg "protocol version mismatch")
+      | Ok code -> Alcotest.failf "worker served a v1 coordinator (exit %d)" code);
+      check Alcotest.bool "the fake coordinator saw a hello" true (status = Unix.WEXITED 0)
 
 let suite =
   [
@@ -395,5 +503,8 @@ let suite =
       test_garbled_stream_reassigns;
     Alcotest.test_case "result corruption re-executes" `Quick
       test_result_corruption_reexecutes;
-    Alcotest.test_case "tape corruption regenerates" `Quick test_tape_corruption_regenerates;
+    Alcotest.test_case "fabric stores no tapes" `Quick test_fabric_stores_no_tapes;
+    Alcotest.test_case "v1 hello gets a v2 welcome and no cells" `Quick
+      test_v1_hello_refused;
+    Alcotest.test_case "v1 welcome refused by the worker" `Quick test_v1_welcome_refused;
   ]
