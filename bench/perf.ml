@@ -15,7 +15,10 @@
    --out        write the JSON report here (default: BENCH_<n>.json with the
                 first free n in the current directory)
    --baseline   compare against a previous report; exit 1 when any shared
-                wall-clock kernel regresses by more than 20%
+                wall-clock kernel regresses by more than 20%.  The report
+                must have been recorded in the same mode (smoke or full):
+                smoke mode sizes some kernels smaller, so a cross-mode
+                comparison exits 2 before any kernel runs
    --no-micro   skip the Bechamel section (the JSON then carries only the
                 wall-clock kernels)
 
@@ -155,12 +158,17 @@ let next_bench_file () =
 (* ------------------------------------------------------------------ *)
 
 (* A deliberately small JSON reader: enough for the files this harness
-   writes (flat "results" array of objects with scalar fields). *)
+   writes (a top-level "smoke" flag, then a flat "results" array of
+   objects with scalar fields).  Returns the flag ([None] when absent) and
+   the entries. *)
 let parse_baseline file =
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
+  let text =
+    match In_channel.with_open_bin file In_channel.input_all with
+    | text -> text
+    | exception Sys_error reason ->
+        Printf.eprintf "perf.exe: cannot read baseline: %s\n" reason;
+        exit 2
+  in
   let entries = ref [] in
   let find_field obj field =
     let pat = Printf.sprintf "\"%s\":" field in
@@ -200,8 +208,11 @@ let parse_baseline file =
     else if String.length s >= 5 && String.sub s 0 5 = "false" then Some false
     else None
   in
+  let results_start = String.index_opt text '[' in
+  let header = match results_start with Some i -> String.sub text 0 i | None -> text in
+  let smoke = Option.bind (find_field header "smoke") scan_bool in
   (* split on "{" at object depth 2 inside the results array *)
-  (match String.index_opt text '[' with
+  (match results_start with
   | None -> ()
   | Some arr_start ->
       let i = ref arr_start in
@@ -226,10 +237,26 @@ let parse_baseline file =
         end
         else incr i
       done);
-  List.rev !entries
+  (smoke, List.rev !entries)
 
-let compare_baseline file =
-  let baseline = parse_baseline file in
+let mode_name smoke = if smoke then "smoke" else "full"
+
+(* Read before any kernel runs, so a baseline the gate cannot use fails in
+   a second rather than after the whole run. *)
+let load_baseline file =
+  let smoke, entries = parse_baseline file in
+  match smoke with
+  | Some smoke when smoke = options.smoke -> entries
+  | Some smoke ->
+      Printf.eprintf "perf.exe: baseline %s was recorded in %s mode, this run is %s mode\n"
+        file (mode_name smoke) (mode_name options.smoke);
+      exit 2
+  | None ->
+      Printf.eprintf "perf.exe: baseline %s has no \"smoke\" flag, so its mode is unknown\n"
+        file;
+      exit 2
+
+let compare_baseline file baseline =
   let tolerance = 0.20 in
   let failures = ref 0 in
   Printf.printf "\ncomparison vs %s (gate: 20%% on tracked kernels)\n" file;
@@ -377,9 +404,7 @@ let bench_trace_rate ~objects ~reps =
   let marked = ref 0 in
   let run () =
     let tracer =
-      Tracer.create ctx ~use_scratch:false ~update_region_live:false
-        ~should_visit:(fun _ -> true)
-        ~on_mark:(fun _ -> 0)
+      Tracer.create ctx ~use_scratch:false ~update_region_live:false ()
     in
     ignore (Heap.begin_mark_epoch heap);
     Tracer.add_root tracer root;
@@ -719,7 +744,7 @@ let micro_tests () =
              Binary_heap.add h ~priority:(i * 7919 mod 1024) i
            done;
            while not (Binary_heap.is_empty h) do
-             ignore (Binary_heap.pop h)
+             ignore (Binary_heap.pop_min_value h + Binary_heap.popped_priority h)
            done))
   in
   let table =
@@ -784,8 +809,9 @@ let run_micro () =
 
 let () =
   parse_args ();
+  let baseline = Option.map (fun file -> (file, load_baseline file)) options.baseline in
   run_wall_clock ();
   if options.micro then run_micro ();
   let out = match options.out with Some f -> f | None -> next_bench_file () in
   write_json out;
-  match options.baseline with None -> () | Some file -> compare_baseline file
+  Option.iter (fun (file, entries) -> compare_baseline file entries) baseline

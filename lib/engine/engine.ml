@@ -1,4 +1,5 @@
 module Vec = Gcr_util.Vec
+module Ivec = Gcr_util.Ivec
 module Binary_heap = Gcr_util.Binary_heap
 module Obs = Gcr_obs.Obs
 module Event = Gcr_obs.Event
@@ -18,10 +19,7 @@ type thread_state =
 
 (* The pending step (cost + continuation) lives flat on the thread record
    rather than in per-event tuples/variants: submitting, queueing and
-   completing a step allocates nothing.  [event] is the thread's one
-   preallocated event box, pushed into the event queue whenever the thread
-   is On_cpu or Stalled — the state disambiguates which completion it is.
-   The state machine guarantees the box is in the queue at most once.
+   completing a step allocates nothing.
 
    Cycle accounting does not live here: step completions are emitted into
    the observation spine ([obs]), which owns every derived counter. *)
@@ -33,12 +31,7 @@ type thread = {
   mutable state : thread_state;
   mutable pending_cycles : int;
   mutable pending_cb : unit -> unit;
-  event : event;
 }
-
-and event =
-  | Thread_ev of thread  (** step or stall completion, per [state] *)
-  | Timer of (unit -> unit)
 
 type pause = Gcr_obs.Obs.pause = { start : int; duration : int; reason : string }
 
@@ -63,20 +56,30 @@ type legacy = {
   lpauses : pause Vec.t;
 }
 
+(* The event queue holds one int per event.  A payload [tid >= 0] is the
+   completion of that thread's step or stall — the thread's state says
+   which, and the state machine puts a thread in the queue at most once.
+   A payload [-(slot + 1)] is a timer whose callback waits in [timers];
+   fired slots go back on the [timer_free] stack.  Threads and timers
+   share the queue's insertion sequence, so ties break in the order the
+   events were scheduled, whatever their kind. *)
 type t = {
   mutable cpus : int;
   mutable safepoint_sync : int;
   mutable cache_disruption : int;
   obs : Obs.t;
   mutable clock : int;
-  events : event Binary_heap.t;
-  (* FIFO run queue: a ring of threads (their step is in the pending
+  events : Binary_heap.t;
+  (* FIFO run queue: a ring of tids (their step is in the pending
      fields) *)
-  mutable ready : thread array;
+  mutable ready : int array;
   mutable ready_head : int;
   mutable ready_len : int;
   mutable busy : int;
-  threads : thread Vec.t;
+  threads : thread Vec.t;  (** indexed by tid *)
+  mutable timers : (unit -> unit) array;  (** indexed by slot; free slots hold [nop] *)
+  mutable timers_used : int;  (** slots ever handed out since the last reset *)
+  timer_free : Ivec.t;
   mutable mutators_live : int;
   mutable mutators_active : int;  (** mutator steps queued or on CPU *)
   mutable stop : stop_state;
@@ -108,6 +111,9 @@ let create ~cpus ?(safepoint_sync_cycles = 3000) ?(cache_disruption_cycles = 0) 
       ready_len = 0;
       busy = 0;
       threads = Vec.create ();
+      timers = [||];
+      timers_used = 0;
+      timer_free = Ivec.create ();
       mutators_live = 0;
       mutators_active = 0;
       stop = No_stop;
@@ -127,13 +133,14 @@ let create ~cpus ?(safepoint_sync_cycles = 3000) ?(cache_disruption_cycles = 0) 
   t
 
 (* Rewind a finished (or aborted) engine for its next run, keeping the
-   event heap, run-queue ring and thread vec at their grown capacities.
-   The observation spine is reset with it — subscribers included, so a
-   previous run's probes cannot fire — and its clock closure stays valid
-   because the engine identity is unchanged.  An aborted run leaves
-   arbitrary mid-flight state (queued events, parked threads, an open
-   pause); nothing here assumes a clean end, so a poisoned engine re-arms
-   fully. *)
+   event heap, run-queue ring, thread vec and timer table at their grown
+   capacities.  The observation spine is reset with it — subscribers
+   included, so a previous run's probes cannot fire — and its clock
+   closure stays valid because the engine identity is unchanged.  An
+   aborted run leaves arbitrary mid-flight state (queued events, parked
+   threads, pending timers, an open pause); nothing here assumes a clean
+   end, so a poisoned engine re-arms fully, and no continuation of the old
+   run stays reachable from the engine. *)
 let reset t ~cpus ?(safepoint_sync_cycles = 3000) ?(cache_disruption_cycles = 0) () =
   if cpus < 1 then invalid_arg "Engine.reset: cpus < 1";
   if safepoint_sync_cycles < 0 || cache_disruption_cycles < 0 then
@@ -143,13 +150,21 @@ let reset t ~cpus ?(safepoint_sync_cycles = 3000) ?(cache_disruption_cycles = 0)
   t.cache_disruption <- cache_disruption_cycles;
   t.clock <- 0;
   Binary_heap.reset t.events;
-  (* drop the ring outright: stale slots would retain the previous run's
-     thread records (and their continuation closures) indefinitely *)
-  t.ready <- [||];
   t.ready_head <- 0;
   t.ready_len <- 0;
   t.busy <- 0;
+  (* A stale handle to an old thread must not reach the new run's thread
+     of the same tid, so old threads end Finished, without their
+     continuations. *)
+  Vec.iter
+    (fun th ->
+      th.state <- Finished;
+      th.pending_cb <- nop)
+    t.threads;
   Vec.clear t.threads;
+  Array.fill t.timers 0 t.timers_used nop;
+  t.timers_used <- 0;
+  Ivec.clear t.timer_free;
   t.mutators_live <- 0;
   t.mutators_active <- 0;
   t.stop <- No_stop;
@@ -166,7 +181,7 @@ let obs t = t.obs
 let now t = t.clock
 
 let spawn t ~kind ~name =
-  let rec th =
+  let th =
     {
       tid = Vec.length t.threads;
       kind;
@@ -175,7 +190,6 @@ let spawn t ~kind ~name =
       state = Idle;
       pending_cycles = 0;
       pending_cb = nop;
-      event = Thread_ev th;
     }
   in
   Vec.push t.threads th;
@@ -197,13 +211,11 @@ let stw_active t = pause_active t
 
 let stop_requested = stop_pending
 
-(* Threads are permanently retained by [t.threads], so ring slots need no
-   scrubbing on pop. *)
-let ready_push t th =
+let ready_push t tid =
   let cap = Array.length t.ready in
   if t.ready_len = cap then begin
     let cap' = if cap = 0 then 8 else cap * 2 in
-    let ring = Array.make cap' th in
+    let ring = Array.make cap' 0 in
     for i = 0 to t.ready_len - 1 do
       let j = t.ready_head + i in
       ring.(i) <- t.ready.(if j >= cap then j - cap else j)
@@ -213,22 +225,22 @@ let ready_push t th =
   end;
   let cap = Array.length t.ready in
   let tail = t.ready_head + t.ready_len in
-  t.ready.(if tail >= cap then tail - cap else tail) <- th;
+  t.ready.(if tail >= cap then tail - cap else tail) <- tid;
   t.ready_len <- t.ready_len + 1
 
 let ready_pop t =
-  let th = t.ready.(t.ready_head) in
+  let tid = t.ready.(t.ready_head) in
   let head = t.ready_head + 1 in
   t.ready_head <- (if head >= Array.length t.ready then 0 else head);
   t.ready_len <- t.ready_len - 1;
-  th
+  tid
 
 let enqueue_ready t th cycles cb =
   th.state <- Queued;
   th.pending_cycles <- cycles;
   th.pending_cb <- cb;
   if th.kind = Mutator then t.mutators_active <- t.mutators_active + 1;
-  ready_push t th
+  ready_push t th.tid
 
 let submit t th ~cycles cb =
   if cycles < 0 then invalid_arg "Engine.submit: negative cycles";
@@ -262,7 +274,7 @@ let stall t th ~cycles cb =
   th.pending_cycles <- 0;
   th.pending_cb <- cb;
   Obs.stall_begin t.obs ~time:t.clock ~tid:th.tid ~wake:(t.clock + cycles);
-  Binary_heap.add t.events ~priority:(t.clock + cycles) th.event
+  Binary_heap.add t.events ~priority:(t.clock + cycles) th.tid
 
 let park _t th =
   (match th.state with
@@ -283,9 +295,26 @@ let is_parked th = th.state = Parked
 
 let at t ~time cb =
   if time < t.clock then invalid_arg "Engine.at: time in the past";
-  Binary_heap.add t.events ~priority:time (Timer cb)
+  let slot =
+    if not (Ivec.is_empty t.timer_free) then Ivec.pop t.timer_free
+    else begin
+      let slot = t.timers_used in
+      let cap = Array.length t.timers in
+      if slot = cap then begin
+        let table = Array.make (if cap = 0 then 8 else cap * 2) nop in
+        Array.blit t.timers 0 table 0 cap;
+        t.timers <- table
+      end;
+      t.timers_used <- slot + 1;
+      slot
+    end
+  in
+  t.timers.(slot) <- cb;
+  Binary_heap.add t.events ~priority:time (-(slot + 1))
 
-let after t ~cycles cb = at t ~time:(t.clock + cycles) cb
+let after t ~cycles cb =
+  if cycles < 0 then invalid_arg "Engine.after: negative cycles";
+  at t ~time:(t.clock + cycles) cb
 
 let request_stop t ~reason cb =
   (match t.stop with
@@ -368,13 +397,13 @@ let abort t ~reason = if t.aborted = None then t.aborted <- Some reason
 
 let dispatch t =
   while t.busy < t.cpus && t.ready_len > 0 do
-    let th = ready_pop t in
+    let th = Vec.get t.threads (ready_pop t) in
     (match th.state with
     | Queued -> ()
     | Idle | On_cpu | Parked_safepoint | Parked | Stalled | Finished -> assert false);
     th.state <- On_cpu;
     t.busy <- t.busy + 1;
-    Binary_heap.add t.events ~priority:(t.clock + th.pending_cycles) th.event
+    Binary_heap.add t.events ~priority:(t.clock + th.pending_cycles) th.tid
   done
 
 let advance_clock t time =
@@ -383,46 +412,54 @@ let advance_clock t time =
     t.legacy.lwall_stw <- t.legacy.lwall_stw + (time - t.clock);
   t.clock <- time
 
-let process_event t = function
-  | Thread_ev th -> (
-      match th.state with
-      | On_cpu ->
-          (* step completion *)
-          let cycles = th.pending_cycles in
+let fire_timer t slot =
+  let cb = t.timers.(slot) in
+  t.timers.(slot) <- nop;
+  Ivec.push t.timer_free slot;
+  cb ()
+
+let process_event t payload =
+  if payload < 0 then fire_timer t (-payload - 1)
+  else begin
+    let th = Vec.get t.threads payload in
+    match th.state with
+    | On_cpu ->
+        (* step completion *)
+        let cycles = th.pending_cycles in
+        let cb = th.pending_cb in
+        t.busy <- t.busy - 1;
+        if th.kind = Mutator then t.mutators_active <- t.mutators_active - 1;
+        th.state <- Idle;
+        th.pending_cb <- nop;
+        let in_pause = pause_active t in
+        Obs.step_complete t.obs ~time:t.clock ~tid:th.tid ~kind:(kind_index th.kind)
+          ~cycles ~in_pause;
+        if t.legacy_on then begin
+          let k = kind_index th.kind in
+          t.legacy.lkind_cycles.(k) <- t.legacy.lkind_cycles.(k) + cycles;
+          if in_pause then
+            t.legacy.lkind_cycles_stw.(k) <- t.legacy.lkind_cycles_stw.(k) + cycles
+        end;
+        cb ()
+    | Stalled ->
+        (* stall completion *)
+        Obs.stall_end t.obs ~time:t.clock ~tid:th.tid;
+        if th.kind = Mutator && stop_pending t then begin
+          (* A mutator waking into a safepoint parks instead: its
+             continuation (which may touch the heap) must not interleave
+             with stop-the-world collection work. *)
+          th.state <- Parked_safepoint;
+          th.pending_cycles <- 0
+          (* pending_cb already holds the continuation *)
+        end
+        else begin
           let cb = th.pending_cb in
-          t.busy <- t.busy - 1;
-          if th.kind = Mutator then t.mutators_active <- t.mutators_active - 1;
           th.state <- Idle;
           th.pending_cb <- nop;
-          let in_pause = pause_active t in
-          Obs.step_complete t.obs ~time:t.clock ~tid:th.tid ~kind:(kind_index th.kind)
-            ~cycles ~in_pause;
-          if t.legacy_on then begin
-            let k = kind_index th.kind in
-            t.legacy.lkind_cycles.(k) <- t.legacy.lkind_cycles.(k) + cycles;
-            if in_pause then
-              t.legacy.lkind_cycles_stw.(k) <- t.legacy.lkind_cycles_stw.(k) + cycles
-          end;
           cb ()
-      | Stalled ->
-          (* stall completion *)
-          Obs.stall_end t.obs ~time:t.clock ~tid:th.tid;
-          if th.kind = Mutator && stop_pending t then begin
-            (* A mutator waking into a safepoint parks instead: its
-               continuation (which may touch the heap) must not interleave
-               with stop-the-world collection work. *)
-            th.state <- Parked_safepoint;
-            th.pending_cycles <- 0
-            (* pending_cb already holds the continuation *)
-          end
-          else begin
-            let cb = th.pending_cb in
-            th.state <- Idle;
-            th.pending_cb <- nop;
-            cb ()
-          end
-      | Idle | Queued | Parked_safepoint | Parked | Finished -> assert false)
-  | Timer cb -> cb ()
+        end
+    | Idle | Queued | Parked_safepoint | Parked | Finished -> assert false
+  end
 
 (* Shared loop under [run] and [run_until].  [until = Some horizon]
    additionally pauses — returning [None] — once the next event lies
@@ -454,9 +491,9 @@ let run_general t ~until ~max_events =
               else begin
                 (* pop_min_value + popped_priority: one heap removal per event,
                    no min_priority peek and no (priority, value) pair. *)
-                let ev = Binary_heap.pop_min_value t.events in
+                let payload = Binary_heap.pop_min_value t.events in
                 advance_clock t (Binary_heap.popped_priority t.events);
-                process_event t ev;
+                process_event t payload;
                 check_stop_ready t;
                 dispatch t
               end

@@ -54,8 +54,11 @@ val reset :
 (** Rewind the engine (and its observation spine, subscribers included)
     to the post-{!create} state under possibly new machine parameters,
     keeping internal capacities — the warm execution path's per-worker
-    reuse.  Safe after aborted runs: no clean end state is assumed.
-    Same defaults and validation as {!create}. *)
+    reuse.  Safe after aborted runs: no clean end state is assumed, and
+    no pending step, stall or timer continuation of the old run is kept
+    or ever called.  Threads spawned before the reset are finished: their
+    handles can no longer submit.  Same defaults and validation as
+    {!create}. *)
 
 (** {1 Threads and steps} *)
 
@@ -99,6 +102,8 @@ val at : t -> time:int -> (unit -> unit) -> unit
     request arrivals). *)
 
 val after : t -> cycles:int -> (unit -> unit) -> unit
+(** [at] [cycles] from now; raises [Invalid_argument] when [cycles] is
+    negative. *)
 
 (** {1 Safepoints and pauses} *)
 

@@ -3,6 +3,7 @@ module Region = Gcr_heap.Region
 module Obj_model = Gcr_heap.Obj_model
 module Allocator = Gcr_heap.Allocator
 module Vec = Gcr_util.Vec
+module Ivec = Gcr_util.Ivec
 module Cost_model = Gcr_mach.Cost_model
 
 exception Evacuation_failure
@@ -75,7 +76,7 @@ let step t ~budget =
   let processed = ref 0 in
   while !processed < budget && not (finished t) do
     let r = Vec.get t.queue t.queue_pos in
-    if t.obj_pos >= Vec.length r.Region.objects then begin
+    if t.obj_pos >= Ivec.length r.Region.objects then begin
       (* Region fully scanned: everything live has moved out; release it,
          which reclaims the stragglers (dead objects). *)
       Heap.release_region heap r;
@@ -85,7 +86,7 @@ let step t ~budget =
       cost := !cost + t.ctx.Gc_types.cost.Cost_model.sweep_per_region
     end
     else begin
-      let id = Vec.get r.Region.objects t.obj_pos in
+      let id = Ivec.get r.Region.objects t.obj_pos in
       t.obj_pos <- t.obj_pos + 1;
       incr processed;
       if

@@ -21,9 +21,7 @@ let run (ctx : Gc_types.ctx) ~pool ~on_done =
   ignore (Heap.begin_mark_epoch heap);
   Heap.iter_regions (fun r -> r.Region.live_words <- 0) heap;
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:true
-      ~should_visit:(fun _ -> true)
-      ~on_mark:(fun _ -> 0)
+    Tracer.create ctx ~use_scratch:false ~update_region_live:true ()
   in
   !(ctx.Gc_types.iter_roots) (Tracer.add_root tracer);
   (* Compaction state, filled in between the two phases: every marked

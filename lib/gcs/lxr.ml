@@ -4,6 +4,7 @@ module Obj_model = Gcr_heap.Obj_model
 module Allocator = Gcr_heap.Allocator
 module Engine = Gcr_engine.Engine
 module Vec = Gcr_util.Vec
+module Ivec = Gcr_util.Ivec
 module Cost_model = Gcr_mach.Cost_model
 module Event = Gcr_obs.Event
 
@@ -51,11 +52,11 @@ type state = {
   mutable eden_since_pause : int;
   mutable pause_budget : int;
   mutable low_free_streak : int;
-  inc_buf : int Vec.t;  (** increments logged by the write barrier *)
-  dec_queue : int Vec.t;  (** deferred decrements (worklist during drains) *)
-  births : int Vec.t;  (** objects allocated since the last pause *)
-  mutable pins_cur : int Vec.t;  (** roots pinned by the current pause *)
-  mutable pins_prev : int Vec.t;  (** previous pause's pins, to unpin *)
+  inc_buf : Ivec.t;  (** increments logged by the write barrier *)
+  dec_queue : Ivec.t;  (** deferred decrements (worklist during drains) *)
+  births : Ivec.t;  (** objects allocated since the last pause *)
+  mutable pins_cur : Ivec.t;  (** roots pinned by the current pause *)
+  mutable pins_prev : Ivec.t;  (** previous pause's pins, to unpin *)
   dirty_regions : bool array;
       (** regions that received in-place frees this pause; their object
           vecs are compacted before the pause ends (id recycling would
@@ -115,8 +116,8 @@ let[@inline] entry_valid s id ser =
   Obj_model.is_live s.store id && Obj_model.serial s.store id = ser
 
 let[@inline] push_entry q store id =
-  Vec.push q id;
-  Vec.push q (Obj_model.serial store id)
+  Ivec.push q id;
+  Ivec.push q (Obj_model.serial store id)
 
 (* Free one object in place: its region keeps the garbage words (what
    fragmentation-driven evacuation later reclaims) and is flagged for
@@ -145,7 +146,7 @@ let scan_roots s =
   let tmp = s.pins_prev in
   s.pins_prev <- s.pins_cur;
   s.pins_cur <- tmp;
-  Vec.clear s.pins_cur;
+  Ivec.clear s.pins_cur;
   let nroots = ref 0 in
   !(s.ctx.Gc_types.iter_roots) (fun id ->
       if Obj_model.is_live store id then begin
@@ -163,36 +164,36 @@ let scan_roots s =
 let apply_incs s =
   let store = s.store in
   let q = s.inc_buf in
-  let n = Vec.length q in
+  let n = Ivec.length q in
   let i = ref 0 in
   while !i < n do
-    let id = Vec.get q !i and ser = Vec.get q (!i + 1) in
+    let id = Ivec.get q !i and ser = Ivec.get q (!i + 1) in
     i := !i + 2;
     if entry_valid s id ser then Obj_model.set_rc store id (Obj_model.rc store id + 1)
   done;
-  Vec.clear q;
+  Ivec.clear q;
   n / 2
 
 (* ---- pause phase 3: drain deferred decrements ---- *)
 
 let queue_prev_pins s =
   let q = s.pins_prev in
-  let n = Vec.length q in
+  let n = Ivec.length q in
   let i = ref 0 in
   while !i < n do
-    Vec.push s.dec_queue (Vec.get q !i);
-    Vec.push s.dec_queue (Vec.get q (!i + 1));
+    Ivec.push s.dec_queue (Ivec.get q !i);
+    Ivec.push s.dec_queue (Ivec.get q (!i + 1));
     i := !i + 2
   done;
-  Vec.clear q
+  Ivec.clear q
 
 let drain_decs s =
   let store = s.store in
   let q = s.dec_queue in
   (* the queue grows as frees cascade; iterate by index, then clear *)
   let i = ref 0 in
-  while !i < Vec.length q do
-    let id = Vec.get q !i and ser = Vec.get q (!i + 1) in
+  while !i < Ivec.length q do
+    let id = Ivec.get q !i and ser = Ivec.get q (!i + 1) in
     i := !i + 2;
     s.pause_rc_ops <- s.pause_rc_ops + 1;
     if entry_valid s id ser then begin
@@ -201,7 +202,7 @@ let drain_decs s =
       if r <= 0 then free_one s id
     end
   done;
-  Vec.clear q
+  Ivec.clear q
 
 (* Born-dead processing: an object allocated since the last pause that
    ended up with rc 0 after increments and pins was never reachable — free
@@ -213,10 +214,10 @@ let process_births s =
   while !progress do
     progress := false;
     let b = s.births in
-    let n = Vec.length b in
+    let n = Ivec.length b in
     let i = ref 0 in
     while !i < n do
-      let id = Vec.get b !i and ser = Vec.get b (!i + 1) in
+      let id = Ivec.get b !i and ser = Ivec.get b (!i + 1) in
       i := !i + 2;
       if entry_valid s id ser && Obj_model.rc store id = 0 then begin
         free_one s id;
@@ -225,7 +226,7 @@ let process_births s =
     done;
     if !progress then drain_decs s
   done;
-  Vec.clear s.births
+  Ivec.clear s.births
 
 (* ---- pause phase 4: backup-cycle finalization ---- *)
 
@@ -396,11 +397,11 @@ let compact_dirty s =
    truth — recount in-edges over all residents and re-pin the roots. *)
 let rebuild_rc s =
   reset_cycle s;
-  Vec.clear s.inc_buf;
-  Vec.clear s.dec_queue;
-  Vec.clear s.births;
-  Vec.clear s.pins_prev;
-  Vec.clear s.pins_cur;
+  Ivec.clear s.inc_buf;
+  Ivec.clear s.dec_queue;
+  Ivec.clear s.births;
+  Ivec.clear s.pins_prev;
+  Ivec.clear s.pins_cur;
   Array.fill s.dirty_regions 0 (Array.length s.dirty_regions) false;
   let h = heap s in
   let store = s.store in
@@ -433,9 +434,7 @@ let maybe_start_cycle s =
     let h = heap s in
     ignore (Heap.begin_mark_epoch h);
     let tracer =
-      Tracer.create s.ctx ~use_scratch:false ~update_region_live:false
-        ~should_visit:(fun _ -> true)
-        ~on_mark:(fun _ -> 0)
+      Tracer.create s.ctx ~use_scratch:false ~update_region_live:false ()
     in
     !(s.ctx.Gc_types.iter_roots) (Tracer.add_root tracer);
     s.cycle_tracer <- Some tracer;
@@ -463,15 +462,15 @@ let fire_debug s =
   | Some hook ->
       let store = s.store in
       let pinned = ref [] in
-      let n = Vec.length s.pins_cur in
+      let n = Ivec.length s.pins_cur in
       let i = ref (n - 2) in
       while !i >= 0 do
-        pinned := Vec.get s.pins_cur !i :: !pinned;
+        pinned := Ivec.get s.pins_cur !i :: !pinned;
         i := !i - 2
       done;
       hook
         {
-          pending_decrements = Vec.length s.dec_queue / 2;
+          pending_decrements = Ivec.length s.dec_queue / 2;
           pinned = List.rev !pinned;
           rc_of = (fun id -> Obj_model.rc store id);
         }
@@ -587,11 +586,11 @@ let make (ctx : Gc_types.ctx) config =
       eden_since_pause = 0;
       pause_budget = max 2 (total / 4);
       low_free_streak = 0;
-      inc_buf = Vec.create ();
-      dec_queue = Vec.create ();
-      births = Vec.create ();
-      pins_cur = Vec.create ();
-      pins_prev = Vec.create ();
+      inc_buf = Ivec.create ();
+      dec_queue = Ivec.create ();
+      births = Ivec.create ();
+      pins_cur = Ivec.create ();
+      pins_prev = Ivec.create ();
       dirty_regions = Array.make total false;
       cycle_session = 0;
       cycle_marking = false;

@@ -62,7 +62,7 @@ let run (ctx : Gc_types.ctx) ~pool ~remset ~tenure_age ~on_mark_young ~on_done =
   let tracer =
     Tracer.create ctx ~use_scratch:true ~update_region_live:false
       ~should_visit:(fun id -> is_young (Heap.region heap (Heap.obj_region heap id)))
-      ~on_mark
+      ~on_mark ()
   in
   (* Roots: workload roots plus the remembered set (dirty-card scan). *)
   let root_cost = ref 0 in

@@ -12,6 +12,7 @@ type t = {
   store : Obj_model.store;  (** cached: the heap's store record is stable *)
   use_scratch : bool;
   update_region_live : bool;
+  filtered : bool;  (** a filter was given: call [should_visit] and [on_mark] *)
   should_visit : Obj_model.id -> bool;
   on_mark : Obj_model.id -> int;
   mutable stack : int array;
@@ -21,14 +22,19 @@ type t = {
   mutable edges_seen : int;
 }
 
-let create ctx ~use_scratch ~update_region_live ~should_visit ~on_mark =
+let visit_all _ = true
+
+let mark_free _ = 0
+
+let create ctx ~use_scratch ~update_region_live ?should_visit ?on_mark () =
   {
     ctx;
     store = Heap.store ctx.Gc_types.heap;
     use_scratch;
     update_region_live;
-    should_visit;
-    on_mark;
+    filtered = Option.is_some should_visit || Option.is_some on_mark;
+    should_visit = Option.value should_visit ~default:visit_all;
+    on_mark = Option.value on_mark ~default:mark_free;
     stack = Array.make 256 0;
     stack_len = 0;
     objects_marked = 0;
@@ -57,19 +63,26 @@ let set_marked t id =
    mark and filter checks are all flat-array reads. *)
 let add_root t id =
   if not (Obj_model.is_null id) then
-    if Obj_model.is_live t.store id && (not (is_marked t id)) && t.should_visit id then begin
+    if
+      Obj_model.is_live t.store id
+      && (not (is_marked t id))
+      && ((not t.filtered) || t.should_visit id)
+    then begin
       set_marked t id;
       push t id
     end
 
 let add_roots t ids = List.iter (add_root t) ids
 
+(* [filtered] is read once per slice: an unfiltered trace (every caller
+   but the scavenge) makes no indirect call per object or edge. *)
 let drain t ~budget =
   let heap = t.ctx.Gc_types.heap in
   let store = t.store in
   let cost_model = t.ctx.Gc_types.cost in
   let mark_per_object = cost_model.Cost_model.mark_per_object in
   let mark_per_edge = cost_model.Cost_model.mark_per_edge in
+  let filtered = t.filtered in
   let should_visit = t.should_visit in
   let on_mark = t.on_mark in
   let use_scratch = t.use_scratch in
@@ -93,7 +106,7 @@ let drain t ~budget =
         r.Gcr_heap.Region.live_words <- r.Gcr_heap.Region.live_words + size
       end;
       cost := !cost + mark_per_object;
-      cost := !cost + on_mark id;
+      if filtered then cost := !cost + on_mark id;
       (* Fields: one contiguous arena extent.  Read the base after
          [on_mark] (it may move the object). *)
       let nf = Obj_model.nfields store id in
@@ -109,7 +122,7 @@ let drain t ~budget =
             && (not
                   (if use_scratch then Heap.is_scratch_marked heap child
                    else Heap.is_marked heap child))
-            && should_visit child
+            && ((not filtered) || should_visit child)
           then begin
             if use_scratch then Heap.set_scratch_marked heap child
             else Heap.set_marked heap child;

@@ -26,14 +26,17 @@ val create :
   Gc_types.ctx ->
   use_scratch:bool ->
   update_region_live:bool ->
-  should_visit:(Gcr_heap.Obj_model.id -> bool) ->
-  on_mark:(Gcr_heap.Obj_model.id -> int) ->
+  ?should_visit:(Gcr_heap.Obj_model.id -> bool) ->
+  ?on_mark:(Gcr_heap.Obj_model.id -> int) ->
+  unit ->
   t
 (** The caller must begin the corresponding heap epoch (mark or scratch)
-    first.  [should_visit] bounds the trace (e.g. young objects only for a
-    scavenge); objects failing it are neither marked nor traversed.
-    [update_region_live] accumulates marked sizes into the owning region's
-    [live_words] (reset them beforehand). *)
+    first.  [should_visit] (default: every object) bounds the trace (e.g.
+    young objects only for a scavenge); objects failing it are neither
+    marked nor traversed.  [on_mark] (default: no extra cost) is the copy
+    hook described above.  With both omitted, {!drain} makes no closure
+    call at all.  [update_region_live] accumulates marked sizes into the
+    owning region's [live_words] (reset them beforehand). *)
 
 val add_root : t -> Gcr_heap.Obj_model.id -> unit
 (** Push a root (or SATB-buffered value).  Dead, already-marked and

@@ -1,11 +1,11 @@
-module Vec = Gcr_util.Vec
+module Ivec = Gcr_util.Ivec
 module Obs = Gcr_obs.Obs
 
 type t = {
   obs : Obs.t option;  (** event spine; region transitions are reported here *)
   mutable region_words : int;
   mutable regions : Region.t array;
-  free_pool : int Vec.t;  (** indices of free regions (LIFO) *)
+  free_pool : Ivec.t;  (** indices of free regions (LIFO) *)
   store : Obj_model.store;  (** struct-of-arrays object store *)
   mutable live_count : int;
   mutable live_words : int;
@@ -40,10 +40,10 @@ let create ?obs ~capacity_words ~region_words () =
   let n = capacity_words / region_words in
   if n < 2 then invalid_arg "Heap.create: need at least two regions";
   let regions = Array.init n (fun index -> Region.make ~index) in
-  let free_pool = Vec.make ~capacity:n in
+  let free_pool = Ivec.make ~capacity:n in
   (* Pushed in reverse so that region 0 is taken first. *)
   for i = n - 1 downto 0 do
-    Vec.push free_pool i
+    Ivec.push free_pool i
   done;
   let space_regions = Array.make 4 0 in
   space_regions.(0) <- n;
@@ -94,9 +94,9 @@ let reset t ~capacity_words ~region_words =
   for i = 0 to min old n - 1 do
     ignore (Region.reset t.regions.(i))
   done;
-  Vec.clear t.free_pool;
+  Ivec.clear t.free_pool;
   for i = n - 1 downto 0 do
-    Vec.push t.free_pool i
+    Ivec.push t.free_pool i
   done;
   Obj_model.reset_store t.store;
   t.live_count <- 0;
@@ -143,10 +143,7 @@ let set_capacity t ~capacity_words ~cause_id =
       (* every dropped region is free by construction of [n]; surviving
          pool entries keep their LIFO order *)
       t.regions <- Array.sub t.regions 0 n;
-      let kept = ref [] in
-      Vec.iter (fun i -> if i < n then kept := i :: !kept) t.free_pool;
-      Vec.clear t.free_pool;
-      List.iter (Vec.push t.free_pool) (List.rev !kept);
+      Ivec.filter_in_place (fun i -> i < n) t.free_pool;
       t.space_regions.(0) <- t.space_regions.(0) - (old_n - n)
     end
     else begin
@@ -156,7 +153,7 @@ let set_capacity t ~capacity_words ~cause_id =
       t.regions <- grown;
       (* lowest fresh index on top of the pool, matching [create]'s order *)
       for i = n - 1 downto old_n do
-        Vec.push t.free_pool i
+        Ivec.push t.free_pool i
       done;
       t.space_regions.(0) <- t.space_regions.(0) + (n - old_n)
     end;
@@ -174,7 +171,7 @@ let region_words t = t.region_words
 
 let total_regions t = Array.length t.regions
 
-let free_regions t = Vec.length t.free_pool
+let free_regions t = Ivec.length t.free_pool
 
 let capacity_words t = total_regions t * t.region_words
 
@@ -300,18 +297,17 @@ let retag_region t (r : Region.t) space =
 
 let take_free_region t ~space =
   let blocked_by_reserve =
-    Region.space_equal space Region.Eden && Vec.length t.free_pool <= t.reserve
+    Region.space_equal space Region.Eden && Ivec.length t.free_pool <= t.reserve
   in
-  if blocked_by_reserve then None
-  else
-    match Vec.pop t.free_pool with
-    | None -> None
-    | Some idx ->
-        let r = t.regions.(idx) in
-        assert (Region.space_equal r.space Region.Free);
-        retag_region t r space;
-        !release_log idx "take";
-        Some r
+  if blocked_by_reserve || Ivec.is_empty t.free_pool then None
+  else begin
+    let idx = Ivec.pop t.free_pool in
+    let r = t.regions.(idx) in
+    assert (Region.space_equal r.space Region.Free);
+    retag_region t r space;
+    !release_log idx "take";
+    Some r
+  end
 
 let alloc_in_region t (r : Region.t) ~size ~nfields =
   if Region.space_equal r.space Region.Free then
@@ -320,7 +316,7 @@ let alloc_in_region t (r : Region.t) ~size ~nfields =
   else begin
     let id = Obj_model.alloc t.store ~size ~nfields ~region:r.index in
     r.used_words <- r.used_words + size;
-    Vec.push r.objects id;
+    Ivec.push r.objects id;
     t.used_words <- t.used_words + size;
     t.space_used.(space_tag r.space) <- t.space_used.(space_tag r.space) + size;
     t.live_count <- t.live_count + 1;
@@ -338,7 +334,7 @@ let move_object t id (dst : Region.t) =
   if dst.used_words + size > t.region_words then false
   else begin
     dst.used_words <- dst.used_words + size;
-    Vec.push dst.objects id;
+    Ivec.push dst.objects id;
     t.used_words <- t.used_words + size;
     t.space_used.(space_tag dst.space) <- t.space_used.(space_tag dst.space) + size;
     Obj_model.set_region t.store id dst.index;
@@ -352,7 +348,7 @@ let free_region_bookkeeping t (r : Region.t) =
   t.space_regions.(space_tag r.space) <- t.space_regions.(space_tag r.space) - 1;
   t.space_regions.(space_tag Region.Free) <- t.space_regions.(space_tag Region.Free) + 1;
   ignore (Region.reset r);
-  Vec.push t.free_pool r.index
+  Ivec.push t.free_pool r.index
 
 let release_region t (r : Region.t) =
   !release_log r.index "release";
@@ -360,7 +356,7 @@ let release_region t (r : Region.t) =
   (* Only objects whose storage is still here die with the region: evacuated
      objects have had [region] repointed elsewhere. *)
   let store = t.store in
-  Vec.iter
+  Ivec.iter
     (fun id ->
       if Obj_model.is_live store id && Obj_model.region store id = r.index then begin
         t.live_count <- t.live_count - 1;
@@ -379,8 +375,8 @@ let sweep_unmarked t (r : Region.t) ~into ~pos =
   let index = r.index in
   let objects = r.objects in
   let pos = ref pos in
-  for i = 0 to Vec.length objects - 1 do
-    let id = Vec.get objects i in
+  for i = 0 to Ivec.length objects - 1 do
+    let id = Ivec.get objects i in
     if Obj_model.is_live store id && Obj_model.region store id = index then
       if Obj_model.mark store id = epoch then begin
         into.(!pos) <- id;
@@ -407,14 +403,9 @@ let free_object t id =
 
 let compact_region_objects t (r : Region.t) =
   let store = t.store in
-  let keep = ref [] in
-  Vec.iter
-    (fun id ->
-      if Obj_model.is_live store id && Obj_model.region store id = r.index then
-        keep := id :: !keep)
-    r.objects;
-  Vec.clear r.objects;
-  List.iter (Vec.push r.objects) (List.rev !keep)
+  Ivec.filter_in_place
+    (fun id -> Obj_model.is_live store id && Obj_model.region store id = r.index)
+    r.objects
 
 let release_region_keep_objects t (r : Region.t) =
   !release_log r.index "release-keep";
@@ -426,7 +417,7 @@ let place_object = move_object
 
 let iter_resident_objects t (r : Region.t) f =
   let store = t.store in
-  Vec.iter
+  Ivec.iter
     (fun id -> if Obj_model.is_live store id && Obj_model.region store id = r.index then f id)
     r.objects
 
@@ -447,7 +438,7 @@ let reachable_from t roots =
   ignore (begin_scratch_epoch t);
   let store = t.store in
   let seen = Hashtbl.create 1024 in
-  let stack = Vec.create () in
+  let stack = Ivec.create () in
   let push id =
     if
       (not (Obj_model.is_null id))
@@ -456,18 +447,13 @@ let reachable_from t roots =
     then begin
       set_scratch_marked t id;
       Hashtbl.add seen id ();
-      Vec.push stack id
+      Ivec.push stack id
     end
   in
   List.iter push roots;
-  let rec drain () =
-    match Vec.pop stack with
-    | None -> ()
-    | Some id ->
-        Obj_model.iter_fields store id push;
-        drain ()
-  in
-  drain ();
+  while not (Ivec.is_empty stack) do
+    Obj_model.iter_fields store (Ivec.pop stack) push
+  done;
   seen
 
 let pp ppf t =

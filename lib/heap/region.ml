@@ -13,7 +13,7 @@ type t = {
   mutable space : space;
   mutable used_words : int;
   mutable live_words : int;
-  mutable objects : Obj_model.id Gcr_util.Vec.t;
+  mutable objects : Gcr_util.Ivec.t;
   mutable pinned : bool;
 }
 
@@ -23,7 +23,7 @@ let make ~index =
     space = Free;
     used_words = 0;
     live_words = 0;
-    objects = Gcr_util.Vec.create ();
+    objects = Gcr_util.Ivec.create ();
     pinned = false;
   }
 
@@ -31,7 +31,7 @@ let reset t =
   t.space <- Free;
   t.used_words <- 0;
   t.live_words <- 0;
-  Gcr_util.Vec.clear t.objects;
+  Gcr_util.Ivec.clear t.objects;
   t.pinned <- false;
   t
 

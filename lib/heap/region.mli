@@ -20,15 +20,16 @@ type t = {
   mutable space : space;
   mutable used_words : int;  (** bump cursor, words allocated *)
   mutable live_words : int;  (** live words found by the last mark *)
-  mutable objects : Obj_model.id Gcr_util.Vec.t;
-      (** ids of objects whose storage is (or was, until evacuated) here *)
+  mutable objects : Gcr_util.Ivec.t;
+      (** ids of objects whose storage is (or was, until evacuated) here,
+          in allocation/arrival order *)
   mutable pinned : bool;  (** excluded from collection sets while set *)
 }
 
 val make : index:int -> t
 
 val reset : t -> t
-(** Return to the [Free] state with no objects (the vec is cleared, not
-    reallocated). *)
+(** Return to the [Free] state with no objects (the vec is cleared in
+    O(1), not reallocated). *)
 
 val free_words_in : region_words:int -> t -> int

@@ -1,4 +1,5 @@
 module Vec = Gcr_util.Vec
+module Ivec = Gcr_util.Ivec
 module Histogram = Gcr_util.Histogram
 
 type pause = { start : int; duration : int; reason : string }
@@ -18,14 +19,14 @@ module Counters = struct
     mutable thread_cycles : int array;  (** per tid, grown on spawn *)
     mutable thread_cycles_stw : int array;
     mutable thread_kind : int array;
-    thread_names : int Vec.t;  (** name ids, per tid *)
+    thread_names : Ivec.t;  (** name ids, per tid *)
     mutable wall_stw_closed : int;  (** sum over closed pauses *)
     mutable pause_open : bool;
     mutable pause_open_start : int;
     mutable pause_open_reason : int;
-    pause_starts : int Vec.t;
-    pause_durations : int Vec.t;
-    pause_reasons : int Vec.t;  (** string ids *)
+    pause_starts : Ivec.t;
+    pause_durations : Ivec.t;
+    pause_reasons : Ivec.t;  (** string ids *)
     mutable pause_hist : Histogram.t;
     mutable safepoint_requests : int;
     phase_begins : int array;  (** per phase, worker-level *)
@@ -69,14 +70,14 @@ module Counters = struct
       thread_cycles = [||];
       thread_cycles_stw = [||];
       thread_kind = [||];
-      thread_names = Vec.create ();
+      thread_names = Ivec.create ();
       wall_stw_closed = 0;
       pause_open = false;
       pause_open_start = 0;
       pause_open_reason = 0;
-      pause_starts = Vec.create ();
-      pause_durations = Vec.create ();
-      pause_reasons = Vec.create ();
+      pause_starts = Ivec.create ();
+      pause_durations = Ivec.create ();
+      pause_reasons = Ivec.create ();
       pause_hist = Histogram.create ();
       safepoint_requests = 0;
       phase_begins = Array.make Event.num_phases 0;
@@ -117,14 +118,14 @@ module Counters = struct
     Array.fill t.thread_cycles 0 (Array.length t.thread_cycles) 0;
     Array.fill t.thread_cycles_stw 0 (Array.length t.thread_cycles_stw) 0;
     Array.fill t.thread_kind 0 (Array.length t.thread_kind) 0;
-    Vec.clear t.thread_names;
+    Ivec.clear t.thread_names;
     t.wall_stw_closed <- 0;
     t.pause_open <- false;
     t.pause_open_start <- 0;
     t.pause_open_reason <- 0;
-    Vec.clear t.pause_starts;
-    Vec.clear t.pause_durations;
-    Vec.clear t.pause_reasons;
+    Ivec.clear t.pause_starts;
+    Ivec.clear t.pause_durations;
+    Ivec.clear t.pause_reasons;
     t.pause_hist <- Histogram.create ();
     t.safepoint_requests <- 0;
     Array.fill t.phase_begins 0 (Array.length t.phase_begins) 0;
@@ -182,10 +183,10 @@ module Counters = struct
       | 1 (* thread-spawn *) ->
           grow_threads t a;
           t.thread_kind.(a) <- b;
-          while Vec.length t.thread_names <= a do
-            Vec.push t.thread_names (-1)
+          while Ivec.length t.thread_names <= a do
+            Ivec.push t.thread_names (-1)
           done;
-          Vec.set t.thread_names a c
+          Ivec.set t.thread_names a c
       | 2 (* safepoint-request *) -> t.safepoint_requests <- t.safepoint_requests + 1
       | 3 (* pause-begin *) ->
           t.pause_open <- true;
@@ -195,9 +196,9 @@ module Counters = struct
           let duration = time - t.pause_open_start in
           t.pause_open <- false;
           t.wall_stw_closed <- t.wall_stw_closed + duration;
-          Vec.push t.pause_starts t.pause_open_start;
-          Vec.push t.pause_durations duration;
-          Vec.push t.pause_reasons a;
+          Ivec.push t.pause_starts t.pause_open_start;
+          Ivec.push t.pause_durations duration;
+          Ivec.push t.pause_reasons a;
           Histogram.record t.pause_hist duration
       | 5 (* phase-begin *) -> t.phase_begins.(b) <- t.phase_begins.(b) + 1
       | 6 (* phase-end *) -> t.phase_ends.(b) <- t.phase_ends.(b) + 1
@@ -265,9 +266,9 @@ module Counters = struct
         Array.to_list t.thread_cycles;
         Array.to_list t.thread_cycles_stw;
         [ wall_stw t ~now; t.safepoint_requests ];
-        [ Vec.length t.pause_starts;
-          Vec.fold ( + ) 0 t.pause_durations;
-          Vec.fold ( + ) 0 t.pause_starts ];
+        [ Ivec.length t.pause_starts;
+          Ivec.fold ( + ) 0 t.pause_durations;
+          Ivec.fold ( + ) 0 t.pause_starts ];
         hist t.pause_hist;
         Array.to_list t.phase_begins;
         Array.to_list t.phase_ends;
@@ -494,16 +495,16 @@ let cycles_of_thread t tid =
   let c = t.counters in
   if tid < Array.length c.Counters.thread_cycles then c.Counters.thread_cycles.(tid) else 0
 
-let pause_count t = Vec.length t.counters.Counters.pause_starts
+let pause_count t = Ivec.length t.counters.Counters.pause_starts
 
 let pause_histogram t = t.counters.Counters.pause_hist
 
 let iter_pauses t f =
   let c = t.counters in
-  for i = 0 to Vec.length c.Counters.pause_starts - 1 do
-    f ~start:(Vec.get c.Counters.pause_starts i)
-      ~duration:(Vec.get c.Counters.pause_durations i)
-      ~reason:(string_of_id t (Vec.get c.Counters.pause_reasons i))
+  for i = 0 to Ivec.length c.Counters.pause_starts - 1 do
+    f ~start:(Ivec.get c.Counters.pause_starts i)
+      ~duration:(Ivec.get c.Counters.pause_durations i)
+      ~reason:(string_of_id t (Ivec.get c.Counters.pause_reasons i))
   done
 
 let pauses t =

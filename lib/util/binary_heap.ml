@@ -1,18 +1,18 @@
-(* Structure-of-arrays minimum heap.
+(* Structure-of-arrays minimum heap over int payloads.
 
-   Priorities and insertion sequence numbers live in two parallel [int]
-   arrays (unboxed), values in a third array — no per-entry record, so the
-   engine's event queue allocates nothing on the push/pop fast path.  The
+   Priorities, insertion sequence numbers and values live in three
+   parallel [int] arrays — no per-entry record and no boxed value, so a
+   push or pop is plain integer stores with no write barrier.  The
    sequence number breaks priority ties in FIFO order, which keeps the
    simulator deterministic.
 
    Sift operations move the hole rather than swapping triples: one read of
    the displaced entry, then parent/child moves, then a single write. *)
 
-type 'a t = {
+type t = {
   mutable prio : int array;
   mutable seq : int array;
-  mutable values : 'a array;
+  mutable values : int array;
   mutable len : int;
   mutable next_seq : int;
   mutable last_prio : int;
@@ -25,26 +25,17 @@ let length t = t.len
 
 let is_empty t = t.len = 0
 
-(* Unused value slots must not retain popped values; a surviving element is
-   the only safe dummy under the float-array optimisation (see Vec). *)
-let grow t v =
+let grow t =
   let capacity = Array.length t.prio in
   let capacity' = if capacity = 0 then 8 else capacity * 2 in
-  let prio' = Array.make capacity' 0 in
-  let seq' = Array.make capacity' 0 in
-  let values' = Array.make capacity' v in
-  Array.blit t.prio 0 prio' 0 t.len;
-  Array.blit t.seq 0 seq' 0 t.len;
-  Array.blit t.values 0 values' 0 t.len;
-  if t.len > 0 then begin
-    let dummy = Array.unsafe_get values' 0 in
-    for i = t.len to capacity' - 1 do
-      Array.unsafe_set values' i dummy
-    done
-  end;
-  t.prio <- prio';
-  t.seq <- seq';
-  t.values <- values'
+  let extend a =
+    let a' = Array.make capacity' 0 in
+    Array.blit a 0 a' 0 t.len;
+    a'
+  in
+  t.prio <- extend t.prio;
+  t.seq <- extend t.seq;
+  t.values <- extend t.values
 
 (* (p, s) < entry at index [j]? *)
 let before t p s j =
@@ -62,7 +53,7 @@ let move t ~src ~dst =
   Array.unsafe_set t.values dst (Array.unsafe_get t.values src)
 
 let add t ~priority value =
-  if t.len = Array.length t.prio then grow t value;
+  if t.len = Array.length t.prio then grow t;
   let s = t.next_seq in
   t.next_seq <- s + 1;
   (* sift the hole up from the new slot *)
@@ -87,7 +78,7 @@ let min_priority t =
    returned in a tuple: the engine pops ~10^7 events per simulated second
    and a boxed pair per pop is measurable without flambda. *)
 let pop_min_value t =
-  if t.len = 0 then invalid_arg "Binary_heap.pop_min: empty";
+  if t.len = 0 then invalid_arg "Binary_heap.pop_min_value: empty";
   let top_prio = Array.unsafe_get t.prio 0 in
   let top = Array.unsafe_get t.values 0 in
   let n = t.len - 1 in
@@ -112,34 +103,14 @@ let pop_min_value t =
         end
       end
     done;
-    set_entry t !i p s v;
-    (* clear the freed slot only now: before the sift, slot 0 still held
-       [top], and the dummy must be a surviving element *)
-    Array.unsafe_set t.values n (Array.unsafe_get t.values 0)
+    set_entry t !i p s v
   end;
   t.last_prio <- top_prio;
   top
 
 let popped_priority t = t.last_prio
 
-let pop_min t =
-  let v = pop_min_value t in
-  (t.last_prio, v)
-
-let min t =
-  if t.len = 0 then None
-  else Some (Array.unsafe_get t.prio 0, Array.unsafe_get t.values 0)
-
-let pop t = if t.len = 0 then None else Some (pop_min t)
-
-let clear t =
-  if t.len > 0 then begin
-    let dummy = Array.unsafe_get t.values 0 in
-    for i = 1 to t.len - 1 do
-      Array.unsafe_set t.values i dummy
-    done;
-    t.len <- 0
-  end
+let clear t = t.len <- 0
 
 let reset t =
   clear t;

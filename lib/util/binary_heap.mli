@@ -1,57 +1,41 @@
-(** Minimum binary heap keyed by integer priority, stored as parallel
-    priority/sequence/value arrays (structure of arrays).
+(** Minimum binary heap of [int] payloads keyed by integer priority,
+    stored as parallel priority/sequence/value arrays (structure of
+    arrays).
 
     The engine's event queue orders pending completions by simulated cycle
     count; ties are broken by insertion order so the simulation is
-    deterministic.  The hot path — {!add}, {!min_priority}, {!pop_min} —
-    allocates nothing beyond amortised array growth. *)
+    deterministic.  Every operation is integer stores only: nothing
+    allocates beyond amortised array growth, and nothing goes through the
+    write barrier. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val length : 'a t -> int
+val length : t -> int
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val add : 'a t -> priority:int -> 'a -> unit
+val add : t -> priority:int -> int -> unit
 
-val min_priority : 'a t -> int
+val min_priority : t -> int
 (** Smallest priority without removing it; raises [Invalid_argument] when
-    empty.  Allocation-free. *)
+    empty. *)
 
-val pop_min : 'a t -> int * 'a
-(** Removes and returns the smallest-priority entry with its priority
-    (FIFO among equal priorities); raises [Invalid_argument] when empty.
-    One tuple cell is the only allocation.  Hot loops that cannot afford
-    the pair — the engine pops one event per simulated completion — use
-    {!pop_min_value} with {!popped_priority} instead. *)
-
-val pop_min_value : 'a t -> 'a
-(** Allocation-free {!pop_min}: removes the smallest-priority entry and
-    returns only its value; the priority travels out of band via
+val pop_min_value : t -> int
+(** Removes the smallest-priority entry (FIFO among equal priorities) and
+    returns its value; its priority travels out of band via
     {!popped_priority}.  Raises [Invalid_argument] when empty. *)
 
-val popped_priority : 'a t -> int
-(** Priority of the entry most recently removed by {!pop_min_value},
-    {!pop_min} or {!pop} — a field read, not a heap peek.  Unspecified
-    (0) before the first pop. *)
+val popped_priority : t -> int
+(** Priority of the entry most recently removed by {!pop_min_value} — a
+    field read, not a heap peek.  Unspecified (0) before the first pop. *)
 
-val min : 'a t -> (int * 'a) option
-(** Smallest priority with its value, without removing it.  Allocating
-    convenience wrapper over {!min_priority}. *)
-
-val pop : 'a t -> (int * 'a) option
-(** Removes and returns the entry with the smallest priority; among equal
-    priorities, the one inserted first.  Allocating convenience wrapper
-    over {!pop_min}. *)
-
-val clear : 'a t -> unit
+val clear : t -> unit
 (** Empties the heap.  The insertion-sequence counter is preserved, so
-    FIFO ordering holds across a clear.  Retains at most the one dummy
-    element documented in {!Vec.pop}. *)
+    FIFO ordering holds across a clear. *)
 
-val reset : 'a t -> unit
+val reset : t -> unit
 (** {!clear} plus a rewind of the insertion-sequence counter and the
     popped-priority slot: a reused heap is indistinguishable from a
     fresh one to any caller (same tie-break sequence numbers), while

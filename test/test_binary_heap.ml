@@ -4,11 +4,13 @@ module Binary_heap = Gcr_util.Binary_heap
 
 let check = Alcotest.check
 
+let pop heap =
+  let v = Binary_heap.pop_min_value heap in
+  (Binary_heap.popped_priority heap, v)
+
 let drain heap =
   let rec loop acc =
-    match Binary_heap.pop heap with
-    | None -> List.rev acc
-    | Some (p, v) -> loop ((p, v) :: acc)
+    if Binary_heap.is_empty heap then List.rev acc else loop (pop heap :: acc)
   in
   loop []
 
@@ -21,36 +23,37 @@ let test_ordering () =
 
 let test_fifo_ties () =
   let h = Binary_heap.create () in
-  Binary_heap.add h ~priority:7 "first";
-  Binary_heap.add h ~priority:7 "second";
-  Binary_heap.add h ~priority:7 "third";
+  Binary_heap.add h ~priority:7 301;
+  Binary_heap.add h ~priority:7 102;
+  Binary_heap.add h ~priority:7 203;
   check
-    Alcotest.(list (pair int string))
+    Alcotest.(list (pair int int))
     "insertion order preserved on ties"
-    [ (7, "first"); (7, "second"); (7, "third") ]
+    [ (7, 301); (7, 102); (7, 203) ]
     (drain h)
 
 let test_min_peek () =
   let h = Binary_heap.create () in
-  check Alcotest.bool "empty min" true (Binary_heap.min h = None);
-  Binary_heap.add h ~priority:3 'a';
-  Binary_heap.add h ~priority:1 'b';
-  check Alcotest.(option (pair int char)) "min" (Some (1, 'b')) (Binary_heap.min h);
-  check Alcotest.int "length unchanged" 2 (Binary_heap.length h)
+  check Alcotest.bool "empty" true (Binary_heap.is_empty h);
+  Binary_heap.add h ~priority:3 30;
+  Binary_heap.add h ~priority:1 10;
+  check Alcotest.int "min_priority" 1 (Binary_heap.min_priority h);
+  check Alcotest.int "length unchanged" 2 (Binary_heap.length h);
+  check Alcotest.(pair int int) "the peeked entry pops first" (1, 10) (pop h)
 
 let test_interleaved () =
   let h = Binary_heap.create () in
   Binary_heap.add h ~priority:10 10;
   Binary_heap.add h ~priority:5 5;
-  check Alcotest.(option (pair int int)) "pop min" (Some (5, 5)) (Binary_heap.pop h);
+  check Alcotest.(pair int int) "pop min" (5, 5) (pop h);
   Binary_heap.add h ~priority:1 1;
-  check Alcotest.(option (pair int int)) "pop new min" (Some (1, 1)) (Binary_heap.pop h);
-  check Alcotest.(option (pair int int)) "pop rest" (Some (10, 10)) (Binary_heap.pop h);
+  check Alcotest.(pair int int) "pop new min" (1, 1) (pop h);
+  check Alcotest.(pair int int) "pop rest" (10, 10) (pop h);
   check Alcotest.bool "empty" true (Binary_heap.is_empty h)
 
 let test_clear () =
   let h = Binary_heap.create () in
-  Binary_heap.add h ~priority:1 ();
+  Binary_heap.add h ~priority:1 0;
   Binary_heap.clear h;
   check Alcotest.bool "cleared" true (Binary_heap.is_empty h)
 
@@ -68,16 +71,15 @@ let prop_stable_within_priority =
     QCheck.(list (int_bound 3))
     (fun priorities ->
       let h = Binary_heap.create () in
-      List.iteri (fun i p -> Binary_heap.add h ~priority:p (p, i)) priorities;
-      let drained = List.map snd (drain h) in
-      (* within each priority class, sequence numbers must increase *)
+      List.iteri (fun i p -> Binary_heap.add h ~priority:p i) priorities;
+      (* within each priority class, insertion indexes must increase *)
       let by_prio = Hashtbl.create 8 in
       List.for_all
         (fun (p, i) ->
           let last = Option.value (Hashtbl.find_opt by_prio p) ~default:(-1) in
           Hashtbl.replace by_prio p i;
           i > last)
-        drained)
+        (drain h))
 
 (* Model test: under arbitrary add/pop interleavings the heap must agree
    with a reference model — a sorted list of (priority, insertion index)
@@ -110,50 +112,70 @@ let prop_model_interleaved =
               insert (p, s);
               Binary_heap.length h = List.length !model
           | None -> (
-              match (Binary_heap.pop h, !model) with
-              | None, [] -> true
-              | Some (p, s), (mp, ms) :: rest ->
+              match !model with
+              | [] -> Binary_heap.is_empty h
+              | (mp, ms) :: rest ->
                   model := rest;
-                  p = mp && s = ms
-              | Some _, [] | None, _ :: _ -> false))
+                  (not (Binary_heap.is_empty h)) && pop h = (mp, ms)))
         ops)
 
-(* The allocation-free accessors must agree with the boxing wrappers. *)
+(* The peek, the pop and the out-of-band priority must agree, and every
+   read of an empty heap raises. *)
 let test_pop_min_agrees () =
   let h = Binary_heap.create () in
   List.iter (fun p -> Binary_heap.add h ~priority:p (p * 10)) [ 4; 2; 9; 2; 7 ];
   check Alcotest.int "min_priority" 2 (Binary_heap.min_priority h);
-  check Alcotest.(pair int int) "pop_min entry" (2, 20) (Binary_heap.pop_min h);
-  check Alcotest.int "pop_min parks the priority" 2 (Binary_heap.popped_priority h);
+  check Alcotest.int "first of the tied pair" 20 (Binary_heap.pop_min_value h);
+  check Alcotest.int "pop_min_value parks the priority" 2 (Binary_heap.popped_priority h);
   check Alcotest.int "second of the tied pair" 20 (Binary_heap.pop_min_value h);
-  check Alcotest.int "popped_priority after pop_min_value" 2
+  check Alcotest.int "popped_priority after the second pop" 2
     (Binary_heap.popped_priority h);
   check Alcotest.int "next priority" 4 (Binary_heap.min_priority h);
   Alcotest.check_raises "empty min_priority"
     (Invalid_argument "Binary_heap.min_priority: empty") (fun () ->
-      ignore (Binary_heap.min_priority (Binary_heap.create () : int Binary_heap.t)));
-  Alcotest.check_raises "empty pop_min"
-    (Invalid_argument "Binary_heap.pop_min: empty") (fun () ->
-      ignore (Binary_heap.pop_min (Binary_heap.create () : int Binary_heap.t)))
+      ignore (Binary_heap.min_priority (Binary_heap.create ())));
+  Alcotest.check_raises "empty pop_min_value"
+    (Invalid_argument "Binary_heap.pop_min_value: empty") (fun () ->
+      ignore (Binary_heap.pop_min_value (Binary_heap.create ())))
 
 let test_fifo_across_clear () =
   let h = Binary_heap.create () in
-  Binary_heap.add h ~priority:1 "a";
+  Binary_heap.add h ~priority:1 1;
   Binary_heap.clear h;
   (* the sequence counter survives clear, so FIFO keeps holding *)
-  Binary_heap.add h ~priority:5 "b";
-  Binary_heap.add h ~priority:5 "c";
+  Binary_heap.add h ~priority:5 20;
+  Binary_heap.add h ~priority:5 10;
+  check Alcotest.(list (pair int int)) "FIFO after clear" [ (5, 20); (5, 10) ] (drain h)
+
+(* A reset heap must be indistinguishable from a fresh one: same pops for
+   the same adds, and no popped priority left over. *)
+let test_reset_rewinds () =
+  let script h =
+    List.iter (fun (p, v) -> Binary_heap.add h ~priority:p v) [ (3, 1); (1, 2); (3, 3); (1, 4) ];
+    let first = pop h in
+    Binary_heap.add h ~priority:1 5;
+    first :: drain h
+  in
+  let used = Binary_heap.create () in
+  for i = 0 to 40 do
+    Binary_heap.add used ~priority:(i mod 3) i
+  done;
+  ignore (pop used);
+  Binary_heap.reset used;
+  check Alcotest.bool "empty after reset" true (Binary_heap.is_empty used);
+  check Alcotest.int "popped priority rewound" 0 (Binary_heap.popped_priority used);
   check
-    Alcotest.(list (pair int string))
-    "FIFO after clear"
-    [ (5, "b"); (5, "c") ]
-    (drain h)
+    Alcotest.(list (pair int int))
+    "same pops as a fresh heap"
+    (script (Binary_heap.create ()))
+    (script used)
 
 let suite =
   [
     Alcotest.test_case "ordering" `Quick test_ordering;
     Alcotest.test_case "pop_min/min_priority" `Quick test_pop_min_agrees;
     Alcotest.test_case "FIFO across clear" `Quick test_fifo_across_clear;
+    Alcotest.test_case "reset rewinds the sequence" `Quick test_reset_rewinds;
     QCheck_alcotest.to_alcotest prop_model_interleaved;
     Alcotest.test_case "FIFO on ties" `Quick test_fifo_ties;
     Alcotest.test_case "min peek" `Quick test_min_peek;

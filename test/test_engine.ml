@@ -218,6 +218,130 @@ let test_double_submit_rejected () =
     (Invalid_argument "Engine.submit: thread m is not idle") (fun () ->
       Engine.submit engine th ~cycles:10 ignore)
 
+let test_after_rejects_negative () =
+  let engine = Engine.create ~cpus:1 () in
+  Alcotest.check_raises "negative delay"
+    (Invalid_argument "Engine.after: negative cycles") (fun () ->
+      Engine.after engine ~cycles:(-1) ignore);
+  Alcotest.check_raises "absolute time in the past is still Engine.at's error"
+    (Invalid_argument "Engine.at: time in the past") (fun () ->
+      Engine.at engine ~time:(-1) ignore)
+
+(* Timers and thread steps share one tie-break: at equal cycles, whichever
+   was scheduled first runs first. *)
+let test_timer_step_ties () =
+  let order ~timer_first =
+    let engine = Engine.create ~cpus:1 () in
+    let th = Engine.spawn engine ~kind:Engine.Mutator ~name:"m" in
+    let log = ref [] in
+    let note label = log := (Engine.now engine, label) :: !log in
+    let timer () = note "timer" in
+    (* [run] dispatches the step at cycle 0, so its completion event is
+       queued after a timer set before the run and before one set from a
+       timer at cycle 50 *)
+    if timer_first then Engine.at engine ~time:100 timer
+    else Engine.at engine ~time:50 (fun () -> Engine.at engine ~time:100 timer);
+    Engine.submit engine th ~cycles:100 (fun () ->
+        note "step";
+        (* outlive the cycle-100 timer *)
+        Engine.submit engine th ~cycles:1 (fun () -> Engine.exit_thread engine th));
+    run_ok engine;
+    List.rev !log
+  in
+  check
+    Alcotest.(list (pair int string))
+    "timer scheduled first runs first"
+    [ (100, "timer"); (100, "step") ]
+    (order ~timer_first:true);
+  check
+    Alcotest.(list (pair int string))
+    "step scheduled first runs first"
+    [ (100, "step"); (100, "timer") ]
+    (order ~timer_first:false)
+
+(* Steps, a stall, timers and a pause on three threads; returns the
+   observed (cycle, label) order and the spine's fingerprint. *)
+let scripted_run engine =
+  let log = ref [] in
+  let note label = log := (Engine.now engine, label) :: !log in
+  let a = Engine.spawn engine ~kind:Engine.Mutator ~name:"a" in
+  let b = Engine.spawn engine ~kind:Engine.Mutator ~name:"b" in
+  let gc = Engine.spawn engine ~kind:Engine.Gc_worker ~name:"gc" in
+  let rec loop th name n () =
+    note name;
+    if n = 0 then Engine.exit_thread engine th
+    else if n mod 3 = 0 then Engine.stall engine th ~cycles:70 (loop th name (n - 1))
+    else Engine.submit engine th ~cycles:(40 + n) (loop th name (n - 1))
+  in
+  loop a "a" 9 ();
+  loop b "b" 7 ();
+  Engine.after engine ~cycles:120 (fun () ->
+      note "timer";
+      Engine.request_stop engine ~reason:"scripted" (fun () ->
+          note "pause";
+          Engine.submit engine gc ~cycles:200 (fun () ->
+              Engine.release_stop engine;
+              Engine.park engine gc)));
+  run_ok engine;
+  (List.rev !log, Gcr_obs.Obs.fingerprint (Engine.obs engine) ~now:(Engine.now engine))
+
+(* An engine aborted with a pending timer, queued and running steps and a
+   stalled thread, then reset, must run like a fresh engine and never call
+   an old continuation. *)
+let test_reset_after_abort () =
+  let engine = Engine.create ~cpus:1 () in
+  let old_calls = ref 0 in
+  let stale () = incr old_calls in
+  let m1 = Engine.spawn engine ~kind:Engine.Mutator ~name:"m1" in
+  let m2 = Engine.spawn engine ~kind:Engine.Mutator ~name:"m2" in
+  let m3 = Engine.spawn engine ~kind:Engine.Mutator ~name:"m3" in
+  let s = Engine.spawn engine ~kind:Engine.Mutator ~name:"s" in
+  let idle = Engine.spawn engine ~kind:Engine.Mutator ~name:"idle" in
+  Engine.at engine ~time:1_000 stale;
+  Engine.stall engine s ~cycles:5_000 stale;
+  (* one cpu: m1 runs first, then m2 takes the cpu and m3 and m1 wait in
+     the run queue when the abort lands *)
+  Engine.submit engine m1 ~cycles:100 (fun () ->
+      Engine.submit engine m1 ~cycles:10 stale;
+      Engine.abort engine ~reason:"boom");
+  Engine.submit engine m2 ~cycles:50 stale;
+  Engine.submit engine m3 ~cycles:50 stale;
+  (match Engine.run engine () with
+  | Engine.Aborted reason -> check Alcotest.string "aborted" "boom" reason
+  | Engine.All_mutators_finished -> Alcotest.fail "expected abort");
+  Engine.reset engine ~cpus:1 ();
+  let warm = scripted_run engine in
+  let fresh = scripted_run (Engine.create ~cpus:1 ()) in
+  check Alcotest.int "no old continuation ran" 0 !old_calls;
+  check
+    Alcotest.(list (pair int string))
+    "same order as a fresh engine" (fst fresh) (fst warm);
+  check Alcotest.(list int) "same fingerprint as a fresh engine" (snd fresh) (snd warm);
+  Alcotest.check_raises "an old idle thread's handle cannot submit"
+    (Invalid_argument "Engine.submit: thread idle is not idle") (fun () ->
+      Engine.submit engine idle ~cycles:1 stale)
+
+(* Each timer schedules the next, so every firing frees the slot the next
+   one takes. *)
+let test_chained_timers () =
+  let engine = Engine.create ~cpus:1 () in
+  let th = Engine.spawn engine ~kind:Engine.Mutator ~name:"m" in
+  let n = 10_000 in
+  let fired = ref 0 in
+  let wrong = ref 0 in
+  let rec tick i () =
+    if Engine.now engine <> 3 * i then incr wrong;
+    if i <> !fired + 1 then incr wrong;
+    fired := i;
+    if i < n then Engine.after engine ~cycles:3 (tick (i + 1))
+  in
+  Engine.after engine ~cycles:3 (tick 1);
+  Engine.submit engine th ~cycles:((3 * n) + 1) (fun () -> Engine.exit_thread engine th);
+  run_ok engine;
+  check Alcotest.int "all fired" n !fired;
+  check Alcotest.int "each in order at its cycle" 0 !wrong;
+  check Alcotest.int "engine ends after the last timer" ((3 * n) + 1) (Engine.now engine)
+
 let suite =
   [
     Alcotest.test_case "single thread time" `Quick test_single_thread_time;
@@ -236,4 +360,8 @@ let suite =
     Alcotest.test_case "event budget" `Quick test_event_budget;
     Alcotest.test_case "FIFO fairness" `Quick test_fifo_fairness;
     Alcotest.test_case "double submit rejected" `Quick test_double_submit_rejected;
+    Alcotest.test_case "after rejects negative cycles" `Quick test_after_rejects_negative;
+    Alcotest.test_case "timer/step ties in insertion order" `Quick test_timer_step_ties;
+    Alcotest.test_case "reset after abort" `Quick test_reset_after_abort;
+    Alcotest.test_case "10k chained timers" `Quick test_chained_timers;
   ]

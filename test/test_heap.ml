@@ -257,7 +257,7 @@ let swept_by_two_walks h =
   Heap.iter_regions
     (fun r ->
       if not (Region.space_equal r.Region.space Region.Free) then begin
-        Gcr_util.Vec.iter
+        Gcr_util.Ivec.iter
           (fun id ->
             if
               Heap.is_live h id
@@ -272,7 +272,7 @@ let swept_by_two_walks h =
 
 let swept_by_sweep h =
   let bound = ref 0 in
-  Heap.iter_regions (fun r -> bound := !bound + Gcr_util.Vec.length r.Region.objects) h;
+  Heap.iter_regions (fun r -> bound := !bound + Gcr_util.Ivec.length r.Region.objects) h;
   let into = Array.make !bound Obj_model.null in
   let n = ref 0 in
   Heap.iter_regions

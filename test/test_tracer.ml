@@ -66,9 +66,7 @@ let test_marks_exactly_reachable () =
   let roots = [ objs.(0); objs.(50) ] in
   ignore (Heap.begin_mark_epoch heap);
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:false
-      ~should_visit:(fun _ -> true)
-      ~on_mark:(fun _ -> 0)
+    Tracer.create ctx ~use_scratch:false ~update_region_live:false ()
   in
   Tracer.add_roots tracer roots;
   ignore (drain_fully tracer);
@@ -90,9 +88,7 @@ let test_cost_positive () =
   let objs = build_graph ctx ~objects:20 ~edges:10 ~seed:4 in
   ignore (Heap.begin_mark_epoch heap);
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:false
-      ~should_visit:(fun _ -> true)
-      ~on_mark:(fun _ -> 0)
+    Tracer.create ctx ~use_scratch:false ~update_region_live:false ()
   in
   Tracer.add_root tracer objs.(0);
   let cost = drain_fully tracer in
@@ -114,8 +110,7 @@ let test_filter_bounds_trace () =
   ignore (Heap.begin_mark_epoch heap);
   let is_young id = Region.space_equal (Heap.obj_space heap id) Region.Eden in
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:false ~should_visit:is_young
-      ~on_mark:(fun _ -> 0)
+    Tracer.create ctx ~use_scratch:false ~update_region_live:false ~should_visit:is_young ()
   in
   Tracer.add_root tracer young;
   ignore (drain_fully tracer);
@@ -131,10 +126,10 @@ let test_on_mark_called_once () =
   let calls = Hashtbl.create 64 in
   let tracer =
     Tracer.create ctx ~use_scratch:false ~update_region_live:false
-      ~should_visit:(fun _ -> true)
       ~on_mark:(fun id ->
         Hashtbl.replace calls id (1 + Option.value ~default:0 (Hashtbl.find_opt calls id));
         0)
+      ()
   in
   Tracer.add_root tracer objs.(0);
   ignore (drain_fully tracer);
@@ -147,9 +142,7 @@ let test_roots_added_mid_trace () =
   let objs = build_graph ctx ~objects:30 ~edges:0 ~seed:6 in
   ignore (Heap.begin_mark_epoch heap);
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:false
-      ~should_visit:(fun _ -> true)
-      ~on_mark:(fun _ -> 0)
+    Tracer.create ctx ~use_scratch:false ~update_region_live:false ()
   in
   Tracer.add_root tracer objs.(0);
   ignore (Tracer.drain tracer ~budget:1);
@@ -168,9 +161,7 @@ let test_region_live_accounting () =
   ignore (Heap.begin_mark_epoch heap);
   Heap.iter_regions (fun r -> r.Region.live_words <- 0) heap;
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:true
-      ~should_visit:(fun _ -> true)
-      ~on_mark:(fun _ -> 0)
+    Tracer.create ctx ~use_scratch:false ~update_region_live:true ()
   in
   Tracer.add_root tracer a;
   ignore (drain_fully tracer);
@@ -183,9 +174,7 @@ let test_dead_roots_ignored () =
   let heap = ctx.Gc_types.heap in
   ignore (Heap.begin_mark_epoch heap);
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:false
-      ~should_visit:(fun _ -> true)
-      ~on_mark:(fun _ -> 0)
+    Tracer.create ctx ~use_scratch:false ~update_region_live:false ()
   in
   Tracer.add_root tracer Obj_model.null;
   Tracer.add_root tracer 424242;
@@ -202,14 +191,45 @@ let prop_trace_equals_bfs =
       let roots = [ objs.(seed mod 80) ] in
       ignore (Heap.begin_mark_epoch heap);
       let tracer =
-        Tracer.create ctx ~use_scratch:false ~update_region_live:false
-          ~should_visit:(fun _ -> true)
-          ~on_mark:(fun _ -> 0)
+        Tracer.create ctx ~use_scratch:false ~update_region_live:false ()
       in
       Tracer.add_roots tracer roots;
       ignore (drain_fully tracer);
       let expected = Heap.reachable_from heap roots in
       Array.for_all (fun o -> Heap.is_marked heap o = Hashtbl.mem expected o) objs)
+
+(* Omitting both filters skips their calls in the mark loop; passing the
+   constant filters takes the filtered path.  Both must mark the same
+   objects at the same cost, slice by slice. *)
+let prop_unfiltered_matches_filtered =
+  QCheck.Test.make ~name:"unfiltered trace equals a constant-filter trace" ~count:40
+    QCheck.(pair small_int (int_range 0 300))
+    (fun (seed, edges) ->
+      let trace filtered =
+        let ctx = make_ctx ~regions:64 () in
+        let heap = ctx.Gc_types.heap in
+        let objs = build_graph ctx ~objects:80 ~edges ~seed in
+        ignore (Heap.begin_mark_epoch heap);
+        Heap.iter_regions (fun r -> r.Region.live_words <- 0) heap;
+        let tracer =
+          if filtered then
+            Tracer.create ctx ~use_scratch:false ~update_region_live:true
+              ~should_visit:(fun _ -> true)
+              ~on_mark:(fun _ -> 0)
+              ()
+          else Tracer.create ctx ~use_scratch:false ~update_region_live:true ()
+        in
+        Tracer.add_root tracer objs.(seed mod 80);
+        let costs = ref [] in
+        while Tracer.pending tracer do
+          costs := Tracer.drain tracer ~budget:7 :: !costs
+        done;
+        ( List.rev !costs,
+          Array.map (Heap.is_marked heap) objs,
+          (Tracer.objects_marked tracer, Tracer.words_marked tracer, Tracer.edges_seen tracer),
+          List.map (fun r -> r.Region.live_words) (Heap.regions_in_space heap Region.Eden) )
+      in
+      trace false = trace true)
 
 let suite =
   [
@@ -221,4 +241,5 @@ let suite =
     Alcotest.test_case "region live accounting" `Quick test_region_live_accounting;
     Alcotest.test_case "dead roots ignored" `Quick test_dead_roots_ignored;
     QCheck_alcotest.to_alcotest prop_trace_equals_bfs;
+    QCheck_alcotest.to_alcotest prop_unfiltered_matches_filtered;
   ]
