@@ -404,7 +404,8 @@ let bench_trace_rate ~objects ~reps =
   let marked = ref 0 in
   let run () =
     let tracer =
-      Tracer.create ctx ~use_scratch:false ~update_region_live:false ()
+      Tracer.create ctx ~stack:ctx.Gc_types.pause_marks ~use_scratch:false
+        ~update_region_live:false ()
     in
     ignore (Heap.begin_mark_epoch heap);
     Tracer.add_root tracer root;

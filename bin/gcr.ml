@@ -251,6 +251,9 @@ let harness_config ?(controllers = [ Controller.fixed ]) ?listen
     ~cache_dir ~no_tapes () =
   let defaults = Harness.default_config () in
   let workers = resolve_workers workers in
+  (match Gcr_sched.Fabric.timeout_of_env () with
+  | Ok _ -> ()
+  | Error reason -> die "invalid fabric timeout: %s" reason);
   let listen = resolve_listen listen in
   (match (listen, workers) with
   | Some _, None -> die "--listen requires --workers N (the fleet size)"

@@ -246,7 +246,9 @@ let stw_grid campaign ~title ~fraction =
                          (Array.of_list (List.map fraction runs))))
                 benches
             in
-            if List.exists Option.is_none per_bench then Tablefmt.Missing
+            (* blank, as in Tables VI-IX, when a benchmark is missing or
+               every benchmark is excluded from the summaries *)
+            if per_bench = [] || List.exists Option.is_none per_bench then Tablefmt.Missing
             else
               let values = Array.of_list (List.filter_map Fun.id per_bench) in
               Tablefmt.Num (100.0 *. Stats.mean values, 1))

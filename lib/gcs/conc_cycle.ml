@@ -135,7 +135,8 @@ let start t ~pause ~on_done =
       ignore (Heap.begin_mark_epoch heap);
       Heap.iter_regions (fun r -> r.Region.live_words <- 0) heap;
       let tracer =
-        Tracer.create ctx ~use_scratch:false ~update_region_live:true ()
+        Tracer.create ctx ~stack:ctx.Gc_types.conc_marks ~use_scratch:false
+          ~update_region_live:true ()
       in
       t.tracer <- Some tracer;
       t.phase <- Marking;

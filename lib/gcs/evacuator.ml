@@ -50,20 +50,7 @@ let copy_cost t size =
    exhaustion. *)
 let evacuate_object t id =
   let heap = t.ctx.Gc_types.heap in
-  let target = t.choose_target id in
-  let rec attempt retried =
-    match Allocator.current_region target with
-    | Some dst when Heap.move_object heap id dst -> ()
-    | Some _ | None ->
-        if retried then raise Evacuation_failure
-        else begin
-          (match Allocator.refill target with
-          | None -> raise Evacuation_failure
-          | Some _ -> ());
-          attempt true
-        end
-  in
-  attempt false;
+  if not (Allocator.move_object (t.choose_target id) id) then raise Evacuation_failure;
   Heap.set_obj_age heap id (Heap.obj_age heap id + 1);
   let size = Heap.obj_size heap id in
   t.words_copied <- t.words_copied + size;

@@ -93,7 +93,8 @@ let start_concurrent_mark s =
   ignore (Heap.begin_mark_epoch heap);
   Heap.iter_regions (fun r -> r.Region.live_words <- 0) heap;
   let tracer =
-    Tracer.create s.ctx ~use_scratch:false ~update_region_live:true ()
+    Tracer.create s.ctx ~stack:s.ctx.Gc_types.conc_marks ~use_scratch:false
+      ~update_region_live:true ()
   in
   !(s.ctx.Gc_types.iter_roots) (Tracer.add_root tracer);
   s.mark_session <- s.mark_session + 1;

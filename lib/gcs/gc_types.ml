@@ -6,6 +6,9 @@ type ctx = {
   iter_roots : ((Gcr_heap.Obj_model.id -> unit) -> unit) ref;
   allocators : Gcr_heap.Allocator.t Gcr_util.Vec.t;
   oom : string -> unit;
+  pause_marks : Gcr_util.Ivec.t;
+  conc_marks : Gcr_util.Ivec.t;
+  survivors : Gcr_util.Ivec.t;
 }
 
 let make_ctx ~heap ~engine ~cost ~machine =
@@ -23,6 +26,9 @@ let make_ctx ~heap ~engine ~cost ~machine =
         let obs = Engine.obs engine in
         Obs.oom obs ~time:(Engine.now engine) ~reason_id:(Obs.intern obs reason);
         Engine.abort engine ~reason:("OutOfMemoryError: " ^ reason));
+    pause_marks = Gcr_util.Ivec.create ();
+    conc_marks = Gcr_util.Ivec.create ();
+    survivors = Gcr_util.Ivec.create ();
   }
 
 type stats = {

@@ -22,6 +22,14 @@ type ctx = {
           targets); collectors retire them all at collection boundaries so
           no stale current-region pointer survives region reshuffling *)
   oom : string -> unit;  (** aborts the run with an OutOfMemoryError *)
+  pause_marks : Gcr_util.Ivec.t;
+      (** mark stack of the traces that live within one pause: a scavenge
+          and the full compaction that may follow it *)
+  conc_marks : Gcr_util.Ivec.t;
+      (** mark stack of the concurrent trace (G1's mark and final mark,
+          {!Conc_cycle}'s, LXR's cycle trace), which stays live across
+          young pauses and so cannot share [pause_marks] *)
+  survivors : Gcr_util.Ivec.t;  (** the full compaction's survivor list *)
 }
 
 val make_ctx :
@@ -31,7 +39,10 @@ val make_ctx :
   machine:Gcr_mach.Machine.t ->
   ctx
 (** Root enumeration defaults to visiting nothing; [oom] aborts the
-    engine. *)
+    engine.  The three scratch vectors are built here, once per run, and
+    every collection of the run reuses them: a collection allocates no
+    mark stack or survivor array of its own.  They belong to the run, not
+    the process, because one process may interleave several runs. *)
 
 type stats = {
   collections : int;  (** completed collection cycles of any kind *)

@@ -434,7 +434,8 @@ let maybe_start_cycle s =
     let h = heap s in
     ignore (Heap.begin_mark_epoch h);
     let tracer =
-      Tracer.create s.ctx ~use_scratch:false ~update_region_live:false ()
+      Tracer.create s.ctx ~stack:s.ctx.Gc_types.conc_marks ~use_scratch:false
+        ~update_region_live:false ()
     in
     !(s.ctx.Gc_types.iter_roots) (Tracer.add_root tracer);
     s.cycle_tracer <- Some tracer;

@@ -32,26 +32,12 @@ let run (ctx : Gc_types.ctx) ~pool ~remset ~tenure_age ~on_mark_young ~on_done =
   let promo_failed = ref false in
   let objects_copied = ref 0 in
   let words_copied = ref 0 in
-  let move_to target id =
-    let rec attempt retried =
-      match Allocator.current_region target with
-      | Some dst when Heap.move_object heap id dst -> ()
-      | Some _ | None ->
-          if retried then raise (Tracer.Trace_failure "promotion failure")
-          else begin
-            (match Allocator.refill target with
-            | None -> raise (Tracer.Trace_failure "promotion failure")
-            | Some _ -> ());
-            attempt true
-          end
-    in
-    attempt false
-  in
   let on_mark id =
     on_mark_young id;
     let age = Heap.obj_age heap id in
     let tenured = age >= tenure_age in
-    move_to (if tenured then old_target else survivor_target) id;
+    if not (Allocator.move_object (if tenured then old_target else survivor_target) id) then
+      raise (Tracer.Trace_failure "promotion failure");
     Heap.set_obj_age heap id (age + 1);
     if tenured && Heap.obj_nfields heap id > 0 then promoted := id :: !promoted;
     incr objects_copied;
@@ -60,7 +46,8 @@ let run (ctx : Gc_types.ctx) ~pool ~remset ~tenure_age ~on_mark_young ~on_done =
     cost_model.Cost_model.copy_per_object + (cost_model.Cost_model.copy_per_word * size)
   in
   let tracer =
-    Tracer.create ctx ~use_scratch:true ~update_region_live:false
+    Tracer.create ctx ~stack:ctx.Gc_types.pause_marks ~use_scratch:true
+      ~update_region_live:false
       ~should_visit:(fun id -> is_young (Heap.region heap (Heap.obj_region heap id)))
       ~on_mark ()
   in

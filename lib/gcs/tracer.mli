@@ -12,8 +12,11 @@
     values as additional roots while the trace is in flight.
 
     The mark loop works directly on the heap's struct-of-arrays object
-    store: liveness, mark bits and field extents are flat int-array reads,
-    with no host allocation per visited object. *)
+    store: liveness, mark bits and field extents are flat int-array reads
+    through planes hoisted once per slice, with no host allocation per
+    visited object.  The stack is LIFO and children are pushed in field
+    order; that order decides a scavenge's copy order, and so must not
+    change. *)
 
 type t
 
@@ -24,6 +27,7 @@ exception Trace_failure of string
 
 val create :
   Gc_types.ctx ->
+  stack:Gcr_util.Ivec.t ->
   use_scratch:bool ->
   update_region_live:bool ->
   ?should_visit:(Gcr_heap.Obj_model.id -> bool) ->
@@ -31,9 +35,16 @@ val create :
   unit ->
   t
 (** The caller must begin the corresponding heap epoch (mark or scratch)
-    first.  [should_visit] (default: every object) bounds the trace (e.g.
-    young objects only for a scavenge); objects failing it are neither
-    marked nor traversed.  [on_mark] (default: no extra cost) is the copy
+    first.  [stack] is the mark stack: [create] clears it and the tracer
+    pushes onto it and drains it, so a tracer allocates no stack of its
+    own.  Callers pass one of the run's scratch stacks,
+    [Gc_types.ctx.pause_marks] or [conc_marks].  Invariant: at most one
+    tracer drains a stack at a time.  Creating a tracer on a stack ends
+    the previous tracer on it, which must not be used again.
+
+    [should_visit] (default: every object) bounds the trace (e.g. young
+    objects only for a scavenge); objects failing it are neither marked
+    nor traversed.  [on_mark] (default: no extra cost) is the copy
     hook described above.  With both omitted, {!drain} makes no closure
     call at all.  [update_region_live] accumulates marked sizes into the
     owning region's [live_words] (reset them beforehand). *)

@@ -46,3 +46,11 @@ let refill t =
   take_fresh t
 
 let current_region t = t.current
+
+let move_object t id =
+  match t.current with
+  | Some dst when Heap.move_object t.heap id dst -> true
+  | Some _ | None -> (
+      match refill t with
+      | Some dst -> Heap.move_object t.heap id dst
+      | None -> false)

@@ -30,3 +30,8 @@ val refill : t -> Region.t option
     bypasses [alloc]) use this; [None] when the pool is empty. *)
 
 val current_region : t -> Region.t option
+
+val move_object : t -> Obj_model.id -> bool
+(** Copy-target fast path: {!Heap.move_object} into the current region,
+    or, when it does not fit, into a fresh one taken with {!refill}.
+    [false] when the free pool is empty. *)

@@ -269,6 +269,8 @@ let begin_scratch_epoch t =
   t.scratch_epoch <- t.scratch_epoch + 1;
   t.scratch_epoch
 
+let current_scratch_epoch t = t.scratch_epoch
+
 let is_scratch_marked t id = Obj_model.scratch t.store id = t.scratch_epoch
 
 let set_scratch_marked t id = Obj_model.set_scratch t.store id t.scratch_epoch
@@ -369,26 +371,21 @@ let release_region t (r : Region.t) =
 (* Both orders are the vec order and must stay so: the free order decides
    which ids and field extents later allocations recycle, and the survivor
    order decides where compaction places each object. *)
-let sweep_unmarked t (r : Region.t) ~into ~pos =
+let sweep_unmarked t (r : Region.t) ~into =
   let store = t.store in
   let epoch = t.epoch in
   let index = r.index in
   let objects = r.objects in
-  let pos = ref pos in
   for i = 0 to Ivec.length objects - 1 do
     let id = Ivec.get objects i in
     if Obj_model.is_live store id && Obj_model.region store id = index then
-      if Obj_model.mark store id = epoch then begin
-        into.(!pos) <- id;
-        incr pos
-      end
+      if Obj_model.mark store id = epoch then Ivec.push into id
       else begin
         t.live_count <- t.live_count - 1;
         t.live_words <- t.live_words - Obj_model.size store id;
         Obj_model.free store id
       end
-  done;
-  !pos
+  done
 
 (* Free one object in place, as RC reclamation does.  The region keeps its
    [used_words] (the garbage words are what fragmentation-driven evacuation
@@ -414,6 +411,34 @@ let release_region_keep_objects t (r : Region.t) =
   free_region_bookkeeping t r
 
 let place_object = move_object
+
+(* [move_object] over a run of survivors, with the destination's counters
+   written once: the same checks in the same order, so the region's object
+   order and every counter end as a loop of [place_object] calls leaves
+   them. *)
+let place_run t (dst : Region.t) objs ~pos ~stop =
+  if Region.space_equal dst.space Region.Free then invalid_arg "Heap.move_object: free region";
+  let store = t.store in
+  let limit = t.region_words in
+  let used = ref dst.used_words in
+  let i = ref pos in
+  let fits = ref true in
+  while !fits && !i < stop do
+    let id = Ivec.get objs !i in
+    let size = Obj_model.size store id in
+    if !used + size > limit then fits := false
+    else begin
+      used := !used + size;
+      Ivec.push dst.objects id;
+      Obj_model.set_region store id dst.index;
+      incr i
+    end
+  done;
+  let placed = !used - dst.used_words in
+  dst.used_words <- !used;
+  t.used_words <- t.used_words + placed;
+  t.space_used.(space_tag dst.space) <- t.space_used.(space_tag dst.space) + placed;
+  !i
 
 let iter_resident_objects t (r : Region.t) f =
   let store = t.store in

@@ -137,6 +137,8 @@ val begin_scratch_epoch : t -> int
 (** Independent epoch for the scratch mark slot, used by stop-the-world
     scavenges so they do not disturb an in-flight concurrent marking. *)
 
+val current_scratch_epoch : t -> int
+
 val is_scratch_marked : t -> Obj_model.id -> bool
 
 val set_scratch_marked : t -> Obj_model.id -> unit
@@ -174,12 +176,10 @@ val release_region : t -> Region.t -> unit
 (** Reclaims the region: every object still resident dies (its field
     extent is recycled); the region returns to the free pool. *)
 
-val sweep_unmarked : t -> Region.t -> into:Obj_model.id array -> pos:int -> int
+val sweep_unmarked : t -> Region.t -> into:Gcr_util.Ivec.t -> unit
 (** The sweep half of mark-sweep, fused with survivor collection: walking
     the region's residents in object order, kills each one not marked in
-    the current epoch and writes each marked one into [into] from index
-    [pos].  Returns the index after the last survivor written.  Raises
-    [Invalid_argument] if [into] is too short. *)
+    the current epoch and pushes each marked one onto [into]. *)
 
 val free_object : t -> Obj_model.id -> unit
 (** Kill one object in place (RC reclamation).  The owning region keeps
@@ -202,6 +202,14 @@ val release_region_keep_objects : t -> Region.t -> unit
 
 val place_object : t -> Obj_model.id -> Region.t -> bool
 (** Like {!move_object}: re-homes an object during compaction. *)
+
+val place_run : t -> Region.t -> Gcr_util.Ivec.t -> pos:int -> stop:int -> int
+(** [place_run t dst objs ~pos ~stop] places [objs] from index [pos] on,
+    in order, into [dst] while each fits, and returns the index of the
+    first one that does not ([stop] when all of them fit).  The result is
+    exactly that of {!place_object} called on each in turn up to the first
+    [false].  Raises the same [Invalid_argument] as {!move_object} when
+    [dst] is free. *)
 
 val iter_resident_objects : t -> Region.t -> (Obj_model.id -> unit) -> unit
 (** Live objects whose storage is currently in this region. *)

@@ -223,7 +223,10 @@ let free s id =
    writes skip the per-access bounds check.  [id < count <= length] holds
    for every live id because ids are handed out monotonically. *)
 
-let[@inline] is_live s id = id > 0 && id < s.count && Array.unsafe_get s.flags id land 1 <> 0
+let[@inline] live_in ~flags ~bound id =
+  id > 0 && id < bound && Array.unsafe_get flags id land 1 <> 0
+
+let[@inline] is_live s id = live_in ~flags:s.flags ~bound:s.count id
 
 let[@inline] size s id = Array.unsafe_get s.size id
 
@@ -272,6 +275,28 @@ let[@inline] field_get s id i = Array.unsafe_get s.arena (Array.unsafe_get s.fof
 let[@inline] field_set s id i v = Array.unsafe_set s.arena (Array.unsafe_get s.foff id + i) v
 
 let field_extent s id = (s.foff.(id), s.nfields.(id))
+
+(* The planes themselves, for a loop that hoists them into locals.  Only
+   [grow_meta] and [grow_arena] replace a plane, and only [alloc] calls
+   them. *)
+
+let[@inline] id_bound s = s.count
+
+let[@inline] flags_plane s = s.flags
+
+let[@inline] size_plane s = s.size
+
+let[@inline] region_plane s = s.region
+
+let[@inline] mark_plane s = s.mark
+
+let[@inline] scratch_plane s = s.scratch
+
+let[@inline] nfields_plane s = s.nfields
+
+let[@inline] foff_plane s = s.foff
+
+let[@inline] arena_plane s = s.arena
 
 let arena_used s = s.arena_top
 

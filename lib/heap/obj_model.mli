@@ -139,3 +139,36 @@ val field_extent : store -> id -> int * int
 val arena_used : store -> int
 (** Bump frontier of the field arena in words (recycled extents are below
     it) — exposed for tests. *)
+
+(** {1 Planes}
+
+    The store's flat arrays themselves, for a mark loop that reads them
+    through locals hoisted once per slice instead of through the store
+    record once per object.  A plane is the live storage, not a copy, but
+    {!alloc} may replace it with a grown one: a plane read is valid only
+    until the next {!alloc}.  Callers only read the planes, except that a
+    mark loop may store its epoch through {!mark_plane} or
+    {!scratch_plane}, as {!set_mark} and {!set_scratch} would. *)
+
+val id_bound : store -> int
+(** Every id ever handed out is below it. *)
+
+val flags_plane : store -> int array
+
+val size_plane : store -> int array
+
+val region_plane : store -> int array
+
+val mark_plane : store -> int array
+
+val scratch_plane : store -> int array
+
+val nfields_plane : store -> int array
+
+val foff_plane : store -> int array
+(** Each object's {!field_base}. *)
+
+val arena_plane : store -> int array
+
+val live_in : flags:int array -> bound:int -> id -> bool
+(** {!is_live} over a hoisted {!flags_plane} and {!id_bound}. *)

@@ -65,9 +65,17 @@ let heartbeat_interval_s = 1.0
 let default_timeout_s = 600.0
 
 let timeout_of_env () =
-  match Option.bind (Sys.getenv_opt "GCR_FABRIC_TIMEOUT_S") float_of_string_opt with
-  | Some t -> t
-  | None -> default_timeout_s
+  match Sys.getenv_opt "GCR_FABRIC_TIMEOUT_S" with
+  | None | Some "" -> Ok default_timeout_s
+  | Some s -> (
+      match float_of_string_opt s with
+      | Some t when Float.is_finite t && t >= 0.0 -> Ok t
+      | Some _ | None ->
+          Error
+            (Printf.sprintf
+               "GCR_FABRIC_TIMEOUT_S must be a finite number of seconds >= 0 (0 disables), \
+                got %S"
+               s))
 
 (* Handshake payloads are Wire-encoded, not marshalled: they are parsed
    before the two sides have proven they run the same build, so the
@@ -611,6 +619,11 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
 
 let start ~workers ?cache ?(log = fun (_ : string) -> ()) ?obs ?listen ?(connect_timeout = 30.0) ?on_listen ?(plan_digest = "") () =
   if workers < 1 then invalid_arg "Fabric.start: workers must be >= 1";
+  let timeout_s =
+    match timeout_of_env () with
+    | Ok t -> t
+    | Error reason -> invalid_arg ("Fabric.start: " ^ reason)
+  in
   let old_sigpipe =
     (* a worker that died mid-read must surface as EPIPE, not kill us *)
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
@@ -638,7 +651,7 @@ let start ~workers ?cache ?(log = fun (_ : string) -> ()) ?obs ?listen ?(connect
       cache;
       log;
       obs;
-      timeout_s = timeout_of_env ();
+      timeout_s;
       ws = Array.of_list ws;
       scratch = Buffer.create 65536;
       old_sigpipe;

@@ -80,6 +80,12 @@ type worker_row = {
 
 type session
 
+val timeout_of_env : unit -> (float, string) result
+(** The dead-worker timeout in seconds: [GCR_FABRIC_TIMEOUT_S] when it is
+    set and not empty, 600 otherwise; 0 disables it.  [Error] gives a
+    one-line reason naming the variable and its value when that value is
+    not a finite number of seconds [>= 0]. *)
+
 val start :
   workers:int ->
   ?cache:Result_cache.t ->
@@ -103,7 +109,9 @@ val start :
     backstop replay and store results through it, and the welcome tells
     socket workers to use their own cache, if they have one.  [obs]
     receives worker lifecycle events (spawn, death, steal).  Raises
-    [Invalid_argument] on [workers < 1]. *)
+    [Invalid_argument] on [workers < 1] or a malformed
+    [GCR_FABRIC_TIMEOUT_S] (see {!timeout_of_env}), before it forks or
+    binds anything. *)
 
 val dispatch :
   session ->

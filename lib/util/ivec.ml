@@ -14,17 +14,17 @@ let make ~capacity =
   if capacity < 0 then invalid_arg "Ivec.make: negative capacity";
   { data = Array.make capacity 0; len = 0 }
 
-let length t = t.len
+let[@inline] length t = t.len
 
 let is_empty t = t.len = 0
 
-let check_bounds t i = if i < 0 || i >= t.len then invalid_arg "Ivec: index out of bounds"
+let[@inline] check_bounds t i = if i < 0 || i >= t.len then invalid_arg "Ivec: index out of bounds"
 
-let get t i =
+let[@inline] get t i =
   check_bounds t i;
   Array.unsafe_get t.data i
 
-let set t i v =
+let[@inline] set t i v =
   check_bounds t i;
   Array.unsafe_set t.data i v
 
@@ -34,12 +34,12 @@ let grow t =
   Array.blit t.data 0 data' 0 t.len;
   t.data <- data'
 
-let push t v =
+let[@inline] push t v =
   if t.len = Array.length t.data then grow t;
   Array.unsafe_set t.data t.len v;
   t.len <- t.len + 1
 
-let pop t =
+let[@inline] pop t =
   if t.len = 0 then invalid_arg "Ivec.pop: empty";
   t.len <- t.len - 1;
   Array.unsafe_get t.data t.len

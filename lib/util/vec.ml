@@ -1,22 +1,11 @@
 type 'a t = {
   mutable data : 'a array;
   mutable len : int;
-  mutable capacity_hint : int;
 }
 
-let create () = { data = [||]; len = 0; capacity_hint = 0 }
-
-(* Preallocating eagerly would require a dummy element, which is unsafe
-   under the float-array optimisation, so the hint is honoured at the first
-   push: the backing array jumps straight to [max capacity 8] instead of
-   re-growing through 8 -> 16 -> ... *)
-let make ~capacity =
-  if capacity < 0 then invalid_arg "Vec.make: negative capacity";
-  { data = [||]; len = 0; capacity_hint = capacity }
+let create () = { data = [||]; len = 0 }
 
 let length t = t.len
-
-let capacity t = Array.length t.data
 
 let is_empty t = t.len = 0
 
@@ -32,12 +21,12 @@ let set t i v =
 
 let grow t v =
   let capacity = Array.length t.data in
-  let capacity' = if capacity = 0 then max t.capacity_hint 8 else capacity * 2 in
+  let capacity' = if capacity = 0 then 8 else capacity * 2 in
   let data' = Array.make capacity' v in
   Array.blit t.data 0 data' 0 t.len;
   (* [Array.make] filled the tail with [v]; re-point those slots at a
-     surviving element, or popping [v] later would leave stale copies of it
-     alive in the unused tail (see the removal note below). *)
+     surviving element, so that a [clear] leaves no stale copies of [v]
+     alive in the unused tail (see [clear]). *)
   if t.len > 0 then begin
     let dummy = Array.unsafe_get data' 0 in
     for i = t.len to capacity' - 1 do
@@ -54,36 +43,9 @@ let push t v =
 (* Slots beyond [len] must not retain the elements that once lived there
    (closures, heap objects) — that would keep them alive for as long as the
    vector itself.  There is no universal dummy ('a may be float, so
-   [Obj.magic] tricks are unsafe); a surviving element serves instead, so a
-   vector that becomes empty retains exactly one element until the next
-   push or collection of the vector itself. *)
-let clear_slot t i =
-  if t.len > 0 then Array.unsafe_set t.data i (Array.unsafe_get t.data 0)
-
-let pop t =
-  if t.len = 0 then None
-  else begin
-    t.len <- t.len - 1;
-    let v = Array.unsafe_get t.data t.len in
-    clear_slot t t.len;
-    Some v
-  end
-
-let pop_exn t =
-  match pop t with
-  | Some v -> v
-  | None -> invalid_arg "Vec.pop_exn: empty"
-
-let last t = if t.len = 0 then None else Some (Array.unsafe_get t.data (t.len - 1))
-
-let swap_remove t i =
-  check_bounds t i;
-  let v = Array.unsafe_get t.data i in
-  t.len <- t.len - 1;
-  Array.unsafe_set t.data i (Array.unsafe_get t.data t.len);
-  clear_slot t t.len;
-  v
-
+   [Obj.magic] tricks are unsafe); the first element serves instead, so a
+   cleared vector retains exactly that one element until the next push or
+   collection of the vector itself. *)
 let clear t =
   if t.len > 0 then begin
     let dummy = Array.unsafe_get t.data 0 in
@@ -98,11 +60,6 @@ let iter f t =
     f (Array.unsafe_get t.data i)
   done
 
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i (Array.unsafe_get t.data i)
-  done
-
 let fold f init t =
   let acc = ref init in
   for i = 0 to t.len - 1 do
@@ -110,20 +67,4 @@ let fold f init t =
   done;
   !acc
 
-let exists p t =
-  let rec loop i = i < t.len && (p (Array.unsafe_get t.data i) || loop (i + 1)) in
-  loop 0
-
 let to_list t = List.init t.len (fun i -> Array.unsafe_get t.data i)
-
-let to_array t = Array.sub t.data 0 t.len
-
-let of_list xs =
-  let t = create () in
-  List.iter (push t) xs;
-  t
-
-let sort cmp t =
-  let a = to_array t in
-  Array.sort cmp a;
-  Array.blit a 0 t.data 0 t.len

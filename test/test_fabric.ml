@@ -483,6 +483,41 @@ let test_v1_welcome_refused () =
       | Ok code -> Alcotest.failf "worker served a v1 coordinator (exit %d)" code);
       check Alcotest.bool "the fake coordinator saw a hello" true (status = Unix.WEXITED 0)
 
+(* GCR_FABRIC_TIMEOUT_S: 0 disables, empty means unset, and anything that is
+   not a finite number of seconds >= 0 is refused, by [Fabric.start] too,
+   before it forks a worker. *)
+let test_timeout_env_validated () =
+  let var = "GCR_FABRIC_TIMEOUT_S" in
+  let saved = Option.value (Sys.getenv_opt var) ~default:"" in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var saved)
+    (fun () ->
+      let parse value =
+        Unix.putenv var value;
+        Fabric.timeout_of_env ()
+      in
+      List.iter
+        (fun (value, expected) ->
+          match parse value with
+          | Ok t -> check (Alcotest.float 0.0) ("accepts " ^ value) expected t
+          | Error reason -> Alcotest.failf "%S refused: %s" value reason)
+        [ ("0", 0.0); ("2.5", 2.5); ("600", 600.0); ("", 600.0) ];
+      List.iter
+        (fun value ->
+          match parse value with
+          | Ok t -> Alcotest.failf "%S accepted as %g" value t
+          | Error reason ->
+              check Alcotest.bool ("reason names " ^ value) true
+                (contains reason var && contains reason value))
+        [ "abc"; "-5"; "nan"; "inf"; "1e999"; "10s" ];
+      Unix.putenv var "abc";
+      match Fabric.start ~workers:1 () with
+      | session ->
+          Fabric.shutdown session;
+          Alcotest.fail "Fabric.start accepted a malformed timeout"
+      | exception Invalid_argument reason ->
+          check Alcotest.bool "start names the variable" true (contains reason var))
+
 let suite =
   [
     Alcotest.test_case "workers=1 identical to serial" `Quick
@@ -507,4 +542,5 @@ let suite =
     Alcotest.test_case "v1 hello gets a v2 welcome and no cells" `Quick
       test_v1_hello_refused;
     Alcotest.test_case "v1 welcome refused by the worker" `Quick test_v1_welcome_refused;
+    Alcotest.test_case "malformed timeout refused" `Quick test_timeout_env_validated;
   ]

@@ -151,6 +151,24 @@ let test_report_generators_run () =
     (fun needle -> check Alcotest.bool ("output has " ^ needle) true (contains out needle))
     [ "TABLE VI"; "TABLE VII"; "TABLE VIII"; "TABLE IX"; "TABLE X"; "TABLE XI"; "TABLE II" ]
 
+(* xalan is excluded from the summaries, so Tables X and XI average over no
+   benchmark at all: every cell is blank. *)
+let test_stw_tables_with_no_core_benchmark () =
+  let c =
+    Harness.run_campaign
+      { config with Harness.invocations = 1; scale = 0.05; heap_factors = [ 3.0 ] }
+      ~benchmarks:[ Suite.find_exn "xalan" ]
+      ~gcs:[ Registry.Serial ]
+  in
+  let out =
+    with_stdout_captured (fun () ->
+        Report.table_x c;
+        Report.table_xi c)
+  in
+  List.iter
+    (fun needle -> check Alcotest.bool ("output has " ^ needle) true (contains out needle))
+    [ "TABLE X "; "TABLE XI "; "Ser." ]
+
 let test_validation_bound_holds () =
   let c = Lazy.force campaign in
   List.iter
@@ -220,6 +238,8 @@ let suite =
     Alcotest.test_case "geomean empty benches" `Quick test_geomean_empty_benches;
     Alcotest.test_case "larger heap cheaper" `Quick test_larger_heap_cheaper;
     Alcotest.test_case "report generators run" `Quick test_report_generators_run;
+    Alcotest.test_case "STW tables with no core benchmark" `Quick
+      test_stw_tables_with_no_core_benchmark;
     Alcotest.test_case "validation bound holds" `Quick test_validation_bound_holds;
     Alcotest.test_case "minheap properties" `Quick test_minheap_properties;
     Alcotest.test_case "minheap key covers every field" `Quick

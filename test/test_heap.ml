@@ -116,10 +116,11 @@ let test_purge_unmarked () =
   let drop = alloc_exn h r ~size:4 ~nfields:0 in
   ignore (Heap.begin_mark_epoch h);
   Heap.set_marked h keep;
-  let into = Array.make 2 Obj_model.null in
-  let n = Heap.sweep_unmarked h r ~into ~pos:1 in
-  check Alcotest.int "one survivor written" 2 n;
-  check Alcotest.int "survivor after pos" keep into.(1);
+  let into = Gcr_util.Ivec.create () in
+  Gcr_util.Ivec.push into Obj_model.null;
+  Heap.sweep_unmarked h r ~into;
+  check Alcotest.int "one survivor pushed" 2 (Gcr_util.Ivec.length into);
+  check Alcotest.int "survivor after the existing entries" keep (Gcr_util.Ivec.get into 1);
   check Alcotest.bool "marked survives" true (Heap.is_live h keep);
   check Alcotest.bool "unmarked purged" false (Heap.is_live h drop);
   check Alcotest.int "live count" 1 (Heap.live_objects h)
@@ -271,16 +272,13 @@ let swept_by_two_walks h =
   List.rev !survivors
 
 let swept_by_sweep h =
-  let bound = ref 0 in
-  Heap.iter_regions (fun r -> bound := !bound + Gcr_util.Ivec.length r.Region.objects) h;
-  let into = Array.make !bound Obj_model.null in
-  let n = ref 0 in
+  let into = Gcr_util.Ivec.create () in
   Heap.iter_regions
     (fun r ->
       if not (Region.space_equal r.Region.space Region.Free) then
-        n := Heap.sweep_unmarked h r ~into ~pos:!n)
+        Heap.sweep_unmarked h r ~into)
     h;
-  Array.to_list (Array.sub into 0 !n)
+  List.rev (Gcr_util.Ivec.fold (fun acc id -> id :: acc) [] into)
 
 let next_allocations h =
   let r = Option.get (Heap.take_free_region h ~space:Region.Old) in
@@ -306,6 +304,77 @@ let prop_sweep_matches_two_walks =
       && Heap.live_words_exact a = Heap.live_words_exact b
       && next_allocations a = next_allocations b)
 
+(* Run-wise placement against a loop of [place_object] calls that stops
+   at the first [false]: the same returned index, destination object
+   order, cursors, space counters and object homes.  On a free
+   destination both raise the same exception. *)
+let placement_outcome h objs (dst : Region.t) place =
+  match place () with
+  | stopped ->
+      let spaces = [ Region.Free; Region.Eden; Region.Survivor; Region.Old ] in
+      Ok
+        ( stopped,
+          List.rev (Gcr_util.Ivec.fold (fun acc id -> id :: acc) [] dst.Region.objects),
+          dst.Region.used_words,
+          Heap.used_words h,
+          List.map
+            (fun sp -> (Heap.space_used_words h sp, Heap.regions_in_space_count h sp))
+            spaces,
+          Gcr_util.Ivec.fold (fun acc id -> Heap.obj_region h id :: acc) [] objs )
+  | exception Invalid_argument msg -> Error msg
+
+let prop_place_run_matches_place_object =
+  QCheck.Test.make ~name:"place_run equals repeated place_object" ~count:300
+    QCheck.(
+      quad
+        (pair (int_range 2 24) (list_of_size Gen.(int_range 0 40) (int_range 2 24)))
+        (int_range 0 64) (pair small_nat small_nat) bool)
+    (fun ((first, rest), fill, (a, b), free_dst) ->
+      let sizes = first :: rest in
+      (* survivors spread over eden regions; the destination is an old
+         region already holding [fill] words, or a free one *)
+      let build () =
+        let h = make_heap ~regions:24 ~region_words:64 () in
+        let objs = Gcr_util.Ivec.create () in
+        let src = ref (Option.get (Heap.take_free_region h ~space:Region.Eden)) in
+        List.iter
+          (fun size ->
+            let id = Heap.alloc_in_region h !src ~size ~nfields:0 in
+            let id =
+              if Obj_model.is_null id then begin
+                src := Option.get (Heap.take_free_region h ~space:Region.Eden);
+                alloc_exn h !src ~size ~nfields:0
+              end
+              else id
+            in
+            Gcr_util.Ivec.push objs id)
+          sizes;
+        let dst = Option.get (Heap.take_free_region h ~space:Region.Old) in
+        if fill >= Obj_model.header_words then ignore (alloc_exn h dst ~size:fill ~nfields:0);
+        if free_dst then Heap.release_region h dst;
+        (h, objs, dst)
+      in
+      let n = List.length sizes in
+      let pos = a mod (n + 1) in
+      let stop = pos + (b mod (n - pos + 1)) in
+      let h1, objs1, dst1 = build () in
+      let run =
+        placement_outcome h1 objs1 dst1 (fun () -> Heap.place_run h1 dst1 objs1 ~pos ~stop)
+      in
+      let h2, objs2, dst2 = build () in
+      let model =
+        placement_outcome h2 objs2 dst2 (fun () ->
+            if free_dst then
+              (* the per-object path raises on its first survivor *)
+              ignore (Heap.place_object h2 (Gcr_util.Ivec.get objs2 0) dst2);
+            let i = ref pos in
+            while !i < stop && Heap.place_object h2 (Gcr_util.Ivec.get objs2 !i) dst2 do
+              incr i
+            done;
+            !i)
+      in
+      run = model)
+
 let suite =
   [
     Alcotest.test_case "geometry" `Quick test_geometry;
@@ -325,4 +394,5 @@ let suite =
     Alcotest.test_case "regions in space" `Quick test_regions_in_space;
     QCheck_alcotest.to_alcotest prop_accounting;
     QCheck_alcotest.to_alcotest prop_sweep_matches_two_walks;
+    QCheck_alcotest.to_alcotest prop_place_run_matches_place_object;
   ]

@@ -66,7 +66,8 @@ let test_marks_exactly_reachable () =
   let roots = [ objs.(0); objs.(50) ] in
   ignore (Heap.begin_mark_epoch heap);
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:false ()
+    Tracer.create ctx ~stack:ctx.Gc_types.pause_marks ~use_scratch:false
+      ~update_region_live:false ()
   in
   Tracer.add_roots tracer roots;
   ignore (drain_fully tracer);
@@ -88,7 +89,8 @@ let test_cost_positive () =
   let objs = build_graph ctx ~objects:20 ~edges:10 ~seed:4 in
   ignore (Heap.begin_mark_epoch heap);
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:false ()
+    Tracer.create ctx ~stack:ctx.Gc_types.pause_marks ~use_scratch:false
+      ~update_region_live:false ()
   in
   Tracer.add_root tracer objs.(0);
   let cost = drain_fully tracer in
@@ -110,7 +112,8 @@ let test_filter_bounds_trace () =
   ignore (Heap.begin_mark_epoch heap);
   let is_young id = Region.space_equal (Heap.obj_space heap id) Region.Eden in
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:false ~should_visit:is_young ()
+    Tracer.create ctx ~stack:ctx.Gc_types.pause_marks ~use_scratch:false
+      ~update_region_live:false ~should_visit:is_young ()
   in
   Tracer.add_root tracer young;
   ignore (drain_fully tracer);
@@ -125,7 +128,7 @@ let test_on_mark_called_once () =
   ignore (Heap.begin_mark_epoch heap);
   let calls = Hashtbl.create 64 in
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:false
+    Tracer.create ctx ~stack:ctx.Gc_types.pause_marks ~use_scratch:false ~update_region_live:false
       ~on_mark:(fun id ->
         Hashtbl.replace calls id (1 + Option.value ~default:0 (Hashtbl.find_opt calls id));
         0)
@@ -142,7 +145,8 @@ let test_roots_added_mid_trace () =
   let objs = build_graph ctx ~objects:30 ~edges:0 ~seed:6 in
   ignore (Heap.begin_mark_epoch heap);
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:false ()
+    Tracer.create ctx ~stack:ctx.Gc_types.pause_marks ~use_scratch:false
+      ~update_region_live:false ()
   in
   Tracer.add_root tracer objs.(0);
   ignore (Tracer.drain tracer ~budget:1);
@@ -161,7 +165,7 @@ let test_region_live_accounting () =
   ignore (Heap.begin_mark_epoch heap);
   Heap.iter_regions (fun r -> r.Region.live_words <- 0) heap;
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:true ()
+    Tracer.create ctx ~stack:ctx.Gc_types.pause_marks ~use_scratch:false ~update_region_live:true ()
   in
   Tracer.add_root tracer a;
   ignore (drain_fully tracer);
@@ -174,7 +178,8 @@ let test_dead_roots_ignored () =
   let heap = ctx.Gc_types.heap in
   ignore (Heap.begin_mark_epoch heap);
   let tracer =
-    Tracer.create ctx ~use_scratch:false ~update_region_live:false ()
+    Tracer.create ctx ~stack:ctx.Gc_types.pause_marks ~use_scratch:false
+      ~update_region_live:false ()
   in
   Tracer.add_root tracer Obj_model.null;
   Tracer.add_root tracer 424242;
@@ -191,45 +196,73 @@ let prop_trace_equals_bfs =
       let roots = [ objs.(seed mod 80) ] in
       ignore (Heap.begin_mark_epoch heap);
       let tracer =
-        Tracer.create ctx ~use_scratch:false ~update_region_live:false ()
+        Tracer.create ctx ~stack:ctx.Gc_types.pause_marks ~use_scratch:false
+          ~update_region_live:false ()
       in
       Tracer.add_roots tracer roots;
       ignore (drain_fully tracer);
       let expected = Heap.reachable_from heap roots in
       Array.for_all (fun o -> Heap.is_marked heap o = Hashtbl.mem expected o) objs)
 
+(* One slice-by-slice trace over a fresh graph: whether it marked exactly
+   the reachable set, the slice costs, the mark bits, the counters and the
+   per-region live words. *)
+let sliced_trace ~stack ~use_scratch ~update_region_live ~filtered ~seed ~edges =
+  let ctx = make_ctx ~regions:64 () in
+  let heap = ctx.Gc_types.heap in
+  let objs = build_graph ctx ~objects:80 ~edges ~seed in
+  let root = objs.(seed mod 80) in
+  (* before the trace's epoch: [reachable_from] uses the scratch slot *)
+  let reachable = Heap.reachable_from heap [ root ] in
+  ignore (if use_scratch then Heap.begin_scratch_epoch heap else Heap.begin_mark_epoch heap);
+  Heap.iter_regions (fun r -> r.Region.live_words <- 0) heap;
+  let tracer =
+    if filtered then
+      Tracer.create ctx ~stack ~use_scratch ~update_region_live
+        ~should_visit:(fun _ -> true)
+        ~on_mark:(fun _ -> 0)
+        ()
+    else Tracer.create ctx ~stack ~use_scratch ~update_region_live ()
+  in
+  Tracer.add_root tracer root;
+  let costs = ref [] in
+  while Tracer.pending tracer do
+    costs := Tracer.drain tracer ~budget:7 :: !costs
+  done;
+  let marked id = if use_scratch then Heap.is_scratch_marked heap id else Heap.is_marked heap id in
+  let marks = Array.map marked objs in
+  ( marks = Array.map (Hashtbl.mem reachable) objs,
+    List.rev !costs,
+    marks,
+    (Tracer.objects_marked tracer, Tracer.words_marked tracer, Tracer.edges_seen tracer),
+    List.map (fun r -> r.Region.live_words) (Heap.regions_in_space heap Region.Eden) )
+
 (* Omitting both filters skips their calls in the mark loop; passing the
-   constant filters takes the filtered path.  Both must mark the same
-   objects at the same cost, slice by slice. *)
+   constant filters takes the filtered path.  Both must mark exactly the
+   reachable objects at the same cost, slice by slice, in either mark slot
+   and with or without region liveness.  A reused stack, whether it still
+   holds an abandoned trace's entries or a finished trace drained it, must
+   give what a fresh stack gives. *)
 let prop_unfiltered_matches_filtered =
   QCheck.Test.make ~name:"unfiltered trace equals a constant-filter trace" ~count:40
-    QCheck.(pair small_int (int_range 0 300))
-    (fun (seed, edges) ->
-      let trace filtered =
-        let ctx = make_ctx ~regions:64 () in
-        let heap = ctx.Gc_types.heap in
-        let objs = build_graph ctx ~objects:80 ~edges ~seed in
-        ignore (Heap.begin_mark_epoch heap);
-        Heap.iter_regions (fun r -> r.Region.live_words <- 0) heap;
-        let tracer =
-          if filtered then
-            Tracer.create ctx ~use_scratch:false ~update_region_live:true
-              ~should_visit:(fun _ -> true)
-              ~on_mark:(fun _ -> 0)
-              ()
-          else Tracer.create ctx ~use_scratch:false ~update_region_live:true ()
-        in
-        Tracer.add_root tracer objs.(seed mod 80);
-        let costs = ref [] in
-        while Tracer.pending tracer do
-          costs := Tracer.drain tracer ~budget:7 :: !costs
-        done;
-        ( List.rev !costs,
-          Array.map (Heap.is_marked heap) objs,
-          (Tracer.objects_marked tracer, Tracer.words_marked tracer, Tracer.edges_seen tracer),
-          List.map (fun r -> r.Region.live_words) (Heap.regions_in_space heap Region.Eden) )
+    QCheck.(quad small_int (int_range 0 300) bool bool)
+    (fun (seed, edges, use_scratch, update_region_live) ->
+      let trace ?(stack = Gcr_util.Ivec.create ()) filtered =
+        sliced_trace ~stack ~use_scratch ~update_region_live ~filtered ~seed ~edges
       in
-      trace false = trace true)
+      let fresh = trace false in
+      let reused =
+        let stack = Gcr_util.Ivec.create () in
+        (* an abandoned trace over another graph leaves entries behind *)
+        for i = 1 to 5 do
+          Gcr_util.Ivec.push stack (i * 7)
+        done;
+        let first = trace ~stack (seed mod 2 = 0) in
+        let second = trace ~stack (seed mod 2 = 1) in
+        (first, second)
+      in
+      let exact, _, _, _, _ = fresh in
+      exact && fresh = trace true && reused = (fresh, fresh))
 
 let suite =
   [

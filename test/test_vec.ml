@@ -4,6 +4,11 @@ module Vec = Gcr_util.Vec
 
 let check = Alcotest.check
 
+let of_list xs =
+  let v = Vec.create () in
+  List.iter (Vec.push v) xs;
+  v
+
 let test_push_get () =
   let v = Vec.create () in
   for i = 0 to 99 do
@@ -15,90 +20,33 @@ let test_push_get () =
   done
 
 let test_set () =
-  let v = Vec.of_list [ 1; 2; 3 ] in
+  let v = of_list [ 1; 2; 3 ] in
   Vec.set v 1 42;
   check Alcotest.(list int) "set" [ 1; 42; 3 ] (Vec.to_list v)
 
-let test_pop () =
-  let v = Vec.of_list [ 1; 2; 3 ] in
-  check Alcotest.(option int) "pop" (Some 3) (Vec.pop v);
-  check Alcotest.(option int) "pop" (Some 2) (Vec.pop v);
-  check Alcotest.(option int) "pop" (Some 1) (Vec.pop v);
-  check Alcotest.(option int) "pop empty" None (Vec.pop v)
-
-let test_swap_remove () =
-  let v = Vec.of_list [ 10; 20; 30; 40 ] in
-  let removed = Vec.swap_remove v 1 in
-  check Alcotest.int "removed value" 20 removed;
-  check Alcotest.int "length" 3 (Vec.length v);
-  (* 40 moved into slot 1 *)
-  check Alcotest.(list int) "contents" [ 10; 40; 30 ] (Vec.to_list v)
-
-let test_swap_remove_last () =
-  let v = Vec.of_list [ 1; 2 ] in
-  check Alcotest.int "remove last" 2 (Vec.swap_remove v 1);
-  check Alcotest.(list int) "contents" [ 1 ] (Vec.to_list v)
-
 let test_bounds () =
-  let v = Vec.of_list [ 1 ] in
+  let v = of_list [ 1 ] in
   Alcotest.check_raises "get oob" (Invalid_argument "Vec: index out of bounds") (fun () ->
       ignore (Vec.get v 1));
   Alcotest.check_raises "set oob" (Invalid_argument "Vec: index out of bounds") (fun () ->
       Vec.set v (-1) 0)
 
 let test_clear () =
-  let v = Vec.of_list [ 1; 2; 3 ] in
+  let v = of_list [ 1; 2; 3 ] in
   Vec.clear v;
   check Alcotest.bool "empty" true (Vec.is_empty v);
   Vec.push v 7;
   check Alcotest.(list int) "reusable" [ 7 ] (Vec.to_list v)
 
 let test_iter_fold () =
-  let v = Vec.of_list [ 1; 2; 3; 4 ] in
+  let v = of_list [ 1; 2; 3; 4 ] in
   check Alcotest.int "fold sum" 10 (Vec.fold ( + ) 0 v);
   let collected = ref [] in
-  Vec.iteri (fun i x -> collected := (i, x) :: !collected) v;
-  check
-    Alcotest.(list (pair int int))
-    "iteri order"
-    [ (0, 1); (1, 2); (2, 3); (3, 4) ]
-    (List.rev !collected)
+  Vec.iter (fun x -> collected := x :: !collected) v;
+  check Alcotest.(list int) "iter order" [ 1; 2; 3; 4 ] (List.rev !collected)
 
-let test_exists () =
-  let v = Vec.of_list [ 1; 3; 5 ] in
-  check Alcotest.bool "exists odd" true (Vec.exists (fun x -> x = 3) v);
-  check Alcotest.bool "no even" false (Vec.exists (fun x -> x mod 2 = 0) v)
-
-let test_sort () =
-  let v = Vec.of_list [ 3; 1; 2 ] in
-  Vec.sort compare v;
-  check Alcotest.(list int) "sorted" [ 1; 2; 3 ] (Vec.to_list v)
-
-let test_last () =
-  let v = Vec.create () in
-  check Alcotest.(option int) "last empty" None (Vec.last v);
-  Vec.push v 5;
-  check Alcotest.(option int) "last" (Some 5) (Vec.last v)
-
-let test_capacity_hint () =
-  let v = Vec.make ~capacity:100 in
-  check Alcotest.int "no eager allocation" 0 (Vec.capacity v);
-  Vec.push v 1;
-  check Alcotest.int "hint honoured at first push" 100 (Vec.capacity v);
-  for i = 2 to 100 do
-    Vec.push v i
-  done;
-  check Alcotest.int "no re-grow within hint" 100 (Vec.capacity v);
-  Vec.push v 101;
-  check Alcotest.int "doubles past the hint" 200 (Vec.capacity v);
-  let small = Vec.make ~capacity:2 in
-  Vec.push small 1;
-  check Alcotest.int "minimum capacity" 8 (Vec.capacity small)
-
-(* Removal must not retain references to removed elements: a dead element
-   only reachable through a freed slot must be collected.  The removal runs
-   in a non-inlined helper so no stale register or stack slot of the test
-   frame keeps the last removed value alive across the major GC. *)
+(* Clearing must not retain references to removed elements: a dead
+   element only reachable through a freed slot must be collected. *)
 let assert_collected name removed =
   Gc.full_major ();
   check Alcotest.bool name false
@@ -108,26 +56,6 @@ let weak_of x =
   let w = Weak.create 1 in
   Weak.set w 0 (Some x);
   w
-
-let[@inline never] remove_tracked v ~n remove =
-  List.init n (fun _ -> weak_of (remove v))
-
-let test_pop_releases () =
-  let v = Vec.create () in
-  for i = 0 to 9 do
-    Vec.push v (ref i)
-  done;
-  let removed = remove_tracked v ~n:5 (fun v -> Option.get (Vec.pop v)) in
-  assert_collected "popped elements are collectable" removed;
-  check Alcotest.int "remaining" 5 (Vec.length v)
-
-let test_swap_remove_releases () =
-  let v = Vec.create () in
-  for i = 0 to 9 do
-    Vec.push v (ref i)
-  done;
-  let removed = remove_tracked v ~n:5 (fun v -> Vec.swap_remove v 0) in
-  assert_collected "swap-removed elements are collectable" removed
 
 let test_clear_releases () =
   let v = Vec.create () in
@@ -139,8 +67,8 @@ let test_clear_releases () =
   Vec.clear v;
   assert_collected "cleared elements are collectable" removed
 
-(* qcheck: a sequence of pushes and pops behaves like a list used as a
-   stack. *)
+(* qcheck: a sequence of pushes and clears behaves like a list used as a
+   stack, read back through [get], [length] and [to_list]. *)
 let prop_stack_model =
   QCheck.Test.make ~name:"vec behaves like a list stack" ~count:300
     QCheck.(list (option small_int))
@@ -153,30 +81,22 @@ let prop_stack_model =
           | Some x ->
               Vec.push v x;
               model := x :: !model
-          | None -> (
-              match (Vec.pop v, !model) with
-              | None, [] -> ()
-              | Some a, b :: rest when a = b -> model := rest
-              | _ -> failwith "mismatch"))
+          | None ->
+              Vec.clear v;
+              model := [])
         operations;
-      List.rev !model = Vec.to_list v)
+      let expected = List.rev !model in
+      expected = Vec.to_list v
+      && Vec.length v = List.length expected
+      && List.for_all Fun.id (List.mapi (fun i x -> Vec.get v i = x) expected))
 
 let suite =
   [
     Alcotest.test_case "push/get" `Quick test_push_get;
     Alcotest.test_case "set" `Quick test_set;
-    Alcotest.test_case "pop" `Quick test_pop;
-    Alcotest.test_case "swap_remove" `Quick test_swap_remove;
-    Alcotest.test_case "swap_remove last" `Quick test_swap_remove_last;
     Alcotest.test_case "bounds checks" `Quick test_bounds;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "iter/fold" `Quick test_iter_fold;
-    Alcotest.test_case "exists" `Quick test_exists;
-    Alcotest.test_case "sort" `Quick test_sort;
-    Alcotest.test_case "last" `Quick test_last;
-    Alcotest.test_case "capacity hint honoured" `Quick test_capacity_hint;
-    Alcotest.test_case "pop releases elements" `Quick test_pop_releases;
-    Alcotest.test_case "swap_remove releases elements" `Quick test_swap_remove_releases;
     Alcotest.test_case "clear releases elements" `Quick test_clear_releases;
     QCheck_alcotest.to_alcotest prop_stack_model;
   ]
