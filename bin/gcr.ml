@@ -128,8 +128,9 @@ let parse_host_port s =
 
 let cache_dir_arg =
   let doc =
-    "Directory for the on-disk result cache (default: $(b,GCR_CACHE_DIR) if set). \
-     Already-measured configurations are replayed from disk instead of re-run."
+    "Directory for the on-disk result cache of grid cells and min-heap probes \
+     (default: $(b,GCR_CACHE_DIR) if set).  Already-measured runs are replayed from \
+     disk instead of re-run; without a cache nothing persists between invocations."
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
@@ -222,22 +223,14 @@ let controllers_arg =
   in
   Arg.(value & opt (list string) [ "fixed" ] & info [ "controllers" ] ~docv:"A,B" ~doc)
 
-let resolve_cache_dir arg =
+let resolve_cache arg =
   match (match arg with Some _ -> arg | None -> Sys.getenv_opt "GCR_CACHE_DIR") with
   | None -> None
   | Some dir -> (
       (* validate eagerly: a bad cache location should be a clean CLI
          error before the campaign starts, not a mid-run exception *)
-      try Some (Result_cache.dir (Result_cache.create ~dir))
+      try Some (Result_cache.create ~dir)
       with Sys_error msg -> die "unusable cache directory: %s" msg)
-
-let no_tapes_arg =
-  let doc =
-    "Disable workload tapes: derive every cell's decision stream live from the PRNG \
-     instead of replaying the per-(benchmark, seed) tape.  Results are bit-identical \
-     either way ($(b,GCR_TAPES=0) is the environment equivalent)."
-  in
-  Arg.(value & flag & info [ "no-tapes" ] ~doc)
 
 let resolve_listen = function
   | None -> None
@@ -248,8 +241,7 @@ let resolve_listen = function
 
 let harness_config ?(controllers = [ Controller.fixed ]) ?listen
     ?(connect_timeout = 30.0) ~invocations ~scale ~seed ~factors ~quiet ~workers
-    ~cache_dir ~no_tapes () =
-  let defaults = Harness.default_config () in
+    ~cache_dir () =
   let workers = resolve_workers workers in
   (match Gcr_sched.Fabric.timeout_of_env () with
   | Ok _ -> ()
@@ -259,15 +251,14 @@ let harness_config ?(controllers = [ Controller.fixed ]) ?listen
   | Some _, None -> die "--listen requires --workers N (the fleet size)"
   | _ -> ());
   {
-    defaults with
+    (Harness.default_config ()) with
     Harness.invocations;
     scale;
     base_seed = seed;
     heap_factors = factors;
     log_progress = not quiet;
     workers;
-    cache_dir = resolve_cache_dir cache_dir;
-    tapes = defaults.Harness.tapes && not no_tapes;
+    cache_dir = Option.map Result_cache.dir (resolve_cache cache_dir);
     controllers;
     listen;
     connect_timeout;
@@ -338,16 +329,14 @@ let run_cmd =
     Option.iter check_writable trace_out;
     let gcs = default_gcs gcs in
     let controller = resolve_controller controller_name in
-    let cache =
-      Option.map (fun dir -> Result_cache.create ~dir) (resolve_cache_dir cache_dir)
-    in
+    let cache = resolve_cache cache_dir in
     let configs =
       match tape_file with
       | None ->
           List.concat_map
             (fun spec ->
               let spec = Spec.scale spec scale in
-              let minheap = Minheap.find spec in
+              let minheap = Minheap.find ?cache spec in
               List.concat_map
                 (fun gc ->
                   List.init invocations (fun i ->
@@ -369,7 +358,7 @@ let run_cmd =
               ()
           | _ -> die "--tape %s replays benchmark %S; drop -b or pass it" path spec.Spec.name);
           let image = Decision_source.image_of_tape ~spec tape in
-          let minheap = Minheap.find spec in
+          let minheap = Minheap.find ?cache spec in
           let heap_words = int_of_float (factor *. float_of_int minheap) in
           List.map
             (fun gc ->
@@ -435,10 +424,11 @@ let run_cmd =
 
 let minheap_cmd =
   let run benchmarks scale =
+    let cache = resolve_cache None in
     List.iter
       (fun spec ->
         let spec = Spec.scale spec scale in
-        let words = Minheap.find spec in
+        let words = Minheap.find ?cache spec in
         Printf.printf "%-12s %8d words (%d regions)\n" spec.Spec.name words
           (words / Run.default_region_words))
       (default_benchmarks benchmarks)
@@ -451,10 +441,10 @@ let minheap_cmd =
 (* ---------- campaign-backed commands ---------- *)
 
 let build_campaign ?controllers ?listen ?connect_timeout benchmarks gcs invocations
-    scale seed factors quiet workers cache_dir no_tapes =
+    scale seed factors quiet workers cache_dir =
   let config =
     harness_config ?controllers ?listen ?connect_timeout ~invocations ~scale ~seed
-      ~factors ~quiet ~workers ~cache_dir ~no_tapes ()
+      ~factors ~quiet ~workers ~cache_dir ()
   in
   Harness.run_campaign config ~benchmarks:(default_benchmarks benchmarks)
     ~gcs:(default_gcs gcs)
@@ -499,11 +489,9 @@ let artefact_arg =
     & info [] ~docv:"ARTEFACT" ~doc)
 
 let artefact_cmd =
-  let run artefact benchmarks gcs invocations scale seed factors quiet workers cache_dir
-      no_tapes =
+  let run artefact benchmarks gcs invocations scale seed factors quiet workers cache_dir =
     let campaign =
       build_campaign benchmarks gcs invocations scale seed factors quiet workers cache_dir
-        no_tapes
     in
     print_artefact campaign artefact;
     exit_on_failures (Harness.all_measurements campaign)
@@ -513,7 +501,7 @@ let artefact_cmd =
        ~doc:"Run the needed campaign and regenerate a paper table or figure")
     Term.(
       const run $ artefact_arg $ benchmarks_arg $ gcs_arg $ invocations_arg $ scale_arg
-      $ seed_arg $ factors_arg $ quiet_arg $ workers_arg $ cache_dir_arg $ no_tapes_arg)
+      $ seed_arg $ factors_arg $ quiet_arg $ workers_arg $ cache_dir_arg)
 
 (* Per-phase breakdown of where the campaign's wall time went.  Wall
    times partition [elapsed_s]; the self-times under "execute" are summed
@@ -547,12 +535,12 @@ let profile_arg =
   Arg.(value & flag & info [ "profile" ] ~doc)
 
 let campaign_cmd =
-  let run benchmarks gcs invocations scale seed factors quiet workers cache_dir no_tapes
-      profile controller_names listen connect_timeout =
+  let run benchmarks gcs invocations scale seed factors quiet workers cache_dir profile
+      controller_names listen connect_timeout =
     let controllers = resolve_controllers controller_names in
     let campaign =
       build_campaign ~controllers ?listen ~connect_timeout benchmarks gcs invocations
-        scale seed factors quiet workers cache_dir no_tapes
+        scale seed factors quiet workers cache_dir
     in
     print_artefact campaign "all";
     let s = Harness.summary campaign in
@@ -570,7 +558,7 @@ let campaign_cmd =
        ~doc:"Run the full grid and print every table and figure of the paper")
     Term.(
       const run $ benchmarks_arg $ gcs_arg $ invocations_arg $ scale_arg $ seed_arg
-      $ factors_arg $ quiet_arg $ workers_arg $ cache_dir_arg $ no_tapes_arg $ profile_arg
+      $ factors_arg $ quiet_arg $ workers_arg $ cache_dir_arg $ profile_arg
       $ controllers_arg $ listen_arg $ connect_timeout_arg)
 
 (* ---------- worker ---------- *)
@@ -625,7 +613,8 @@ let worker_cmd =
 
 (* ---------- ablations ---------- *)
 
-let ablation_names = [ "gc-workers"; "tenure-age"; "shenandoah-trigger"; "conc-mark-penalty"; "all" ]
+let ablation_names =
+  [ "gc-workers"; "tenure-age"; "shenandoah-trigger"; "conc-mark-penalty"; "genshen"; "all" ]
 
 let ablation_cmd =
   let run name bench factor scale seed =
@@ -641,6 +630,7 @@ let ablation_cmd =
     | "tenure-age" -> Gcr_core.Ablation.tenure_age config
     | "shenandoah-trigger" -> Gcr_core.Ablation.shenandoah_trigger config
     | "conc-mark-penalty" -> Gcr_core.Ablation.concurrent_mark_penalty config
+    | "genshen" -> Validate.genshen_study ~factor ~scale ~seed ()
     | _ -> Gcr_core.Ablation.all config
   in
   let name_arg =
@@ -648,7 +638,12 @@ let ablation_cmd =
       required
       & pos 0 (some (enum (List.map (fun n -> (n, n)) ablation_names))) None
       & info [] ~docv:"STUDY"
-          ~doc:(Printf.sprintf "One of %s." (String.concat ", " ablation_names)))
+          ~doc:
+            (Printf.sprintf
+               "One of %s.  $(b,genshen) compares generational Shenandoah with \
+                Shenandoah on lusearch, xalan and h2, so $(b,-b) does not apply to it; \
+                $(b,all) runs the other four."
+               (String.concat ", " ablation_names)))
   in
   let bench_arg =
     Arg.(value & opt bench_conv (Suite.find_exn "h2") & info [ "b"; "benchmark" ] ~docv:"NAME")
@@ -675,7 +670,7 @@ let trace_cmd =
         check_writable out;
         let controller = resolve_controller controller_name in
         let spec = Spec.scale bench scale in
-        let minheap = Minheap.find spec in
+        let minheap = Minheap.find ?cache:(resolve_cache None) spec in
         let heap_words = int_of_float (factor *. float_of_int minheap) in
         let config =
           { (Run.default_config ~spec ~gc ~heap_words ~seed) with Run.controller }
@@ -829,7 +824,7 @@ let tape_record_cmd =
           (* record tee: execute one real run with a Record source and keep
              the stream it actually consumed (plus fallback headroom is not
              needed — replay falls over to the live continuation) *)
-          let minheap = Minheap.find spec in
+          let minheap = Minheap.find ?cache:(resolve_cache None) spec in
           let heap_words = int_of_float (factor *. float_of_int minheap) in
           let captured = ref None in
           let config =
@@ -889,7 +884,7 @@ let tape_verify_cmd =
     if replay_check then begin
       let spec = tape_resolve_spec ~scale tape in
       let image = Decision_source.image_of_tape ~spec tape in
-      let minheap = Minheap.find spec in
+      let minheap = Minheap.find ?cache:(resolve_cache None) spec in
       let heap_words = int_of_float (factor *. float_of_int minheap) in
       let base = Run.default_config ~spec ~gc ~heap_words ~seed:tape.Tape.seed in
       let live = Run.execute base in

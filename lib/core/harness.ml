@@ -56,29 +56,19 @@ let default_heap_factors =
    that the LBO-tightening study measures. *)
 let default_gcs = Registry.frontier
 
-let env_int name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some v when v > 0 -> v
-  | Some _ | None -> default
-
-let env_float name default =
-  match Option.bind (Sys.getenv_opt name) float_of_string_opt with
-  | Some v when v > 0.0 -> v
-  | Some _ | None -> default
-
 let default_config () =
   {
-    invocations = env_int "GCR_INVOCATIONS" 8;
+    invocations = 8;
     base_seed = 1;
-    scale = env_float "GCR_SCALE" 1.0;
+    scale = 1.0;
     machine = Machine.default;
     cost = Cost_model.default;
     region_words = Run.default_region_words;
     heap_factors = default_heap_factors;
     log_progress = true;
     workers = None;
-    cache_dir = Sys.getenv_opt "GCR_CACHE_DIR";
-    tapes = Minheap.tapes_enabled ();
+    cache_dir = None;
+    tapes = true;
     controllers = [ Controller.fixed ];
     listen = None;
     connect_timeout = 30.0;
@@ -182,8 +172,7 @@ type exec_info = {
    image once, replay it in every cell, then drop it before the next
    group (images of full-size benchmarks are tens of MB).  One warm run
    state serves every cell of the campaign. *)
-let execute_serial config plan results =
-  let cache = Option.map (fun dir -> Result_cache.create ~dir) config.cache_dir in
+let execute_serial ?cache config plan results =
   let state = Run.new_state () in
   let hits = ref 0 in
   List.iter
@@ -321,6 +310,8 @@ let run_campaign config ~benchmarks ~gcs =
   let started = Unix.gettimeofday () in
   let machine = scaled_machine config in
   let config = { config with machine } in
+  (* one store for the whole campaign: min-heap probes and grid cells *)
+  let cache = Option.map (fun dir -> Result_cache.create ~dir) config.cache_dir in
   let specs = List.map (fun s -> Spec.scale s config.scale) benchmarks in
   let minheap_config =
     {
@@ -358,7 +349,7 @@ let run_campaign config ~benchmarks ~gcs =
            the cells run one after another. *)
         List.iter
           (fun spec ->
-            let words = Minheap.find ~config:minheap_config spec in
+            let words = Minheap.find ?cache ~config:minheap_config spec in
             log_minheap spec words;
             Hashtbl.replace minheaps spec.Spec.name words)
           specs;
@@ -367,7 +358,7 @@ let run_campaign config ~benchmarks ~gcs =
         let results : Measurement.t option array = Array.make n_cells None in
         let plan_done = Unix.gettimeofday () in
         let prof_plan = Gcr_runtime.Profile.snapshot () in
-        let info = execute_serial config plan results in
+        let info = execute_serial ?cache config plan results in
         (plan, results, plan_done, prof_plan, info)
     | Some workers ->
         (* Fabric path: one session carries the minheap probe waves and
@@ -378,9 +369,7 @@ let run_campaign config ~benchmarks ~gcs =
           else fun _ -> ()
         in
         let session =
-          Fabric.start ~workers
-            ?cache:(Option.map (fun dir -> Result_cache.create ~dir) config.cache_dir)
-            ~log ?listen:config.listen
+          Fabric.start ~workers ?cache ~log ?listen:config.listen
             ~connect_timeout:config.connect_timeout ?on_listen:config.on_listen
             ~plan_digest:(campaign_digest config specs gcs) ()
         in

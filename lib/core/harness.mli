@@ -30,16 +30,17 @@ type config = {
           one cell after another in this process, on one warm run state.
           Campaign results are bit-identical either way. *)
   cache_dir : string option;
-      (** when set, completed runs are stored in (and replayed from) an
-          on-disk {!Gcr_sched.Result_cache} keyed by the full run config,
-          by every executor, fabric workers included.  Tapes are never
-          stored: each executor generates the images it replays.  [None]
-          disables result caching *)
+      (** when set, completed runs — min-heap probes and grid cells — are
+          stored in (and replayed from) one on-disk
+          {!Gcr_sched.Result_cache} keyed by the full run config, by every
+          executor, fabric workers included.  Tapes are never stored: each
+          executor generates the images it replays.  [None] disables
+          result caching: nothing persists between processes *)
   tapes : bool;
       (** record-once / replay-many workload tapes: each (benchmark, seed)
           cell group generates its decision stream once and every cell in
           the group replays it.  Campaign results are bit-identical with
-          tapes on or off; [GCR_TAPES=0] turns them off *)
+          tapes on or off; tests use [false] as the replay oracle *)
   controllers : Gcr_policy.Controller.spec list;
       (** heap-sizing controllers, multiplying each non-Epsilon
           (collector, factor) cell as the innermost grid axis.  The
@@ -76,9 +77,9 @@ val default_gcs : Gcr_gcs.Registry.kind list
 
 val default_config : unit -> config
 (** 8 invocations at scale 1.0 over {!default_heap_factors}, serial,
-    in-process, no result cache; [GCR_INVOCATIONS], [GCR_SCALE] and
-    [GCR_CACHE_DIR] override.  ([GCR_WORKERS] is a CLI
-    concern: the library default is always [workers = None].) *)
+    in-process, tapes on, no result cache.  Reads no environment
+    variable: the CLI maps its flags (and [GCR_WORKERS], [GCR_CACHE_DIR])
+    onto these fields. *)
 
 type exec_summary = {
   cells : int;  (** grid cells executed (invocations included) *)
@@ -133,7 +134,8 @@ val run_campaign :
   campaign
 (** Runs everything: each production collector at every heap factor, plus
     Epsilon once per benchmark (its heap is the machine memory).  Specs
-    are scaled before running; min-heaps are measured per benchmark. *)
+    are scaled before running; min-heaps are measured per benchmark,
+    through the in-process memo and the [cache_dir] store. *)
 
 (** {1 Access} *)
 

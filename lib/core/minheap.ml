@@ -5,7 +5,6 @@ module Spec = Gcr_workloads.Spec
 module Run = Gcr_runtime.Run
 module Measurement = Gcr_runtime.Measurement
 module Pool = Gcr_sched.Pool
-module Result_cache = Gcr_sched.Result_cache
 
 type config = {
   machine : Machine.t;
@@ -16,9 +15,6 @@ type config = {
   tapes : bool;
 }
 
-let tapes_enabled () =
-  match Sys.getenv_opt "GCR_TAPES" with Some ("0" | "false" | "off") -> false | _ -> true
-
 let default_config () =
   {
     machine = Machine.default;
@@ -26,12 +22,12 @@ let default_config () =
     region_words = Run.default_region_words;
     seed = 7;
     gc = Registry.G1;
-    tapes = tapes_enabled ();
+    tapes = true;
   }
 
-(* Key the caches on everything that can change the answer: every spec
+(* Key the memo on everything that can change the answer: every spec
    field (through its digest) and every cost-model field (minimum heaps
-   move when costs do).  The name stays in the clear for readability. *)
+   move when costs do). *)
 let cache_key config (spec : Spec.t) =
   Printf.sprintf "%s|spec=%s|gc=%s|seed=%d|region=%d|cpus=%d|%s" spec.Spec.name
     (Spec.digest spec) (Registry.name config.gc) config.seed config.region_words
@@ -41,55 +37,6 @@ let cache_key config (spec : Spec.t) =
 let memo : (string, int) Hashtbl.t = Hashtbl.create 32
 
 let clear_memo () = Hashtbl.reset memo
-
-let cache_path () =
-  match Sys.getenv_opt "GCR_CACHE_DIR" with
-  | Some dir -> Some (Filename.concat dir "minheap.tsv")
-  | None ->
-      let dir = Filename.concat (Sys.getcwd ()) ".gcr-cache" in
-      let usable =
-        (Sys.file_exists dir && Sys.is_directory dir)
-        || (try Sys.mkdir dir 0o755; true with Sys_error _ -> false)
-      in
-      if usable then Some (Filename.concat dir "minheap.tsv") else None
-
-let load_file_cache () =
-  match cache_path () with
-  | None -> ()
-  | Some path when not (Sys.file_exists path) -> ()
-  | Some path -> (
-      try
-        let ic = open_in path in
-        (try
-           while true do
-             let line = input_line ic in
-             match String.split_on_char '\t' line with
-             | [ key; words ] -> (
-                 match int_of_string_opt words with
-                 | Some w -> Hashtbl.replace memo key w
-                 | None -> ())
-             | _ -> ()
-           done
-         with End_of_file -> ());
-        close_in ic
-      with Sys_error _ -> ())
-
-let append_file_cache key words =
-  match cache_path () with
-  | None -> ()
-  | Some path -> (
-      try
-        let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-        Printf.fprintf oc "%s\t%d\n" key words;
-        close_out oc
-      with Sys_error _ -> ())
-
-let file_cache_loaded = ref false
-
-(* Probes share the campaign result cache (when GCR_CACHE_DIR is set), so
-   a repeated search replays every probe from disk even in a fresh
-   process, on top of the minheap.tsv memo of final answers. *)
-let result_cache = lazy (Result_cache.of_env ())
 
 let tape_image ~spec ~seed =
   let started = Unix.gettimeofday () in
@@ -116,12 +63,9 @@ let probe_run_config config (spec : Spec.t) ~tape heap_words =
     controller = Gcr_policy.Controller.fixed;
   }
 
-let completes config spec ~state ~tape heap_words =
+let completes ?cache config spec ~state ~tape heap_words =
   Measurement.completed
-    (Pool.execute
-       ?cache:(Lazy.force result_cache)
-       ~state
-       (probe_run_config config spec ~tape heap_words))
+    (Pool.execute ?cache ~state (probe_run_config config spec ~tape heap_words))
 
 (* The search as an explicit state machine, so an external driver — the
    fabric's probe waves — can run many searches concurrently, one probe
@@ -194,7 +138,7 @@ module Search = struct
                 (n * t.s_config.region_words))
 end
 
-let search config spec =
+let search ?cache config spec =
   (* Every probe shares (spec, seed): one tape image serves the whole
      search.  Thrashing probes overrun the recorded stream with retry
      re-draws; the cursor's PRNG fallback keeps them bit-identical. *)
@@ -214,35 +158,23 @@ let search config spec =
         | Some words -> words
         | None -> assert false)
     | Some n ->
-        let completed = completes config spec ~state ~tape (n * config.region_words) in
+        let completed = completes ?cache config spec ~state ~tape (n * config.region_words) in
         Search.advance s ~completed;
         loop ()
   in
   loop ()
 
-let ensure_file_cache () =
-  if not !file_cache_loaded then begin
-    file_cache_loaded := true;
-    load_file_cache ()
-  end
-
-let find_cached config spec =
-  ensure_file_cache ();
-  Hashtbl.find_opt memo (cache_key config spec)
+let find_cached config spec = Hashtbl.find_opt memo (cache_key config spec)
 
 let record config spec words =
-  ensure_file_cache ();
   let key = cache_key config spec in
-  if not (Hashtbl.mem memo key) then begin
-    Hashtbl.replace memo key words;
-    append_file_cache key words
-  end
+  if not (Hashtbl.mem memo key) then Hashtbl.replace memo key words
 
-let find ?config spec =
+let find ?cache ?config spec =
   let config = match config with Some c -> c | None -> default_config () in
   match find_cached config spec with
   | Some words -> words
   | None ->
-      let words = search config spec in
+      let words = search ?cache config spec in
       record config spec words;
       words

@@ -4,8 +4,10 @@
     benchmark completes, measured with G1 ("the most space-efficient GC
     among the ones we study", §IV-A).  This module performs that search:
     exponential probing for an upper bound, then binary search down to a
-    region granularity.  Results are memoised in-process and, optionally,
-    in a small TSV cache file, because each probe is a full run. *)
+    region granularity.  Answers are memoised in-process only; a search
+    given a {!Gcr_sched.Result_cache} stores each probe there, so a repeat
+    search in a fresh process replays its probes instead of running
+    them. *)
 
 type config = {
   machine : Gcr_mach.Machine.t;
@@ -15,27 +17,28 @@ type config = {
   gc : Gcr_gcs.Registry.kind;  (** G1 in the paper's protocol *)
   tapes : bool;
       (** drive every probe of a search from one generated workload tape
-          (results are bit-identical to live PRNG probes) *)
+          (results are bit-identical to live PRNG probes; tests use
+          [false] as the replay oracle) *)
 }
 
-val tapes_enabled : unit -> bool
-(** Default for the [tapes] flags here and in {!Harness.config}: on,
-    unless [GCR_TAPES] is ["0"], ["false"], or ["off"]. *)
-
 val default_config : unit -> config
+(** G1 (the paper's protocol) on the default machine and cost model,
+    seed 7, tapes on. *)
 
-val find : ?config:config -> Gcr_workloads.Spec.t -> int
+val find :
+  ?cache:Gcr_sched.Result_cache.t -> ?config:config -> Gcr_workloads.Spec.t -> int
 (** Minimum heap size in words (a whole number of regions) in which the
-    benchmark completes.  Raises [Failure] if it cannot complete even in
-    the machine's full memory. *)
+    benchmark completes.  A memoised answer returns at once; otherwise
+    the search runs, storing each probe in (and replaying it from)
+    [cache] when one is given.  Raises [Failure] if the benchmark cannot
+    complete even in the machine's full memory. *)
 
 val find_cached : config -> Gcr_workloads.Spec.t -> int option
-(** The memoised/persisted answer only — never probes.  Loads the file
-    cache on first use. *)
+(** The memoised answer only — never probes. *)
 
 val record : config -> Gcr_workloads.Spec.t -> int -> unit
-(** Store a search result (memo + file cache) computed by an external
-    driver such as the fabric's probe waves.  First write wins. *)
+(** Memoise a search result computed by an external driver such as the
+    fabric's probe waves.  First write wins. *)
 
 (** The probe sequence as an explicit state machine, for drivers that
     execute probes elsewhere (the campaign fabric runs many searches
@@ -65,10 +68,5 @@ module Search : sig
   (** The minimum heap in words once the search is finished. *)
 end
 
-val cache_path : unit -> string option
-(** Where results are persisted: [$GCR_CACHE_DIR/minheap.tsv] if
-    [GCR_CACHE_DIR] is set, else [./.gcr-cache/minheap.tsv] when the
-    working directory is writable, else no persistence. *)
-
 val clear_memo : unit -> unit
-(** Test hook: forget in-process results (the file cache is untouched). *)
+(** Forget every memoised answer, so the next {!find} searches again. *)

@@ -124,25 +124,14 @@ let end_cycle s ~evac_failed =
   else if s.degenerated then when_paused s release_and_wrap_up
   else wrap_up ()
 
-let debug = Sys.getenv_opt "GCR_DEBUG" <> None
-
 let start_cycle s =
   if s.degenerated then s.degenerated_collections <- s.degenerated_collections + 1;
   (* re-derive the mutator reserve from live geometry: a sizing controller
      may have grown or shrunk the heap since the last cycle *)
   Heap.set_alloc_reserve s.ctx.Gc_types.heap
     (max 2 (Heap.total_regions s.ctx.Gc_types.heap / 10));
-  let free_before = Heap.free_regions s.ctx.Gc_types.heap in
-  s.free_at_cycle_start <- free_before;
-  Conc_cycle.start s.cycle
-    ~pause:(pause_broker s)
-    ~on_done:(fun ~evac_failed ->
-      if debug then
-        Printf.eprintf "[shen] cycle %d: free %d -> %d (degen=%b evac_failed=%b waiters=%d)\n%!"
-          (Conc_cycle.cycles_completed s.cycle) free_before
-          (Heap.free_regions s.ctx.Gc_types.heap)
-          s.degenerated evac_failed (Vec.length s.waiters);
-      end_cycle s ~evac_failed)
+  s.free_at_cycle_start <- Heap.free_regions s.ctx.Gc_types.heap;
+  Conc_cycle.start s.cycle ~pause:(pause_broker s) ~on_done:(end_cycle s)
 
 let cycle_active s =
   match Conc_cycle.phase s.cycle with

@@ -88,8 +88,6 @@ let rec schedule_stall_poll s =
 
 (* ZGC's pauses are its own tiny init/final marks; allocation failure never
    opens one. *)
-let debug = Sys.getenv_opt "GCR_DEBUG" <> None
-
 let pause_broker s reason body =
   let engine = s.ctx.Gc_types.engine in
   if Engine.stop_requested engine then body (fun () -> ())
@@ -122,17 +120,7 @@ and start_cycle s =
      may have grown or shrunk the heap since the last cycle *)
   Heap.set_alloc_reserve s.ctx.Gc_types.heap
     (max 2 (Heap.total_regions s.ctx.Gc_types.heap / 10));
-  let free_before = Heap.free_regions s.ctx.Gc_types.heap in
-  Conc_cycle.start s.cycle
-    ~pause:(pause_broker s)
-    ~on_done:(fun ~evac_failed ->
-      if debug then
-        Printf.eprintf "[zgc] cycle %d: free %d -> %d (evac_failed=%b waiters=%d age=%d)
-%!"
-          (Conc_cycle.cycles_completed s.cycle) free_before
-          (Heap.free_regions s.ctx.Gc_types.heap) evac_failed (Vec.length s.waiters)
-          (oldest_waiter_age s);
-      end_cycle s ~evac_failed)
+  Conc_cycle.start s.cycle ~pause:(pause_broker s) ~on_done:(end_cycle s)
 
 let cycle_active s =
   match Conc_cycle.phase s.cycle with

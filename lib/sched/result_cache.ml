@@ -23,11 +23,6 @@ let create ~dir =
     raise (Sys_error (dir ^ ": not a directory"));
   { dir }
 
-let of_env () =
-  match Sys.getenv_opt "GCR_CACHE_DIR" with
-  | None -> None
-  | Some dir -> ( try Some (create ~dir) with Sys_error _ -> None)
-
 let dir t = t.dir
 
 let path t ~digest = Filename.concat t.dir (digest ^ ".run")

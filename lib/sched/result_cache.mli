@@ -1,11 +1,11 @@
 (** On-disk cache of run results, one file per configuration.
 
-    Entries live under a directory (one campaign sweep can share it with
-    the min-heap TSV cache): [<dir>/<digest>.run] holds the cache-key
+    Entries live under a directory: [<dir>/<digest>.run] holds the cache-key
     rendering plus the marshalled {!Gcr_runtime.Measurement.t}.  Lookups
     verify a format magic {e and} the full rendering (not just the digest),
     so corrupted, truncated, or colliding entries are discarded — a bad
-    cache file can cost a re-run, never a wrong measurement.
+    cache file can cost a re-run, never a wrong measurement.  Caching is
+    opt-in: nothing is read or stored unless the caller creates a cache.
 
     Writes go through a per-process temp file and an atomic
     [Sys.rename], so concurrent writers (fabric workers, or several
@@ -17,11 +17,6 @@ type t
 val create : dir:string -> t
 (** Creates [dir] (and missing parents) if needed.  Raises [Sys_error]
     if the directory cannot be created. *)
-
-val of_env : unit -> t option
-(** [Some (create ~dir:$GCR_CACHE_DIR)] when the variable is set and the
-    directory is usable, else [None].  Result caching is opt-in: unlike
-    the min-heap TSV cache there is no implicit default directory. *)
 
 val dir : t -> string
 

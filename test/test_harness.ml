@@ -205,8 +205,8 @@ let test_minheap_properties () =
 
 (* The memo key must cover every field that can move the answer, including
    cost-model fields and spec fields past the first few a structural hash
-   reads.  The seed is one no search uses, so the recorded answer (which
-   persists in the file cache) cannot leak into other tests. *)
+   reads.  The seed is one no search uses, so the recorded answer cannot
+   leak into other tests. *)
 let test_minheap_key_covers_every_field () =
   Minheap.clear_memo ();
   let spec = Spec.scale (Suite.find_exn "jme") 0.1 in
@@ -227,6 +227,51 @@ let test_minheap_key_covers_every_field () =
     (Minheap.find_cached config
        { spec with Spec.writes_per_packet = spec.Spec.writes_per_packet + 1 })
 
+(* A search keeps its answer in the in-process memo and its probes in the
+   caller's cache, if any: nothing lands in the working directory.  The
+   seed is one no other search uses, so the search really runs. *)
+let test_minheap_search_writes_nothing () =
+  let dir = Filename.temp_dir "gcr-minheap-cwd" "" in
+  let cwd = Sys.getcwd () in
+  let spec = Spec.scale (Suite.find_exn "h2") 0.02 in
+  let config = { (Minheap.default_config ()) with Minheap.seed = 90_023 } in
+  Sys.chdir dir;
+  let words =
+    Fun.protect ~finally:(fun () -> Sys.chdir cwd) (fun () -> Minheap.find ~config spec)
+  in
+  check Alcotest.bool "search found a heap" true (words > 0);
+  check (Alcotest.list Alcotest.string) "working directory untouched" []
+    (Array.to_list (Sys.readdir dir));
+  Sys.rmdir dir
+
+(* Tapes only save work: with them off every probe and cell derives its
+   decision stream live from the PRNG, and the campaign must not move.
+   The memo is cleared before each campaign, so both runs search. *)
+let test_campaign_tapes_off_identical () =
+  let run tapes =
+    Minheap.clear_memo ();
+    Harness.run_campaign
+      {
+        (Harness.default_config ()) with
+        Harness.invocations = 2;
+        scale = 0.05;
+        log_progress = false;
+        tapes;
+      }
+      ~benchmarks:[ Suite.find_exn "lusearch"; Suite.find_exn "jme" ]
+      ~gcs:[ Registry.G1; Registry.Serial ]
+  in
+  let taped = run true in
+  let live = run false in
+  List.iter
+    (fun bench ->
+      check Alcotest.int (bench ^ " minheap")
+        (Harness.minheap_words taped ~bench)
+        (Harness.minheap_words live ~bench))
+    [ "lusearch"; "jme" ];
+  check Alcotest.bool "measurements identical" true
+    (Harness.all_measurements taped = Harness.all_measurements live)
+
 let suite =
   [
     Alcotest.test_case "cells populated" `Quick test_cells_populated;
@@ -244,4 +289,8 @@ let suite =
     Alcotest.test_case "minheap properties" `Quick test_minheap_properties;
     Alcotest.test_case "minheap key covers every field" `Quick
       test_minheap_key_covers_every_field;
+    Alcotest.test_case "minheap search writes nothing in its working directory" `Quick
+      test_minheap_search_writes_nothing;
+    Alcotest.test_case "campaign with tapes off is identical" `Quick
+      test_campaign_tapes_off_identical;
   ]

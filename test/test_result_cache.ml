@@ -8,6 +8,7 @@ module Run = Gcr_runtime.Run
 module Measurement = Gcr_runtime.Measurement
 module Harness = Gcr_core.Harness
 module Metrics = Gcr_core.Metrics
+module Minheap = Gcr_core.Minheap
 module Pool = Gcr_sched.Pool
 module Result_cache = Gcr_sched.Result_cache
 
@@ -67,10 +68,14 @@ let campaign_config ~cache_dir =
     cache_dir = Some cache_dir;
   }
 
+(* The memo is cleared before each campaign, as a fresh process starts
+   without it: the cache directory alone must serve the min-heap probes
+   as well as the grid cells. *)
 let test_warm_campaign_executes_zero_runs () =
   let dir = fresh_dir () in
   let benchmarks = [ Suite.find_exn "h2" ] in
   let run () =
+    Minheap.clear_memo ();
     Harness.run_campaign (campaign_config ~cache_dir:dir) ~benchmarks
       ~gcs:Registry.production
   in
@@ -80,6 +85,9 @@ let test_warm_campaign_executes_zero_runs () =
   let warm_campaign, warm = counting_executes run in
   check Alcotest.int "warm campaign executes zero runs" 0 warm;
   (* ... and still reports the same campaign *)
+  check Alcotest.int "warm minheap identical"
+    (Harness.minheap_words cold_campaign ~bench:"h2")
+    (Harness.minheap_words warm_campaign ~bench:"h2");
   List.iter
     (fun gc ->
       check Alcotest.bool
