@@ -164,7 +164,6 @@ type exec_info = {
   x_profile : Gcr_runtime.Profile.snapshot;
   x_probe_cells : int;
   x_deaths : int;
-  x_stolen : int;
   x_rows : Fabric.worker_row list;
 }
 
@@ -212,7 +211,6 @@ let execute_serial ?cache config plan results =
     x_profile = Gcr_runtime.Profile.zero;
     x_probe_cells = 0;
     x_deaths = 0;
-    x_stolen = 0;
     x_rows = [];
   }
 
@@ -397,7 +395,6 @@ let run_campaign config ~benchmarks ~gcs =
                 x_profile = stats.Fabric.worker_profile;
                 x_probe_cells = probe_cells;
                 x_deaths = Fabric.worker_deaths session;
-                x_stolen = Fabric.stolen_groups session;
                 x_rows = Fabric.worker_rows session;
               }
             in
@@ -478,7 +475,7 @@ let run_campaign config ~benchmarks ~gcs =
          else !footprint_sum /. float_of_int !footprint_cells);
       probe_cells = info.x_probe_cells;
       worker_deaths = info.x_deaths;
-      stolen_groups = info.x_stolen;
+      stolen_groups = 0;
       worker_rows = info.x_rows;
     }
   in
@@ -486,7 +483,7 @@ let run_campaign config ~benchmarks ~gcs =
     let worker_note =
       if info.x_workers = 0 then "in-process"
       else
-        Printf.sprintf "fabric workers=%d [%s]%s%s%s%s" info.x_workers
+        Printf.sprintf "fabric workers=%d [%s]%s%s%s" info.x_workers
           (String.concat " "
              (Array.to_list (Array.mapi (Printf.sprintf "w%d=%d") info.x_per_worker)))
           (if info.x_reassigned > 0 then Printf.sprintf " reassigned=%d" info.x_reassigned
@@ -494,7 +491,6 @@ let run_campaign config ~benchmarks ~gcs =
           (if info.x_parent > 0 then Printf.sprintf " parent=%d" info.x_parent else "")
           (if info.x_probe_cells > 0 then Printf.sprintf " probes=%d" info.x_probe_cells
            else "")
-          (if info.x_stolen > 0 then Printf.sprintf " stolen=%d" info.x_stolen else "")
     in
     Printf.eprintf
       "[harness] %d cells in %.1fs (plan %.1fs, execute %.1fs at %.1f cells/s, reduce \

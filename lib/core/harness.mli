@@ -113,7 +113,10 @@ type exec_summary = {
           cells (0 on the in-process path, where searches run inline) *)
   worker_deaths : int;  (** workers declared dead during the session *)
   stolen_groups : int;
-      (** prefetched groups revoked from stragglers and re-dealt *)
+      (** always 0: a fabric worker holds one group at a time, so there
+          is nothing to steal.  The field stays only because the frozen
+          [perfbench/main.ml] reads it for its [fabric.stolen_groups]
+          metric; it goes in the next change to the benchmark. *)
   worker_rows : Gcr_sched.Fabric.worker_row list;
       (** per-worker accounting (host, transport, session-cumulative
           cells); empty on the in-process path *)

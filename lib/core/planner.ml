@@ -48,7 +48,9 @@ let seed_of ~base_seed ~invocation = base_seed + (1000 * (invocation + 1))
    the heap sits to the minimum (factor 1.3 reclaims far more often than
    factor 6.0), hence the [1 + 2/factor] weight.  Epsilon never collects:
    weight 1.  Deliberately crude — the scheduler only needs "this group
-   is several times that one", and work-stealing mops up the residue. *)
+   is several times that one": every idle worker takes the next ready
+   group, so a mis-estimate costs at most one group's runtime at the
+   tail. *)
 
 let spec_weight (spec : Spec.t) =
   float_of_int (spec.Spec.mutator_threads * spec.Spec.packets_per_thread)

@@ -15,9 +15,6 @@ let num_kinds = 2
 
 let kind_name = function 0 -> "mutator" | 1 -> "gc-worker" | _ -> "unknown"
 
-(* Fabric worker transports, for [Worker_spawn]. *)
-let transport_name = function 0 -> "pipe" | 1 -> "socket" | _ -> "unknown"
-
 (* The last three phases belong to reference-counting collectors (LXR):
    applying buffered increments, draining deferred decrements, and the
    backup tracing cycle that reclaims cyclic garbage. *)
@@ -90,14 +87,6 @@ let code_request_start = 16
 let code_request_complete = 17
 let code_limit_change = 18
 
-(* Fabric worker lifecycle: emitted by the campaign coordinator, not the
-   simulation engine, so they appear only in campaign-level obs streams. *)
-let code_worker_spawn = 19
-let code_worker_dead = 20
-let code_group_steal = 21
-
-let num_codes = 22
-
 let code_name = function
   | 0 -> "step-complete"
   | 1 -> "thread-spawn"
@@ -118,9 +107,6 @@ let code_name = function
   | 16 -> "request-start"
   | 17 -> "request-complete"
   | 18 -> "limit-change"
-  | 19 -> "worker-spawn"
-  | 20 -> "worker-dead"
-  | 21 -> "group-steal"
   | _ -> "unknown"
 
 (* Step_complete packs kind and in-pause into [b]: b = kind*2 + stw. *)
@@ -151,9 +137,6 @@ type t =
   | Request_start of { index : int; tid : int }
   | Request_complete of { index : int; service : int; metered : int }
   | Limit_change of { regions : int; old_regions : int; controller : string }
-  | Worker_spawn of { worker : int; transport : int }
-  | Worker_dead of { worker : int; requeued : int }
-  | Group_steal of { victim : int; thief : int; cells : int }
 
 let decode ~string_of_id ~code ~a ~b ~c =
   match code with
@@ -177,9 +160,6 @@ let decode ~string_of_id ~code ~a ~b ~c =
   | 16 -> Request_start { index = a; tid = b }
   | 17 -> Request_complete { index = a; service = b; metered = c }
   | 18 -> Limit_change { regions = a; old_regions = b; controller = string_of_id c }
-  | 19 -> Worker_spawn { worker = a; transport = b }
-  | 20 -> Worker_dead { worker = a; requeued = b }
-  | 21 -> Group_steal { victim = a; thief = b; cells = c }
   | _ -> invalid_arg (Printf.sprintf "Event.decode: unknown code %d" code)
 
 let pp ~string_of_id ppf (time, code, a, b, c) =
@@ -213,9 +193,3 @@ let pp ~string_of_id ppf (time, code, a, b, c) =
       p "@%d request-complete #%d service=%d metered=%d" time index service metered
   | Limit_change { regions; old_regions; controller } ->
       p "@%d limit-change %d -> %d regions (%s)" time old_regions regions controller
-  | Worker_spawn { worker; transport } ->
-      p "@%d worker-spawn %d (%s)" time worker (transport_name transport)
-  | Worker_dead { worker; requeued } ->
-      p "@%d worker-dead %d requeued=%d" time worker requeued
-  | Group_steal { victim; thief; cells } ->
-      p "@%d group-steal %d -> %d (%d cells)" time victim thief cells

@@ -52,15 +52,6 @@ module Counters = struct
     mutable latency_simple : Histogram.t;
     mutable requests_started : int;
     mutable requests_completed : int;
-    (* Fabric worker lifecycle (coordinator-emitted, not simulation
-       events).  Deliberately NOT part of [fingerprint]: worker placement
-       varies with scheduling and crashes, and the differential tests
-       demand identical fingerprints across all of those. *)
-    mutable worker_spawns : int;
-    mutable worker_deaths : int;
-    mutable cells_requeued : int;
-    mutable groups_stolen : int;
-    mutable cells_stolen : int;
   }
 
   let create () =
@@ -101,11 +92,6 @@ module Counters = struct
       latency_simple = Histogram.create ();
       requests_started = 0;
       requests_completed = 0;
-      worker_spawns = 0;
-      worker_deaths = 0;
-      cells_requeued = 0;
-      groups_stolen = 0;
-      cells_stolen = 0;
     }
 
   (* Rewind to the post-[create] state, keeping grown array capacities.
@@ -148,12 +134,7 @@ module Counters = struct
     t.latency_metered <- Histogram.create ();
     t.latency_simple <- Histogram.create ();
     t.requests_started <- 0;
-    t.requests_completed <- 0;
-    t.worker_spawns <- 0;
-    t.worker_deaths <- 0;
-    t.cells_requeued <- 0;
-    t.groups_stolen <- 0;
-    t.cells_stolen <- 0
+    t.requests_completed <- 0
 
   let grow_threads t tid =
     let cap = Array.length t.thread_cycles in
@@ -233,13 +214,6 @@ module Counters = struct
           t.heap_limit_regions <- a;
           t.heap_limit_peak <- max t.heap_limit_peak a;
           t.limit_since <- time
-      | 19 (* worker-spawn *) -> t.worker_spawns <- t.worker_spawns + 1
-      | 20 (* worker-dead *) ->
-          t.worker_deaths <- t.worker_deaths + 1;
-          t.cells_requeued <- t.cells_requeued + b
-      | 21 (* group-steal *) ->
-          t.groups_stolen <- t.groups_stolen + 1;
-          t.cells_stolen <- t.cells_stolen + c
       | _ -> invalid_arg (Printf.sprintf "Obs.Counters.apply: unknown code %d" code)
 
   (* Wall time inside pauses, counting the currently open pause (if any) up
@@ -474,15 +448,6 @@ let request_complete t ~time ~index ~service ~metered =
 let limit_change t ~time ~regions ~old_regions ~controller_id =
   emit t ~time ~code:Event.code_limit_change ~a:regions ~b:old_regions ~c:controller_id
 
-let fabric_worker_spawn t ~time ~worker ~transport =
-  emit t ~time ~code:Event.code_worker_spawn ~a:worker ~b:transport ~c:0
-
-let fabric_worker_dead t ~time ~worker ~requeued =
-  emit t ~time ~code:Event.code_worker_dead ~a:worker ~b:requeued ~c:0
-
-let fabric_group_steal t ~time ~victim ~thief ~cells =
-  emit t ~time ~code:Event.code_group_steal ~a:victim ~b:thief ~c:cells
-
 (* ---------- derived views ---------- *)
 
 let wall_stw t ~now = Counters.wall_stw t.counters ~now
@@ -526,16 +491,6 @@ let heap_limit_peak_regions t = t.counters.Counters.heap_limit_peak
 
 let footprint_region_cycles t ~now =
   Counters.footprint_region_cycles t.counters ~now
-
-let worker_spawns t = t.counters.Counters.worker_spawns
-
-let worker_deaths t = t.counters.Counters.worker_deaths
-
-let cells_requeued t = t.counters.Counters.cells_requeued
-
-let groups_stolen t = t.counters.Counters.groups_stolen
-
-let cells_stolen t = t.counters.Counters.cells_stolen
 
 let decode_event t ~code ~a ~b ~c =
   Event.decode ~string_of_id:(string_of_id t) ~code ~a ~b ~c

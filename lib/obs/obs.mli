@@ -153,20 +153,6 @@ val limit_change :
     refreshes the heap-geometry counters ([heap_regions], peak, and the
     footprint integral). *)
 
-(** Fabric worker lifecycle, emitted by the campaign coordinator (not the
-    simulation engine).  [time] is a coordinator-side monotonic tick, not
-    simulated cycles.  These fold into dedicated counters that are
-    deliberately {e not} part of {!fingerprint}: worker placement varies
-    with scheduling and crashes while the report must not. *)
-
-val fabric_worker_spawn : t -> time:int -> worker:int -> transport:int -> unit
-(** [transport]: 0 = pipe (forked), 1 = socket ({!Event.transport_name}). *)
-
-val fabric_worker_dead : t -> time:int -> worker:int -> requeued:int -> unit
-
-val fabric_group_steal :
-  t -> time:int -> victim:int -> thief:int -> cells:int -> unit
-
 (** {1 Derived views} *)
 
 val wall_stw : t -> now:int -> int
@@ -206,16 +192,6 @@ val heap_region_words : t -> int
 
 val footprint_region_cycles : t -> now:int -> int
 (** See {!Counters.footprint_region_cycles}. *)
-
-val worker_spawns : t -> int
-
-val worker_deaths : t -> int
-
-val cells_requeued : t -> int
-
-val groups_stolen : t -> int
-
-val cells_stolen : t -> int
 
 val decode_event : t -> code:int -> a:int -> b:int -> c:int -> Event.t
 

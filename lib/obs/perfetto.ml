@@ -154,16 +154,7 @@ let write_events w obs trace =
           Hashtbl.remove w.request_track index;
           ignore service;
           ignore metered;
-          emit_end w ~time ~tid:track
-      | E.Worker_spawn { worker; transport } ->
-          emit_instant w ~time ~tid:safepoint_tid ~cat:"fabric"
-            ~name:(Printf.sprintf "worker %d spawn (%s)" worker (E.transport_name transport))
-      | E.Worker_dead { worker; requeued } ->
-          emit_instant w ~time ~tid:safepoint_tid ~cat:"fabric"
-            ~name:(Printf.sprintf "worker %d dead (%d cells requeued)" worker requeued)
-      | E.Group_steal { victim; thief; cells } ->
-          emit_instant w ~time ~tid:safepoint_tid ~cat:"fabric"
-            ~name:(Printf.sprintf "steal %d -> %d (%d cells)" victim thief cells));
+          emit_end w ~time ~tid:track);
   (* Close slices still open at the end of the trace (e.g. the pause that
      was open when an aborted run stopped). *)
   Hashtbl.iter

@@ -5,7 +5,6 @@ module Decision_source = Gcr_workloads.Decision_source
 module Run = Gcr_runtime.Run
 module Profile = Gcr_runtime.Profile
 module Measurement = Gcr_runtime.Measurement
-module Obs = Gcr_obs.Obs
 
 type group = {
   spec : Spec.t;
@@ -21,7 +20,6 @@ type stats = {
   per_worker : int array;
   reassigned_cells : int;
   parent_cells : int;
-  stolen_groups : int;
   worker_profile : Profile.snapshot;
 }
 
@@ -40,26 +38,26 @@ type worker_row = {
 (* Checksummed frames (see {!Transport}); one tag byte each.  The
    coordinator speaks the identical protocol to forked pipe workers and
    TCP socket workers; only sockets handshake.  No tape crosses the
-   wire: every worker generates the replay images it needs. *)
+   wire: every worker generates the replay images it needs.  A group
+   frame carries the marshalled group alone, so a change to [group]'s
+   type needs a new protocol version. *)
 
-let protocol_version = 2
+let protocol_version = 3
 
 (* coordinator -> worker *)
 let tag_welcome = 'W'
 let tag_group = 'G'
-let tag_revoke = 'R'
 let tag_quit = 'Q'
 
 (* worker -> coordinator *)
 let tag_hello = 'H'
 let tag_batch = 'B'
-let tag_ack = 'A'
 let tag_heartbeat = 'h'
 
 let heartbeat_interval_s = 1.0
 
-(* A worker that has sent nothing for this long while holding assigned
-   groups is declared dead and its cells are requeued.  Heartbeats flow
+(* A worker that has sent nothing for this long while holding a group is
+   declared dead and its cells are requeued.  Heartbeats flow
    between cells, so the timeout must comfortably exceed one cell's
    runtime; [GCR_FABRIC_TIMEOUT_S] overrides (0 disables). *)
 let default_timeout_s = 600.0
@@ -204,10 +202,10 @@ let execute_group ?(before_cell = ignore) ~state ~cache ~on_result (g : group) =
    loss after a crash). *)
 let batch_cap = 32
 
-exception Quit_worker of int
-
 (* The worker loop, shared by forked pipe workers and socket workers.
-   Returns the exit code; forked workers wrap it in [_exit]. *)
+   Returns the exit code; forked workers wrap it in [_exit].  The
+   coordinator sends a worker its next group only after the last result
+   of the current one, so the loop blocks in [recv] between groups. *)
 let worker_main ~id ~cache ~ep ~verbose =
   let crash_after = crash_after ~id in
   let garble_after = garble_after ~id in
@@ -251,80 +249,24 @@ let worker_main ~id ~cache ~ep ~verbose =
     | Some _ | None -> ());
     if !batch_len >= batch_cap then flush ()
   in
-  let inbox : (int * group) list ref = ref [] in
-  let quit = ref false in
-  let handle tag payload =
-    if tag = tag_group then begin
-      let (gid, g) : int * group = Marshal.from_string payload 0 in
-      inbox := !inbox @ [ (gid, g) ]
-    end
-    else if tag = tag_revoke then begin
-      let c = Wire.cursor payload in
-      let gid = Wire.get_varint c "revoke gid" in
-      let had = List.mem_assoc gid !inbox in
-      if had then inbox := List.remove_assoc gid !inbox;
-      let b = Buffer.create 8 in
-      Wire.put_varint b gid;
-      Buffer.add_char b (if had then '\001' else '\000');
-      send tag_ack (Buffer.contents b)
-    end
-    else if tag = tag_quit then quit := true
-    else raise (Quit_worker 3) (* unknown tag *)
-  in
   let heartbeat () =
     if Unix.gettimeofday () -. !last_tx >= heartbeat_interval_s then begin
       if !batch_len > 0 then flush () else send tag_heartbeat ""
     end
   in
-  let execute (_gid, g) =
-    execute_group ~before_cell:heartbeat ~state ~cache ~on_result g;
-    flush ()
-  in
-  (* Pick up already-arrived control frames (revokes!) without blocking,
-     so a queued group stolen while we were busy is dropped before we
-     start it. *)
-  let drain_pending () =
-    let rec frames () =
-      match Transport.next_frame ep with
-      | Some (tag, payload) ->
-          handle tag payload;
-          frames ()
-      | None -> ()
-    in
-    frames ();
-    let rec poll () =
-      match Unix.select [ Transport.recv_fd ep ] [] [] 0.0 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-          match Transport.read_step ep with
-          | `Eof -> raise (Quit_worker (if Transport.mid_frame ep then 3 else 0))
-          | `Ready ->
-              frames ();
-              poll ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    in
-    poll ()
-  in
   let rec loop () =
-    drain_pending ();
-    match !inbox with
-    | job :: rest ->
-        inbox := rest;
-        execute job;
+    match Transport.recv ep with
+    | None -> 0
+    | Some (tag, payload) when tag = tag_group ->
+        let (g : group) = Marshal.from_string payload 0 in
+        execute_group ~before_cell:heartbeat ~state ~cache ~on_result g;
+        flush ();
         loop ()
-    | [] ->
-        if !quit then 0
-        else begin
-          match Transport.recv ep with
-          | None -> 0
-          | Some (tag, payload) ->
-              handle tag payload;
-              loop ()
-        end
+    | Some (tag, _) when tag = tag_quit -> 0
+    | Some _ -> 3 (* unknown tag *)
   in
   try loop () with
-  | Quit_worker code -> code
-  | Transport.Corrupt msg | Wire.Corrupt msg ->
+  | Transport.Corrupt msg ->
       if verbose then Printf.eprintf "gcr worker: corrupt stream from coordinator: %s\n%!" msg;
       3
   | Unix.Unix_error _ -> 1
@@ -356,8 +298,9 @@ let worker_connect ~host ~port ?cache ?(retry_for = 30.0) () =
         let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
         match Unix.connect fd addr with
         | () ->
-            (* revoke/ack is a request/response exchange: Nagle + delayed
-               ACK would serialise it into ~40ms stalls *)
+            (* each group is a request/response exchange (the next group
+               is sent only after the last result of this one): Nagle +
+               delayed ACK would add ~40ms stalls to every exchange *)
             (try Unix.setsockopt fd Unix.TCP_NODELAY true
              with Unix.Unix_error _ -> ());
             Some fd
@@ -437,8 +380,7 @@ type wrec = {
   ep : Transport.t;
   pid : int option;  (** forked workers only, for [waitpid] *)
   mutable alive : bool;
-  mutable queue : slot list;  (** assigned, in send order; head in progress *)
-  mutable revoking : int option;  (** gid of an in-flight revoke *)
+  mutable current : slot option;  (** the group it is running, if any *)
   mutable last_rx : float;
   mutable cells_total : int;  (** session-cumulative, probe waves included *)
 }
@@ -447,46 +389,18 @@ and slot = {
   gid : int;
   g : group;
   mutable pending : (int * Run.config) list;
-  mutable sstate : [ `Ready | `Assigned of int | `Done ];
-  mutable stolen_from : int option;
 }
 
 type session = {
   cache : Result_cache.t option;
   log : string -> unit;
-  obs : Obs.t option;
   timeout_s : float;
   ws : wrec array;
   scratch : Buffer.t;
   old_sigpipe : Sys.signal_behavior option;
-  plan_digest : string;
-  mutable tick : int;  (** monotonic obs event time for lifecycle events *)
   mutable deaths : int;
-  mutable stolen_total : int;
   mutable closed : bool;
 }
-
-let obs_tick session =
-  session.tick <- session.tick + 1;
-  session.tick
-
-let emit_spawn session w =
-  match session.obs with
-  | None -> ()
-  | Some obs ->
-      Obs.fabric_worker_spawn obs ~time:(obs_tick session) ~worker:w.w_id
-        ~transport:(if w.w_transport = "socket" then 1 else 0)
-
-let emit_dead session w ~requeued =
-  match session.obs with
-  | None -> ()
-  | Some obs ->
-      Obs.fabric_worker_dead obs ~time:(obs_tick session) ~worker:w.w_id ~requeued
-
-let emit_steal session ~victim ~thief ~cells =
-  match session.obs with
-  | None -> ()
-  | Some obs -> Obs.fabric_group_steal obs ~time:(obs_tick session) ~victim ~thief ~cells
 
 (* --- Spawning: forked pipe workers. --- *)
 
@@ -512,8 +426,7 @@ let spawn_forked ~cache ~id ~close_in_child =
         ep = Transport.of_fds ~recv:resp_read ~send:req_write;
         pid = Some pid;
         alive = true;
-        queue = [];
-        revoking = None;
+        current = None;
         last_rx = Unix.gettimeofday ();
         cells_total = 0;
       }
@@ -583,8 +496,7 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
                         ep;
                         pid = None;
                         alive = true;
-                        queue = [];
-                        revoking = None;
+                        current = None;
                         last_rx = Unix.gettimeofday ();
                         cells_total = 0;
                       }
@@ -617,7 +529,8 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
 
 (* --- Session lifecycle. --- *)
 
-let start ~workers ?cache ?(log = fun (_ : string) -> ()) ?obs ?listen ?(connect_timeout = 30.0) ?on_listen ?(plan_digest = "") () =
+let start ~workers ?cache ?(log = fun (_ : string) -> ()) ?listen ?(connect_timeout = 30.0)
+    ?on_listen ?(plan_digest = "") () =
   if workers < 1 then invalid_arg "Fabric.start: workers must be >= 1";
   let timeout_s =
     match timeout_of_env () with
@@ -646,24 +559,16 @@ let start ~workers ?cache ?(log = fun (_ : string) -> ()) ?obs ?listen ?(connect
         in
         spawn 0 [] []
   in
-  let session =
-    {
-      cache;
-      log;
-      obs;
-      timeout_s;
-      ws = Array.of_list ws;
-      scratch = Buffer.create 65536;
-      old_sigpipe;
-      plan_digest;
-      tick = 0;
-      deaths = 0;
-      stolen_total = 0;
-      closed = false;
-    }
-  in
-  Array.iter (fun w -> emit_spawn session w) session.ws;
-  session
+  {
+    cache;
+    log;
+    timeout_s;
+    ws = Array.of_list ws;
+    scratch = Buffer.create 65536;
+    old_sigpipe;
+    deaths = 0;
+    closed = false;
+  }
 
 let close_worker w =
   Transport.close w.ep;
@@ -705,8 +610,6 @@ let worker_rows session =
 
 let worker_deaths session = session.deaths
 
-let stolen_groups session = session.stolen_total
-
 (* --- Dispatch: execute one wave of groups through the session. --- *)
 
 let validate_groups groups =
@@ -726,19 +629,13 @@ let validate_groups groups =
         g.cells)
     groups
 
-(* How many groups a worker holds before new ones go elsewhere: 2 = one
-   in progress + one prefetched, hiding transport latency.  The prefetch
-   is what work-stealing revokes. *)
-let queue_depth = 2
-
 let dispatch session ~n_cells groups =
   if session.closed then invalid_arg "Fabric.dispatch: session is shut down";
   validate_groups groups;
   let slots =
     Array.of_list
       (List.mapi
-         (fun gid (g : group) ->
-           { gid; g; pending = g.cells; sstate = `Ready; stolen_from = None })
+         (fun gid (g : group) -> { gid; g; pending = g.cells })
          (List.filter (fun (g : group) -> g.cells <> []) groups))
   in
   let index_gid = Array.make n_cells (-1) in
@@ -757,7 +654,6 @@ let dispatch session ~n_cells groups =
   let hits = ref 0 in
   let reassigned = ref 0 in
   let parent_cells = ref 0 in
-  let stolen = ref 0 in
   let worker_profile = ref Profile.zero in
   (* The ready list is the scheduler: sorted by descending cost (largest
      first — LPT — so the big groups cannot land last on an
@@ -774,7 +670,6 @@ let dispatch session ~n_cells groups =
          (List.init (Array.length slots) Fun.id))
   in
   let insert_ready gid =
-    slots.(gid).sstate <- `Ready;
     let rec ins = function
       | [] -> [ gid ]
       | x :: rest -> if before x gid then x :: ins rest else gid :: x :: rest
@@ -785,36 +680,21 @@ let dispatch session ~n_cells groups =
     if w.alive then begin
       close_worker w;
       session.deaths <- session.deaths + 1;
-      let lost = List.fold_left (fun acc s -> acc + List.length s.pending) 0 w.queue in
+      let lost = match w.current with Some s -> List.length s.pending | None -> 0 in
       reassigned := !reassigned + lost;
-      emit_dead session w ~requeued:lost;
-      session.log
-        (Printf.sprintf "worker %d died; requeueing %d group(s), %d cell(s)" w.w_id
-           (List.length w.queue) lost);
-      List.iter
-        (fun s -> if s.pending <> [] then insert_ready s.gid else s.sstate <- `Done)
-        w.queue;
-      w.queue <- [];
-      w.revoking <- None
+      session.log (Printf.sprintf "worker %d died; requeueing %d cell(s)" w.w_id lost);
+      Option.iter (fun s -> insert_ready s.gid) w.current;
+      w.current <- None
     end
   in
   let send_group w s =
-    s.sstate <- `Assigned w.w_id;
-    w.queue <- w.queue @ [ s ];
-    (match s.stolen_from with
-    | Some victim ->
-        s.stolen_from <- None;
-        emit_steal session ~victim ~thief:w.w_id ~cells:(List.length s.pending);
-        session.log
-          (Printf.sprintf "worker %d stole %s seed=%d (%d cells) from worker %d" w.w_id
-             s.g.spec.Spec.name s.g.seed (List.length s.pending) victim)
-    | None ->
-        session.log
-          (Printf.sprintf "worker %d <- %s seed=%d (%d cells, cost %.0f)" w.w_id
-             s.g.spec.Spec.name s.g.seed (List.length s.pending) s.g.cost));
+    w.current <- Some s;
+    session.log
+      (Printf.sprintf "worker %d <- %s seed=%d (%d cells, cost %.0f)" w.w_id
+         s.g.spec.Spec.name s.g.seed (List.length s.pending) s.g.cost);
     match
       Transport.send ~scratch:session.scratch w.ep ~tag:tag_group
-        (Marshal.to_string (s.gid, { s.g with cells = s.pending }) [])
+        (Marshal.to_string { s.g with cells = s.pending } [])
     with
     | () -> ()
     | exception Unix.Unix_error _ -> worker_died w
@@ -831,10 +711,9 @@ let dispatch session ~n_cells groups =
     if index < n_cells && index_gid.(index) >= 0 then begin
       let s = slots.(index_gid.(index)) in
       s.pending <- List.filter (fun (i, _) -> i <> index) s.pending;
-      if s.pending = [] && s.sstate <> `Ready then begin
-        s.sstate <- `Done;
-        w.queue <- List.filter (fun s' -> s'.gid <> s.gid) w.queue
-      end
+      match w.current with
+      | Some c when c == s && s.pending = [] -> w.current <- None
+      | Some _ | None -> ()
     end
   in
   let handle_frame w (tag, payload) =
@@ -853,22 +732,6 @@ let dispatch session ~n_cells groups =
       List.iter (fun r -> on_result w r) batch
     end
     else if tag = tag_heartbeat then ()
-    else if tag = tag_ack then begin
-      let c = Wire.cursor payload in
-      let gid = Wire.get_varint c "ack gid" in
-      let dropped = Wire.get_byte c "ack dropped" <> 0 in
-      if w.revoking = Some gid then w.revoking <- None;
-      if dropped && gid >= 0 && gid < Array.length slots then begin
-        let s = slots.(gid) in
-        w.queue <- List.filter (fun s' -> s'.gid <> gid) w.queue;
-        if s.sstate = `Assigned w.w_id && s.pending <> [] then begin
-          incr stolen;
-          session.stolen_total <- session.stolen_total + 1;
-          s.stolen_from <- Some w.w_id;
-          insert_ready gid
-        end
-      end
-    end
     else begin
       session.log (Printf.sprintf "worker %d: unexpected frame tag %C" w.w_id tag);
       worker_died w
@@ -883,8 +746,8 @@ let dispatch session ~n_cells groups =
       | exception Transport.Corrupt msg ->
           session.log (Printf.sprintf "worker %d: corrupt stream (%s)" w.w_id msg);
           worker_died w
-      | exception (Wire.Corrupt msg | Failure msg) ->
-          (* a frame that passed the checksum but failed payload parsing:
+      | exception Failure msg ->
+          (* a frame that passed the checksum but failed unmarshalling:
              treat the peer as gone, exactly like transport corruption *)
           session.log (Printf.sprintf "worker %d: bad frame payload (%s)" w.w_id msg);
           worker_died w
@@ -895,7 +758,7 @@ let dispatch session ~n_cells groups =
       let now = Unix.gettimeofday () in
       Array.iter
         (fun w ->
-          if w.alive && w.queue <> [] && now -. w.last_rx > session.timeout_s then begin
+          if w.alive && w.current <> None && now -. w.last_rx > session.timeout_s then begin
             session.log
               (Printf.sprintf "worker %d: no frames for %.0fs, declaring dead" w.w_id
                  (now -. w.last_rx));
@@ -905,119 +768,62 @@ let dispatch session ~n_cells groups =
     end
   in
   while !remaining > 0 && Array.exists (fun w -> w.alive) session.ws do
-    (* deal: largest group to the least-loaded live worker (LPT).  Never
-       fill one worker's queue before another sees anything — that would
-       re-deal a freshly stolen group straight back to its victim.
-       Load is the *cost* already queued on the worker (so a prefetched
-       heavyweight counts for what it is, and two big groups are never
-       stacked while a neighbour holds two cheap ones). *)
-    let queued_cost w =
-      List.fold_left (fun acc s -> acc +. s.g.cost) 0.0 w.queue
-    in
-    let lighter a b =
-      (* strict: is a less loaded than b? *)
-      let ca = queued_cost a and cb = queued_cost b in
-      ca < cb || (ca = cb && List.length a.queue < List.length b.queue)
-    in
-    let rec deal () =
-      match !ready with
-      | [] -> ()
-      | gid :: rest -> (
-          let best = ref None in
-          Array.iter
-            (fun w ->
-              if w.alive && List.length w.queue < queue_depth then
-                match !best with
-                | Some b when not (lighter w b) -> ()
-                | Some _ | None -> best := Some w)
-            session.ws;
-          match !best with
-          | None -> ()
-          | Some w ->
-              ready := rest;
-              send_group w slots.(gid);
-              deal ())
-    in
-    deal ();
-    (* steal: idle workers + an empty ready list means stragglers hold
-       prefetched groups — revoke queue tails (never the in-progress
-       head), one in-flight revoke per victim *)
-    if !ready = [] && !remaining > 0 then begin
-      let idle = ref 0 in
-      Array.iter
-        (fun w -> if w.alive && w.queue = [] && w.revoking = None then incr idle)
-        session.ws;
-      if !idle > 0 then
-        Array.iter
-          (fun v ->
-            if !idle > 0 && v.alive && v.revoking = None && List.length v.queue >= 2
-            then begin
-              let tail = List.nth v.queue (List.length v.queue - 1) in
-              v.revoking <- Some tail.gid;
-              decr idle;
-              let b = Buffer.create 8 in
-              Wire.put_varint b tail.gid;
-              match Transport.send ~scratch:session.scratch v.ep ~tag:tag_revoke
-                      (Buffer.contents b)
-              with
-              | () -> ()
-              | exception Unix.Unix_error _ -> worker_died v
-            end)
-          session.ws
-    end;
-    let busy =
-      Array.exists (fun w -> w.alive && (w.queue <> [] || w.revoking <> None)) session.ws
-    in
-    if (not busy) && !ready = [] && !remaining > 0 then
-      (* live workers but nothing in flight and nothing queued: every
-         remaining cell was lost to a crash race — fall through to the
-         coordinator-side backstop below *)
-      Array.iter worker_died session.ws
-    else begin
-      let live = Array.to_list session.ws |> List.filter (fun w -> w.alive) in
-      let fds = List.map (fun w -> Transport.recv_fd w.ep) live in
-      match Unix.select fds [] [] 5.0 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | readable, _, _ ->
-          List.iter
-            (fun fd ->
-              match List.find_opt (fun w -> Transport.recv_fd w.ep == fd) live with
-              | None -> ()
-              | Some w when not w.alive -> ()
-              | Some w -> (
-                  w.last_rx <- Unix.gettimeofday ();
-                  match Transport.read_step w.ep with
-                  | `Eof -> worker_died w
-                  | `Ready -> drain w
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                  | exception Unix.Unix_error _ -> worker_died w))
-            readable;
-          check_timeouts ()
-    end
+    (* deal: each idle live worker, in id order, takes the costliest ready
+       group — greedy LPT list scheduling, one group per worker *)
+    Array.iter
+      (fun w ->
+        match !ready with
+        | gid :: rest when w.alive && w.current = None ->
+            ready := rest;
+            send_group w slots.(gid)
+        | _ :: _ | [] -> ())
+      session.ws;
+    match List.filter (fun w -> w.alive) (Array.to_list session.ws) with
+    | [] -> () (* the last worker died in a send: straight to the backstop *)
+    | live when List.for_all (fun w -> w.current = None) live ->
+        (* cells remain but no worker holds a group (an idle worker would
+           have taken any ready one): waiting would hang, so retire the
+           fleet and leave the rest to the backstop below *)
+        List.iter worker_died live
+    | live -> (
+        let fds = List.map (fun w -> Transport.recv_fd w.ep) live in
+        match Unix.select fds [] [] 5.0 with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | readable, _, _ ->
+            List.iter
+              (fun fd ->
+                match List.find_opt (fun w -> Transport.recv_fd w.ep == fd) live with
+                | None -> ()
+                | Some w when not w.alive -> ()
+                | Some w -> (
+                    w.last_rx <- Unix.gettimeofday ();
+                    match Transport.read_step w.ep with
+                    | `Eof -> worker_died w
+                    | `Ready -> drain w
+                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+                    | exception Unix.Unix_error _ -> worker_died w))
+              readable;
+            check_timeouts ())
   done;
   (* Backstop: every worker is gone (or none ever connected) but cells
      remain — execute them in this process so the campaign always
      completes.  The coordinator's own setup/tape/simulate time lands in
      this process's {!Profile} counters, not in [worker_profile]. *)
   let backstop_state = Run.new_state () in
-  while !ready <> [] do
-    match !ready with
-    | [] -> ()
-    | gid :: rest ->
-        ready := rest;
-        let s = slots.(gid) in
-        s.sstate <- `Done;
-        execute_group ~state:backstop_state ~cache:session.cache
-          ~on_result:(fun index hit m ->
-            match results.(index) with
-            | Some _ -> ()
-            | None ->
-                results.(index) <- Some m;
-                incr parent_cells;
-                if hit then incr hits;
-                decr remaining)
-          { s.g with cells = s.pending }
-  done;
+  List.iter
+    (fun gid ->
+      let s = slots.(gid) in
+      execute_group ~state:backstop_state ~cache:session.cache
+        ~on_result:(fun index hit m ->
+          match results.(index) with
+          | Some _ -> ()
+          | None ->
+              results.(index) <- Some m;
+              incr parent_cells;
+              if hit then incr hits;
+              decr remaining)
+        { s.g with cells = s.pending })
+    !ready;
   let out =
     Array.map
       (function
@@ -1032,6 +838,5 @@ let dispatch session ~n_cells groups =
       per_worker;
       reassigned_cells = !reassigned;
       parent_cells = !parent_cells;
-      stolen_groups = !stolen;
       worker_profile = !worker_profile;
     } )

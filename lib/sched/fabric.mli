@@ -21,17 +21,16 @@
     (spec, seed), so the probe waves of a minheap search generate it
     once.
 
-    Scheduling is size-aware: the coordinator deals the costliest groups
-    first (LPT) with a per-worker queue depth of 2, and when workers go
-    idle it revokes the {e prefetched} tail of a straggler's queue and
-    re-deals it (work-stealing at group granularity).  Reduction is by plan index and first-write-wins, so
-    neither stealing nor worker death can change a byte of the report —
-    only who computes it.
+    Scheduling is greedy LPT list scheduling: a worker holds one group
+    at a time, and when the last result of its group arrives the
+    coordinator sends it the costliest ready group.  Reduction is by plan
+    index and first-write-wins, so neither the dealing order nor worker
+    death can change a byte of the report — only who computes it.
 
     Fault model: a worker is dead on EOF, on a corrupt frame, on a failed
     send, or after [GCR_FABRIC_TIMEOUT_S] (default 600 s) of silence
-    while holding work.  Its unfinished cells are requeued for the
-    survivors; with no workers left, the coordinator executes the
+    while holding a group.  The unfinished cells of that group are
+    requeued for the survivors; with no workers left, the coordinator executes the
     remainder inline.  The report is unchanged either way. *)
 
 type group = {
@@ -55,7 +54,6 @@ type stats = {
   per_worker : int array;  (** cells completed by each worker, this wave *)
   reassigned_cells : int;  (** cells requeued after a worker death *)
   parent_cells : int;  (** cells the coordinator executed as a backstop *)
-  stolen_groups : int;  (** groups revoked and re-dealt, this wave *)
   worker_profile : Gcr_runtime.Profile.snapshot;
       (** summed setup/tape/simulate self-time the worker processes
           reported in their result batches.  The coordinator's own
@@ -90,7 +88,6 @@ val start :
   workers:int ->
   ?cache:Result_cache.t ->
   ?log:(string -> unit) ->
-  ?obs:Gcr_obs.Obs.t ->
   ?listen:string * int ->
   ?connect_timeout:float ->
   ?on_listen:(int -> unit) ->
@@ -107,8 +104,7 @@ val start :
     A short fleet — even an empty one — is not an error: the backstop
     guarantees completion.  With [cache], forked workers and the
     backstop replay and store results through it, and the welcome tells
-    socket workers to use their own cache, if they have one.  [obs]
-    receives worker lifecycle events (spawn, death, steal).  Raises
+    socket workers to use their own cache, if they have one.  Raises
     [Invalid_argument] on [workers < 1] or a malformed
     [GCR_FABRIC_TIMEOUT_S] (see {!timeout_of_env}), before it forks or
     binds anything. *)
@@ -133,9 +129,6 @@ val worker_rows : session -> worker_row list
 
 val worker_deaths : session -> int
 (** Workers declared dead over the session's lifetime. *)
-
-val stolen_groups : session -> int
-(** Session-cumulative; {!stats}[.stolen_groups] is per wave. *)
 
 (** {2 Worker side} *)
 

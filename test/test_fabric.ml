@@ -6,6 +6,7 @@
 
 module Registry = Gcr_gcs.Registry
 module Suite = Gcr_workloads.Suite
+module Spec = Gcr_workloads.Spec
 module Run = Gcr_runtime.Run
 module Harness = Gcr_core.Harness
 module Planner = Gcr_core.Planner
@@ -168,6 +169,60 @@ let test_worker_crash_reassigns () =
   check Alcotest.int "every cell still accounted" s.Harness.cells
     (Array.fold_left ( + ) 0 s.Harness.per_worker + s.Harness.parent_cells);
   check_campaigns_identical ~what:"serial vs crashed fabric" (Lazy.force serial) crashed
+
+(* A worker holds one group at a time, so a crash requeues only the
+   unfinished cells of the group it was running.  One worker and the
+   suite's grid of two 11-cell groups: the worker dies after 2 results
+   of its first group, so 9 cells are requeued and the backstop runs
+   those plus the second group, which was never sent.  The serial run
+   comes first so the min-heap memo is warm and no probe wave meets the
+   crash hook. *)
+let test_crash_requeues_only_current_group () =
+  let reference = Lazy.force serial in
+  Unix.putenv "GCR_FABRIC_CRASH_AFTER" "2";
+  let crashed =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "GCR_FABRIC_CRASH_AFTER" "")
+      (fun () -> run_with ~workers:(Some 1) ())
+  in
+  let s = Harness.summary crashed in
+  check Alcotest.int "no probe wave ran" 0 s.Harness.probe_cells;
+  check Alcotest.int "only the running group's unfinished cells were requeued" 9
+    s.Harness.reassigned_cells;
+  check Alcotest.int "the backstop ran the rest" 20 s.Harness.parent_cells;
+  check_campaigns_identical ~what:"serial vs one crashed worker" reference crashed
+
+(* When the last worker has died, a send to it fails (EPIPE) while its
+   group is still to run.  The coordinator must go straight to the
+   backstop rather than wait in a [select] on no descriptors. *)
+let test_dead_fleet_goes_to_backstop () =
+  let spec = Spec.scale (Suite.find_exn "jme") 0.05 in
+  let config = Run.default_config ~spec ~gc:Registry.Serial ~heap_words:160_000 ~seed:7 in
+  let wave session =
+    Fabric.dispatch session ~n_cells:1
+      [ { Fabric.spec; seed = 7; tapes = true; cost = 1.0; cells = [ (0, config) ] } ]
+  in
+  let var = "GCR_FABRIC_CRASH_AFTER" in
+  let saved = Option.value (Sys.getenv_opt var) ~default:"" in
+  Unix.putenv var "1";
+  let session =
+    Fun.protect ~finally:(fun () -> Unix.putenv var saved) (fun () -> Fabric.start ~workers:1 ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Fabric.shutdown session)
+    (fun () ->
+      let _, first = wave session in
+      check Alcotest.int "the worker ran the first wave" 0 first.Fabric.parent_cells;
+      (* the worker exits right after its first result *)
+      Unix.sleepf 0.5;
+      let started = Unix.gettimeofday () in
+      let measurements, stats = wave session in
+      let elapsed = Unix.gettimeofday () -. started in
+      check Alcotest.bool (Printf.sprintf "second wave took %.1fs, under 2s" elapsed) true
+        (elapsed < 2.0);
+      check Alcotest.int "the backstop ran the cell" 1 stats.Fabric.parent_cells;
+      check Alcotest.bool "the cell equals a fresh run" true
+        (measurements.(0) = Run.execute config))
 
 (* --- Socket transport: the same fabric over TCP. ---
 
@@ -382,7 +437,10 @@ let test_fabric_stores_no_tapes () =
 (* --- Protocol version skew. ---
 
    Version 1 workers carried a has-store byte in their hello and could
-   fetch tapes over the wire; version 2 has neither.  Each side reads
+   fetch tapes over the wire; version 2 had neither, but its group
+   frames carried a group id for revoke/ack work-stealing; version 3
+   sends the group alone.  Version 2 has today's handshake layout, so it
+   is the peer a deployment meets after an upgrade.  Each side reads
    the peer's version before anything else, answers a mismatch with its
    own versions, and drops the peer. *)
 
@@ -394,9 +452,17 @@ let v1_hello () =
   Wire.put_string b "v1-peer";
   Buffer.contents b
 
-let v1_welcome () =
+let v2_hello () =
   let b = Buffer.create 64 in
-  Wire.put_varint b 1;
+  Wire.put_varint b 2;
+  Wire.put_string b Cache_key.version;
+  Wire.put_string b "v2-peer";
+  Buffer.contents b
+
+(* The welcome's layout is the same in every version. *)
+let old_welcome ~version =
+  let b = Buffer.create 64 in
+  Wire.put_varint b version;
   Wire.put_string b Cache_key.version;
   Wire.put_string b "";
   Wire.put_varint b 0;
@@ -409,79 +475,93 @@ let connect_loopback port =
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   Transport.of_socket fd
 
-(* A raw peer speaking version 1 must get the coordinator's version-2
-   welcome and then EOF; the child exits 0 only if it saw exactly that.
-   No worker joins, so the backstop runs every cell. *)
-let fork_v1_peer ~port =
+(* A raw peer sending an old [hello] must get the coordinator's
+   version-3 welcome and then EOF; the child exits 0 only if it saw
+   exactly that. *)
+let fork_old_peer ~port hello =
   match Unix.fork () with
   | 0 ->
       Unix._exit
         (try
            let ep = connect_loopback port in
-           Transport.send ep ~tag:'H' (v1_hello ());
+           Transport.send ep ~tag:'H' hello;
            match Transport.recv ep with
            | Some ('W', payload)
-             when Wire.get_varint (Wire.cursor payload) "welcome version" = 2 -> (
+             when Wire.get_varint (Wire.cursor payload) "welcome version" = 3 -> (
                match Transport.recv ep with None -> 0 | Some _ -> 4)
            | Some _ | None -> 5
          with _ -> 6)
   | pid -> pid
 
-let test_v1_hello_refused () =
-  let pid = ref None in
+(* A v1 and a v2 peer both try to join; no worker joins, so the backstop
+   runs every cell. *)
+let test_old_hellos_refused () =
+  let pids = ref [] in
   let config =
     {
-      (campaign_config ~workers:(Some 1)) with
+      (campaign_config ~workers:(Some 2)) with
       Harness.listen = Some ("127.0.0.1", 0);
       connect_timeout = 2.0;
-      on_listen = Some (fun port -> pid := Some (fork_v1_peer ~port));
+      on_listen =
+        Some
+          (fun port ->
+            pids := List.map (fork_old_peer ~port) [ v1_hello (); v2_hello () ]);
     }
   in
   let campaign = Harness.run_campaign config ~benchmarks ~gcs:Registry.production in
-  let status =
-    match !pid with Some pid -> snd (Unix.waitpid [] pid) | None -> Unix.WEXITED (-1)
-  in
-  check Alcotest.bool "the v1 peer got a v2 welcome, then EOF" true
-    (status = Unix.WEXITED 0);
+  let statuses = List.map (fun pid -> snd (Unix.waitpid [] pid)) !pids in
+  check Alcotest.int "both peers connected" 2 (List.length statuses);
+  List.iteri
+    (fun i status ->
+      check Alcotest.bool
+        (Printf.sprintf "the v%d peer got a v3 welcome, then EOF" (i + 1))
+        true (status = Unix.WEXITED 0))
+    statuses;
   let s = Harness.summary campaign in
   check Alcotest.int "no worker joined" 0 (List.length s.Harness.worker_rows);
   check Alcotest.int "the backstop ran every cell" s.Harness.cells s.Harness.parent_cells;
-  check_campaigns_identical ~what:"serial vs backstop after a refused peer"
+  check_campaigns_identical ~what:"serial vs backstop after refused peers"
     (Lazy.force serial) campaign
 
-(* A fake coordinator answers the hello with a version-1 welcome. *)
-let test_v1_welcome_refused () =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen sock 1;
-  let port = match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
-  match Unix.fork () with
-  | 0 ->
-      Unix._exit
-        (try
-           let fd, _ = Unix.accept sock in
-           Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.0;
-           let ep = Transport.of_socket fd in
-           match Transport.recv ep with
-           | Some ('H', _) ->
-               Transport.send ep ~tag:'W' (v1_welcome ());
-               (* the worker hangs up after reading the welcome *)
-               ignore (Transport.recv ep);
-               0
-           | Some _ | None -> 5
-         with _ -> 6)
-  | pid ->
-      Unix.close sock;
-      let result = Fabric.worker_connect ~host:"127.0.0.1" ~port ~retry_for:5.0 () in
-      let _, status = Unix.waitpid [] pid in
-      (match result with
-      | Error msg ->
+(* A fake coordinator answers the hello with a version-1, then a
+   version-2 welcome. *)
+let test_old_welcomes_refused () =
+  List.iter
+    (fun version ->
+      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen sock 1;
+      let port = match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+      match Unix.fork () with
+      | 0 ->
+          Unix._exit
+            (try
+               let fd, _ = Unix.accept sock in
+               Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.0;
+               let ep = Transport.of_socket fd in
+               match Transport.recv ep with
+               | Some ('H', _) ->
+                   Transport.send ep ~tag:'W' (old_welcome ~version);
+                   (* the worker hangs up after reading the welcome *)
+                   ignore (Transport.recv ep);
+                   0
+               | Some _ | None -> 5
+             with _ -> 6)
+      | pid ->
+          Unix.close sock;
+          let result = Fabric.worker_connect ~host:"127.0.0.1" ~port ~retry_for:5.0 () in
+          let _, status = Unix.waitpid [] pid in
+          (match result with
+          | Error msg ->
+              check Alcotest.bool
+                (Printf.sprintf "%S names the mismatch" msg)
+                true
+                (contains msg (Printf.sprintf "coordinator speaks v%d, this build v3" version))
+          | Ok code -> Alcotest.failf "worker served a v%d coordinator (exit %d)" version code);
           check Alcotest.bool
-            (Printf.sprintf "%S names the mismatch" msg)
-            true
-            (contains msg "protocol version mismatch")
-      | Ok code -> Alcotest.failf "worker served a v1 coordinator (exit %d)" code);
-      check Alcotest.bool "the fake coordinator saw a hello" true (status = Unix.WEXITED 0)
+            (Printf.sprintf "the fake v%d coordinator saw a hello" version)
+            true (status = Unix.WEXITED 0))
+    [ 1; 2 ]
 
 (* GCR_FABRIC_TIMEOUT_S: 0 disables, empty means unset, and anything that is
    not a finite number of seconds >= 0 is refused, by [Fabric.start] too,
@@ -528,6 +608,10 @@ let suite =
     Alcotest.test_case "workers=4 cells equal fresh runs" `Quick
       test_fabric_cells_equal_fresh_runs;
     Alcotest.test_case "worker crash reassigns cells" `Quick test_worker_crash_reassigns;
+    Alcotest.test_case "crash requeues only its group" `Quick
+      test_crash_requeues_only_current_group;
+    Alcotest.test_case "dead fleet goes to the backstop" `Quick
+      test_dead_fleet_goes_to_backstop;
     Alcotest.test_case "socket fabric identical (probes over the wire)" `Quick
       test_socket_fabric_identical;
     Alcotest.test_case "mixed-store socket fleet identical" `Quick
@@ -539,8 +623,7 @@ let suite =
     Alcotest.test_case "result corruption re-executes" `Quick
       test_result_corruption_reexecutes;
     Alcotest.test_case "fabric stores no tapes" `Quick test_fabric_stores_no_tapes;
-    Alcotest.test_case "v1 hello gets a v2 welcome and no cells" `Quick
-      test_v1_hello_refused;
-    Alcotest.test_case "v1 welcome refused by the worker" `Quick test_v1_welcome_refused;
+    Alcotest.test_case "v1/v2 hellos get only a v3 welcome" `Quick test_old_hellos_refused;
+    Alcotest.test_case "v1/v2 welcomes refused by a worker" `Quick test_old_welcomes_refused;
     Alcotest.test_case "malformed timeout refused" `Quick test_timeout_env_validated;
   ]
