@@ -1,15 +1,14 @@
 (* Tracked performance benchmark harness for the simulator hot paths.
 
-   Two layers:
+   Two layers, both timed as the best of a few repetitions:
    - wall-clock kernels: deterministic workloads timed end-to-end, reported
      in work-units/second (or seconds for the full-run kernel).  These are
      the numbers the BENCH_<n>.json trajectory tracks PR over PR.
-   - Bechamel microbenchmarks: ns/run OLS estimates for the finest kernels
-     (event push/pop, object-table lookup, allocation), for diagnosis.
+   - micro kernels: ns per call of the finest kernels (event push/pop,
+     object-table lookup, allocation), for diagnosis; never gated.
 
    Usage:
      perf.exe [--smoke] [--out FILE] [--baseline FILE] [--label TEXT]
-              [--no-micro]
 
    --smoke      cut repetitions/sizes for CI (~15s total)
    --out        write the JSON report here (default: BENCH_<n>.json with the
@@ -19,8 +18,6 @@
                 must have been recorded in the same mode (smoke or full):
                 smoke mode sizes some kernels smaller, so a cross-mode
                 comparison exits 2 before any kernel runs
-   --no-micro   skip the Bechamel section (the JSON then carries only the
-                wall-clock kernels)
 
    The JSON is self-describing: every entry carries its unit and direction,
    so future PRs can add kernels without breaking the comparison. *)
@@ -57,19 +54,15 @@ type options = {
   mutable out : string option;
   mutable baseline : string option;
   mutable label : string;
-  mutable micro : bool;
 }
 
-let options = { smoke = false; out = None; baseline = None; label = ""; micro = true }
+let options = { smoke = false; out = None; baseline = None; label = "" }
 
 let parse_args () =
   let rec loop = function
     | [] -> ()
     | "--smoke" :: rest ->
         options.smoke <- true;
-        loop rest
-    | "--no-micro" :: rest ->
-        options.micro <- false;
         loop rest
     | "--out" :: file :: rest ->
         options.out <- Some file;
@@ -83,7 +76,7 @@ let parse_args () =
     | arg :: _ ->
         Printf.eprintf
           "perf.exe: unknown argument %s\n\
-           usage: perf.exe [--smoke] [--out FILE] [--baseline FILE] [--label TEXT] [--no-micro]\n"
+           usage: perf.exe [--smoke] [--out FILE] [--baseline FILE] [--label TEXT]\n"
           arg;
         exit 2
   in
@@ -684,7 +677,6 @@ let run_campaign_kernels () =
        scaled);
   let fabric = bench_campaign ~smoke ~workers:(Some 4) in
   record "campaign/cells_per_sec" fabric "cells/s" Higher_is_better;
-  record "campaign/warm_cells_per_sec" fabric "cells/s" Higher_is_better;
   let dist = bench_dist_campaign ~smoke ~workers:4 in
   record "campaign/dist_cells_per_sec" dist "cells/s" Higher_is_better;
   record ~tracked:false "campaign/dist_tax_vs_pipe" (fabric /. dist) "x"
@@ -732,79 +724,72 @@ let run_wall_clock () =
   run_campaign_kernels ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                            *)
+(* Micro kernels                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let micro_tests () =
-  let open Bechamel in
-  let heap_push_pop =
-    Test.make ~name:"micro/binary_heap_push_pop"
-      (Staged.stage (fun () ->
-           let h = Binary_heap.create () in
-           for i = 0 to 255 do
-             Binary_heap.add h ~priority:(i * 7919 mod 1024) i
-           done;
-           while not (Binary_heap.is_empty h) do
-             ignore (Binary_heap.pop_min_value h + Binary_heap.popped_priority h)
-           done))
-  in
-  let table =
-    let heap = Heap.create ~capacity_words:65_536 ~region_words:256 () in
-    let alloc = Allocator.create heap ~space:Region.Old in
-    let ids =
-      Array.init 2_000 (fun _ ->
-          match Allocator.alloc alloc ~size:10 ~nfields:2 with
-          | Allocator.Allocated { obj; _ } -> obj
-          | Allocator.Out_of_regions -> failwith "micro table setup")
-    in
-    Test.make ~name:"micro/heap_find_live"
-      (Staged.stage (fun () ->
-           let hits = ref 0 in
-           Array.iter (fun id -> if Heap.is_live heap id then incr hits) ids;
-           assert (!hits = Array.length ids)))
-  in
-  let alloc_path =
-    let region_words = 256 in
-    let heap = Heap.create ~capacity_words:(256 * region_words) ~region_words () in
-    Test.make ~name:"micro/alloc_fast_path"
-      (Staged.stage (fun () ->
-           let alloc = Allocator.create heap ~space:Region.Eden in
-           for _ = 1 to 512 do
-             match Allocator.alloc alloc ~size:8 ~nfields:2 with
-             | Allocator.Allocated _ -> ()
-             | Allocator.Out_of_regions -> failwith "micro alloc out of regions"
-           done;
-           Allocator.retire alloc;
-           Heap.iter_regions
-             (fun r ->
-               if not (Region.space_equal r.Region.space Region.Free) then
-                 Heap.release_region heap r)
-             heap))
-  in
-  [ heap_push_pop; table; alloc_path ]
+(* ns per call of [f]: the best of [reps] timings of [iters] calls. *)
+let ns_per_call ~iters ~reps f =
+  best_of reps (fun () ->
+      for _ = 1 to iters do
+        f ()
+      done)
+  *. 1e9 /. float_of_int iters
 
-let run_micro () =
-  let open Bechamel in
-  let open Toolkit in
-  Printf.printf "\nBechamel microbenchmarks\n%!";
-  let quota = if options.smoke then 0.25 else 1.0 in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:(Some 1000) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instance = Instance.monotonic_clock in
+let micro_heap_push_pop () =
+  let h = Binary_heap.create () in
+  for i = 0 to 255 do
+    Binary_heap.add h ~priority:(i * 7919 mod 1024) i
+  done;
+  while not (Binary_heap.is_empty h) do
+    ignore (Binary_heap.pop_min_value h + Binary_heap.popped_priority h)
+  done
+
+let micro_find_live () =
+  let heap = Heap.create ~capacity_words:65_536 ~region_words:256 () in
+  let alloc = Allocator.create heap ~space:Region.Old in
+  let ids =
+    Array.init 2_000 (fun _ ->
+        match Allocator.alloc alloc ~size:10 ~nfields:2 with
+        | Allocator.Allocated { obj; _ } -> obj
+        | Allocator.Out_of_regions -> failwith "micro table setup")
+  in
+  fun () ->
+    let hits = ref 0 in
+    Array.iter (fun id -> if Heap.is_live heap id then incr hits) ids;
+    assert (!hits = Array.length ids)
+
+let micro_alloc_fast_path () =
+  let region_words = 256 in
+  let heap = Heap.create ~capacity_words:(256 * region_words) ~region_words () in
+  fun () ->
+    let alloc = Allocator.create heap ~space:Region.Eden in
+    for _ = 1 to 512 do
+      match Allocator.alloc alloc ~size:8 ~nfields:2 with
+      | Allocator.Allocated _ -> ()
+      | Allocator.Out_of_regions -> failwith "micro alloc out of regions"
+    done;
+    Allocator.retire alloc;
+    Heap.iter_regions
+      (fun r ->
+        if not (Region.space_equal r.Region.space Region.Free) then
+          Heap.release_region heap r)
+      heap
+
+(* Micro kernels inform but do not gate: they are noisier than the
+   wall-clock kernels. *)
+let run_micro_kernels () =
+  Printf.printf "\nmicro kernels (untracked)\n%!";
+  let reps = if options.smoke then 3 else 5 in
+  let iters n = if options.smoke then n / 4 else n in
   List.iter
-    (fun test ->
-      let benched = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance benched in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              (* microbenchmarks inform but do not gate: they are noisier
-                 than the wall-clock kernels *)
-              record ~tracked:false name est "ns/run" Lower_is_better
-          | Some _ | None -> Printf.printf "  %-34s (no estimate)\n" name)
-        analyzed)
-    (micro_tests ())
+    (fun (name, f, n) ->
+      record ~tracked:false name (ns_per_call ~iters:(iters n) ~reps f) "ns/run"
+        Lower_is_better)
+    [
+      ("micro/binary_heap_push_pop", micro_heap_push_pop, 4_000);
+      ("micro/heap_find_live", micro_find_live (), 20_000);
+      ("micro/alloc_fast_path", micro_alloc_fast_path (), 4_000);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -812,7 +797,7 @@ let () =
   parse_args ();
   let baseline = Option.map (fun file -> (file, load_baseline file)) options.baseline in
   run_wall_clock ();
-  if options.micro then run_micro ();
+  run_micro_kernels ();
   let out = match options.out with Some f -> f | None -> next_bench_file () in
   write_json out;
   Option.iter (fun (file, entries) -> compare_baseline file entries) baseline

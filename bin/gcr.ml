@@ -811,33 +811,10 @@ let tape_file_pos =
     & info [] ~docv:"FILE" ~doc:"Tape file to read.")
 
 let tape_record_cmd =
-  let run bench scale seed out via_run factor =
+  let run bench scale seed out =
     check_writable out;
-    let spec = Spec.scale bench scale in
-    let tape =
-      match via_run with
-      | None ->
-          (* pure generation: replicate the run's PRNG split tree without
-             simulating anything *)
-          Tape_gen.generate ~spec ~seed
-      | Some gc ->
-          (* record tee: execute one real run with a Record source and keep
-             the stream it actually consumed (plus fallback headroom is not
-             needed — replay falls over to the live continuation) *)
-          let minheap = Minheap.find ?cache:(resolve_cache None) spec in
-          let heap_words = int_of_float (factor *. float_of_int minheap) in
-          let captured = ref None in
-          let config =
-            {
-              (Run.default_config ~spec ~gc ~heap_words ~seed) with
-              Run.tape = Run.Tape_record (fun t -> captured := Some t);
-            }
-          in
-          let (_ : Measurement.t) = Run.execute config in
-          (match !captured with
-          | Some t -> t
-          | None -> die "run finished without producing a tape")
-    in
+    (* replicate the run's PRNG split tree without simulating anything *)
+    let tape = Tape_gen.generate ~spec:(Spec.scale bench scale) ~seed in
     write_or_die (fun () -> Tape.write_file tape ~path:out);
     Printf.printf "%s: %d draws, digest %s\n" out (Tape.draws tape) (Tape.digest tape)
   in
@@ -852,19 +829,10 @@ let tape_record_cmd =
       value & opt string "workload.tape"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Tape file to write.")
   in
-  let via_run_arg =
-    let doc =
-      "Record by executing one real run under this collector (the record tee) \
-       instead of generating the stream directly.  Both paths produce replay-
-       equivalent tapes; the tee also captures only the prefix that run consumed."
-    in
-    Arg.(value & opt (some gc_conv) None & info [ "via-run" ] ~docv:"GC" ~doc)
-  in
   Cmd.v
     (Cmd.info "record"
        ~doc:"Record the workload decision stream for one (benchmark, seed)")
-    Term.(
-      const run $ bench_arg $ scale_arg $ seed_arg $ out_arg $ via_run_arg $ factor_arg)
+    Term.(const run $ bench_arg $ scale_arg $ seed_arg $ out_arg)
 
 let tape_info_cmd =
   let run file =

@@ -35,13 +35,6 @@ let compute observations =
   let ideal = ideal_estimate observations in
   List.map (fun o -> (o, lbo ~ideal ~total:o.total)) observations
 
-let lbo_of_runs metric ~baseline runs =
-  let observations = List.filter_map (observation metric) baseline in
-  match (observations, observation metric runs) with
-  | [], _ | _, None -> None
-  | observations, Some o ->
-      Some (lbo ~ideal:(ideal_estimate observations) ~total:o.total)
-
 let per_invocation_lbos metric ~ideal runs =
   runs
   |> List.filter Measurement.completed

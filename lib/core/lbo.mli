@@ -35,16 +35,6 @@ val lbo : ideal:float -> total:float -> float
 val compute : observation list -> (observation * float) list
 (** Each observation paired with its LBO value (order preserved). *)
 
-val lbo_of_runs :
-  Metrics.t ->
-  baseline:Gcr_runtime.Measurement.t list list ->
-  Gcr_runtime.Measurement.t list ->
-  float option
-(** Convenience: LBO of one collector's runs against an ideal estimated
-    from all the [baseline] collectors' runs (the collector's own runs
-    should be among them).  [None] if the collector failed or no baseline
-    observation exists. *)
-
 val per_invocation_lbos :
   Metrics.t -> ideal:float -> Gcr_runtime.Measurement.t list -> float array
 (** LBO of each completed invocation against a fixed ideal estimate — the

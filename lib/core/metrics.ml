@@ -2,7 +2,6 @@ module Measurement = Gcr_runtime.Measurement
 
 type t = Wall_time | Cpu_cycles | Energy
 
-let all = [ Wall_time; Cpu_cycles; Energy ]
 
 let name = function
   | Wall_time -> "wall-clock time"

@@ -11,8 +11,6 @@ type t =
       (** simple model: active cycles cost 1 energy unit, idle CPU-seconds
           cost 0.15 (static power), so parallelism and stalls both show *)
 
-val all : t list
-
 val name : t -> string
 
 val total : t -> Gcr_runtime.Measurement.t -> float

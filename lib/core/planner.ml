@@ -69,23 +69,6 @@ let group_cost g = List.fold_left (fun acc c -> acc +. cell_cost c) 0.0 g.cells
    collector pressure worth modelling: weight them as a bare workload. *)
 let probe_cost spec = spec_weight spec
 
-(* The digest a socket worker pins in its handshake: every cell key (each
-   already a digest of the full run config) plus the cell count, so two
-   builds disagreeing on any planned cell — or on the cache-key format —
-   cannot silently serve each other. *)
-let digest t =
-  let b = Buffer.create (40 * t.n_cells) in
-  Buffer.add_string b (string_of_int t.n_cells);
-  List.iter
-    (fun g ->
-      List.iter
-        (fun c ->
-          Buffer.add_char b '|';
-          Buffer.add_string b c.key)
-        g.cells)
-    t.groups;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 (* Epsilon participates implicitly even if not requested; it leads the
    cell order exactly as the serial harness always emitted it. *)
 let with_epsilon gcs =

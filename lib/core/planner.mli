@@ -64,12 +64,6 @@ val probe_cost : Gcr_workloads.Spec.t -> float
 (** Cost estimate for one minheap probe cell of [spec] (a bare workload
     run), so probe waves ride the same size-aware scheduling. *)
 
-val digest : t -> string
-(** Digest over every cell key plus the cell count — the plan identity a
-    socket worker pins in its handshake.  Two builds that disagree on any
-    planned config (or on the cache-key format itself) get different
-    digests. *)
-
 val plan :
   ?controllers:Gcr_policy.Controller.spec list ->
   invocations:int ->

@@ -199,8 +199,6 @@ let spawn t ~kind ~name =
 
 let thread_kind th = th.kind
 
-let thread_name th = th.name
-
 let thread_id th = th.tid
 
 let pause_active t = match t.stop with Paused _ -> true | No_stop | Stopping _ -> false
@@ -290,8 +288,6 @@ let resume t th cb =
       invalid_arg (Printf.sprintf "Engine.resume: thread %s is not parked" th.name));
   th.state <- Idle;
   submit t th ~cycles:0 cb
-
-let is_parked th = th.state = Parked
 
 let at t ~time cb =
   if time < t.clock then invalid_arg "Engine.at: time in the past";

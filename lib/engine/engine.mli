@@ -66,8 +66,6 @@ val spawn : t -> kind:thread_kind -> name:string -> thread
 
 val thread_kind : thread -> thread_kind
 
-val thread_name : thread -> string
-
 val thread_id : thread -> int
 (** The engine tid, as carried by the thread's events. *)
 
@@ -91,8 +89,6 @@ val park : t -> thread -> unit
 
 val resume : t -> thread -> (unit -> unit) -> unit
 (** Unblock a parked thread by scheduling a zero-cost continuation. *)
-
-val is_parked : thread -> bool
 
 (** {1 Timers} *)
 

@@ -128,7 +128,6 @@ let start t ~pause ~on_done =
     t.in_flight <- false;
     t.tracer <- None;
     t.cycles <- t.cycles + 1;
-    Heap.log_collection heap;
     on_done ~evac_failed
   in
   pause "init-mark" (fun release ->

@@ -479,7 +479,6 @@ let fire_debug s =
 let normal_end s =
   let h = heap s in
   s.collections <- s.collections + 1;
-  Heap.log_collection h;
   s.eden_since_pause <- 0;
   let headroom = Heap.free_regions h - evac_reserve s in
   s.pause_budget <- max 2 (headroom / 2);

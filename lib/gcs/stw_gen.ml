@@ -65,7 +65,6 @@ let finish_collection s ~ran_full =
   let heap = s.ctx.Gc_types.heap in
   s.collections <- s.collections + 1;
   if ran_full then s.full_collections <- s.full_collections + 1;
-  Heap.log_collection heap;
   s.eden_regions_since_gc <- 0;
   s.last_survivor_regions <- Heap.regions_in_space_count heap Region.Survivor;
   Heap.set_alloc_reserve heap (survivor_reserve s);

@@ -16,7 +16,6 @@ type t = {
   mutable scratch_epoch : int;
   mutable words_allocated : int;
   mutable objects_allocated : int;
-  mutable collections : int;
   mutable reserve : int;
   mutable history_digest : int;
       (** commutative fold over every allocation and pointer write (by
@@ -65,7 +64,6 @@ let create ?obs ~capacity_words ~region_words () =
     scratch_epoch = 0;
     words_allocated = 0;
     objects_allocated = 0;
-    collections = 0;
     reserve = 0;
     history_digest = 0;
   }
@@ -109,7 +107,6 @@ let reset t ~capacity_words ~region_words =
   t.scratch_epoch <- 0;
   t.words_allocated <- 0;
   t.objects_allocated <- 0;
-  t.collections <- 0;
   t.reserve <- 0;
   t.history_digest <- 0;
   match t.obs with
@@ -244,14 +241,6 @@ let iter_fields t id f = Obj_model.iter_fields t.store id f
 let obj_remembered t id = Obj_model.remembered t.store id
 
 let set_obj_remembered t id v = Obj_model.set_remembered t.store id v
-
-let obj_rc t id = Obj_model.rc t.store id
-
-let set_obj_rc t id v = Obj_model.set_rc t.store id v
-
-let obj_dirty t id = Obj_model.dirty t.store id
-
-let set_obj_dirty t id e = Obj_model.set_dirty t.store id e
 
 let obj_serial t id = Obj_model.serial t.store id
 
@@ -452,10 +441,6 @@ let objects_allocated_total t = t.objects_allocated
 
 let history_digest t = t.history_digest
 
-let collections_logged t = t.collections
-
-let log_collection t = t.collections <- t.collections + 1
-
 (* The visited set is the scratch mark slot under a fresh epoch — no
    per-call Hashtbl on the traversal itself; the result table is built only
    for the caller (tests and ground-truth checks). *)
@@ -480,8 +465,3 @@ let reachable_from t roots =
     Obj_model.iter_fields store (Ivec.pop stack) push
   done;
   seen
-
-let pp ppf t =
-  Format.fprintf ppf "heap(%d/%d regions free, used=%a, live=%d objs/%a)"
-    (free_regions t) (total_regions t) Gcr_util.Units.pp_words t.used_words t.live_count
-    Gcr_util.Units.pp_words t.live_words

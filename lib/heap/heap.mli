@@ -107,16 +107,6 @@ val obj_remembered : t -> Obj_model.id -> bool
 
 val set_obj_remembered : t -> Obj_model.id -> bool -> unit
 
-val obj_rc : t -> Obj_model.id -> int
-(** Reference count; maintained only by RC collectors (LXR). *)
-
-val set_obj_rc : t -> Obj_model.id -> int -> unit
-
-val obj_dirty : t -> Obj_model.id -> int
-(** Epoch of the last logged mutation (RC field-logging barrier). *)
-
-val set_obj_dirty : t -> Obj_model.id -> int -> unit
-
 val obj_serial : t -> Obj_model.id -> int
 (** Birth serial: never reused even when the id is; see
     {!Obj_model.serial}. *)
@@ -232,11 +222,6 @@ val history_digest : t -> int
     because collector-dependent scheduling can reorder cross-thread writes
     into a different — but equally correct — heap graph. *)
 
-val collections_logged : t -> int
-
-val log_collection : t -> unit
-(** Collectors bump this for tests/heuristics. *)
-
 (** {1 Reachability (for tests and ground truth)} *)
 
 val reachable_from : t -> Obj_model.id list -> (Obj_model.id, unit) Hashtbl.t
@@ -244,5 +229,3 @@ val reachable_from : t -> Obj_model.id list -> (Obj_model.id, unit) Hashtbl.t
     traversed.  Begins a fresh scratch epoch (the visited set is the
     scratch mark slot), so do not call it while a scratch-marking scavenge
     is in flight. *)
-
-val pp : Format.formatter -> t -> unit

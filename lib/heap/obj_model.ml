@@ -256,8 +256,6 @@ let[@inline] set_dirty s id e = Array.unsafe_set s.dirty id e
 
 let[@inline] serial s id = Array.unsafe_get s.serial id
 
-let serials_issued s = s.next_serial
-
 let[@inline] remembered s id = Array.unsafe_get s.flags id land 2 <> 0
 
 let[@inline] set_remembered s id v =
@@ -265,10 +263,6 @@ let[@inline] set_remembered s id v =
   Array.unsafe_set s.flags id (if v then f lor 2 else f land lnot 2)
 
 let[@inline] nfields s id = Array.unsafe_get s.nfields id
-
-let[@inline] field_base s id = Array.unsafe_get s.foff id
-
-let[@inline] arena_get s off = Array.unsafe_get s.arena off
 
 let[@inline] field_get s id i = Array.unsafe_get s.arena (Array.unsafe_get s.foff id + i)
 

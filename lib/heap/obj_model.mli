@@ -104,9 +104,6 @@ val serial : store -> id -> int
     reused, unlike ids.  The stable identity for deferred RC work and
     cross-collector live-set comparison. *)
 
-val serials_issued : store -> int
-(** Total serials handed out so far (= total allocations). *)
-
 val remembered : store -> id -> bool
 (** Coarse per-object remembered-set bit. *)
 
@@ -124,14 +121,6 @@ val iter_fields : store -> id -> (id -> unit) -> unit
 
 val exists_fields : store -> id -> (id -> bool) -> bool
 (** Left-to-right, short-circuiting (the [Array.exists] contract). *)
-
-val field_base : store -> id -> int
-(** Offset of the object's field extent in the arena; pair with
-    {!arena_get} on mark-loop hot paths to avoid re-reading the offset per
-    field. *)
-
-val arena_get : store -> int -> id
-(** Read an arena slot by absolute offset (from {!field_base}). *)
 
 val field_extent : store -> id -> int * int
 (** [(offset, nfields)] — exposed for the arena model tests. *)
@@ -166,7 +155,8 @@ val scratch_plane : store -> int array
 val nfields_plane : store -> int array
 
 val foff_plane : store -> int array
-(** Each object's {!field_base}. *)
+(** Each object's field-extent offset in {!arena_plane}: field [i] of
+    [id] is [arena.(foff.(id) + i)]. *)
 
 val arena_plane : store -> int array
 

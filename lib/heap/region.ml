@@ -2,12 +2,6 @@ type space = Free | Eden | Survivor | Old
 
 let space_equal (a : space) b = a = b
 
-let pp_space ppf = function
-  | Free -> Format.pp_print_string ppf "free"
-  | Eden -> Format.pp_print_string ppf "eden"
-  | Survivor -> Format.pp_print_string ppf "survivor"
-  | Old -> Format.pp_print_string ppf "old"
-
 type t = {
   index : int;
   mutable space : space;
@@ -34,5 +28,3 @@ let reset t =
   Gcr_util.Ivec.clear t.objects;
   t.pinned <- false;
   t
-
-let free_words_in ~region_words t = region_words - t.used_words

@@ -13,8 +13,6 @@ type space =
 
 val space_equal : space -> space -> bool
 
-val pp_space : Format.formatter -> space -> unit
-
 type t = {
   index : int;
   mutable space : space;
@@ -31,5 +29,3 @@ val make : index:int -> t
 val reset : t -> t
 (** Return to the [Free] state with no objects (the vec is cleared in
     O(1), not reallocated). *)
-
-val free_words_in : region_words:int -> t -> int

@@ -8,7 +8,3 @@ let default = { cpus = 16; memory_words = 16 * 1024 * 1024 }
 let with_cpus t cpus =
   if cpus < 1 then invalid_arg "Machine.with_cpus: cpus < 1";
   { t with cpus }
-
-let pp ppf t =
-  Format.fprintf ppf "machine(cpus=%d, memory=%a)" t.cpus Gcr_util.Units.pp_words
-    t.memory_words

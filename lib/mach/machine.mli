@@ -21,5 +21,3 @@ val default : t
 
 val with_cpus : t -> int -> t
 (** Restrict the CPU count (multi-tenant / opportunity-cost studies). *)
-
-val pp : Format.formatter -> t -> unit

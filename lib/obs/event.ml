@@ -87,28 +87,6 @@ let code_request_start = 16
 let code_request_complete = 17
 let code_limit_change = 18
 
-let code_name = function
-  | 0 -> "step-complete"
-  | 1 -> "thread-spawn"
-  | 2 -> "safepoint-request"
-  | 3 -> "pause-begin"
-  | 4 -> "pause-end"
-  | 5 -> "phase-begin"
-  | 6 -> "phase-end"
-  | 7 -> "stall-begin"
-  | 8 -> "stall-end"
-  | 9 -> "alloc-stall-begin"
-  | 10 -> "alloc-stall-end"
-  | 11 -> "pacing-stall"
-  | 12 -> "degeneration"
-  | 13 -> "oom"
-  | 14 -> "heap-init"
-  | 15 -> "region-transition"
-  | 16 -> "request-start"
-  | 17 -> "request-complete"
-  | 18 -> "limit-change"
-  | _ -> "unknown"
-
 (* Step_complete packs kind and in-pause into [b]: b = kind*2 + stw. *)
 let pack_step_flags ~kind ~in_pause = (kind * 2) + if in_pause then 1 else 0
 let step_kind_of_flags b = b / 2

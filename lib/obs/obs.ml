@@ -376,8 +376,6 @@ let attach_trace ?capacity_events t =
     };
   tr
 
-let tracing t = t.nsubs > 0
-
 (* One dispatch point: fold into the counters, then fan out.  [t.nsubs] is
    0 in ordinary runs, so the subscriber loop costs one load + branch. *)
 let[@inline] emit t ~time ~code ~a ~b ~c =
@@ -459,8 +457,6 @@ let cycles_stw_of_kind t kind = t.counters.Counters.kind_cycles_stw.(kind)
 let cycles_of_thread t tid =
   let c = t.counters in
   if tid < Array.length c.Counters.thread_cycles then c.Counters.thread_cycles.(tid) else 0
-
-let pause_count t = Ivec.length t.counters.Counters.pause_starts
 
 let pause_histogram t = t.counters.Counters.pause_hist
 

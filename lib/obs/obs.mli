@@ -97,9 +97,6 @@ val subscribe : t -> subscriber -> unit
 val attach_trace : ?capacity_events:int -> t -> Trace.t
 (** Attach a full-trace subscriber and return its sink. *)
 
-val tracing : t -> bool
-(** At least one subscriber is attached. *)
-
 (** {1 Typed emitters}
 
     All take the event time explicitly; the hot ones take only ints. *)
@@ -163,8 +160,6 @@ val cycles_of_kind : t -> int -> int
 val cycles_stw_of_kind : t -> int -> int
 
 val cycles_of_thread : t -> int -> int
-
-val pause_count : t -> int
 
 val pause_histogram : t -> Gcr_util.Histogram.t
 (** Duration histogram, recorded at pause close. *)

@@ -82,8 +82,6 @@ let make spec ~min_heap_words ~max_heap_words =
     invalid_arg "Controller.make: bad heap bounds";
   { spec; min_heap_words; max_heap_words; last_now = 0; last_allocated = 0; last_gc = 0 }
 
-let spec_of t = t.spec
-
 let clamp t ~live w =
   (* never shrink below the live set plus copy headroom, nor the
      configured floor; never grow past the machine's memory *)

@@ -65,8 +65,6 @@ val make : spec -> min_heap_words:int -> max_heap_words:int -> t
     25% copy headroom, whichever is larger), never above
     [max_heap_words]. *)
 
-val spec_of : t -> spec
-
 val observe : t -> sample -> int option
 (** One decision step.  [None] keeps the current limit (always, for
     [Fixed]); [Some w] asks the caller to move the limit to [w] words

@@ -36,10 +36,6 @@ let completed t = t.outcome = Completed
 
 let cycles_total t = t.cycles_mutator + t.cycles_gc
 
-let time_total t = t.wall_total
-
-let time_gc t = t.wall_stw
-
 let time_other t = t.wall_total - t.wall_stw
 
 let cycles_gc_apparent t = t.cycles_gc

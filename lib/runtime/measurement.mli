@@ -52,11 +52,6 @@ val cycles_total : t -> int
 
 (** {1 LBO ingredients} *)
 
-val time_total : t -> int
-
-val time_gc : t -> int
-(** Wall time inside pauses. *)
-
 val time_other : t -> int
 
 val cycles_gc_apparent : t -> int

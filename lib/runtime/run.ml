@@ -11,12 +11,10 @@ module Mutator = Gcr_workloads.Mutator
 module Longlived = Gcr_workloads.Longlived
 module Latency = Gcr_workloads.Latency
 module Decision_source = Gcr_workloads.Decision_source
-module Tape = Gcr_tape.Tape
 module Controller = Gcr_policy.Controller
 
 type tape_mode =
   | Tape_off
-  | Tape_record of (Tape.t -> unit)
   | Tape_replay of Decision_source.image
 
 type probe = {
@@ -110,7 +108,6 @@ type session = {
   ses_capacity_words : int;
   ses_has_latency : bool;
   ses_max_events : int;
-  ses_capture : unit -> unit;
   mutable ses_outcome : Engine.outcome option;
 }
 
@@ -200,10 +197,10 @@ let prepare ?state ?(on_engine = fun (_ : Engine.t) -> ()) ?on_pause
       }
   end;
   (* The PRNG split order (long-lived graph, then one stream per mutator
-     thread, then the latency schedule) is the contract tapes are recorded
+     thread, then the latency schedule) is the contract tapes are generated
      against — Tape_gen.generate replicates it exactly.  In replay mode no
      root generator exists at all: every decision comes off the image. *)
-  let sources, arrivals_for, capture_tape =
+  let sources, arrivals_for =
     match config.tape with
     | Tape_off ->
         let root_prng = Prng.create config.seed in
@@ -212,37 +209,17 @@ let prepare ?state ?(on_engine = fun (_ : Engine.t) -> ()) ?on_pause
           List.init spec.Spec.mutator_threads (fun _ ->
               Decision_source.live ~spec (Prng.split root_prng))
         in
-        (sources, (fun () -> Latency.arrival_schedule ~spec
-                     ~threads:spec.Spec.mutator_threads (Prng.split root_prng)),
-         fun _ _ -> ())
-    | Tape_record sink ->
-        let root_prng = Prng.create config.seed in
-        let (_ : Prng.t) = Prng.split root_prng in
-        let sources =
-          List.init spec.Spec.mutator_threads (fun _ ->
-              Decision_source.record ~spec (Prng.split root_prng))
-        in
-        let capture sources arrivals =
-          sink
-            {
-              Tape.benchmark = spec.Spec.name;
-              spec_digest = Spec.digest spec;
-              seed = config.seed;
-              streams =
-                Array.of_list (List.map Decision_source.recorded_stream sources);
-              arrivals;
-            }
-        in
-        (sources, (fun () -> Latency.arrival_schedule ~spec
-                     ~threads:spec.Spec.mutator_threads (Prng.split root_prng)),
-         capture)
+        ( sources,
+          fun () ->
+            Latency.arrival_schedule ~spec ~threads:spec.Spec.mutator_threads
+              (Prng.split root_prng) )
     | Tape_replay image ->
         check_replay_image config spec image;
         let sources =
           List.init spec.Spec.mutator_threads (fun thread ->
               Decision_source.replay image ~thread)
         in
-        (sources, (fun () -> Decision_source.image_arrivals image), fun _ _ -> ())
+        (sources, fun () -> Decision_source.image_arrivals image)
   in
   let longlived = Longlived.create ctx ~spec in
   let mutators =
@@ -278,16 +255,16 @@ let prepare ?state ?(on_engine = fun (_ : Engine.t) -> ()) ?on_pause
             (fun ~time:_ ~code ~a:_ ~b:_ ~c:_ ->
               if code = Gcr_obs.Event.code_pause_begin then hook probe);
         });
-  let arrivals = ref [||] in
   let latency =
     match spec.Spec.latency with
     | None ->
         List.iter Mutator.start_batch mutators;
         None
     | Some _ ->
-        arrivals :=
-          (match arrivals_override with Some a -> a | None -> arrivals_for ());
-        let l = Latency.create ctx ~spec ~mutators ~arrivals:!arrivals in
+        let arrivals =
+          match arrivals_override with Some a -> a | None -> arrivals_for ()
+        in
+        let l = Latency.create ctx ~spec ~mutators ~arrivals in
         Latency.start l;
         Some l
   in
@@ -304,13 +281,8 @@ let prepare ?state ?(on_engine = fun (_ : Engine.t) -> ()) ?on_pause
     ses_capacity_words = capacity_words;
     ses_has_latency = latency <> None;
     ses_max_events = max_events;
-    (* Aborted runs still leave a valid tape: the captured prefix plus the
-       cursor's PRNG fallback reproduce any longer sibling run exactly. *)
-    ses_capture = (fun () -> capture_tape sources !arrivals);
     ses_outcome = None;
   }
-
-let session_engine s = s.ses_engine
 
 let session_heap s = s.ses_heap
 
@@ -344,7 +316,6 @@ let finish s =
     | Some (Engine.Aborted reason) -> Measurement.Failed reason
     | None -> assert false
   in
-  s.ses_capture ();
   let config = s.ses_config in
   let spec = config.spec in
   Measurement.of_obs ~benchmark:spec.Spec.name ~gc:(Registry.name config.gc)

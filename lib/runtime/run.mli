@@ -7,13 +7,11 @@
 
 type tape_mode =
   | Tape_off  (** decisions drawn live from the seeded PRNG (historical path) *)
-  | Tape_record of (Gcr_tape.Tape.t -> unit)
-      (** live draws, teed into a tape handed to the sink after the run
-          (aborted runs included — the captured prefix is still valid) *)
   | Tape_replay of Gcr_workloads.Decision_source.image
-      (** decisions replayed from a prebuilt image; bit-identical to the
-          live run under every collector, including past the end of the
-          recorded stream (PRNG fallback) *)
+      (** decisions replayed from a tape's image
+          ({!Gcr_workloads.Tape_gen.image}); bit-identical to the live run
+          under every collector, including past the end of the tape's
+          stream (PRNG fallback) *)
 
 type config = {
   spec : Gcr_workloads.Spec.t;
@@ -99,8 +97,6 @@ val prepare :
     (latency-sensitive specs only) — the market's diurnal waves enter
     here, leaving {!Gcr_workloads.Spec} and its digest untouched.  Other
     optional arguments as in {!execute}. *)
-
-val session_engine : session -> Gcr_engine.Engine.t
 
 val session_heap : session -> Gcr_heap.Heap.t
 

@@ -54,12 +54,9 @@ let render_cost (c : Cost_model.t) =
     c.Cost_model.termination_per_worker c.Cost_model.cache_disruption_per_pause
 
 let render (c : Run.config) =
-  match (c.Run.make_collector, c.Run.tape) with
-  | Some _, _ -> None
-  (* Recording is a side effect (the sink must run); a cache hit would
-     silently skip it. *)
-  | None, Run.Tape_record _ -> None
-  | None, (Run.Tape_off | Run.Tape_replay _) ->
+  match c.Run.make_collector with
+  | Some _ -> None
+  | None ->
       Some
         (String.concat "|"
            [
@@ -80,8 +77,7 @@ let render (c : Run.config) =
              (match c.Run.tape with
              | Run.Tape_off -> "tape=off"
              | Run.Tape_replay image ->
-                 "tape=replay:" ^ Gcr_workloads.Decision_source.image_digest image
-             | Run.Tape_record _ -> assert false);
+                 "tape=replay:" ^ Gcr_workloads.Decision_source.image_digest image);
              Gcr_policy.Controller.render c.Run.controller;
            ])
 

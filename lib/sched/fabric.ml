@@ -612,17 +612,21 @@ let worker_deaths session = session.deaths
 
 (* --- Dispatch: execute one wave of groups through the session. --- *)
 
-let validate_groups groups =
+let validate_groups ~n_cells groups =
+  let seen = Array.make n_cells false in
   List.iter
     (fun (g : group) ->
       List.iter
         (fun (index, (config : Run.config)) ->
           if index < 0 then invalid_arg "Fabric.dispatch: negative cell index";
+          if index >= n_cells then invalid_arg "Fabric.dispatch: cell index out of range";
+          if seen.(index) then invalid_arg "Fabric.dispatch: duplicate cell index";
+          seen.(index) <- true;
           if config.Run.make_collector <> None then
             invalid_arg "Fabric.dispatch: custom collectors cannot cross processes";
           match config.Run.tape with
           | Run.Tape_off -> ()
-          | Run.Tape_record _ | Run.Tape_replay _ ->
+          | Run.Tape_replay _ ->
               invalid_arg
                 "Fabric.dispatch: cell configs must carry Tape_off (workers attach the \
                  group tape themselves)")
@@ -631,23 +635,13 @@ let validate_groups groups =
 
 let dispatch session ~n_cells groups =
   if session.closed then invalid_arg "Fabric.dispatch: session is shut down";
-  validate_groups groups;
+  validate_groups ~n_cells groups;
   let slots =
     Array.of_list
       (List.mapi
          (fun gid (g : group) -> { gid; g; pending = g.cells })
          (List.filter (fun (g : group) -> g.cells <> []) groups))
   in
-  let index_gid = Array.make n_cells (-1) in
-  Array.iter
-    (fun s ->
-      List.iter
-        (fun (i, _) ->
-          if i >= n_cells then invalid_arg "Fabric.dispatch: cell index out of range";
-          if index_gid.(i) <> -1 then invalid_arg "Fabric.dispatch: duplicate cell index";
-          index_gid.(i) <- s.gid)
-        s.pending)
-    slots;
   let results : Measurement.t option array = Array.make n_cells None in
   let remaining = ref (Array.fold_left (fun acc s -> acc + List.length s.pending) 0 slots) in
   let per_worker = Array.make (Array.length session.ws) 0 in
@@ -699,22 +693,26 @@ let dispatch session ~n_cells groups =
     | () -> ()
     | exception Unix.Unix_error _ -> worker_died w
   in
+  (* A worker holds one group at a time, so every result it may send is a
+     pending cell of that group.  Any other index (out of range, a cell it
+     was not dealt, a repeat) condemns the worker like a bad frame;
+     [false] tells the caller to drop the rest of the batch. *)
   let on_result w (index, hit, m) =
-    (match results.(index) with
-    | Some _ -> () (* duplicate after a reassignment race: first write wins *)
-    | None ->
+    match w.current with
+    | Some s when List.mem_assoc index s.pending ->
         results.(index) <- Some m;
         per_worker.(w.w_id) <- per_worker.(w.w_id) + 1;
         w.cells_total <- w.cells_total + 1;
         if hit then incr hits;
-        decr remaining);
-    if index < n_cells && index_gid.(index) >= 0 then begin
-      let s = slots.(index_gid.(index)) in
-      s.pending <- List.filter (fun (i, _) -> i <> index) s.pending;
-      match w.current with
-      | Some c when c == s && s.pending = [] -> w.current <- None
-      | Some _ | None -> ()
-    end
+        decr remaining;
+        s.pending <- List.remove_assoc index s.pending;
+        if s.pending = [] then w.current <- None;
+        true
+    | Some _ | None ->
+        session.log
+          (Printf.sprintf "worker %d: result for cell %d it does not hold" w.w_id index);
+        worker_died w;
+        false
   in
   let handle_frame w (tag, payload) =
     if tag = tag_batch then begin
@@ -729,7 +727,7 @@ let dispatch session ~n_cells groups =
           tape_us = acc.Profile.tape_us + delta.Profile.tape_us;
           simulate_us = acc.Profile.simulate_us + delta.Profile.simulate_us;
         };
-      List.iter (fun r -> on_result w r) batch
+      ignore (List.for_all (on_result w) batch : bool)
     end
     else if tag = tag_heartbeat then ()
     else begin
@@ -815,13 +813,10 @@ let dispatch session ~n_cells groups =
       let s = slots.(gid) in
       execute_group ~state:backstop_state ~cache:session.cache
         ~on_result:(fun index hit m ->
-          match results.(index) with
-          | Some _ -> ()
-          | None ->
-              results.(index) <- Some m;
-              incr parent_cells;
-              if hit then incr hits;
-              decr remaining)
+          results.(index) <- Some m;
+          incr parent_cells;
+          if hit then incr hits;
+          decr remaining)
         { s.g with cells = s.pending })
     !ready;
   let out =

@@ -24,13 +24,15 @@
     Scheduling is greedy LPT list scheduling: a worker holds one group
     at a time, and when the last result of its group arrives the
     coordinator sends it the costliest ready group.  Reduction is by plan
-    index and first-write-wins, so neither the dealing order nor worker
-    death can change a byte of the report — only who computes it.
+    index, and the coordinator takes a worker's result only for a pending
+    cell of the group that worker holds, so neither the dealing order nor
+    worker death can change a byte of the report — only who computes it.
 
-    Fault model: a worker is dead on EOF, on a corrupt frame, on a failed
-    send, or after [GCR_FABRIC_TIMEOUT_S] (default 600 s) of silence
-    while holding a group.  The unfinished cells of that group are
-    requeued for the survivors; with no workers left, the coordinator executes the
+    Fault model: a worker is dead on EOF, on a corrupt frame, on a result
+    for a cell it does not hold, on a failed send, or after
+    [GCR_FABRIC_TIMEOUT_S] (default 600 s) of silence while holding a
+    group.  The unfinished cells of that group are requeued for the
+    survivors; with no workers left, the coordinator executes the
     remainder inline.  The report is unchanged either way. *)
 
 type group = {

@@ -62,8 +62,6 @@ let unit_float t =
 
 let float t bound = unit_float t *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let bernoulli t p = unit_float t < p
 
 let exponential t ~mean =

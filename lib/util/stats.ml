@@ -84,6 +84,3 @@ let summarize samples =
     min = min samples;
     max = max samples;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "%.4g ±%.2g (n=%d, min=%.4g, max=%.4g)" s.mean s.ci95 s.n s.min s.max

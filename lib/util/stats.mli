@@ -42,5 +42,3 @@ type summary = {
 
 val summarize : float array -> summary
 (** All of the above in one pass (plus a sort).  Raises on empty input. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -30,20 +30,13 @@ let params_of_spec (spec : Spec.t) =
 (* --- Interpreting a raw word exactly as the PRNG would. ---
 
    A raw word is [bits64 lsr 2] (62 bits).  [Prng.unit_float] uses
-   [bits64 lsr 11], i.e. [raw lsr 9]; the expressions below replicate the
-   Prng float math operation for operation, so interpreting a recorded
-   word yields the same bits as the live draw it replaces.  The
-   differential suite in test_tape.ml holds this to account. *)
+   [bits64 lsr 11], i.e. [raw lsr 9]; [interp_unit_float] and the size
+   and Bernoulli decoding in [image_of_tape] replicate the Prng float math
+   operation for operation, so interpreting a tape word yields the same
+   bits as the live draw it replaces.  The differential suite in
+   test_tape.ml holds this to account. *)
 
 let interp_unit_float r = float_of_int (r lsr 9) *. 0x1.0p-53
-
-let interp_size p r =
-  let u = interp_unit_float r in
-  let spread = float_of_int (p.size_mean - p.size_min) in
-  let draw = p.size_min + int_of_float (-.spread *. log (1.0 -. u)) in
-  if draw > p.size_max then p.size_max else draw
-
-let interp_bernoulli r pr = interp_unit_float r < pr
 
 let interp_index r bound = r mod bound
 
@@ -138,15 +131,6 @@ let image_digest i = i.tape_digest
 
 (* --- Sources. --- *)
 
-type recorder = {
-  rec_prng : Prng.t;
-  rec_state0 : int64;
-  rec_gamma : int64;
-  mutable buf : int array;
-  mutable len : int;
-  rp : params;
-}
-
 type cursor = {
   packed : int array;
   raw : int array;
@@ -158,22 +142,9 @@ type cursor = {
 
 type t =
   | Live of { prng : Prng.t; p : params }
-  | Record of recorder
   | Replay of cursor
 
 let live ~spec prng = Live { prng; p = params_of_spec spec }
-
-let record ~spec prng =
-  let state0, gamma = Prng.raw_state prng in
-  Record
-    {
-      rec_prng = prng;
-      rec_state0 = state0;
-      rec_gamma = gamma;
-      buf = Array.make 4096 0;
-      len = 0;
-      rp = params_of_spec spec;
-    }
 
 let replay image ~thread =
   if thread < 0 || thread >= Array.length image.threads then
@@ -195,22 +166,6 @@ let replay image ~thread =
       cp = image.p;
     }
 
-let record_draw r =
-  let x = Int64.to_int (Int64.shift_right_logical (Prng.bits64 r.rec_prng) 2) in
-  if r.len = Array.length r.buf then begin
-    let buf = Array.make (2 * r.len) 0 in
-    Array.blit r.buf 0 buf 0 r.len;
-    r.buf <- buf
-  end;
-  Array.unsafe_set r.buf r.len x;
-  r.len <- r.len + 1;
-  x
-
-let recorded_stream = function
-  | Record r ->
-      { Tape.state0 = r.rec_state0; gamma = r.rec_gamma; raw = Array.sub r.buf 0 r.len }
-  | Live _ | Replay _ -> invalid_arg "Decision_source.recorded_stream: not a record source"
-
 (* The replay hot path keeps the bounds check fused with the load: one
    compare, one bump, one unsafe read per draw.  (Funnelling the cursor
    through a shared [take] helper with a -1 exhaustion sentinel measured
@@ -220,7 +175,6 @@ let recorded_stream = function
 let draw_size = function
   | Live { prng; p } ->
       Prng.geometric_size prng ~mean:p.size_mean ~min:p.size_min ~max:p.size_max
-  | Record r -> interp_size r.rp (record_draw r)
   | Replay c ->
       let k = c.pos in
       if k < c.rlen then begin
@@ -241,28 +195,23 @@ let[@inline] replay_bit c bit pr =
 
 let chain = function
   | Live { prng; _ } -> Prng.bernoulli prng p_chain
-  | Record r -> interp_bernoulli (record_draw r) p_chain
   | Replay c -> replay_bit c bit_chain p_chain
 
 let ll_ref = function
   | Live { prng; _ } -> Prng.bernoulli prng p_llref
-  | Record r -> interp_bernoulli (record_draw r) p_llref
   | Replay c -> replay_bit c bit_llref p_llref
 
 let survive = function
   | Live { prng; p } -> Prng.bernoulli prng p.p_survive
-  | Record r -> interp_bernoulli (record_draw r) r.rp.p_survive
   | Replay c -> replay_bit c bit_survive c.cp.p_survive
 
 let churn_extra = function
   | Live { prng; p } -> Prng.bernoulli prng p.p_churn
-  | Record r -> interp_bernoulli (record_draw r) r.rp.p_churn
   | Replay c -> replay_bit c bit_churn c.cp.p_churn
 
 let index t bound =
   match t with
   | Live { prng; _ } -> Prng.int prng bound
-  | Record r -> interp_index (record_draw r) bound
   | Replay c ->
       let k = c.pos in
       if k < c.rlen then begin

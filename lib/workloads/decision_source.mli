@@ -1,23 +1,21 @@
 (** Where a mutator's workload decisions come from.
 
     The three workload drivers (mutator, long-lived graph, latency
-    schedule) draw every random decision through one of these sources:
+    schedule) draw every random decision through one of two sources:
 
     - {e Live}: straight from a SplitMix64 stream — the historical path.
-    - {e Record}: draws from the same stream, but logs each raw 62-bit
-      word before interpreting it, so the run leaves a {!Gcr_tape.Tape.t}
-      behind (the record tee).
-    - {e Replay}: a cursor over a prebuilt {!image} — per-decision work is
-      an array read and a bit test, no PRNG mixing and no float math.
+    - {e Replay}: a cursor over a prebuilt {!image} of a tape that
+      {!Tape_gen.generate} produced — per-decision work is an array read
+      and a bit test, no PRNG mixing and no float math.
 
     The tape stores raw PRNG output rather than interpreted decisions
     because the {e consumption pattern} is collector-dependent (an
     [Out_of_regions] retry re-draws the allocation size), while the stream
     itself is not.  Interpretation therefore happens at the call site in
-    all three modes; the replay image just precomputes every
-    interpretation this spec can ask for — the clamped geometric size in
-    the low bits, one bit per Bernoulli site — so the hot path picks bits
-    instead of computing [log].
+    both modes; the replay image just precomputes every interpretation
+    this spec can ask for — the clamped geometric size in the low bits,
+    one bit per Bernoulli site — so the hot path picks bits instead of
+    computing [log].
 
     A replay source that runs past the recorded stream falls back to a
     live generator positioned at [state0 + length·gamma] — the exact
@@ -35,8 +33,6 @@ type image
 (** {1 Constructing sources} *)
 
 val live : spec:Spec.t -> Gcr_util.Prng.t -> t
-
-val record : spec:Spec.t -> Gcr_util.Prng.t -> t
 
 val replay : image -> thread:int -> t
 (** [replay image ~thread] is a fresh cursor over thread [thread]'s
@@ -65,10 +61,6 @@ val index : t -> int -> int
 (** Uniform slot index in [\[0, bound)]; [bound] must be positive. *)
 
 (** {1 Tapes and images} *)
-
-val recorded_stream : t -> Gcr_tape.Tape.stream
-(** The stream a {!record} source has captured so far.  Raises
-    [Invalid_argument] on live/replay sources. *)
 
 val image_of_tape : spec:Spec.t -> Gcr_tape.Tape.t -> image
 (** Precompute the replay image.  Raises [Invalid_argument] when the

@@ -19,7 +19,6 @@ type t = {
   arrivals : int array;  (** synthetic arrival time of request i *)
   obs : Obs.t;  (** request latencies live on the event spine *)
   mutable next_request : int;
-  mutable completed : int;
 }
 
 (* Rough ideal cycles to serve one packet: compute plus allocation fast
@@ -66,16 +65,7 @@ let create (ctx : Gc_types.ctx) ~spec ~mutators ~arrivals =
     arrivals;
     obs = Engine.obs ctx.Gc_types.engine;
     next_request = 0;
-    completed = 0;
   }
-
-let total_requests t = Array.length t.arrivals
-
-let completed_requests t = t.completed
-
-let metered t = Obs.latency_metered t.obs
-
-let simple t = Obs.latency_simple t.obs
 
 let rec serve t m () =
   if t.next_request >= Array.length t.arrivals then Mutator.exit m
@@ -93,7 +83,6 @@ let rec serve t m () =
            Behind schedule, queueing delay dominates. *)
         Obs.request_complete t.obs ~time:now ~index ~service
           ~metered:(max service (now - t.arrivals.(index)));
-        t.completed <- t.completed + 1;
         serve t m ())
   end
 

@@ -34,10 +34,3 @@ val start : t -> unit
 (** Install the arrival process and set every mutator serving.  All
     mutator threads exit once the last request completes. *)
 
-val total_requests : t -> int
-
-val completed_requests : t -> int
-
-val metered : t -> Gcr_util.Histogram.t
-
-val simple : t -> Gcr_util.Histogram.t

@@ -19,7 +19,7 @@ val create :
   t
 (** Spawns the engine thread and registers the thread's eden allocator.
     Every workload decision the thread makes is drawn from [ds] — a live
-    PRNG stream, a recording tee, or a tape replay cursor. *)
+    PRNG stream or a tape replay cursor. *)
 
 val thread : t -> Gcr_engine.Engine.thread
 

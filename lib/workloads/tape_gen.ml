@@ -1,9 +1,8 @@
 module Prng = Gcr_util.Prng
 module Tape = Gcr_tape.Tape
 
-(* A tape can be produced two ways: as the tee of a real run (Run with
-   [Tape_record]), or — the campaign path — synthesised directly here,
-   with no heap or engine, by replicating Run.execute's PRNG plumbing:
+(* Every tape is synthesised here, with no heap or engine, by replicating
+   Run.execute's PRNG plumbing:
 
      root          = Prng.create seed
      (long-lived)    Prng.split root     -- consumed, stream unused
@@ -11,9 +10,9 @@ module Tape = Gcr_tape.Tape
      latency       = Prng.split root     only for latency-sensitive specs
 
    and then drawing each mutator stream eagerly.  The raw stream is a pure
-   function of (seed, split order): the two ways agree on every word they
-   both cover (test_tape.ml proves the recorded tee is a prefix of the
-   generated stream).
+   function of (seed, split order), so it is word for word the stream a
+   live run draws (test_tape.ml holds replay to the live run under every
+   collector).
 
    [stream_length] bounds the draws one thread can make without allocation
    retries: per packet, one churn-quota draw plus at most five draws per

@@ -452,11 +452,12 @@ let v1_hello () =
   Wire.put_string b "v1-peer";
   Buffer.contents b
 
-let v2_hello () =
+(* The hello's layout since version 2. *)
+let hello ~version =
   let b = Buffer.create 64 in
-  Wire.put_varint b 2;
+  Wire.put_varint b version;
   Wire.put_string b Cache_key.version;
-  Wire.put_string b "v2-peer";
+  Wire.put_string b (Printf.sprintf "v%d-peer" version);
   Buffer.contents b
 
 (* The welcome's layout is the same in every version. *)
@@ -505,7 +506,7 @@ let test_old_hellos_refused () =
       on_listen =
         Some
           (fun port ->
-            pids := List.map (fork_old_peer ~port) [ v1_hello (); v2_hello () ]);
+            pids := List.map (fork_old_peer ~port) [ v1_hello (); hello ~version:2 ]);
     }
   in
   let campaign = Harness.run_campaign config ~benchmarks ~gcs:Registry.production in
@@ -562,6 +563,77 @@ let test_old_welcomes_refused () =
             (Printf.sprintf "the fake v%d coordinator saw a hello" version)
             true (status = Unix.WEXITED 0))
     [ 1; 2 ]
+
+(* --- A result batch is trusted no further than the deal. ---
+
+   A raw v3 peer joins, runs the one-cell group it is dealt, and answers
+   with that measurement under another index: one the plan does not
+   have, or the cell of the group it was not dealt.  The coordinator
+   must refuse the entry and drop the peer like a bad frame, so the
+   backstop runs both cells.  The peer exits 0 only if the coordinator
+   hangs up on it. *)
+
+let fork_lying_peer ~port ~index =
+  match Unix.fork () with
+  | 0 ->
+      Unix._exit
+        (try
+           let ep = connect_loopback port in
+           Transport.send ep ~tag:'H' (hello ~version:3);
+           let welcome = Transport.recv ep in
+           match (welcome, Transport.recv ep) with
+           | Some ('W', _), Some ('G', payload) -> (
+               let g = (Marshal.from_string payload 0 : Fabric.group) in
+               let m = Run.execute (snd (List.hd g.Fabric.cells)) in
+               Transport.send ep ~tag:'B'
+                 (Marshal.to_string ([ (index, false, m) ], Gcr_runtime.Profile.zero) []);
+               match Transport.recv ep with None -> 0 | Some _ -> 4)
+           | _ -> 5
+         with _ -> 6)
+  | pid -> pid
+
+let check_lying_peer_refused ~index () =
+  let spec = Spec.scale (Suite.find_exn "jme") 0.05 in
+  let configs =
+    Array.map
+      (fun gc -> Run.default_config ~spec ~gc ~heap_words:160_000 ~seed:7)
+      [| Registry.Serial; Registry.G1 |]
+  in
+  (* the costlier group, cell 0's, is dealt to the peer *)
+  let group i cost =
+    { Fabric.spec; seed = 7; tapes = true; cost; cells = [ (i, configs.(i)) ] }
+  in
+  let pid = ref None in
+  let log = ref [] in
+  let session =
+    Fabric.start ~workers:1 ~listen:("127.0.0.1", 0) ~connect_timeout:20.0
+      ~log:(fun line -> log := line :: !log)
+      ~on_listen:(fun port -> pid := Some (fork_lying_peer ~port ~index))
+      ()
+  in
+  let measurements, stats =
+    Fun.protect
+      ~finally:(fun () -> Fabric.shutdown session)
+      (fun () -> Fabric.dispatch session ~n_cells:2 [ group 0 2.0; group 1 1.0 ])
+  in
+  let status =
+    match !pid with
+    | Some pid -> snd (Unix.waitpid [] pid)
+    | None -> Alcotest.fail "no peer was forked"
+  in
+  Array.iteri
+    (fun i config ->
+      check Alcotest.bool
+        (Printf.sprintf "cell %d equals a fresh run" i)
+        true
+        (measurements.(i) = Run.execute config))
+    configs;
+  check Alcotest.bool "the coordinator hung up on the peer" true (status = Unix.WEXITED 0);
+  let refusal = Printf.sprintf "cell %d it does not hold" index in
+  check Alcotest.bool "the refusal was logged" true
+    (List.exists (fun line -> contains line refusal) !log);
+  check Alcotest.int "the peer's cell was requeued" 1 stats.Fabric.reassigned_cells;
+  check Alcotest.int "the backstop ran both cells" 2 stats.Fabric.parent_cells
 
 (* GCR_FABRIC_TIMEOUT_S: 0 disables, empty means unset, and anything that is
    not a finite number of seconds >= 0 is refused, by [Fabric.start] too,
@@ -626,4 +698,8 @@ let suite =
     Alcotest.test_case "v1/v2 hellos get only a v3 welcome" `Quick test_old_hellos_refused;
     Alcotest.test_case "v1/v2 welcomes refused by a worker" `Quick test_old_welcomes_refused;
     Alcotest.test_case "malformed timeout refused" `Quick test_timeout_env_validated;
+    Alcotest.test_case "result for an unplanned index drops the worker" `Quick
+      (check_lying_peer_refused ~index:10_000);
+    Alcotest.test_case "result for an undealt cell drops the worker" `Quick
+      (check_lying_peer_refused ~index:1);
   ]

@@ -1,11 +1,11 @@
 (* Differential suite for workload tapes.
 
-   The tape subsystem's contract is exact: replaying a recorded (or
-   generated) decision stream must reproduce the live run bit for bit —
-   same Measurement, same outcome — for every collector kind, including
-   runs that abort or OOM, and regardless of how much of the stream the
-   tape actually holds (replay falls over to the live PRNG continuation
-   past the recorded end).  These properties are what let the campaign
+   The tape subsystem's contract is exact: replaying a generated
+   decision stream must reproduce the live run bit for bit — same
+   Measurement, same outcome — for every collector kind, including runs
+   that abort or OOM, and regardless of how much of the stream the tape
+   actually holds (replay falls over to the live PRNG continuation past
+   the tape's end).  These properties are what let the campaign
    harness replay one tape across a whole (collector × heap) cell group
    without re-pinning the golden fingerprints. *)
 
@@ -109,54 +109,6 @@ let prop_short_tape_still_identical =
       let replayed = Run.execute (config_of_shape ~tape:(Run.Tape_replay image) s) in
       live = replayed)
 
-(* ---- the record tee captures a prefix of the generated stream ---- *)
-
-let test_record_tee_matches_generate () =
-  let s = { kind = Registry.G1; seed = 11; packets = 8; threads = 2; heap_words = 50_000 } in
-  let spec = spec_of_shape s in
-  let captured = ref None in
-  let sink t = captured := Some t in
-  let live = Run.execute (config_of_shape ~tape:(Run.Tape_record sink) s) in
-  let recorded =
-    match !captured with
-    | Some t -> t
-    | None -> Alcotest.fail "Tape_record produced no tape"
-  in
-  (* recording draws through the same stream, so it cannot disturb the run *)
-  check Alcotest.bool "recording does not change the measurement" true
-    (live = Run.execute (config_of_shape s));
-  let generated = Tape_gen.generate ~spec ~seed:s.seed in
-  check Alcotest.string "same benchmark" generated.Tape.benchmark
-    recorded.Tape.benchmark;
-  check Alcotest.string "same spec digest" generated.Tape.spec_digest
-    recorded.Tape.spec_digest;
-  check Alcotest.int "same thread count"
-    (Array.length generated.Tape.streams)
-    (Array.length recorded.Tape.streams);
-  check
-    Alcotest.(list int)
-    "same arrival schedule"
-    (Array.to_list generated.Tape.arrivals)
-    (Array.to_list recorded.Tape.arrivals);
-  Array.iteri
-    (fun i (r : Tape.stream) ->
-      let g = generated.Tape.streams.(i) in
-      check Alcotest.bool "same stream start state" true
-        (r.Tape.state0 = g.Tape.state0 && r.Tape.gamma = g.Tape.gamma);
-      let rn = Array.length r.Tape.raw in
-      check Alcotest.bool "recorded length within generated bound" true
-        (rn <= Array.length g.Tape.raw);
-      check
-        Alcotest.(list int)
-        "recorded words are a prefix of the generated stream"
-        (Array.to_list (Array.sub g.Tape.raw 0 rn))
-        (Array.to_list r.Tape.raw))
-    recorded.Tape.streams;
-  (* and the recorded prefix replays bit-identically *)
-  let image = Decision_source.image_of_tape ~spec recorded in
-  check Alcotest.bool "recorded tape replays bit-identically" true
-    (live = Run.execute (config_of_shape ~tape:(Run.Tape_replay image) s))
-
 (* ---- serialization ---- *)
 
 let prop_roundtrip =
@@ -251,8 +203,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_replay_bit_identical;
     Alcotest.test_case "lxr replay deterministic" `Quick test_lxr_replay_deterministic;
     QCheck_alcotest.to_alcotest prop_short_tape_still_identical;
-    Alcotest.test_case "record tee == generate prefix" `Quick
-      test_record_tee_matches_generate;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
     Alcotest.test_case "corruption rejected" `Quick test_corruption_rejected;
