@@ -43,6 +43,7 @@ type state = {
   rc_pool : Worker_pool.t;  (** STW RC-update pause phases *)
   trace_pool : Worker_pool.t;  (** backup concurrent cycle trace *)
   waiters : (Engine.thread * (unit -> unit)) Vec.t;
+  mutable rc : int array;  (** reference counts by id; see [rc] *)
   mutable gc_pending : bool;
   mutable live_census_done : bool;
       (** set at the first pause, after recounting [Region.live_words] from
@@ -78,6 +79,22 @@ type state = {
 }
 
 let slice_budget = 64
+
+(* Reference counts live in this side table, not in the object store, so
+   the other collectors neither store nor grow them.  An id past its end
+   reads 0: the run builds the long-lived spine after [make] without
+   [on_alloc], and those ids are fresh.  [on_alloc] zeroes a recycled
+   id. *)
+let[@inline] rc s id = if id < Array.length s.rc then Array.unsafe_get s.rc id else 0
+
+let set_rc s id v =
+  let n = Array.length s.rc in
+  if id >= n then begin
+    let grown = Array.make (max (id + 1) (2 * n)) 0 in
+    Array.blit s.rc 0 grown 0 n;
+    s.rc <- grown
+  end;
+  Array.unsafe_set s.rc id v
 
 let one_shot_cost cost =
   let remaining = ref cost in
@@ -151,7 +168,7 @@ let scan_roots s =
   !(s.ctx.Gc_types.iter_roots) (fun id ->
       if Obj_model.is_live store id then begin
         incr nroots;
-        Obj_model.set_rc store id (Obj_model.rc store id + 1);
+        set_rc s id (rc s id + 1);
         push_entry s.pins_cur store id
       end);
   !nroots
@@ -162,14 +179,13 @@ let scan_roots s =
    decrement is processed, so a count can only pass through zero at its
    true final value. *)
 let apply_incs s =
-  let store = s.store in
   let q = s.inc_buf in
   let n = Ivec.length q in
   let i = ref 0 in
   while !i < n do
     let id = Ivec.get q !i and ser = Ivec.get q (!i + 1) in
     i := !i + 2;
-    if entry_valid s id ser then Obj_model.set_rc store id (Obj_model.rc store id + 1)
+    if entry_valid s id ser then set_rc s id (rc s id + 1)
   done;
   Ivec.clear q;
   n / 2
@@ -188,7 +204,6 @@ let queue_prev_pins s =
   Ivec.clear q
 
 let drain_decs s =
-  let store = s.store in
   let q = s.dec_queue in
   (* the queue grows as frees cascade; iterate by index, then clear *)
   let i = ref 0 in
@@ -197,8 +212,8 @@ let drain_decs s =
     i := !i + 2;
     s.pause_rc_ops <- s.pause_rc_ops + 1;
     if entry_valid s id ser then begin
-      let r = Obj_model.rc store id - 1 in
-      Obj_model.set_rc store id r;
+      let r = rc s id - 1 in
+      set_rc s id r;
       if r <= 0 then free_one s id
     end
   done;
@@ -209,7 +224,6 @@ let drain_decs s =
    it now, cascading, to a fixpoint (one born-dead object can drop another
    birth to zero). *)
 let process_births s =
-  let store = s.store in
   let progress = ref true in
   while !progress do
     progress := false;
@@ -219,7 +233,7 @@ let process_births s =
     while !i < n do
       let id = Ivec.get b !i and ser = Ivec.get b (!i + 1) in
       i := !i + 2;
-      if entry_valid s id ser && Obj_model.rc store id = 0 then begin
+      if entry_valid s id ser && rc s id = 0 then begin
         free_one s id;
         progress := true
       end
@@ -408,7 +422,7 @@ let rebuild_rc s =
   Heap.iter_regions
     (fun r ->
       r.Region.live_words <- 0;
-      Heap.iter_resident_objects h r (fun id -> Obj_model.set_rc store id 0))
+      Heap.iter_resident_objects h r (fun id -> set_rc s id 0))
     h;
   Heap.iter_regions
     (fun r ->
@@ -416,11 +430,11 @@ let rebuild_rc s =
           r.Region.live_words <- r.Region.live_words + Obj_model.size store id;
           Obj_model.iter_fields store id (fun child ->
               if (not (Obj_model.is_null child)) && Obj_model.is_live store child then
-                Obj_model.set_rc store child (Obj_model.rc store child + 1))))
+                set_rc s child (rc s child + 1))))
     h;
   !(s.ctx.Gc_types.iter_roots) (fun id ->
       if Obj_model.is_live store id then begin
-        Obj_model.set_rc store id (Obj_model.rc store id + 1);
+        set_rc s id (rc s id + 1);
         push_entry s.pins_cur store id
       end)
 
@@ -461,7 +475,6 @@ let fire_debug s =
   match s.config.debug with
   | None -> ()
   | Some hook ->
-      let store = s.store in
       let pinned = ref [] in
       let n = Ivec.length s.pins_cur in
       let i = ref (n - 2) in
@@ -473,7 +486,7 @@ let fire_debug s =
         {
           pending_decrements = Ivec.length s.dec_queue / 2;
           pinned = List.rev !pinned;
-          rc_of = (fun id -> Obj_model.rc store id);
+          rc_of = rc s;
         }
 
 let normal_end s =
@@ -581,6 +594,7 @@ let make (ctx : Gc_types.ctx) config =
       rc_pool = Worker_pool.create ctx ~count:config.rc_workers ~name:"LXR";
       trace_pool = Worker_pool.create ctx ~count:config.trace_workers ~name:"LXR";
       waiters = Vec.create ();
+      rc = Array.make 1024 0;
       gc_pending = false;
       live_census_done = false;
       eden_since_pause = 0;
@@ -629,12 +643,13 @@ let make (ctx : Gc_types.ctx) config =
     else trigger_pause s th retry ~starved:true ~reason:"LXR allocation failure"
   in
   let on_alloc id =
+    if id < Array.length s.rc then Array.unsafe_set s.rc id 0;
     let r = Heap.region h (Obj_model.region store id) in
     r.Region.live_words <- r.Region.live_words + Obj_model.size store id;
     push_entry s.births store id;
     if s.cycle_marking then Heap.set_marked h id
   in
-  let on_pointer_write ~src ~old_target ~new_target =
+  let on_pointer_write ~src:_ ~old_target ~new_target =
     if not (Obj_model.is_null new_target) then push_entry s.inc_buf store new_target;
     if not (Obj_model.is_null old_target) then begin
       push_entry s.dec_queue store old_target;
@@ -643,8 +658,7 @@ let make (ctx : Gc_types.ctx) config =
       match s.cycle_tracer with
       | Some tracer when s.cycle_marking -> Tracer.add_root tracer old_target
       | _ -> ()
-    end;
-    Obj_model.set_dirty store src s.collections
+    end
   in
   {
     Gc_types.name = "LXR";

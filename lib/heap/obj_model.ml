@@ -45,10 +45,6 @@ type store = {
   mutable flags : int array;  (** bit 0 live, bit 1 remembered *)
   mutable foff : int array;  (** offset of the field extent in [arena] *)
   mutable nfields : int array;
-  mutable rc : int array;  (** reference count (RC collectors only) *)
-  mutable dirty : int array;
-      (** epoch of the last logged mutation (RC field-logging barrier);
-          -1 when never logged *)
   mutable serial : int array;
       (** birth serial: strictly increasing across all allocations, never
           reused.  Ids are recycled LIFO, so a held id may come to name a
@@ -81,8 +77,6 @@ let create_store () =
       flags = Array.make initial_capacity 0;
       foff = Array.make initial_capacity 0;
       nfields = Array.make initial_capacity 0;
-      rc = Array.make initial_capacity 0;
-      dirty = Array.make initial_capacity (-1);
       serial = Array.make initial_capacity 0;
       next_serial = 0;
       count = 0;
@@ -132,8 +126,6 @@ let grow_meta s =
   s.flags <- grow ~fill:0 s.flags;
   s.foff <- grow ~fill:0 s.foff;
   s.nfields <- grow ~fill:0 s.nfields;
-  s.rc <- grow ~fill:0 s.rc;
-  s.dirty <- grow ~fill:(-1) s.dirty;
   s.serial <- grow ~fill:0 s.serial
 
 let grow_arena s needed =
@@ -185,8 +177,6 @@ let alloc s ~size ~nfields ~region =
   s.scratch.(id) <- -1;
   s.flags.(id) <- 1;
   s.nfields.(id) <- nfields;
-  s.rc.(id) <- 0;
-  s.dirty.(id) <- -1;
   s.serial.(id) <- s.next_serial;
   s.next_serial <- s.next_serial + 1;
   s.foff.(id) <- (if nfields = 0 then 0 else take_extent s nfields);
@@ -245,14 +235,6 @@ let[@inline] set_mark s id m = Array.unsafe_set s.mark id m
 let[@inline] scratch s id = Array.unsafe_get s.scratch id
 
 let[@inline] set_scratch s id m = Array.unsafe_set s.scratch id m
-
-let[@inline] rc s id = Array.unsafe_get s.rc id
-
-let[@inline] set_rc s id v = Array.unsafe_set s.rc id v
-
-let[@inline] dirty s id = Array.unsafe_get s.dirty id
-
-let[@inline] set_dirty s id e = Array.unsafe_set s.dirty id e
 
 let[@inline] serial s id = Array.unsafe_get s.serial id
 

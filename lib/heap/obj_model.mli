@@ -87,18 +87,6 @@ val scratch : store -> id -> int
 
 val set_scratch : store -> id -> int -> unit
 
-val rc : store -> id -> int
-(** Reference count (RC collectors only); 0 for collectors that never
-    write it. *)
-
-val set_rc : store -> id -> int -> unit
-
-val dirty : store -> id -> int
-(** Epoch of the last logged mutation (RC field-logging barrier); -1
-    when never logged. *)
-
-val set_dirty : store -> id -> int -> unit
-
 val serial : store -> id -> int
 (** Birth serial: strictly increasing across all allocations and never
     reused, unlike ids.  The stable identity for deferred RC work and

@@ -1,7 +1,6 @@
 module Wire = Gcr_tape.Wire
 module Spec = Gcr_workloads.Spec
 module Tape_gen = Gcr_workloads.Tape_gen
-module Decision_source = Gcr_workloads.Decision_source
 module Run = Gcr_runtime.Run
 module Profile = Gcr_runtime.Profile
 module Measurement = Gcr_runtime.Measurement
@@ -124,61 +123,14 @@ let read_welcome payload =
     Ok (ckv, plan_digest, worker_id, cache_results)
 
 (* ------------------------------------------------------------------ *)
-(* Fault injection for the differential suite                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Worker 0 calls [_exit] right after sending its [GCR_FABRIC_CRASH_AFTER]-th
-   result, mid-group, so the coordinator must reassign the rest. *)
-let env_after name ~id =
-  if id <> 0 then None
-  else
-    match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-    | Some n when n >= 0 -> Some n
-    | Some _ | None -> None
-
-let crash_after = env_after "GCR_FABRIC_CRASH_AFTER"
-
-(* Worker 0 writes raw garbage below the framing after its n-th result and
-   dies: the coordinator's decoder must refuse the stream ([Corrupt]) and
-   requeue, exactly as for a clean EOF. *)
-let garble_after = env_after "GCR_FABRIC_GARBLE_AFTER"
-
-(* Ten 0x80-continuation bytes: an unterminated varint that overflows the
-   62-bit cap — [Corrupt] the moment it is read, deterministic. *)
-let garble_bytes = String.make 10 '\xff'
-
-(* ------------------------------------------------------------------ *)
 (* Worker process                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Per-process memo of generated replay images, keyed by (spec digest,
-   seed).  A grid tape belongs to one group, but a minheap search sends
-   each probe as its own single-cell group with the same (spec, seed),
-   wave after wave, so a worker generates a search's image once, not
-   once per probe.  Tiny LRU — a few searches run side by side. *)
-let image_memo_cap = 4
-
-let image_memo : ((string * int) * Decision_source.image) list ref = ref []
-
-let memoized_image key make =
-  match List.assoc_opt key !image_memo with
-  | Some image ->
-      image_memo := (key, image) :: List.remove_assoc key !image_memo;
-      image
-  | None ->
-      let image = make () in
-      let rest = List.filteri (fun i _ -> i < image_memo_cap - 1) !image_memo in
-      image_memo := (key, image) :: rest;
-      image
 
 let group_tape (g : group) =
   if not g.tapes then Run.Tape_off
   else begin
     let started = Unix.gettimeofday () in
-    let image =
-      memoized_image (Spec.digest g.spec, g.seed) (fun () ->
-          Tape_gen.image ~spec:g.spec ~seed:g.seed)
-    in
+    let image = Tape_gen.image ~spec:g.spec ~seed:g.seed in
     Profile.add_tape_s (Unix.gettimeofday () -. started);
     Run.Tape_replay image
   end
@@ -206,9 +158,7 @@ let batch_cap = 32
    Returns the exit code; forked workers wrap it in [_exit].  The
    coordinator sends a worker its next group only after the last result
    of the current one, so the loop blocks in [recv] between groups. *)
-let worker_main ~id ~cache ~ep ~verbose =
-  let crash_after = crash_after ~id in
-  let garble_after = garble_after ~id in
+let worker_main ~cache ~ep ~verbose =
   let state = Run.new_state () in
   let scratch = Buffer.create 65536 in
   let batch : (int * bool * Measurement.t) list ref = ref [] in
@@ -229,24 +179,9 @@ let worker_main ~id ~cache ~ep ~verbose =
       batch_len := 0
     end
   in
-  let sent = ref 0 in
   let on_result index hit m =
     batch := (index, hit, m) :: !batch;
     incr batch_len;
-    incr sent;
-    (match crash_after with
-    | Some n when !sent >= n ->
-        (* flush what was completed so far, then die mid-group: the
-           coordinator sees exactly [n] results and reassigns the rest *)
-        flush ();
-        Unix._exit 97
-    | Some _ | None -> ());
-    (match garble_after with
-    | Some n when !sent >= n ->
-        flush ();
-        (try Transport.send_raw ep garble_bytes with Unix.Unix_error _ -> ());
-        Unix._exit 96
-    | Some _ | None -> ());
     if !batch_len >= batch_cap then flush ()
   in
   let heartbeat () =
@@ -365,12 +300,138 @@ let worker_connect ~host ~port ?cache ?(retry_for = 30.0) () =
                     | None -> "");
                   (* results are cached only when the coordinator caches too *)
                   let cache = if cache_results then cache else None in
-                  let code = worker_main ~id:worker_id ~cache ~ep ~verbose:true in
+                  let code = worker_main ~cache ~ep ~verbose:true in
                   Transport.close ep;
                   Ok code)))
 
 (* ------------------------------------------------------------------ *)
-(* Coordinator                                                         *)
+(* Coordinator core                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every dealing decision of a wave, and no I/O: the core sees worker
+   ids, cell indices, group costs and opaque results.  The shell below
+   feeds it what arrived and performs what it answers, so a coordinator
+   bug is a core bug, and the test suite drives the core under seeded
+   fault schedules instead of forking faulty workers. *)
+module Coordinator = struct
+  type loss =
+    | Hangup
+    | Corrupt_frame of string
+    | Bad_payload of string
+    | Unknown_tag of char
+    | Send_failed
+    | Silent of float
+
+  type 'r input = Batch of int * (int * 'r) list | Lost of int * loss
+
+  type 'r action =
+    | Take of { worker : int; cell : int; result : 'r }
+    | Drop of { worker : int; log : string list }
+
+  type deal =
+    | Send of { worker : int; group : int; cells : int list }
+    | Wait
+    | Backstop of (int * int list) list
+
+  type t = {
+    cost : float array;
+    pending : int list array;  (** each group's unreduced cells *)
+    alive : bool array;
+    held : int array;  (** each worker's group, or -1 *)
+    mutable ready : int list;  (** groups to deal, costliest first *)
+    mutable requeued : int;
+  }
+
+  (* Strict priority of group a over group b: largest cost first (LPT),
+     so the big groups cannot land last on an otherwise-drained fleet. *)
+  let before t a b = t.cost.(a) > t.cost.(b) || (t.cost.(a) = t.cost.(b) && a < b)
+
+  let insert_ready t gid =
+    let rec ins = function
+      | [] -> [ gid ]
+      | x :: rest -> if before t x gid then x :: ins rest else gid :: x :: rest
+    in
+    t.ready <- ins t.ready
+
+  let create ~alive groups =
+    let t =
+      {
+        cost = Array.of_list (List.map fst groups);
+        pending = Array.of_list (List.map snd groups);
+        alive = Array.copy alive;
+        held = Array.make (Array.length alive) (-1);
+        ready = [];
+        requeued = 0;
+      }
+    in
+    Array.iteri (fun gid cells -> if cells <> [] then insert_ready t gid) t.pending;
+    t
+
+  let requeued t = t.requeued
+
+  let drop t w why =
+    let gid = t.held.(w) in
+    let lost = if gid < 0 then 0 else List.length t.pending.(gid) in
+    t.alive.(w) <- false;
+    t.held.(w) <- -1;
+    if gid >= 0 then insert_ready t gid;
+    t.requeued <- t.requeued + lost;
+    let died = Printf.sprintf "worker %d died; requeueing %d cell(s)" w lost in
+    Drop { worker = w; log = why @ [ died ] }
+
+  (* A worker holds one group at a time, so every result it may send is
+     an unreduced cell of that group.  Any other index (out of range, a
+     cell it was not dealt, a repeat) drops the worker like a bad frame,
+     and the rest of its batch with it. *)
+  let step t = function
+    | Batch (w, _) | Lost (w, _) when not t.alive.(w) -> []
+    | Lost (w, Silent _) when t.held.(w) < 0 -> [] (* an idle worker has nothing to say *)
+    | Lost (w, loss) ->
+        let line fmt = Printf.sprintf ("worker %d: " ^^ fmt) w in
+        [
+          drop t w
+            (match loss with
+            | Hangup | Send_failed -> []
+            | Corrupt_frame msg -> [ line "corrupt stream (%s)" msg ]
+            | Bad_payload msg -> [ line "bad frame payload (%s)" msg ]
+            | Unknown_tag tag -> [ line "unexpected frame tag %C" tag ]
+            | Silent s -> [ line "no frames for %.0fs, declaring dead" s ]);
+        ]
+    | Batch (w, entries) ->
+        let rec take acc = function
+          | [] -> List.rev acc
+          | (cell, result) :: rest ->
+              let gid = t.held.(w) in
+              if gid >= 0 && List.mem cell t.pending.(gid) then begin
+                t.pending.(gid) <- List.filter (( <> ) cell) t.pending.(gid);
+                if t.pending.(gid) = [] then t.held.(w) <- -1;
+                take (Take { worker = w; cell; result } :: acc) rest
+              end
+              else
+                let line = Printf.sprintf "worker %d: result for cell %d it does not hold" w cell in
+                List.rev (drop t w [ line ] :: acc)
+        in
+        take [] entries
+
+  (* Greedy LPT list scheduling, one group per worker: the idle live
+     worker with the lowest id takes the costliest ready group.  Waiting
+     is safe only while a live worker holds a group, since only a holder
+     can produce the input that moves the wave on. *)
+  let deal t =
+    let n = Array.length t.alive in
+    let rec idle w = if w = n || (t.alive.(w) && t.held.(w) < 0) then w else idle (w + 1) in
+    match (t.ready, idle 0) with
+    | gid :: rest, w when w < n ->
+        t.ready <- rest;
+        t.held.(w) <- gid;
+        Send { worker = w; group = gid; cells = t.pending.(gid) }
+    | _ ->
+        if Array.exists (fun gid -> gid >= 0) t.held then Wait
+        else Backstop (List.map (fun gid -> (gid, t.pending.(gid))) t.ready)
+end
+
+(* ------------------------------------------------------------------ *)
+(* Coordinator shell                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type wrec = {
@@ -380,15 +441,8 @@ type wrec = {
   ep : Transport.t;
   pid : int option;  (** forked workers only, for [waitpid] *)
   mutable alive : bool;
-  mutable current : slot option;  (** the group it is running, if any *)
   mutable last_rx : float;
   mutable cells_total : int;  (** session-cumulative, probe waves included *)
-}
-
-and slot = {
-  gid : int;
-  g : group;
-  mutable pending : (int * Run.config) list;
 }
 
 type session = {
@@ -415,7 +469,7 @@ let spawn_forked ~cache ~id ~close_in_child =
          fork: close them so sibling EOFs are not kept artificially open *)
       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) close_in_child;
       let ep = Transport.of_fds ~recv:req_read ~send:resp_write in
-      Unix._exit (try worker_main ~id ~cache ~ep ~verbose:false with _ -> 1)
+      Unix._exit (try worker_main ~cache ~ep ~verbose:false with _ -> 1)
   | pid ->
       Unix.close req_read;
       Unix.close resp_write;
@@ -426,7 +480,6 @@ let spawn_forked ~cache ~id ~close_in_child =
         ep = Transport.of_fds ~recv:resp_read ~send:req_write;
         pid = Some pid;
         alive = true;
-        current = None;
         last_rx = Unix.gettimeofday ();
         cells_total = 0;
       }
@@ -496,7 +549,6 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
                         ep;
                         pid = None;
                         alive = true;
-                        current = None;
                         last_rx = Unix.gettimeofday ();
                         cells_total = 0;
                       }
@@ -636,189 +688,120 @@ let validate_groups ~n_cells groups =
 let dispatch session ~n_cells groups =
   if session.closed then invalid_arg "Fabric.dispatch: session is shut down";
   validate_groups ~n_cells groups;
-  let slots =
-    Array.of_list
-      (List.mapi
-         (fun gid (g : group) -> { gid; g; pending = g.cells })
-         (List.filter (fun (g : group) -> g.cells <> []) groups))
+  let core =
+    Coordinator.create
+      ~alive:(Array.map (fun w -> w.alive) session.ws)
+      (List.map (fun (g : group) -> (g.cost, List.map fst g.cells)) groups)
   in
+  let groups = Array.of_list groups in
   let results : Measurement.t option array = Array.make n_cells None in
-  let remaining = ref (Array.fold_left (fun acc s -> acc + List.length s.pending) 0 slots) in
   let per_worker = Array.make (Array.length session.ws) 0 in
   let hits = ref 0 in
-  let reassigned = ref 0 in
   let parent_cells = ref 0 in
   let worker_profile = ref Profile.zero in
-  (* The ready list is the scheduler: sorted by descending cost (largest
-     first — LPT — so the big groups cannot land last on an
-     otherwise-drained fleet). *)
-  let before a b =
-    (* strict priority of slot a over slot b *)
-    slots.(a).g.cost > slots.(b).g.cost
-    || (slots.(a).g.cost = slots.(b).g.cost && a < b)
+  let subgroup gid cells =
+    let g = groups.(gid) in
+    { g with cells = List.filter (fun (index, _) -> List.mem index cells) g.cells }
   in
-  let ready =
-    ref
-      (List.stable_sort
-         (fun a b -> if before a b then -1 else 1)
-         (List.init (Array.length slots) Fun.id))
+  let perform = function
+    | Coordinator.Take { worker; cell; result = hit, m } ->
+        let w = session.ws.(worker) in
+        results.(cell) <- Some m;
+        per_worker.(worker) <- per_worker.(worker) + 1;
+        w.cells_total <- w.cells_total + 1;
+        if hit then incr hits
+    | Coordinator.Drop { worker; log } ->
+        List.iter session.log log;
+        close_worker session.ws.(worker);
+        session.deaths <- session.deaths + 1
   in
-  let insert_ready gid =
-    let rec ins = function
-      | [] -> [ gid ]
-      | x :: rest -> if before x gid then x :: ins rest else gid :: x :: rest
-    in
-    ready := ins !ready
-  in
-  let worker_died w =
-    if w.alive then begin
-      close_worker w;
-      session.deaths <- session.deaths + 1;
-      let lost = match w.current with Some s -> List.length s.pending | None -> 0 in
-      reassigned := !reassigned + lost;
-      session.log (Printf.sprintf "worker %d died; requeueing %d cell(s)" w.w_id lost);
-      Option.iter (fun s -> insert_ready s.gid) w.current;
-      w.current <- None
-    end
-  in
-  let send_group w s =
-    w.current <- Some s;
+  let feed input = List.iter perform (Coordinator.step core input) in
+  let send worker gid cells =
+    let g = subgroup gid cells in
     session.log
-      (Printf.sprintf "worker %d <- %s seed=%d (%d cells, cost %.0f)" w.w_id
-         s.g.spec.Spec.name s.g.seed (List.length s.pending) s.g.cost);
+      (Printf.sprintf "worker %d <- %s seed=%d (%d cells, cost %.0f)" worker g.spec.Spec.name
+         g.seed (List.length g.cells) g.cost);
     match
-      Transport.send ~scratch:session.scratch w.ep ~tag:tag_group
-        (Marshal.to_string { s.g with cells = s.pending } [])
+      Transport.send ~scratch:session.scratch session.ws.(worker).ep ~tag:tag_group
+        (Marshal.to_string g [])
     with
     | () -> ()
-    | exception Unix.Unix_error _ -> worker_died w
+    | exception Unix.Unix_error _ -> feed (Lost (worker, Send_failed))
   in
-  (* A worker holds one group at a time, so every result it may send is a
-     pending cell of that group.  Any other index (out of range, a cell it
-     was not dealt, a repeat) condemns the worker like a bad frame;
-     [false] tells the caller to drop the rest of the batch. *)
-  let on_result w (index, hit, m) =
-    match w.current with
-    | Some s when List.mem_assoc index s.pending ->
-        results.(index) <- Some m;
-        per_worker.(w.w_id) <- per_worker.(w.w_id) + 1;
-        w.cells_total <- w.cells_total + 1;
-        if hit then incr hits;
-        decr remaining;
-        s.pending <- List.remove_assoc index s.pending;
-        if s.pending = [] then w.current <- None;
-        true
-    | Some _ | None ->
-        session.log
-          (Printf.sprintf "worker %d: result for cell %d it does not hold" w.w_id index);
-        worker_died w;
-        false
-  in
-  let handle_frame w (tag, payload) =
-    if tag = tag_batch then begin
-      let batch, (delta : Profile.snapshot) =
-        (Marshal.from_string payload 0
-          : (int * bool * Measurement.t) list * Profile.snapshot)
-      in
-      let acc = !worker_profile in
-      worker_profile :=
-        {
-          Profile.setup_us = acc.Profile.setup_us + delta.Profile.setup_us;
-          tape_us = acc.Profile.tape_us + delta.Profile.tape_us;
-          simulate_us = acc.Profile.simulate_us + delta.Profile.simulate_us;
-        };
-      ignore (List.for_all (on_result w) batch : bool)
-    end
-    else if tag = tag_heartbeat then ()
-    else begin
-      session.log (Printf.sprintf "worker %d: unexpected frame tag %C" w.w_id tag);
-      worker_died w
-    end
-  in
-  let drain w =
-    let continue_ = ref true in
-    while !continue_ && w.alive do
+  let rec drain w =
+    if w.alive then
       match Transport.next_frame w.ep with
-      | None -> continue_ := false
-      | Some frame -> handle_frame w frame
-      | exception Transport.Corrupt msg ->
-          session.log (Printf.sprintf "worker %d: corrupt stream (%s)" w.w_id msg);
-          worker_died w
-      | exception Failure msg ->
-          (* a frame that passed the checksum but failed unmarshalling:
-             treat the peer as gone, exactly like transport corruption *)
-          session.log (Printf.sprintf "worker %d: bad frame payload (%s)" w.w_id msg);
-          worker_died w
-    done
+      | None -> ()
+      | Some (tag, payload) when tag = tag_batch -> (
+          match
+            (Marshal.from_string payload 0
+              : (int * bool * Measurement.t) list * Profile.snapshot)
+          with
+          | exception Failure msg ->
+              (* a frame that passed the checksum but failed unmarshalling *)
+              feed (Lost (w.w_id, Bad_payload msg))
+          | batch, delta ->
+              let acc = !worker_profile in
+              worker_profile :=
+                {
+                  Profile.setup_us = acc.Profile.setup_us + delta.Profile.setup_us;
+                  tape_us = acc.Profile.tape_us + delta.Profile.tape_us;
+                  simulate_us = acc.Profile.simulate_us + delta.Profile.simulate_us;
+                };
+              feed (Batch (w.w_id, List.map (fun (index, hit, m) -> (index, (hit, m))) batch));
+              drain w)
+      | Some (tag, _) when tag = tag_heartbeat -> drain w
+      | Some (tag, _) -> feed (Lost (w.w_id, Unknown_tag tag))
+      | exception Transport.Corrupt msg -> feed (Lost (w.w_id, Corrupt_frame msg))
   in
-  let check_timeouts () =
-    if session.timeout_s > 0.0 then begin
-      let now = Unix.gettimeofday () in
-      Array.iter
-        (fun w ->
-          if w.alive && w.current <> None && now -. w.last_rx > session.timeout_s then begin
-            session.log
-              (Printf.sprintf "worker %d: no frames for %.0fs, declaring dead" w.w_id
-                 (now -. w.last_rx));
-            worker_died w
-          end)
-        session.ws
-    end
+  let wait () =
+    let live = List.filter (fun w -> w.alive) (Array.to_list session.ws) in
+    match Unix.select (List.map (fun w -> Transport.recv_fd w.ep) live) [] [] 5.0 with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | readable, _, _ ->
+        List.iter
+          (fun w ->
+            if w.alive && List.mem (Transport.recv_fd w.ep) readable then begin
+              w.last_rx <- Unix.gettimeofday ();
+              match Transport.read_step w.ep with
+              | `Ready -> drain w
+              | `Eof | (exception Unix.Unix_error _) -> feed (Lost (w.w_id, Hangup))
+            end)
+          live;
+        if session.timeout_s > 0.0 then begin
+          let now = Unix.gettimeofday () in
+          Array.iter
+            (fun w ->
+              if now -. w.last_rx > session.timeout_s then
+                feed (Lost (w.w_id, Silent (now -. w.last_rx))))
+            session.ws
+        end
   in
-  while !remaining > 0 && Array.exists (fun w -> w.alive) session.ws do
-    (* deal: each idle live worker, in id order, takes the costliest ready
-       group — greedy LPT list scheduling, one group per worker *)
-    Array.iter
-      (fun w ->
-        match !ready with
-        | gid :: rest when w.alive && w.current = None ->
-            ready := rest;
-            send_group w slots.(gid)
-        | _ :: _ | [] -> ())
-      session.ws;
-    match List.filter (fun w -> w.alive) (Array.to_list session.ws) with
-    | [] -> () (* the last worker died in a send: straight to the backstop *)
-    | live when List.for_all (fun w -> w.current = None) live ->
-        (* cells remain but no worker holds a group (an idle worker would
-           have taken any ready one): waiting would hang, so retire the
-           fleet and leave the rest to the backstop below *)
-        List.iter worker_died live
-    | live -> (
-        let fds = List.map (fun w -> Transport.recv_fd w.ep) live in
-        match Unix.select fds [] [] 5.0 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | readable, _, _ ->
-            List.iter
-              (fun fd ->
-                match List.find_opt (fun w -> Transport.recv_fd w.ep == fd) live with
-                | None -> ()
-                | Some w when not w.alive -> ()
-                | Some w -> (
-                    w.last_rx <- Unix.gettimeofday ();
-                    match Transport.read_step w.ep with
-                    | `Eof -> worker_died w
-                    | `Ready -> drain w
-                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                    | exception Unix.Unix_error _ -> worker_died w))
-              readable;
-            check_timeouts ())
-  done;
+  let rec run () =
+    match Coordinator.deal core with
+    | Send { worker; group; cells } ->
+        send worker group cells;
+        run ()
+    | Wait ->
+        wait ();
+        run ()
+    | Backstop rest -> rest
+  in
+  let rest = run () in
   (* Backstop: every worker is gone (or none ever connected) but cells
      remain — execute them in this process so the campaign always
      completes.  The coordinator's own setup/tape/simulate time lands in
      this process's {!Profile} counters, not in [worker_profile]. *)
   let backstop_state = Run.new_state () in
   List.iter
-    (fun gid ->
-      let s = slots.(gid) in
+    (fun (gid, cells) ->
       execute_group ~state:backstop_state ~cache:session.cache
         ~on_result:(fun index hit m ->
           results.(index) <- Some m;
           incr parent_cells;
-          if hit then incr hits;
-          decr remaining)
-        { s.g with cells = s.pending })
-    !ready;
+          if hit then incr hits)
+        (subgroup gid cells))
+    rest;
   let out =
     Array.map
       (function
@@ -831,7 +814,7 @@ let dispatch session ~n_cells groups =
       cells = n_cells;
       cache_hits = !hits;
       per_worker;
-      reassigned_cells = !reassigned;
+      reassigned_cells = Coordinator.requeued core;
       parent_cells = !parent_cells;
       worker_profile = !worker_profile;
     } )

@@ -17,23 +17,21 @@
     coordinator's backstop) generates the replay image a group needs
     with [Tape_gen.image], a pure function of (spec, seed).  Workers run
     {e warm}: each recycles one {!Gcr_runtime.Run.state} (engine + heap)
-    across every cell it executes, and memoizes the replay image per
-    (spec, seed), so the probe waves of a minheap search generate it
-    once.
+    across every cell it executes.
 
-    Scheduling is greedy LPT list scheduling: a worker holds one group
-    at a time, and when the last result of its group arrives the
-    coordinator sends it the costliest ready group.  Reduction is by plan
-    index, and the coordinator takes a worker's result only for a pending
-    cell of the group that worker holds, so neither the dealing order nor
-    worker death can change a byte of the report — only who computes it.
+    Scheduling is greedy LPT list scheduling, one group per worker (see
+    {!Coordinator.deal}).  Reduction is by plan index, and a worker's
+    result is taken only for a pending cell of the group it holds, so
+    neither the dealing order nor worker death can change a byte of the
+    report — only who computes it.
 
-    Fault model: a worker is dead on EOF, on a corrupt frame, on a result
-    for a cell it does not hold, on a failed send, or after
-    [GCR_FABRIC_TIMEOUT_S] (default 600 s) of silence while holding a
-    group.  The unfinished cells of that group are requeued for the
-    survivors; with no workers left, the coordinator executes the
-    remainder inline.  The report is unchanged either way. *)
+    Fault model: a worker is dead on EOF, on a corrupt frame or
+    payload, on an unknown frame tag, on a result for a cell it does not
+    hold, on a failed send, or after [GCR_FABRIC_TIMEOUT_S] (default
+    600 s) of silence while holding a group.  The unfinished cells of
+    that group are requeued for the survivors; with no workers left, the
+    coordinator executes the remainder inline.  The report is unchanged
+    either way.  {!Coordinator} makes each of these decisions. *)
 
 type group = {
   spec : Gcr_workloads.Spec.t;
@@ -70,6 +68,60 @@ type worker_row = {
   row_cells : int;  (** session-cumulative, probe waves included *)
   row_alive : bool;
 }
+
+(** {2 Coordinator core}
+
+    Every dealing and fault decision of one wave, with no I/O: workers
+    are ids [0 .. n-1], cells are plan indices, groups are positions in
+    the list given to [create], and results are opaque.  {!dispatch}
+    keeps [select], framing, [Marshal], the timeout clock and the
+    backstop's runs. *)
+
+module Coordinator : sig
+  type t
+
+  type loss =
+    | Hangup  (** EOF, or a failed read *)
+    | Corrupt_frame of string
+    | Bad_payload of string  (** a checksummed batch that does not unmarshal *)
+    | Unknown_tag of char
+    | Send_failed
+    | Silent of float  (** seconds without a frame, past the timeout *)
+
+  type 'r input =
+    | Batch of int * (int * 'r) list  (** a worker's (cell, result) batch *)
+    | Lost of int * loss
+
+  type 'r action =
+    | Take of { worker : int; cell : int; result : 'r }  (** reduce into the cell *)
+    | Drop of { worker : int; log : string list }  (** log the lines, close the worker *)
+
+  type deal =
+    | Send of { worker : int; group : int; cells : int list }
+    | Wait  (** a live worker holds a group: wait for its input *)
+    | Backstop of (int * int list) list
+        (** the fleet is done: run these groups' unreduced cells inline, in
+            this order (none when every cell is reduced) *)
+
+  val create : alive:bool array -> (float * int list) list -> t
+  (** A wave over workers whose liveness is [alive], and groups given as
+      (cost, cells), each cell in one group. *)
+
+  val step : t -> 'r input -> 'r action list
+  (** A batch is taken while each entry is an unreduced cell of the
+      worker's group; the first other index drops the worker and the rest
+      of the batch.  A drop requeues exactly the unreduced cells of the
+      worker's group.  Input from a dead worker, and silence from an idle
+      one, is ignored. *)
+
+  val deal : t -> deal
+  (** [Send] while an idle live worker (lowest id) and a ready group
+      (costliest) exist, else [Wait] while a live worker holds a group,
+      else [Backstop]. *)
+
+  val requeued : t -> int
+  (** Cells requeued by drops so far. *)
+end
 
 (** {2 Sessions}
 

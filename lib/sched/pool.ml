@@ -38,30 +38,9 @@ let failed_of_exn (config : Run.config) exn =
     footprint_word_cycles = 0.0;
   }
 
-(* GCR_WARM_CHECK=1: run every warm cell a second time on fresh state and
-   fail loudly on any divergence — the in-line reuse≡fresh oracle for
-   bisecting a warm-state leak in the field.  Orders of magnitude slower;
-   debug only. *)
-let warm_check_enabled () =
-  match Sys.getenv_opt "GCR_WARM_CHECK" with
-  | Some ("0" | "false" | "off") | None -> false
-  | Some _ -> true
-
 let execute_fresh ?state config =
   !on_execute config;
-  let run ?state () = try Run.execute ?state config with exn -> failed_of_exn config exn in
-  match state with
-  | Some _ when warm_check_enabled () ->
-      let warm = run ?state () in
-      let fresh = run () in
-      if warm <> fresh then
-        failwith
-          (Printf.sprintf
-             "GCR_WARM_CHECK: warm-state run diverged from fresh for %s/%s heap=%d seed=%d"
-             config.Run.spec.Spec.name (Registry.name config.Run.gc)
-             config.Run.heap_words config.Run.seed);
-      warm
-  | _ -> run ?state ()
+  try Run.execute ?state config with exn -> failed_of_exn config exn
 
 let execute_cached ?cache ?state config =
   match Option.bind cache (fun c -> Result_cache.find c config) with

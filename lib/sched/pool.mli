@@ -22,9 +22,7 @@ val execute :
     measurement; miss → [Run.execute] (exceptions become [Failed]) and
     the result is stored for next time.  [state], when given, recycles
     that pool's engine/heap on the miss path (the warm execution path;
-    results are bit-identical either way).  With [GCR_WARM_CHECK] set,
-    every warm execution is re-run on fresh state and any divergence
-    raises — the in-line reuse≡fresh oracle. *)
+    results are bit-identical either way). *)
 
 val execute_cached :
   ?cache:Result_cache.t ->

@@ -4,8 +4,10 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
-(* Big enough for a full-scale tape payload, small enough that a forged
-   length prefix cannot ask the reader to allocate the address space. *)
+(* Room for the largest frame the fabric sends, a batch of up to 32
+   measurements whose pause lists can each run to tens of thousands of
+   entries, while a forged length prefix still cannot ask the reader to
+   allocate the address space. *)
 let max_frame_bytes = 1 lsl 28
 
 module Codec = struct
@@ -118,8 +120,6 @@ let send ?scratch t ~tag payload =
   Codec.encode b ~tag payload;
   let s = Buffer.contents b in
   write_all t.wfd s 0 (String.length s)
-
-let send_raw t s = write_all t.wfd s 0 (String.length s)
 
 let next_frame t = Codec.next t.dec
 

@@ -68,11 +68,6 @@ val send : ?scratch:Buffer.t -> t -> tag:char -> string -> unit
     buffer reused across frames.  Raises [Unix.Unix_error] (e.g. [EPIPE])
     if the peer is gone — callers treat that as peer death. *)
 
-val send_raw : t -> string -> unit
-(** Write bytes {e below} the framing — fault injection for the
-    differential suite (a worker garbling its stream on purpose).  Never
-    used on a healthy path. *)
-
 val recv : t -> (char * string) option
 (** Blocking read of the next frame.  [None] on a clean EOF at a frame
     boundary; {!Corrupt} on a mid-frame EOF or a damaged stream. *)

@@ -1,8 +1,10 @@
 (* The differential suite behind the campaign fabric's central promise:
    a multi-process campaign is bit-identical to the in-process one — at
-   any worker count, through worker crashes, through result-cache
+   any worker count, through worker faults, through result-cache
    corruption (which must read as a miss and re-execute, never as a
-   wrong result), and past peers that speak another protocol version. *)
+   wrong result), and past peers that speak another protocol version.
+   Worker faults are checked on the coordinator core, under seeded
+   schedules, and once end to end through a real socket. *)
 
 module Registry = Gcr_gcs.Registry
 module Suite = Gcr_workloads.Suite
@@ -155,74 +157,263 @@ let test_fabric_cells_equal_fresh_runs () =
         (recorded = Some (Run.execute c.Planner.config)))
     (Planner.cells plan)
 
-(* A worker that dies mid-group must have its unfinished cells reassigned
-   — and the recorded campaign must not show a trace of the crash. *)
-let test_worker_crash_reassigns () =
-  Unix.putenv "GCR_FABRIC_CRASH_AFTER" "2";
-  let crashed =
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "GCR_FABRIC_CRASH_AFTER" "")
-      (fun () -> run_with ~workers:(Some 2) ())
-  in
-  let s = Harness.summary crashed in
-  check Alcotest.bool "cells were reassigned" true (s.Harness.reassigned_cells > 0);
-  check Alcotest.int "every cell still accounted" s.Harness.cells
-    (Array.fold_left ( + ) 0 s.Harness.per_worker + s.Harness.parent_cells);
-  check_campaigns_identical ~what:"serial vs crashed fabric" (Lazy.force serial) crashed
+(* --- The coordinator core under seeded fault schedules. ---
 
-(* A worker holds one group at a time, so a crash requeues only the
-   unfinished cells of the group it was running.  One worker and the
-   suite's grid of two 11-cell groups: the worker dies after 2 results
-   of its first group, so 9 cells are requeued and the backstop runs
-   those plus the second group, which was never sent.  The serial run
-   comes first so the min-heap memo is warm and no probe wave meets the
-   crash hook. *)
+   A fake fleet drives [Fabric.Coordinator] with no processes: a
+   worker's result for cell [i] is [result i], and a schedule decides
+   every fault.  A model of what each worker was sent checks every
+   action the core answers. *)
+
+module Core = Fabric.Coordinator
+
+let result cell = 1000 + cell
+
+type fault =
+  | Answer of int * int  (** up to n held cells, starting at the k-th *)
+  | Lose of Core.loss
+  | Lie of int  (** a held cell's result under this index *)
+  | Repeat  (** the last cell it returned, again *)
+
+type schedule = {
+  alive : bool array;  (** liveness at the start of the wave *)
+  groups : (float * int list) list;  (** (cost, cells) *)
+  sends_fail : bool list;  (** one per send; later sends succeed *)
+  events : (int * fault) list;
+      (** (worker, fault), one per wait; once they run out, the lowest
+          live holder answers its whole group *)
+}
+
+type trace = { log : string list; requeued : int; backstopped : int }
+
+exception Violation of string
+
+let run_schedule s =
+  let fail fmt = Printf.ksprintf (fun m -> raise (Violation m)) fmt in
+  let n_workers = Array.length s.alive in
+  let n_cells = List.fold_left (fun n (_, cells) -> n + List.length cells) 0 s.groups in
+  let group_cells = Array.of_list (List.map snd s.groups) in
+  let core = Core.create ~alive:s.alive s.groups in
+  let alive = Array.copy s.alive in
+  let held = Array.make n_workers [] in
+  let returned = Array.make n_workers [] in
+  let reduced = Array.make n_cells 0 in
+  let requeued = ref 0 and backstopped = ref 0 and log = ref [] in
+  let sends = ref s.sends_fail and events = ref s.events in
+  (* exactly the group's unreduced cells, in any order *)
+  let unreduced cells group =
+    cells <> []
+    && List.sort compare cells
+       = List.sort compare (List.filter (fun c -> reduced.(c) = 0) group_cells.(group))
+  in
+  let holder () =
+    let rec go w = if w = n_workers || (alive.(w) && held.(w) <> []) then w else go (w + 1) in
+    go 0
+  in
+  let act from = function
+    | Core.Take { worker; cell; result = r } ->
+        if worker <> from || not alive.(worker) then fail "took from worker %d" worker;
+        if not (List.mem cell held.(worker)) then
+          fail "worker %d: took cell %d it does not hold" worker cell;
+        if r <> result cell then fail "cell %d reduced with cell %d's result" cell (r - 1000);
+        reduced.(cell) <- reduced.(cell) + 1;
+        held.(worker) <- List.filter (( <> ) cell) held.(worker);
+        returned.(worker) <- cell :: returned.(worker)
+    | Core.Drop { worker; log = lines } ->
+        if worker <> from || not alive.(worker) then fail "dropped worker %d" worker;
+        let lost = List.length held.(worker) in
+        let died = Printf.sprintf "worker %d died; requeueing %d cell(s)" worker lost in
+        (match List.rev lines with
+        | last :: _ when last = died -> ()
+        | _ -> fail "worker %d: drop logged %S, not %S" worker (String.concat " | " lines) died);
+        requeued := !requeued + lost;
+        log := List.rev_append lines !log;
+        alive.(worker) <- false;
+        held.(worker) <- []
+  in
+  let feed input =
+    let from = match input with Core.Batch (w, _) | Core.Lost (w, _) -> w in
+    List.iter (act from) (Core.step core input);
+    if Core.requeued core <> !requeued then
+      fail "requeued %d cells; the dropped workers held %d" (Core.requeued core) !requeued
+  in
+  let answer w cells = feed (Core.Batch (w, List.map (fun c -> (c, result c)) cells)) in
+  let rec rotate k = function [] -> [] | l when k = 0 -> l | x :: r -> rotate (k - 1) (r @ [ x ]) in
+  let event (w, fault) =
+    let w = w mod n_workers in
+    match fault with
+    | Answer (n, k) -> answer w (List.filteri (fun i _ -> i < n) (rotate k held.(w)))
+    | Lose loss -> feed (Core.Lost (w, loss))
+    | Lie index when List.mem index held.(w) -> answer w [ index ]
+    | Lie index ->
+        let value = match held.(w) with c :: _ -> result c | [] -> result index + 1 in
+        feed (Core.Batch (w, [ (index, value) ]))
+    | Repeat -> answer w (match returned.(w) with c :: _ -> [ c ] | [] -> [])
+  in
+  let bound =
+    2 * (n_cells + List.length s.events + List.length s.sends_fail + n_workers + 1)
+  in
+  let rec loop steps =
+    if steps > bound then fail "the wave did not end within %d steps" bound;
+    match Core.deal core with
+    | Core.Send { worker; group; cells } ->
+        if not alive.(worker) then fail "sent group %d to dead worker %d" group worker;
+        if held.(worker) <> [] then fail "sent group %d to busy worker %d" group worker;
+        if not (unreduced cells group) then
+          fail "sent group %d with cells other than its unreduced ones" group;
+        held.(worker) <- cells;
+        let failed = match !sends with f :: rest -> sends := rest; f | [] -> false in
+        if failed then feed (Core.Lost (worker, Core.Send_failed));
+        loop (steps + 1)
+    | Core.Wait ->
+        let w = holder () in
+        if w = n_workers then fail "waits, but no live worker holds a group";
+        (match !events with
+        | e :: rest ->
+            events := rest;
+            event e
+        | [] -> answer w held.(w));
+        loop (steps + 1)
+    | Core.Backstop rest ->
+        if holder () < n_workers then fail "backstop while worker %d holds cells" (holder ());
+        List.iter
+          (fun (group, cells) ->
+            if not (unreduced cells group) then
+              fail "backstop of group %d with cells other than its unreduced ones" group;
+            List.iter (fun c -> reduced.(c) <- reduced.(c) + 1) cells;
+            backstopped := !backstopped + List.length cells)
+          rest
+  in
+  (try loop 0 with
+  | Violation _ as e -> raise e
+  | e -> fail "the core raised %s" (Printexc.to_string e));
+  Array.iteri
+    (fun c n -> if n <> 1 then fail "cell %d reduced %d times" c n)
+    reduced;
+  { log = List.rev !log; requeued = !requeued; backstopped = !backstopped }
+
+let print_schedule s =
+  let loss = function
+    | Core.Hangup -> "eof"
+    | Core.Corrupt_frame _ -> "corrupt"
+    | Core.Bad_payload _ -> "payload"
+    | Core.Unknown_tag _ -> "tag"
+    | Core.Send_failed -> "send"
+    | Core.Silent _ -> "silent"
+  in
+  let fault = function
+    | Answer (n, k) -> Printf.sprintf "answer %d from %d" n k
+    | Lose l -> loss l
+    | Lie i -> Printf.sprintf "lie %d" i
+    | Repeat -> "repeat"
+  in
+  Printf.sprintf "alive=[%s] groups=[%s] sends_fail=[%s] events=[%s]"
+    (String.concat ";" (Array.to_list (Array.map string_of_bool s.alive)))
+    (String.concat "; "
+       (List.map
+          (fun (cost, cells) ->
+            Printf.sprintf "%g:%s" cost (String.concat "," (List.map string_of_int cells)))
+          s.groups))
+    (String.concat ";" (List.map string_of_bool s.sends_fail))
+    (String.concat "; " (List.map (fun (w, f) -> Printf.sprintf "w%d %s" w (fault f)) s.events))
+
+let schedule_gen =
+  QCheck.Gen.(
+    let* n_workers = int_range 1 4 in
+    let* alive = array_repeat n_workers (frequency [ (5, return true); (1, return false) ]) in
+    let* sizes = list_size (int_range 1 6) (int_range 1 5) in
+    let n_cells = List.fold_left ( + ) 0 sizes in
+    let* order = shuffle_l (List.init n_cells Fun.id) in
+    let* costs = list_repeat (List.length sizes) (map float_of_int (int_range 0 3)) in
+    let rec split cells = function
+      | [] -> []
+      | n :: rest ->
+          List.filteri (fun i _ -> i < n) cells
+          :: split (List.filteri (fun i _ -> i >= n) cells) rest
+    in
+    let groups = List.combine costs (split order sizes) in
+    let* sends_fail =
+      list_size (int_range 0 6) (frequency [ (4, return false); (1, return true) ])
+    in
+    let loss =
+      oneofl
+        [ Core.Hangup; Core.Corrupt_frame "bad checksum"; Core.Bad_payload "input_value";
+          Core.Unknown_tag 'Z'; Core.Silent 601.0 ]
+    in
+    let fault =
+      frequency
+        [
+          (6, map2 (fun n k -> Answer (n, k)) (int_range 0 4) (int_range 0 4));
+          (2, map (fun l -> Lose l) loss);
+          (1, map (fun i -> Lie i) (int_range (-2) (n_cells + 2)));
+          (1, return Repeat);
+        ]
+    in
+    let* events = list_size (int_range 0 30) (pair (int_range 0 3) fault) in
+    return { alive; groups; sends_fail; events })
+
+let prop_core_invariants =
+  QCheck.Test.make ~name:"coordinator core keeps its invariants under fault schedules"
+    ~count:2000
+    (QCheck.make ~print:print_schedule schedule_gen)
+    (fun s ->
+      match run_schedule s with
+      | (_ : trace) -> true
+      | exception Violation msg -> QCheck.Test.fail_report msg)
+
+(* Fixed schedules for the faults the fabric once got wrong. *)
+
+let cells_from first n = List.init n (fun i -> first + i)
+
+let run_fixed s =
+  match run_schedule s with
+  | trace -> trace
+  | exception Violation msg -> Alcotest.failf "%s: %s" (print_schedule s) msg
+
+(* One worker and two 11-cell groups: it dies after 2 results of the
+   first, so 9 cells are requeued, and the backstop runs those and the
+   group that was never sent. *)
 let test_crash_requeues_only_current_group () =
-  let reference = Lazy.force serial in
-  Unix.putenv "GCR_FABRIC_CRASH_AFTER" "2";
-  let crashed =
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "GCR_FABRIC_CRASH_AFTER" "")
-      (fun () -> run_with ~workers:(Some 1) ())
+  let t =
+    run_fixed
+      {
+        alive = [| true |];
+        groups = [ (2.0, cells_from 0 11); (1.0, cells_from 11 11) ];
+        sends_fail = [];
+        events = [ (0, Answer (2, 0)); (0, Lose Core.Hangup) ];
+      }
   in
-  let s = Harness.summary crashed in
-  check Alcotest.int "no probe wave ran" 0 s.Harness.probe_cells;
-  check Alcotest.int "only the running group's unfinished cells were requeued" 9
-    s.Harness.reassigned_cells;
-  check Alcotest.int "the backstop ran the rest" 20 s.Harness.parent_cells;
-  check_campaigns_identical ~what:"serial vs one crashed worker" reference crashed
+  check Alcotest.int "only the running group's unfinished cells were requeued" 9 t.requeued;
+  check Alcotest.int "the backstop ran the rest" 20 t.backstopped
 
-(* When the last worker has died, a send to it fails (EPIPE) while its
-   group is still to run.  The coordinator must go straight to the
-   backstop rather than wait in a [select] on no descriptors. *)
+(* The last worker dies in a send: the core must go straight to the
+   backstop rather than wait for input that cannot come. *)
 let test_dead_fleet_goes_to_backstop () =
-  let spec = Spec.scale (Suite.find_exn "jme") 0.05 in
-  let config = Run.default_config ~spec ~gc:Registry.Serial ~heap_words:160_000 ~seed:7 in
-  let wave session =
-    Fabric.dispatch session ~n_cells:1
-      [ { Fabric.spec; seed = 7; tapes = true; cost = 1.0; cells = [ (0, config) ] } ]
+  let t =
+    run_fixed
+      { alive = [| true |]; groups = [ (1.0, [ 0 ]) ]; sends_fail = [ true ]; events = [] }
   in
-  let var = "GCR_FABRIC_CRASH_AFTER" in
-  let saved = Option.value (Sys.getenv_opt var) ~default:"" in
-  Unix.putenv var "1";
-  let session =
-    Fun.protect ~finally:(fun () -> Unix.putenv var saved) (fun () -> Fabric.start ~workers:1 ())
+  check Alcotest.int "the backstop ran the cell" 1 t.backstopped
+
+(* A worker answers its one-cell group under another index: one the plan
+   does not have, or the cell of the group it was not dealt.  The core
+   must refuse it and drop the worker, so the backstop runs both cells. *)
+let check_lying_worker_refused ~index () =
+  let t =
+    run_fixed
+      {
+        alive = [| true |];
+        groups = [ (2.0, [ 0 ]); (1.0, [ 1 ]) ];
+        sends_fail = [];
+        events = [ (0, Lie index) ];
+      }
   in
-  Fun.protect
-    ~finally:(fun () -> Fabric.shutdown session)
-    (fun () ->
-      let _, first = wave session in
-      check Alcotest.int "the worker ran the first wave" 0 first.Fabric.parent_cells;
-      (* the worker exits right after its first result *)
-      Unix.sleepf 0.5;
-      let started = Unix.gettimeofday () in
-      let measurements, stats = wave session in
-      let elapsed = Unix.gettimeofday () -. started in
-      check Alcotest.bool (Printf.sprintf "second wave took %.1fs, under 2s" elapsed) true
-        (elapsed < 2.0);
-      check Alcotest.int "the backstop ran the cell" 1 stats.Fabric.parent_cells;
-      check Alcotest.bool "the cell equals a fresh run" true
-        (measurements.(0) = Run.execute config))
+  check (Alcotest.list Alcotest.string) "the refusal was logged"
+    [
+      Printf.sprintf "worker 0: result for cell %d it does not hold" index;
+      "worker 0 died; requeueing 1 cell(s)";
+    ]
+    t.log;
+  check Alcotest.int "the backstop ran both cells" 2 t.backstopped
 
 (* --- Socket transport: the same fabric over TCP. ---
 
@@ -319,40 +510,6 @@ let test_socket_mixed_store_identical () =
     (fun st ->
       check Alcotest.bool "socket worker exited cleanly" true (st = Unix.WEXITED 0))
     statuses
-
-(* Kill a socket worker mid-campaign (the crash hook makes worker 0
-   _exit after two results): the coordinator must requeue its cells and
-   the report must not show a trace. *)
-let test_socket_worker_crash_reassigns () =
-  Unix.putenv "GCR_FABRIC_CRASH_AFTER" "2";
-  let campaign, statuses =
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "GCR_FABRIC_CRASH_AFTER" "")
-      (fun () -> run_socket ~worker_caches:[ None; None ] ())
-  in
-  let s = Harness.summary campaign in
-  check Alcotest.bool "cells were reassigned" true (s.Harness.reassigned_cells > 0);
-  check Alcotest.bool "a worker death was recorded" true (s.Harness.worker_deaths >= 1);
-  check Alcotest.bool "the crash exit code surfaced" true
-    (List.mem (Unix.WEXITED 97) statuses);
-  check_campaigns_identical ~what:"serial vs socket fabric with a killed worker"
-    (Lazy.force serial) campaign
-
-(* A worker that garbles its stream (raw bytes below the framing — an
-   unterminated varint) must read as Corrupt at the coordinator and be
-   treated exactly like a death: requeue, identical report, never a
-   parse of untrusted bytes. *)
-let test_garbled_stream_reassigns () =
-  Unix.putenv "GCR_FABRIC_GARBLE_AFTER" "2";
-  let garbled =
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "GCR_FABRIC_GARBLE_AFTER" "")
-      (fun () -> run_with ~workers:(Some 2) ())
-  in
-  let s = Harness.summary garbled in
-  check Alcotest.bool "cells were reassigned" true (s.Harness.reassigned_cells > 0);
-  check Alcotest.bool "the garbler was declared dead" true (s.Harness.worker_deaths >= 1);
-  check_campaigns_identical ~what:"serial vs garbled fabric" (Lazy.force serial) garbled
 
 (* --- The result cache: corruption is a clean miss, and no tapes. --- *)
 
@@ -564,16 +721,16 @@ let test_old_welcomes_refused () =
             true (status = Unix.WEXITED 0))
     [ 1; 2 ]
 
-(* --- A result batch is trusted no further than the deal. ---
+(* --- A garbling socket worker. ---
 
-   A raw v3 peer joins, runs the one-cell group it is dealt, and answers
-   with that measurement under another index: one the plan does not
-   have, or the cell of the group it was not dealt.  The coordinator
-   must refuse the entry and drop the peer like a bad frame, so the
-   backstop runs both cells.  The peer exits 0 only if the coordinator
-   hangs up on it. *)
+   A raw v3 peer joins, answers the first cell of the group it is dealt,
+   then writes bytes below the framing (an unterminated varint) and
+   hangs up.  The coordinator must keep the answered cell, refuse the
+   stream as corrupt, drop the peer and run the rest on the backstop,
+   all with fresh-run results.  The peer exits 0 only if the
+   coordinator hangs up on it. *)
 
-let fork_lying_peer ~port ~index =
+let fork_garbling_peer ~port =
   match Unix.fork () with
   | 0 ->
       Unix._exit
@@ -584,37 +741,40 @@ let fork_lying_peer ~port ~index =
            match (welcome, Transport.recv ep) with
            | Some ('W', _), Some ('G', payload) -> (
                let g = (Marshal.from_string payload 0 : Fabric.group) in
-               let m = Run.execute (snd (List.hd g.Fabric.cells)) in
+               let index, config = List.hd g.Fabric.cells in
                Transport.send ep ~tag:'B'
-                 (Marshal.to_string ([ (index, false, m) ], Gcr_runtime.Profile.zero) []);
+                 (Marshal.to_string
+                    ([ (index, false, Run.execute config) ], Gcr_runtime.Profile.zero)
+                    []);
+               let garbage = String.make 10 '\xff' in
+               ignore (Unix.write_substring (Transport.send_fd ep) garbage 0 10 : int);
                match Transport.recv ep with None -> 0 | Some _ -> 4)
            | _ -> 5
          with _ -> 6)
   | pid -> pid
 
-let check_lying_peer_refused ~index () =
+let test_garbled_stream_reassigns () =
   let spec = Spec.scale (Suite.find_exn "jme") 0.05 in
   let configs =
     Array.map
       (fun gc -> Run.default_config ~spec ~gc ~heap_words:160_000 ~seed:7)
-      [| Registry.Serial; Registry.G1 |]
+      [| Registry.Serial; Registry.G1; Registry.Parallel |]
   in
-  (* the costlier group, cell 0's, is dealt to the peer *)
-  let group i cost =
-    { Fabric.spec; seed = 7; tapes = true; cost; cells = [ (i, configs.(i)) ] }
-  in
+  let cells = Array.to_list (Array.mapi (fun i config -> (i, config)) configs) in
   let pid = ref None in
   let log = ref [] in
   let session =
     Fabric.start ~workers:1 ~listen:("127.0.0.1", 0) ~connect_timeout:20.0
       ~log:(fun line -> log := line :: !log)
-      ~on_listen:(fun port -> pid := Some (fork_lying_peer ~port ~index))
+      ~on_listen:(fun port -> pid := Some (fork_garbling_peer ~port))
       ()
   in
   let measurements, stats =
     Fun.protect
       ~finally:(fun () -> Fabric.shutdown session)
-      (fun () -> Fabric.dispatch session ~n_cells:2 [ group 0 2.0; group 1 1.0 ])
+      (fun () ->
+        Fabric.dispatch session ~n_cells:3
+          [ { Fabric.spec; seed = 7; tapes = true; cost = 1.0; cells } ])
   in
   let status =
     match !pid with
@@ -629,11 +789,12 @@ let check_lying_peer_refused ~index () =
         (measurements.(i) = Run.execute config))
     configs;
   check Alcotest.bool "the coordinator hung up on the peer" true (status = Unix.WEXITED 0);
-  let refusal = Printf.sprintf "cell %d it does not hold" index in
-  check Alcotest.bool "the refusal was logged" true
-    (List.exists (fun line -> contains line refusal) !log);
-  check Alcotest.int "the peer's cell was requeued" 1 stats.Fabric.reassigned_cells;
-  check Alcotest.int "the backstop ran both cells" 2 stats.Fabric.parent_cells
+  check Alcotest.bool "the corrupt stream was logged" true
+    (List.exists (fun line -> contains line "worker 0: corrupt stream") !log);
+  check (Alcotest.array Alcotest.int) "the peer's answer was kept" [| 1 |]
+    stats.Fabric.per_worker;
+  check Alcotest.int "the rest of its group was requeued" 2 stats.Fabric.reassigned_cells;
+  check Alcotest.int "the backstop ran the rest" 2 stats.Fabric.parent_cells
 
 (* GCR_FABRIC_TIMEOUT_S: 0 disables, empty means unset, and anything that is
    not a finite number of seconds >= 0 is refused, by [Fabric.start] too,
@@ -679,17 +840,19 @@ let suite =
     Alcotest.test_case "summary accounting" `Quick test_summary_accounting;
     Alcotest.test_case "workers=4 cells equal fresh runs" `Quick
       test_fabric_cells_equal_fresh_runs;
-    Alcotest.test_case "worker crash reassigns cells" `Quick test_worker_crash_reassigns;
+    QCheck_alcotest.to_alcotest prop_core_invariants;
     Alcotest.test_case "crash requeues only its group" `Quick
       test_crash_requeues_only_current_group;
     Alcotest.test_case "dead fleet goes to the backstop" `Quick
       test_dead_fleet_goes_to_backstop;
+    Alcotest.test_case "result for an unplanned index drops the worker" `Quick
+      (check_lying_worker_refused ~index:10_000);
+    Alcotest.test_case "result for an undealt cell drops the worker" `Quick
+      (check_lying_worker_refused ~index:1);
     Alcotest.test_case "socket fabric identical (probes over the wire)" `Quick
       test_socket_fabric_identical;
     Alcotest.test_case "mixed-store socket fleet identical" `Quick
       test_socket_mixed_store_identical;
-    Alcotest.test_case "socket worker crash reassigns cells" `Quick
-      test_socket_worker_crash_reassigns;
     Alcotest.test_case "garbled worker stream reassigns cells" `Quick
       test_garbled_stream_reassigns;
     Alcotest.test_case "result corruption re-executes" `Quick
@@ -698,8 +861,4 @@ let suite =
     Alcotest.test_case "v1/v2 hellos get only a v3 welcome" `Quick test_old_hellos_refused;
     Alcotest.test_case "v1/v2 welcomes refused by a worker" `Quick test_old_welcomes_refused;
     Alcotest.test_case "malformed timeout refused" `Quick test_timeout_env_validated;
-    Alcotest.test_case "result for an unplanned index drops the worker" `Quick
-      (check_lying_peer_refused ~index:10_000);
-    Alcotest.test_case "result for an undealt cell drops the worker" `Quick
-      (check_lying_peer_refused ~index:1);
   ]
