@@ -504,9 +504,9 @@ let artefact_cmd =
       $ seed_arg $ factors_arg $ quiet_arg $ workers_arg $ cache_dir_arg)
 
 (* Per-phase breakdown of where the campaign's wall time went.  Wall
-   times partition [elapsed_s]; the self-times under "execute" are summed
-   across fabric workers, so under parallel execution they can exceed the
-   execute wall time. *)
+   times partition [elapsed_s]; the executor lines partition the
+   executors' time in the execute phase (each fabric worker's, or this
+   process's), so "other" is what the self-time counters miss. *)
 let print_profile (s : Harness.exec_summary) =
   let pct part = if s.Harness.elapsed_s > 0.0 then 100.0 *. part /. s.Harness.elapsed_s else 0.0 in
   Printf.printf "\n== campaign profile ==\n";
@@ -516,16 +516,15 @@ let print_profile (s : Harness.exec_summary) =
   Printf.printf "  execute   %8.2fs  %5.1f%%  (%.1f cells/s)\n" s.Harness.execute_s
     (pct s.Harness.execute_s) s.Harness.cells_per_sec;
   Printf.printf "  reduce    %8.2fs  %5.1f%%\n" s.Harness.reduce_s (pct s.Harness.reduce_s);
-  Printf.printf "execute self-time (summed across workers):\n";
+  let executors = max 1 s.Harness.worker_processes in
+  Printf.printf "executor time (%d × execute), busy %.1f%%:\n" executors
+    (100.0 *. Harness.busy_share s);
   Printf.printf "  setup     %8.2fs  (engine/heap construction or warm reset)\n"
     s.Harness.setup_s;
   Printf.printf "  tape      %8.2fs  (generate/decode)\n" s.Harness.tape_s;
   Printf.printf "  simulate  %8.2fs\n" s.Harness.simulate_s;
-  let other =
-    s.Harness.execute_s -. s.Harness.setup_s -. s.Harness.tape_s -. s.Harness.simulate_s
-  in
-  Printf.printf "  other     %8.2fs  (scheduling, cache, marshalling%s)\n" other
-    (if s.Harness.worker_processes > 0 then "; negative = parallel overlap" else "")
+  Printf.printf "  other     %8.2fs  (scheduling, result cache, marshalling, idle)\n"
+    (Harness.unattributed_s s)
 
 let profile_arg =
   let doc =

@@ -136,6 +136,14 @@ let gcs t = t.gc_kinds
 
 let summary t = t.summary
 
+let attributed_s s = s.setup_s +. s.tape_s +. s.simulate_s
+
+let capacity_s s = float_of_int (max 1 s.worker_processes) *. s.execute_s
+
+let busy_share s = if capacity_s s > 0.0 then attributed_s s /. capacity_s s else 0.0
+
+let unattributed_s s = capacity_s s -. attributed_s s
+
 let minheap_words t ~bench =
   match Hashtbl.find_opt t.minheaps bench with
   | Some w -> w

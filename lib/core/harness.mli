@@ -153,6 +153,19 @@ val minheap_words : campaign -> bench:string -> int
 
 val summary : campaign -> exec_summary
 
+val busy_share : exec_summary -> float
+(** Attributed self-time ([setup_s + tape_s + simulate_s]) over the
+    executors' capacity, [max 1 worker_processes × execute_s]; 0 when
+    the execute phase took no time. *)
+
+val unattributed_s : exec_summary -> float
+(** Executor time no self-time counter holds — scheduling, result-cache
+    lookups and stores, marshalling, idle waits:
+    [max 1 worker_processes × execute_s − (setup_s + tape_s + simulate_s)].
+    Never negative: each executor's self-time lies inside the execute
+    window, and no more than that many executors run at once (the
+    fabric's parent runs cells only once every worker is gone). *)
+
 val all_measurements : campaign -> Gcr_runtime.Measurement.t list
 (** Every invocation in the campaign, in a deterministic (key-sorted)
     order — the failure audit the CLI exit code is based on. *)

@@ -42,12 +42,17 @@ let execute_fresh ?state config =
   !on_execute config;
   try Run.execute ?state config with exn -> failed_of_exn config exn
 
+(* The key is rendered once per cell: a miss stores under the key its
+   lookup used. *)
 let execute_cached ?cache ?state config =
-  match Option.bind cache (fun c -> Result_cache.find c config) with
-  | Some measurement -> (measurement, true)
-  | None ->
-      let measurement = execute_fresh ?state config in
-      Option.iter (fun c -> Result_cache.store c config measurement) cache;
-      (measurement, false)
+  match Option.bind cache (fun c -> Option.map (fun k -> (c, k)) (Result_cache.key config)) with
+  | None -> (execute_fresh ?state config, false)
+  | Some (cache, key) -> (
+      match Result_cache.find cache key with
+      | Some measurement -> (measurement, true)
+      | None ->
+          let measurement = execute_fresh ?state config in
+          Result_cache.store cache key measurement;
+          (measurement, false))
 
 let execute ?cache ?state config = fst (execute_cached ?cache ?state config)

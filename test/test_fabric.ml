@@ -534,18 +534,17 @@ let artifacts dir ~suffix =
   |> List.filter (fun f -> Filename.check_suffix f suffix)
   |> List.sort compare
 
-(* Flip one byte mid-file (the marshalled payload) and one early byte
-   (the entry's structural header) — the latter once segfaulted the
-   process, because Marshal on corrupted input is not exception-safe;
-   the store must reject the bytes before Marshal ever sees them. *)
-let flip_byte path =
+(* Flip the log's last byte: it lies in the body of the log's last
+   record, so that record's sealed body digest no longer matches.
+   (Damage anywhere else in a log, headers included, is the qcheck
+   property in test_result_cache.ml.) *)
+let flip_last_byte path =
   let ic = open_in_bin path in
   let data = really_input_string ic (in_channel_length ic) in
   close_in ic;
   let b = Bytes.of_string data in
-  let flip pos = Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x5a)) in
-  flip (Bytes.length b / 2);
-  flip (min 20 (Bytes.length b - 1));
+  let last = Bytes.length b - 1 in
+  Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0x5a));
   let oc = open_out_bin path in
   output_bytes oc b;
   close_out oc
@@ -553,8 +552,8 @@ let flip_byte path =
 let test_result_corruption_reexecutes () =
   let dir = fresh_dir () in
   (* settle the minheap memo first (uncached throwaway campaign): probe
-     runs otherwise ride the fabric into the same store, and "the first
-     .run entry" below could name a probe instead of a grid cell *)
+     runs otherwise ride the fabric into the same store, and "the last
+     record" below could be a probe instead of a grid cell *)
   let (_ : Harness.campaign) = tiny_campaign ~workers:(Some 1) ~cache_dir:None in
   let cold = tiny_campaign ~workers:(Some 1) ~cache_dir:(Some dir) in
   check Alcotest.int "cold campaign misses everything" 0
@@ -563,14 +562,11 @@ let test_result_corruption_reexecutes () =
   let cells = (Harness.summary warm).Harness.cells in
   check Alcotest.int "warm campaign hits everything" cells
     (Harness.summary warm).Harness.cache_hits;
-  (* flip one byte of one result entry: the sealed payload digest no
-     longer matches, so that cell must re-execute — and produce the
-     identical measurement *)
-  (match artifacts dir ~suffix:".run" with
-  | entry :: _ -> flip_byte (Filename.concat dir entry)
-  | [] -> Alcotest.fail "expected result artifacts in the store");
+  (match artifacts dir ~suffix:".log" with
+  | [ log ] -> flip_last_byte (Filename.concat dir log)
+  | logs -> Alcotest.fail (Printf.sprintf "expected the worker's one log, got %d" (List.length logs)));
   let healed = tiny_campaign ~workers:(Some 1) ~cache_dir:(Some dir) in
-  check Alcotest.int "corrupted entry re-executed, the rest hit" (cells - 1)
+  check Alcotest.int "corrupted record re-executed, the rest hit" (cells - 1)
     (Harness.summary healed).Harness.cache_hits;
   check Alcotest.bool "re-execution is bit-identical" true
     (Harness.all_measurements warm = Harness.all_measurements healed);
@@ -578,18 +574,42 @@ let test_result_corruption_reexecutes () =
   check Alcotest.int "the re-execution healed the store" cells
     (Harness.summary again).Harness.cache_hits
 
-(* Workers generate the tapes they replay: a fabric campaign with a cache
-   directory leaves only result entries there. *)
+(* Workers generate the tapes they replay, and each process appends to
+   one log of its own: a two-worker campaign on a fresh cache directory,
+   min-heap probes included, leaves only result logs there, at most one
+   per process (two workers, and the coordinator if its backstop ran
+   cells).  A store that made a file per cell would leave dozens. *)
 let test_fabric_stores_no_tapes () =
   let dir = fresh_dir () in
+  Minheap.clear_memo ();
   let (_ : Harness.campaign) = tiny_campaign ~workers:(Some 2) ~cache_dir:(Some dir) in
   let files = Array.to_list (Sys.readdir dir) in
   check Alcotest.bool "the campaign cached results" true (files <> []);
   List.iter
     (fun f ->
-      check Alcotest.bool (Printf.sprintf "%s is a result entry" f) true
-        (Filename.check_suffix f ".run"))
-    files
+      check Alcotest.bool (Printf.sprintf "%s is a result log" f) true
+        (Filename.check_suffix f ".log"))
+    files;
+  let pids = List.map (fun f -> List.hd (String.split_on_char '-' f)) files in
+  check Alcotest.bool "one log per process" true
+    (List.length (List.sort_uniq compare pids) = List.length pids);
+  check Alcotest.bool "no more logs than processes" true (List.length files <= 3)
+
+(* [gcr campaign --profile]'s "other" line: executor time in the
+   execute window that no self-time counter holds.  Summed self-time
+   exceeds one execute wall time whenever two workers are busy most of
+   it, as on this grid's two equal groups, so subtracting it from one
+   execute wall time went negative. *)
+let test_profile_other_never_negative () =
+  let s = Harness.summary (run_with ~workers:(Some 2) ()) in
+  check Alcotest.int "two workers" 2 s.Harness.worker_processes;
+  check Alcotest.bool "cells executed" true (s.Harness.simulate_s > 0.0);
+  check Alcotest.bool
+    (Printf.sprintf "unattributed %.4fs >= 0" (Harness.unattributed_s s))
+    true
+    (Harness.unattributed_s s >= 0.0);
+  check Alcotest.bool "busy share within (0, 1]" true
+    (Harness.busy_share s > 0.0 && Harness.busy_share s <= 1.0)
 
 (* --- Protocol version skew. ---
 
@@ -858,6 +878,8 @@ let suite =
     Alcotest.test_case "result corruption re-executes" `Quick
       test_result_corruption_reexecutes;
     Alcotest.test_case "fabric stores no tapes" `Quick test_fabric_stores_no_tapes;
+    Alcotest.test_case "profile other is never negative" `Quick
+      test_profile_other_never_negative;
     Alcotest.test_case "v1/v2 hellos get only a v3 welcome" `Quick test_old_hellos_refused;
     Alcotest.test_case "v1/v2 welcomes refused by a worker" `Quick test_old_welcomes_refused;
     Alcotest.test_case "malformed timeout refused" `Quick test_timeout_env_validated;
