@@ -593,7 +593,7 @@ let fork_socket_worker ~port =
         (match
            Fabric.worker_connect ~host:"127.0.0.1" ~port ~retry_for:20.0 ()
          with
-        | Ok code -> code
+        | Ok () -> 0
         | Error msg ->
             Printf.eprintf "bench worker: %s\n%!" msg;
             3)

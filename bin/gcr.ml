@@ -88,10 +88,10 @@ let quiet_arg =
 let workers_arg =
   let doc =
     "Forked worker processes executing the campaign through the multi-process \
-     fabric (default: $(b,GCR_WORKERS) if set, else in-process).  Each worker owns \
-     a whole OCaml runtime, so throughput scales with cores; campaign output is \
-     bit-identical for every worker count.  $(b,-j) and $(b,--jobs) are other \
-     names for this option."
+     fabric (default: $(b,GCR_WORKERS) if set, else none: the coordinator runs \
+     every cell in this process).  Each worker owns a whole OCaml runtime, so \
+     throughput scales with cores; campaign output is bit-identical for every \
+     worker count.  $(b,-j) and $(b,--jobs) are other names for this option."
   in
   Arg.(value & opt (some int) None & info [ "w"; "workers"; "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -100,15 +100,15 @@ let listen_arg =
     "With $(b,--workers N): accept the N workers as TCP connections at \
      $(i,HOST:PORT) instead of forking them — start each with \
      $(b,gcr worker --connect HOST:PORT).  Port 0 binds an ephemeral port.  \
-     Campaign output stays bit-identical to the forked fabric and to in-process \
-     runs."
+     Campaign output stays bit-identical to forked and to worker-less runs."
   in
   Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"HOST:PORT" ~doc)
 
 let connect_timeout_arg =
   let doc =
-    "Seconds to wait for $(b,--listen) workers to connect before proceeding with \
-     however many arrived (the coordinator backstops an empty fleet inline)."
+    "Seconds to wait for $(b,--listen) workers to connect and say hello before \
+     proceeding with however many arrived (the coordinator backstops an empty \
+     fleet inline)."
   in
   Arg.(value & opt float 30.0 & info [ "connect-timeout" ] ~docv:"S" ~doc)
 
@@ -136,13 +136,13 @@ let cache_dir_arg =
 
 (* Every failure — a bad flag or file, or a run that ended in OOM /
    degeneration / budget exhaustion — exits with this code and a reason
-   on stderr. *)
+   on stderr, prefixed with [who]. *)
 let failed_run_exit = 3
 
-let die fmt =
+let die ?(who = "gcr") fmt =
   Printf.ksprintf
     (fun reason ->
-      Printf.eprintf "gcr: %s\n%!" reason;
+      Printf.eprintf "%s: %s\n%!" who reason;
       exit failed_run_exit)
     fmt
 
@@ -563,7 +563,9 @@ let campaign_cmd =
 (* ---------- worker ---------- *)
 
 let worker_cmd =
+  (* exit 0 only after the coordinator's quit frame *)
   let run connect store_dir retry_for =
+    let die fmt = die ~who:"gcr worker" fmt in
     let host, port =
       match parse_host_port connect with
       | Ok hp -> hp
@@ -577,7 +579,7 @@ let worker_cmd =
           with Sys_error msg -> die "unusable store directory: %s" msg)
     in
     match Gcr_sched.Fabric.worker_connect ~host ~port ?cache ~retry_for () with
-    | Ok code -> exit code
+    | Ok () -> ()
     | Error msg -> die "%s" msg
   in
   let connect_arg =
@@ -600,14 +602,18 @@ let worker_cmd =
     Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
   in
   let retry_for_arg =
-    let doc = "Seconds to keep retrying a refused connection." in
+    let doc =
+      "Seconds to keep retrying a refused connection, and then to wait for the \
+       coordinator's welcome."
+    in
     Arg.(value & opt float 30.0 & info [ "retry-for" ] ~docv:"S" ~doc)
   in
   Cmd.v
     (Cmd.info "worker"
        ~doc:
          "Join a campaign coordinator over TCP and execute dealt cell groups until \
-          told to quit (the cross-host half of `gcr campaign --listen`)")
+          told to quit (the cross-host half of `gcr campaign --listen`).  Exits 0 \
+          only after the coordinator's quit; any other end exits 3 with a reason")
     Term.(const run $ connect_arg $ store_arg $ retry_for_arg)
 
 (* ---------- ablations ---------- *)

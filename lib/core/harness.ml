@@ -5,7 +5,6 @@ module Spec = Gcr_workloads.Spec
 module Run = Gcr_runtime.Run
 module Measurement = Gcr_runtime.Measurement
 module Stats = Gcr_util.Stats
-module Pool = Gcr_sched.Pool
 module Result_cache = Gcr_sched.Result_cache
 module Fabric = Gcr_sched.Fabric
 module Controller = Gcr_policy.Controller
@@ -20,9 +19,9 @@ type config = {
   heap_factors : float list;
   log_progress : bool;
   workers : int option;
-      (** [Some n]: execute through the multi-process fabric with [n]
-          forked worker processes; [None]: one cell after another in this
-          process.  Either way the recorded campaign is bit-identical. *)
+      (** the fabric session's worker count; [None]: a session with no
+          workers, whose coordinator runs every group in this process.
+          Either way the recorded campaign is bit-identical. *)
   cache_dir : string option;
   tapes : bool;
       (** replay each (benchmark, seed) cell group from one generated
@@ -79,7 +78,7 @@ type exec_summary = {
   cells : int;
   cache_hits : int;
   cache_misses : int;
-  worker_processes : int;  (** 0 when the in-process loop executed *)
+  worker_processes : int;  (** workers the session got: forked, or joined *)
   per_worker : int array;
   reassigned_cells : int;
   parent_cells : int;
@@ -158,69 +157,6 @@ let runs ?(controller = Controller.fixed) t ~bench ~gc ~factor =
   match Hashtbl.find_opt t.cells (key_of ~bench ~gc ~factor ~controller) with
   | Some cell -> List.rev !cell
   | None -> []
-
-(* --- Executors: fill the plan's result slots. --- *)
-
-(* Execution accounting threaded from the executor branch into the
-   summary; the in-process branch leaves the fabric-only fields at zero. *)
-type exec_info = {
-  x_hits : int;
-  x_workers : int;
-  x_per_worker : int array;
-  x_reassigned : int;
-  x_parent : int;
-  x_profile : Gcr_runtime.Profile.snapshot;
-  x_probe_cells : int;
-  x_deaths : int;
-  x_rows : Fabric.worker_row list;
-}
-
-(* In-process, one sibling group at a time: generate the group's tape
-   image once, replay it in every cell, then drop it before the next
-   group (images of full-size benchmarks are tens of MB).  One warm run
-   state serves every cell of the campaign. *)
-let execute_serial ?cache config plan results =
-  let state = Run.new_state () in
-  let hits = ref 0 in
-  List.iter
-    (fun (g : Planner.group) ->
-      if config.log_progress then
-        Printf.eprintf "[harness] invocation %d/%d: %s\n%!" (g.Planner.invocation + 1)
-          config.invocations g.Planner.spec.Spec.name;
-      let tape =
-        if not config.tapes then Run.Tape_off
-        else begin
-          let tape_started = Unix.gettimeofday () in
-          let tape =
-            Run.Tape_replay
-              (Gcr_workloads.Tape_gen.image ~spec:g.Planner.spec ~seed:g.Planner.seed)
-          in
-          Gcr_runtime.Profile.add_tape_s (Unix.gettimeofday () -. tape_started);
-          tape
-        end
-      in
-      List.iter
-        (fun (c : Planner.cell) ->
-          let m, hit =
-            Pool.execute_cached ?cache ~state { c.Planner.config with Run.tape }
-          in
-          if hit then incr hits;
-          results.(c.Planner.index) <- Some m)
-        g.Planner.cells)
-    (Planner.groups plan);
-  (* the cells ran in this process, so their setup/tape/simulate
-     self-time is already on the local [Profile] counters *)
-  {
-    x_hits = !hits;
-    x_workers = 0;
-    x_per_worker = [||];
-    x_reassigned = 0;
-    x_parent = 0;
-    x_profile = Gcr_runtime.Profile.zero;
-    x_probe_cells = 0;
-    x_deaths = 0;
-    x_rows = [];
-  }
 
 (* One planner group as a fabric group: the cost estimate rides along so
    the size-aware scheduler can deal largest-first. *)
@@ -334,192 +270,157 @@ let run_campaign config ~benchmarks ~gcs =
     if config.log_progress then
       Printf.eprintf "[harness] minheap %-12s = %d words\n%!" spec.Spec.name words
   in
-  let mk_plan () =
-    Planner.plan ~controllers:config.controllers ~invocations:config.invocations
-      ~base_seed:config.base_seed ~machine ~cost:config.cost
-      ~region_words:config.region_words ~heap_factors:config.heap_factors
-      ~minheap:(fun ~bench ->
-        match Hashtbl.find_opt minheaps bench with
-        | Some w -> w
-        | None -> invalid_arg "Harness: plan references an unmeasured benchmark")
-      ~specs ~gcs ()
+  let log =
+    if config.log_progress then fun line -> Printf.eprintf "[fabric] %s\n%!" line
+    else fun _ -> ()
   in
-  (* Phase boundaries: wall-clock stamps around execution, plus local
-     {!Gcr_runtime.Profile} snapshots so setup/tape/simulate self-time is
-     attributed to the execute window only (minheap probes also tick
-     those counters, but inside [plan_s]). *)
-  let plan, results, plan_done, prof_plan, info =
-    match config.workers with
-    | None ->
-        (* In-process path: minheap searches run inline (memoised), then
-           the cells run one after another. *)
+  (* One session carries the min-heap searches and then the grid.  With
+     no workers its coordinator runs every group itself. *)
+  let session =
+    Fabric.start ~workers:(Option.value config.workers ~default:0) ?cache ~log
+      ?listen:config.listen ~connect_timeout:config.connect_timeout
+      ?on_listen:config.on_listen ~plan_digest:(campaign_digest config specs gcs) ()
+  in
+  let run () =
+    (* With a live worker every search advances one probe per wave
+       through the fleet.  Alone, the coordinator searches inline,
+       replaying one tape per search: a wave would generate a whole tape
+       for every one-cell probe group. *)
+    let live (r : Fabric.worker_row) = r.Fabric.row_alive in
+    let probe_cells =
+      if List.exists live (Fabric.worker_rows session) then
+        fabric_minheaps session minheap_config config specs minheaps ~log_minheap
+      else begin
         List.iter
           (fun spec ->
             let words = Minheap.find ?cache ~config:minheap_config spec in
             log_minheap spec words;
             Hashtbl.replace minheaps spec.Spec.name words)
           specs;
-        let plan = mk_plan () in
-        let n_cells = Planner.n_cells plan in
-        let results : Measurement.t option array = Array.make n_cells None in
-        let plan_done = Unix.gettimeofday () in
-        let prof_plan = Gcr_runtime.Profile.snapshot () in
-        let info = execute_serial ?cache config plan results in
-        (plan, results, plan_done, prof_plan, info)
-    | Some workers ->
-        (* Fabric path: one session carries the minheap probe waves and
-           then the grid, so probes share the workers' transport, warm
-           state, and result cache. *)
-        let log =
-          if config.log_progress then fun line -> Printf.eprintf "[fabric] %s\n%!" line
-          else fun _ -> ()
-        in
-        let session =
-          Fabric.start ~workers ?cache ~log ?listen:config.listen
-            ~connect_timeout:config.connect_timeout ?on_listen:config.on_listen
-            ~plan_digest:(campaign_digest config specs gcs) ()
-        in
-        Fun.protect
-          ~finally:(fun () -> Fabric.shutdown session)
-          (fun () ->
-            let probe_cells =
-              fabric_minheaps session minheap_config config specs minheaps ~log_minheap
-            in
-            let plan = mk_plan () in
-            let n_cells = Planner.n_cells plan in
-            let results : Measurement.t option array = Array.make n_cells None in
-            let plan_done = Unix.gettimeofday () in
-            let prof_plan = Gcr_runtime.Profile.snapshot () in
-            let groups = List.map (fabric_group_of config) (Planner.groups plan) in
-            let measurements, stats = Fabric.dispatch session ~n_cells groups in
-            Array.iteri (fun i m -> results.(i) <- Some m) measurements;
-            let info =
-              {
-                x_hits = stats.Fabric.cache_hits;
-                x_workers = workers;
-                x_per_worker = stats.Fabric.per_worker;
-                x_reassigned = stats.Fabric.reassigned_cells;
-                x_parent = stats.Fabric.parent_cells;
-                x_profile = stats.Fabric.worker_profile;
-                x_probe_cells = probe_cells;
-                x_deaths = Fabric.worker_deaths session;
-                x_rows = Fabric.worker_rows session;
-              }
-            in
-            (plan, results, plan_done, prof_plan, info))
-  in
-  let n_cells = Planner.n_cells plan in
-  let cache_hits = info.x_hits in
-  let execute_done = Unix.gettimeofday () in
-  let prof_exec = Gcr_runtime.Profile.snapshot () in
-  (* Reduce in submission order: the recorded campaign is a pure function
-     of the plan, identical whatever executor (or parallelism) ran it. *)
-  let cells = Hashtbl.create 512 in
-  let record ~bench ~gc ~factor ~controller m =
-    let key = key_of ~bench ~gc ~factor ~controller in
-    let cell =
-      match Hashtbl.find_opt cells key with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.replace cells key c;
-          c
+        0
+      end
     in
-    cell := m :: !cell
-  in
-  List.iter
-    (fun (c : Planner.cell) ->
-      match results.(c.Planner.index) with
-      | Some m ->
-          record ~bench:c.Planner.bench ~gc:c.Planner.gc ~factor:c.Planner.factor
-            ~controller:c.Planner.controller m
-      | None -> invalid_arg "Harness: executor left a cell unfilled")
-    (Planner.cells plan);
-  (* Controller visibility: how much the limit moved and where footprint
-     ended up, aggregated over the filled slots. *)
-  let limit_changes_total = ref 0 in
-  let peak_footprint = ref 0 in
-  let footprint_sum = ref 0.0 in
-  let footprint_cells = ref 0 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some (m : Measurement.t) ->
-          limit_changes_total := !limit_changes_total + m.Measurement.limit_changes;
-          peak_footprint := max !peak_footprint m.Measurement.heap_limit_peak_words;
-          footprint_sum := !footprint_sum +. Measurement.mean_footprint_words m;
-          incr footprint_cells)
-    results;
-  let finished = Unix.gettimeofday () in
-  let elapsed_s = finished -. started in
-  let plan_s = plan_done -. started in
-  let execute_s = execute_done -. plan_done in
-  let reduce_s = finished -. execute_done in
-  let exec_profile = Gcr_runtime.Profile.diff prof_exec prof_plan in
-  let self field =
-    Gcr_runtime.Profile.seconds (field exec_profile + field info.x_profile)
-  in
-  let summary =
-    {
-      cells = n_cells;
-      cache_hits;
-      cache_misses = n_cells - cache_hits;
-      worker_processes = info.x_workers;
-      per_worker = info.x_per_worker;
-      reassigned_cells = info.x_reassigned;
-      parent_cells = info.x_parent;
-      elapsed_s;
-      plan_s;
-      execute_s;
-      reduce_s;
-      setup_s = self (fun p -> p.Gcr_runtime.Profile.setup_us);
-      tape_s = self (fun p -> p.Gcr_runtime.Profile.tape_us);
-      simulate_s = self (fun p -> p.Gcr_runtime.Profile.simulate_us);
-      cells_per_sec = (if execute_s > 0.0 then float_of_int n_cells /. execute_s else 0.0);
-      limit_changes = !limit_changes_total;
-      peak_footprint_words = !peak_footprint;
-      mean_footprint_words =
-        (if !footprint_cells = 0 then 0.0
-         else !footprint_sum /. float_of_int !footprint_cells);
-      probe_cells = info.x_probe_cells;
-      worker_deaths = info.x_deaths;
-      stolen_groups = 0;
-      worker_rows = info.x_rows;
-    }
-  in
-  if config.log_progress then begin
-    let worker_note =
-      if info.x_workers = 0 then "in-process"
-      else
-        Printf.sprintf "fabric workers=%d [%s]%s%s%s" info.x_workers
-          (String.concat " "
-             (Array.to_list (Array.mapi (Printf.sprintf "w%d=%d") info.x_per_worker)))
-          (if info.x_reassigned > 0 then Printf.sprintf " reassigned=%d" info.x_reassigned
-           else "")
-          (if info.x_parent > 0 then Printf.sprintf " parent=%d" info.x_parent else "")
-          (if info.x_probe_cells > 0 then Printf.sprintf " probes=%d" info.x_probe_cells
-           else "")
+    let plan =
+      Planner.plan ~controllers:config.controllers ~invocations:config.invocations
+        ~base_seed:config.base_seed ~machine ~cost:config.cost
+        ~region_words:config.region_words ~heap_factors:config.heap_factors
+        ~minheap:(fun ~bench ->
+          match Hashtbl.find_opt minheaps bench with
+          | Some w -> w
+          | None -> invalid_arg "Harness: plan references an unmeasured benchmark")
+        ~specs ~gcs ()
     in
-    Printf.eprintf
-      "[harness] %d cells in %.1fs (plan %.1fs, execute %.1fs at %.1f cells/s, reduce \
-       %.2fs): %d cache hits, %d executed; %s\n\
-       %!"
-      n_cells elapsed_s plan_s execute_s summary.cells_per_sec reduce_s cache_hits
-      summary.cache_misses worker_note;
-    if summary.limit_changes > 0 then
-      Printf.eprintf
-        "[harness] controllers: %d limit changes, peak footprint %d words, mean %.0f \
-         words/cell\n\
-         %!"
-        summary.limit_changes summary.peak_footprint_words summary.mean_footprint_words;
+    let n_cells = Planner.n_cells plan in
+    (* Phase boundaries: wall-clock stamps around execution, plus local
+       {!Gcr_runtime.Profile} snapshots so setup/tape/simulate self-time
+       is attributed to the execute window only (minheap probes also tick
+       those counters, but inside [plan_s]). *)
+    let plan_done = Unix.gettimeofday () in
+    let prof_plan = Gcr_runtime.Profile.snapshot () in
+    let results, stats =
+      Fabric.dispatch session ~n_cells (List.map (fabric_group_of config) (Planner.groups plan))
+    in
+    let worker_rows = Fabric.worker_rows session in
+    Fabric.shutdown session;
+    let execute_done = Unix.gettimeofday () in
+    let prof_exec = Gcr_runtime.Profile.snapshot () in
+    (* Reduce in submission order: the recorded campaign is a pure
+       function of the plan, identical whatever the worker count. *)
+    let cells = Hashtbl.create 512 in
+    let record ~bench ~gc ~factor ~controller m =
+      let key = key_of ~bench ~gc ~factor ~controller in
+      let cell =
+        match Hashtbl.find_opt cells key with
+        | Some c -> c
+        | None ->
+            let c = ref [] in
+            Hashtbl.replace cells key c;
+            c
+      in
+      cell := m :: !cell
+    in
     List.iter
-      (fun (r : Fabric.worker_row) ->
-        Printf.eprintf "[harness]   worker %d (%s, %s): %d cells%s\n%!" r.Fabric.row_id
-          r.Fabric.row_transport r.Fabric.row_host r.Fabric.row_cells
-          (if r.Fabric.row_alive then "" else " (died)"))
-      summary.worker_rows
-  end;
-  { config; specs; gc_kinds = gcs; minheaps; cells; summary }
+      (fun (c : Planner.cell) ->
+        record ~bench:c.Planner.bench ~gc:c.Planner.gc ~factor:c.Planner.factor
+          ~controller:c.Planner.controller results.(c.Planner.index))
+      (Planner.cells plan);
+    (* Controller visibility: how much the limit moved and where footprint
+       ended up. *)
+    let limit_changes_total = ref 0 in
+    let peak_footprint = ref 0 in
+    let footprint_sum = ref 0.0 in
+    Array.iter
+      (fun (m : Measurement.t) ->
+        limit_changes_total := !limit_changes_total + m.Measurement.limit_changes;
+        peak_footprint := max !peak_footprint m.Measurement.heap_limit_peak_words;
+        footprint_sum := !footprint_sum +. Measurement.mean_footprint_words m)
+      results;
+    let finished = Unix.gettimeofday () in
+    let elapsed_s = finished -. started in
+    let plan_s = plan_done -. started in
+    let execute_s = execute_done -. plan_done in
+    let reduce_s = finished -. execute_done in
+    let exec_profile = Gcr_runtime.Profile.diff prof_exec prof_plan in
+    let self field =
+      Gcr_runtime.Profile.seconds (field exec_profile + field stats.Fabric.worker_profile)
+    in
+    let cache_hits = stats.Fabric.cache_hits in
+    let summary =
+      {
+        cells = n_cells;
+        cache_hits;
+        cache_misses = n_cells - cache_hits;
+        worker_processes = List.length worker_rows;
+        per_worker = stats.Fabric.per_worker;
+        reassigned_cells = stats.Fabric.reassigned_cells;
+        parent_cells = stats.Fabric.parent_cells;
+        elapsed_s;
+        plan_s;
+        execute_s;
+        reduce_s;
+        setup_s = self (fun p -> p.Gcr_runtime.Profile.setup_us);
+        tape_s = self (fun p -> p.Gcr_runtime.Profile.tape_us);
+        simulate_s = self (fun p -> p.Gcr_runtime.Profile.simulate_us);
+        cells_per_sec = (if execute_s > 0.0 then float_of_int n_cells /. execute_s else 0.0);
+        limit_changes = !limit_changes_total;
+        peak_footprint_words = !peak_footprint;
+        mean_footprint_words =
+          (if n_cells = 0 then 0.0 else !footprint_sum /. float_of_int n_cells);
+        probe_cells;
+        worker_deaths = Fabric.worker_deaths session;
+        stolen_groups = 0;
+        worker_rows;
+      }
+    in
+    if config.log_progress then begin
+      let count label n = if n > 0 then Printf.sprintf " %s=%d" label n else "" in
+      Printf.eprintf
+        "[harness] %d cells in %.1fs (plan %.1fs, execute %.1fs at %.1f cells/s, reduce \
+         %.2fs): %d cache hits, %d executed; workers=%d%s%s%s%s\n\
+         %!"
+        n_cells elapsed_s plan_s execute_s summary.cells_per_sec reduce_s cache_hits
+        summary.cache_misses summary.worker_processes
+        (String.concat ""
+           (Array.to_list (Array.mapi (Printf.sprintf " w%d=%d") summary.per_worker)))
+        (count "reassigned" summary.reassigned_cells)
+        (count "parent" summary.parent_cells)
+        (count "probes" probe_cells);
+      if summary.limit_changes > 0 then
+        Printf.eprintf
+          "[harness] controllers: %d limit changes, peak footprint %d words, mean %.0f \
+           words/cell\n\
+           %!"
+          summary.limit_changes summary.peak_footprint_words summary.mean_footprint_words;
+      List.iter
+        (fun (r : Fabric.worker_row) ->
+          Printf.eprintf "[harness]   worker %d (%s, %s): %d cells%s\n%!" r.Fabric.row_id
+            r.Fabric.row_transport r.Fabric.row_host r.Fabric.row_cells
+            (if r.Fabric.row_alive then "" else " (died)"))
+        worker_rows
+    end;
+    { config; specs; gc_kinds = gcs; minheaps; cells; summary }
+  in
+  Fun.protect ~finally:(fun () -> Fabric.shutdown session) run
 
 let observations t metric ~bench ~factor =
   let kinds =

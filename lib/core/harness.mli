@@ -6,11 +6,12 @@
     memory.
 
     The harness is split into a pure {!Planner} (grid → ordered cell
-    specs) and the executors here: an in-process loop and the
-    multi-process {!Gcr_sched.Fabric}.  Both fill the plan's result
+    specs) and one executor, a {!Gcr_sched.Fabric} session.  With no
+    workers the session's coordinator runs every group itself; with
+    workers it deals them out.  Either way it fills the plan's result
     slots and the reduction reads them back in submission order, so the
-    recorded campaign is bit-identical whichever executor ran it and at
-    any parallelism ([test/test_fabric.ml] enforces this). *)
+    recorded campaign is bit-identical at any worker count
+    ([test/test_fabric.ml] enforces this). *)
 
 type config = {
   invocations : int;
@@ -24,11 +25,12 @@ type config = {
   heap_factors : float list;
   log_progress : bool;  (** one stderr line per configuration *)
   workers : int option;
-      (** [Some n]: execute through the multi-process campaign fabric
-          with [n] forked worker processes — each owns a whole OCaml
-          runtime, so throughput scales with cores.  [None] (default):
-          one cell after another in this process, on one warm run state.
-          Campaign results are bit-identical either way. *)
+      (** The fabric session's worker count: [Some n] forks [n] worker
+          processes (or accepts [n] socket workers, see [listen]) — each
+          owns a whole OCaml runtime, so throughput scales with cores.
+          [None] (default) is a session with no workers: its coordinator
+          runs every group in this process, costliest first, on one warm
+          run state.  Campaign results are bit-identical either way. *)
   cache_dir : string option;
       (** when set, completed runs — min-heap probes and grid cells — are
           stored in (and replayed from) one on-disk
@@ -76,8 +78,8 @@ val default_gcs : Gcr_gcs.Registry.kind list
     extensions). *)
 
 val default_config : unit -> config
-(** 8 invocations at scale 1.0 over {!default_heap_factors}, serial,
-    in-process, tapes on, no result cache.  Reads no environment
+(** 8 invocations at scale 1.0 over {!default_heap_factors}, no
+    workers (every cell runs in this process), tapes on, no result cache.  Reads no environment
     variable: the CLI maps its flags (and [GCR_WORKERS], [GCR_CACHE_DIR])
     onto these fields. *)
 
@@ -85,10 +87,14 @@ type exec_summary = {
   cells : int;  (** grid cells executed (invocations included) *)
   cache_hits : int;  (** cells replayed from the result cache *)
   cache_misses : int;  (** cells actually executed *)
-  worker_processes : int;  (** fabric worker count; 0 = in-process *)
+  worker_processes : int;
+      (** workers the session got: forked, or socket workers that joined
+          (0 when none did, or the session asked for none) *)
   per_worker : int array;  (** cells completed per fabric worker *)
   reassigned_cells : int;  (** cells requeued after a worker crash *)
-  parent_cells : int;  (** cells the fabric parent ran as a backstop *)
+  parent_cells : int;
+      (** cells the coordinator ran itself (its backstop): every cell
+          when the session has no workers *)
   elapsed_s : float;  (** wall-clock campaign time, minheaps included *)
   plan_s : float;
       (** wall time before execution: minheap probes + grid planning *)
@@ -110,7 +116,8 @@ type exec_summary = {
           averaged over cells *)
   probe_cells : int;
       (** minheap probe runs dispatched through the fabric as first-class
-          cells (0 on the in-process path, where searches run inline) *)
+          cells (0 when no worker is live: the coordinator then searches
+          inline, replaying one tape per search) *)
   worker_deaths : int;  (** workers declared dead during the session *)
   stolen_groups : int;
       (** always 0: a fabric worker holds one group at a time, so there
@@ -119,7 +126,7 @@ type exec_summary = {
           metric; it goes in the next change to the benchmark. *)
   worker_rows : Gcr_sched.Fabric.worker_row list;
       (** per-worker accounting (host, transport, session-cumulative
-          cells); empty on the in-process path *)
+          cells); empty when the session has no workers *)
 }
 (** How a campaign was executed — the accounting behind the CLI summary
     line and [gcr campaign --profile].  Pure reporting: no field feeds
@@ -138,7 +145,9 @@ val run_campaign :
 (** Runs everything: each production collector at every heap factor, plus
     Epsilon once per benchmark (its heap is the machine memory).  Specs
     are scaled before running; min-heaps are measured per benchmark,
-    through the in-process memo and the [cache_dir] store. *)
+    through the in-process memo and the [cache_dir] store.  One
+    {!Gcr_sched.Fabric} session carries the searches and then the grid.
+    Raises [Invalid_argument] on [listen] without workers. *)
 
 (** {1 Access} *)
 

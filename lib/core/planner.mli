@@ -6,9 +6,8 @@
     submission order (invocation-major, then benchmark, then collector,
     then factor — the interleaving of §IV-A d), assigns each cell a
     dense result-slot [index], and keys each cell by its
-    {!Gcr_sched.Cache_key} digest, so any executor — the in-process
-    loop, the multi-process fabric — that fills slots by index
-    reproduces the identical campaign.
+    {!Gcr_sched.Cache_key} digest, so the fabric, which fills slots by
+    index, reproduces the identical campaign at any worker count.
 
     Cells are grouped by (invocation, benchmark): the cells of one group
     share a (spec, seed) pair and therefore one workload decision

@@ -155,10 +155,11 @@ let execute_group ?(before_cell = ignore) ~state ~cache ~on_result (g : group) =
 let batch_cap = 32
 
 (* The worker loop, shared by forked pipe workers and socket workers.
-   Returns the exit code; forked workers wrap it in [_exit].  The
-   coordinator sends a worker its next group only after the last result
-   of the current one, so the loop blocks in [recv] between groups. *)
-let worker_main ~cache ~ep ~verbose =
+   [Ok ()] only after the coordinator's quit frame; any other end is an
+   [Error] naming it.  The coordinator sends a worker its next group only
+   after the last result of the current one, so the loop blocks in
+   [recv] between groups. *)
+let worker_main ~cache ~ep =
   let state = Run.new_state () in
   let scratch = Buffer.create 65536 in
   let batch : (int * bool * Measurement.t) list ref = ref [] in
@@ -191,24 +192,19 @@ let worker_main ~cache ~ep ~verbose =
   in
   let rec loop () =
     match Transport.recv ep with
-    | None -> 0
+    | None -> Error "the coordinator closed the connection without a quit frame"
     | Some (tag, payload) when tag = tag_group ->
         let (g : group) = Marshal.from_string payload 0 in
         execute_group ~before_cell:heartbeat ~state ~cache ~on_result g;
         flush ();
         loop ()
-    | Some (tag, _) when tag = tag_quit -> 0
-    | Some _ -> 3 (* unknown tag *)
+    | Some (tag, _) when tag = tag_quit -> Ok ()
+    | Some (tag, _) -> Error (Printf.sprintf "unexpected frame tag %C from the coordinator" tag)
   in
   try loop () with
-  | Transport.Corrupt msg ->
-      if verbose then Printf.eprintf "gcr worker: corrupt stream from coordinator: %s\n%!" msg;
-      3
-  | Unix.Unix_error _ -> 1
-  | exn ->
-      if verbose then
-        Printf.eprintf "gcr worker: uncaught exception: %s\n%!" (Printexc.to_string exn);
-      1
+  | Transport.Corrupt msg -> Error ("corrupt stream from the coordinator: " ^ msg)
+  | Unix.Unix_error (e, _, _) -> Error ("lost the coordinator: " ^ Unix.error_message e)
+  | exn -> Error ("uncaught exception: " ^ Printexc.to_string exn)
 
 (* --- Remote worker entry point (gcr worker --connect). --- *)
 
@@ -269,8 +265,12 @@ let worker_connect ~host ~port ?cache ?(retry_for = 30.0) () =
           in
           match
             Transport.send ep ~tag:tag_hello (hello_payload ());
-            Transport.recv ep
+            Transport.recv ~deadline:(Unix.gettimeofday () +. retry_for) ep
           with
+          | exception Transport.Timeout ->
+              fail
+                (Printf.sprintf "no welcome from %s:%d within %.0fs of the hello" host port
+                   retry_for)
           | exception Transport.Corrupt msg | exception Wire.Corrupt msg ->
               fail ("corrupt handshake: " ^ msg)
           | exception Unix.Unix_error (e, _, _) ->
@@ -300,9 +300,9 @@ let worker_connect ~host ~port ?cache ?(retry_for = 30.0) () =
                     | None -> "");
                   (* results are cached only when the coordinator caches too *)
                   let cache = if cache_results then cache else None in
-                  let code = worker_main ~cache ~ep ~verbose:true in
+                  let ended = worker_main ~cache ~ep in
                   Transport.close ep;
-                  Ok code)))
+                  ended)))
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator core                                                    *)
@@ -441,7 +441,7 @@ type wrec = {
   ep : Transport.t;
   pid : int option;  (** forked workers only, for [waitpid] *)
   mutable alive : bool;
-  mutable last_rx : float;
+  mutable last_rx : float;  (** its last frame, or the send of its group if later *)
   mutable cells_total : int;  (** session-cumulative, probe waves included *)
 }
 
@@ -450,6 +450,7 @@ type session = {
   log : string -> unit;
   timeout_s : float;
   ws : wrec array;
+  backstop_state : Run.state;  (** one warm state for every group the coordinator runs *)
   scratch : Buffer.t;
   old_sigpipe : Sys.signal_behavior option;
   mutable deaths : int;
@@ -469,7 +470,7 @@ let spawn_forked ~cache ~id ~close_in_child =
          fork: close them so sibling EOFs are not kept artificially open *)
       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) close_in_child;
       let ep = Transport.of_fds ~recv:req_read ~send:resp_write in
-      Unix._exit (try worker_main ~cache ~ep ~verbose:false with _ -> 1)
+      Unix._exit (match worker_main ~cache ~ep with Ok () -> 0 | Error _ -> 3)
   | pid ->
       Unix.close req_read;
       Unix.close resp_write;
@@ -510,7 +511,10 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
       log ("rejected worker connection: " ^ msg);
       Transport.close ep
     in
-    match Transport.recv ep with
+    (* a peer that connects and says nothing cannot hold the fleet past
+       the connect deadline *)
+    match Transport.recv ~deadline ep with
+    | exception Transport.Timeout -> reject "no hello before the connect deadline"
     | exception Transport.Corrupt msg -> reject ("corrupt hello: " ^ msg)
     | exception Unix.Unix_error (e, _, _) -> reject (Unix.error_message e)
     | None -> reject "closed before hello"
@@ -583,7 +587,8 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
 
 let start ~workers ?cache ?(log = fun (_ : string) -> ()) ?listen ?(connect_timeout = 30.0)
     ?on_listen ?(plan_digest = "") () =
-  if workers < 1 then invalid_arg "Fabric.start: workers must be >= 1";
+  if workers < 0 then invalid_arg "Fabric.start: workers must be >= 0";
+  if workers = 0 && listen <> None then invalid_arg "Fabric.start: listen needs workers >= 1";
   let timeout_s =
     match timeout_of_env () with
     | Ok t -> t
@@ -616,6 +621,7 @@ let start ~workers ?cache ?(log = fun (_ : string) -> ()) ?listen ?(connect_time
     log;
     timeout_s;
     ws = Array.of_list ws;
+    backstop_state = Run.new_state ();
     scratch = Buffer.create 65536;
     old_sigpipe;
     deaths = 0;
@@ -716,14 +722,20 @@ let dispatch session ~n_cells groups =
         session.deaths <- session.deaths + 1
   in
   let feed input = List.iter perform (Coordinator.step core input) in
+  let log_group who (g : group) =
+    session.log
+      (Printf.sprintf "%s <- %s seed=%d (%d cells, cost %.0f)" who g.spec.Spec.name g.seed
+         (List.length g.cells) g.cost)
+  in
   let send worker gid cells =
     let g = subgroup gid cells in
-    session.log
-      (Printf.sprintf "worker %d <- %s seed=%d (%d cells, cost %.0f)" worker g.spec.Spec.name
-         g.seed (List.length g.cells) g.cost);
+    log_group (Printf.sprintf "worker %d" worker) g;
+    let w = session.ws.(worker) in
+    (* the silence clock runs from the deal, not from the worker's last
+       frame, which may be long before it was given work *)
+    w.last_rx <- Unix.gettimeofday ();
     match
-      Transport.send ~scratch:session.scratch session.ws.(worker).ep ~tag:tag_group
-        (Marshal.to_string g [])
+      Transport.send ~scratch:session.scratch w.ep ~tag:tag_group (Marshal.to_string g [])
     with
     | () -> ()
     | exception Unix.Unix_error _ -> feed (Lost (worker, Send_failed))
@@ -787,21 +799,21 @@ let dispatch session ~n_cells groups =
         run ()
     | Backstop rest -> rest
   in
-  let rest = run () in
-  (* Backstop: every worker is gone (or none ever connected) but cells
-     remain — execute them in this process so the campaign always
-     completes.  The coordinator's own setup/tape/simulate time lands in
-     this process's {!Profile} counters, not in [worker_profile]. *)
-  let backstop_state = Run.new_state () in
+  (* Backstop: no worker is left (or the session has none) but cells
+     remain, so the coordinator runs them, costliest group first, on the
+     session's warm state.  Its setup/tape/simulate time lands in this
+     process's {!Profile} counters, not in [worker_profile]. *)
   List.iter
     (fun (gid, cells) ->
-      execute_group ~state:backstop_state ~cache:session.cache
+      let g = subgroup gid cells in
+      log_group "coordinator" g;
+      execute_group ~state:session.backstop_state ~cache:session.cache
         ~on_result:(fun index hit m ->
           results.(index) <- Some m;
           incr parent_cells;
           if hit then incr hits)
-        (subgroup gid cells))
-    rest;
+        g)
+    (run ());
   let out =
     Array.map
       (function

@@ -28,10 +28,16 @@
     Fault model: a worker is dead on EOF, on a corrupt frame or
     payload, on an unknown frame tag, on a result for a cell it does not
     hold, on a failed send, or after [GCR_FABRIC_TIMEOUT_S] (default
-    600 s) of silence while holding a group.  The unfinished cells of
-    that group are requeued for the survivors; with no workers left, the
-    coordinator executes the remainder inline.  The report is unchanged
-    either way.  {!Coordinator} makes each of these decisions. *)
+    600 s) of silence while holding a group, counted from the send of
+    that group or from its last frame, whichever is later.  The
+    unfinished cells of that group are requeued for the survivors; with
+    no workers left, the coordinator runs the remainder itself (the
+    {e backstop}).  The report is unchanged either way.  {!Coordinator}
+    makes each of these decisions.
+
+    A session may have no workers at all: then every {!dispatch} is all
+    backstop, and the coordinator runs each wave's groups costliest
+    first.  This is how an in-process campaign runs. *)
 
 type group = {
   spec : Gcr_workloads.Spec.t;
@@ -53,7 +59,7 @@ type stats = {
   cache_hits : int;  (** cells replayed from the result store *)
   per_worker : int array;  (** cells completed by each worker, this wave *)
   reassigned_cells : int;  (** cells requeued after a worker death *)
-  parent_cells : int;  (** cells the coordinator executed as a backstop *)
+  parent_cells : int;  (** cells the coordinator ran itself (the backstop) *)
   worker_profile : Gcr_runtime.Profile.snapshot;
       (** summed setup/tape/simulate self-time the worker processes
           reported in their result batches.  The coordinator's own
@@ -125,10 +131,12 @@ end
 
 (** {2 Sessions}
 
-    A session owns the worker fleet; {!dispatch} runs one wave of groups
-    through it.  The harness dispatches minheap probe waves and then the
-    campaign grid through a single session, so probe runs ride the same
-    transport, result cache, and warm worker state as the grid. *)
+    A session owns the worker fleet, possibly empty, and one warm
+    {!Gcr_runtime.Run.state} for its backstop; {!dispatch} runs one wave
+    of groups through it.  The harness runs every campaign through a
+    single session: minheap probe waves (when a worker is live) and then
+    the grid, so probe runs ride the same transport, result cache, and
+    warm worker state as the grid. *)
 
 type session
 
@@ -148,18 +156,22 @@ val start :
   ?plan_digest:string ->
   unit ->
   session
-(** Spawn (pipe) or accept (socket) the fleet.  With [listen:(host,
-    port)] no processes are forked: the coordinator binds, announces the
-    actual port via [on_listen] (after [listen(2)], before waiting —
-    port [0] requests an ephemeral port), and accepts handshakes until
-    [workers] have joined or [connect_timeout] seconds (default 30)
-    pass.  A mismatched worker is answered with our versions and then
-    dropped, so it can report the precise incompatibility before exiting.
-    A short fleet — even an empty one — is not an error: the backstop
-    guarantees completion.  With [cache], forked workers and the
-    backstop replay and store results through it, and the welcome tells
-    socket workers to use their own cache, if they have one.  Raises
-    [Invalid_argument] on [workers < 1] or a malformed
+(** Spawn (pipe) or accept (socket) the fleet.  [workers = 0] forks
+    nothing and listens nowhere: the coordinator runs every group
+    itself.  With [listen:(host, port)] no processes are forked: the
+    coordinator binds, announces the actual port via [on_listen] (after
+    [listen(2)], before waiting — port [0] requests an ephemeral port),
+    and accepts handshakes until [workers] have joined or
+    [connect_timeout] seconds (default 30) pass.  A peer's hello must
+    arrive by that deadline too: one that connects and says nothing is
+    rejected then, and the session goes on without it.  A mismatched
+    worker is answered with our versions and then dropped, so it can
+    report the precise incompatibility before exiting.  A short fleet —
+    even an empty one — is not an error: the backstop guarantees
+    completion.  With [cache], forked workers and the backstop replay and
+    store results through it, and the welcome tells socket workers to use
+    their own cache, if they have one.  Raises [Invalid_argument] on
+    [workers < 0], on [listen] with [workers = 0], or on a malformed
     [GCR_FABRIC_TIMEOUT_S] (see {!timeout_of_env}), before it forks or
     binds anything. *)
 
@@ -168,9 +180,11 @@ val dispatch :
   n_cells:int ->
   group list ->
   Gcr_runtime.Measurement.t array * stats
-(** Execute one wave.  Returns measurements indexed by plan index (every
-    index in \[0, n_cells) must be covered by exactly one cell) plus the
-    wave's stats.  Raises [Invalid_argument] on malformed groups
+(** Execute one wave: deal its groups to the live workers, then run
+    what is left (everything, with no live worker) as the backstop,
+    logging one line per group.  Returns measurements indexed by plan
+    index (every index in \[0, n_cells) must be covered by exactly one
+    cell) plus the wave's stats.  Raises [Invalid_argument] on malformed groups
     (out-of-range or duplicate indices, collector closures, non-[Tape_off]
     cell configs) and on a session already shut down. *)
 
@@ -192,12 +206,15 @@ val worker_connect :
   ?cache:Result_cache.t ->
   ?retry_for:float ->
   unit ->
-  (int, string) result
+  (unit, string) result
 (** The [gcr worker --connect] entry point: connect (retrying refused
     connections for [retry_for] seconds, default 30 — workers are often
-    started before the coordinator), handshake, then serve groups until
-    quit or EOF.  With [cache], results are replayed from and stored in
-    it whenever the coordinator caches results too.  [Ok code] is the
-    process exit code (0 = clean, 3 = corrupt stream or protocol
-    trouble); [Error] describes a connect or handshake failure, such as
-    a protocol version mismatch (callers print it and exit 3). *)
+    started before the coordinator), handshake (waiting at most
+    [retry_for] seconds for the welcome), then serve groups until the
+    coordinator's quit frame.  With [cache], results are replayed from
+    and stored in it whenever the coordinator caches results too.
+    [Ok ()] means the coordinator sent quit.  Every other end is an
+    [Error] naming it: a failed connect or handshake (a protocol version
+    mismatch, no welcome in time), or a session that ended without quit
+    (EOF, an unknown frame tag, a corrupt stream, a broken connection).
+    [gcr worker] prints it and exits 3. *)

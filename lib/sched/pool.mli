@@ -1,6 +1,6 @@
 (** One crash-isolated, cache-aware campaign invocation — the unit every
-    executor runs: the harness's in-process loop, fabric workers, the
-    fabric coordinator's backstop and the min-heap search.
+    executor runs: fabric workers, the fabric coordinator's backstop
+    (every cell of a campaign without workers) and the min-heap search.
     [Run.execute] is deterministic and shares no mutable state across
     runs, so a campaign's result is a pure function of its configs,
     whichever executor ran them.

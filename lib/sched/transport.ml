@@ -2,6 +2,8 @@ module Wire = Gcr_tape.Wire
 
 exception Corrupt of string
 
+exception Timeout
+
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 (* Room for the largest frame the fabric sends, a batch of up to 32
@@ -133,12 +135,21 @@ let read_step t =
       `Ready
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Ready
 
-let rec recv t =
+(* Bytes already waiting are read even at the deadline. *)
+let rec wait_readable fd deadline =
+  match Unix.select [ fd ] [] [] (Float.max 0.0 (deadline -. Unix.gettimeofday ())) with
+  | _ :: _, _, _ -> ()
+  | [], _, _ ->
+      if Unix.gettimeofday () >= deadline then raise Timeout else wait_readable fd deadline
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_readable fd deadline
+
+let rec recv ?deadline t =
   match next_frame t with
   | Some frame -> Some frame
   | None -> (
+      Option.iter (wait_readable t.rfd) deadline;
       match read_step t with
-      | `Ready -> recv t
+      | `Ready -> recv ?deadline t
       | `Eof ->
           if mid_frame t then corrupt "peer disconnected mid-frame" else None)
 

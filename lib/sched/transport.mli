@@ -16,6 +16,9 @@
 exception Corrupt of string
 (** The stream can no longer be trusted: kill the peer, never parse on. *)
 
+exception Timeout
+(** {!recv}'s deadline passed before a whole frame arrived. *)
+
 val max_frame_bytes : int
 (** Upper bound on a frame body (tag + payload).  A length prefix above
     this raises {!Corrupt} before any allocation — a forged 62-bit length
@@ -68,9 +71,11 @@ val send : ?scratch:Buffer.t -> t -> tag:char -> string -> unit
     buffer reused across frames.  Raises [Unix.Unix_error] (e.g. [EPIPE])
     if the peer is gone — callers treat that as peer death. *)
 
-val recv : t -> (char * string) option
+val recv : ?deadline:float -> t -> (char * string) option
 (** Blocking read of the next frame.  [None] on a clean EOF at a frame
-    boundary; {!Corrupt} on a mid-frame EOF or a damaged stream. *)
+    boundary; {!Corrupt} on a mid-frame EOF or a damaged stream.  With
+    [deadline] (a [Unix.gettimeofday] time), raises {!Timeout} once it
+    passes without a whole frame, however the peer paces its bytes. *)
 
 val read_step : t -> [ `Ready | `Eof ]
 (** One [read(2)] into the decode buffer — the coordinator calls this

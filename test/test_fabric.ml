@@ -430,7 +430,7 @@ let fork_socket_worker ~port ~cache_dir =
         (match
            Fabric.worker_connect ~host:"127.0.0.1" ~port ?cache ~retry_for:20.0 ()
          with
-        | Ok code -> code
+        | Ok () -> 0
         | Error msg ->
             Printf.eprintf "socket worker failed: %s\n%!" msg;
             3)
@@ -638,7 +638,7 @@ let hello ~version =
   Buffer.contents b
 
 (* The welcome's layout is the same in every version. *)
-let old_welcome ~version =
+let welcome ~version =
   let b = Buffer.create 64 in
   Wire.put_varint b version;
   Wire.put_string b Cache_key.version;
@@ -697,6 +697,7 @@ let test_old_hellos_refused () =
     statuses;
   let s = Harness.summary campaign in
   check Alcotest.int "no worker joined" 0 (List.length s.Harness.worker_rows);
+  check Alcotest.int "no worker process is counted" 0 s.Harness.worker_processes;
   check Alcotest.int "the backstop ran every cell" s.Harness.cells s.Harness.parent_cells;
   check_campaigns_identical ~what:"serial vs backstop after refused peers"
     (Lazy.force serial) campaign
@@ -719,7 +720,7 @@ let test_old_welcomes_refused () =
                let ep = Transport.of_socket fd in
                match Transport.recv ep with
                | Some ('H', _) ->
-                   Transport.send ep ~tag:'W' (old_welcome ~version);
+                   Transport.send ep ~tag:'W' (welcome ~version);
                    (* the worker hangs up after reading the welcome *)
                    ignore (Transport.recv ep);
                    0
@@ -735,11 +736,223 @@ let test_old_welcomes_refused () =
                 (Printf.sprintf "%S names the mismatch" msg)
                 true
                 (contains msg (Printf.sprintf "coordinator speaks v%d, this build v3" version))
-          | Ok code -> Alcotest.failf "worker served a v%d coordinator (exit %d)" version code);
+          | Ok () -> Alcotest.failf "worker served a v%d coordinator" version);
           check Alcotest.bool
             (Printf.sprintf "the fake v%d coordinator saw a hello" version)
             true (status = Unix.WEXITED 0))
     [ 1; 2 ]
+
+(* --- Handshake deadlines, and how a worker ends. --- *)
+
+let listen_loopback () =
+  let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 1;
+  let port = match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+  (sock, port)
+
+let kill_and_reap pid =
+  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  ignore (Unix.waitpid [] pid)
+
+(* A peer that connects and then says nothing for 20 s.  The coordinator
+   must give up on its hello at the connect deadline, 2 s in, and run the
+   campaign on its backstop. *)
+let test_silent_peer_cannot_stall_handshake () =
+  let reference = Lazy.force serial in
+  let peer = ref None in
+  let config =
+    {
+      (campaign_config ~workers:(Some 1)) with
+      Harness.listen = Some ("127.0.0.1", 0);
+      connect_timeout = 2.0;
+      on_listen =
+        Some
+          (fun port ->
+            match Unix.fork () with
+            | 0 ->
+                Unix._exit
+                  (try
+                     ignore (connect_loopback port : Transport.t);
+                     Unix.sleepf 20.0;
+                     0
+                   with _ -> 6)
+            | pid -> peer := Some pid);
+    }
+  in
+  let started = Unix.gettimeofday () in
+  let campaign = Harness.run_campaign config ~benchmarks ~gcs:Registry.production in
+  let elapsed = Unix.gettimeofday () -. started in
+  Option.iter kill_and_reap !peer;
+  check Alcotest.bool (Printf.sprintf "finished in %.1fs, within a few seconds" elapsed) true
+    (elapsed < 8.0);
+  let s = Harness.summary campaign in
+  check Alcotest.int "no worker joined" 0 (List.length s.Harness.worker_rows);
+  check Alcotest.int "the backstop ran every cell" s.Harness.cells s.Harness.parent_cells;
+  check_campaigns_identical ~what:"serial vs backstop past a silent peer" reference campaign
+
+(* A fake coordinator takes the worker's hello and then holds the
+   connection for 10 s without a welcome.  The worker must give up after
+   its 1 s [retry_for] and say why. *)
+let test_worker_without_welcome_gives_up () =
+  let sock, port = listen_loopback () in
+  match Unix.fork () with
+  | 0 ->
+      Unix._exit
+        (try
+           let _fd, _ = Unix.accept sock in
+           Unix.sleepf 10.0;
+           0
+         with _ -> 6)
+  | pid ->
+      Unix.close sock;
+      let started = Unix.gettimeofday () in
+      let result = Fabric.worker_connect ~host:"127.0.0.1" ~port ~retry_for:1.0 () in
+      let elapsed = Unix.gettimeofday () -. started in
+      kill_and_reap pid;
+      check Alcotest.bool (Printf.sprintf "gave up in %.1fs" elapsed) true (elapsed < 5.0);
+      (match result with
+      | Error msg ->
+          check Alcotest.bool (Printf.sprintf "%S names the missing welcome" msg) true
+            (contains msg "no welcome")
+      | Ok () -> Alcotest.fail "the worker served a coordinator that never welcomed it")
+
+let gcr_exe =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) Filename.parent_dir_name)
+    "bin/gcr.exe"
+
+(* A fake coordinator welcomes a real [gcr worker], ends the session with
+   [finish], and hangs up; the worker's exit status and stderr. *)
+let worker_ended_by finish =
+  let sock, port = listen_loopback () in
+  let err = Filename.temp_file "gcr-worker" ".err" in
+  let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process gcr_exe
+      [|
+        gcr_exe; "worker"; "--connect"; Printf.sprintf "127.0.0.1:%d" port; "--retry-for"; "20";
+      |]
+      Unix.stdin Unix.stdout err_fd
+  in
+  Unix.close err_fd;
+  (match Unix.select [ sock ] [] [] 20.0 with
+  | _ :: _, _, _ ->
+      let fd, _ = Unix.accept ~cloexec:true sock in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.0;
+      let ep = Transport.of_socket fd in
+      (match Transport.recv ep with
+      | Some ('H', _) ->
+          Transport.send ep ~tag:'W' (welcome ~version:3);
+          finish ep
+      | Some _ | None -> ());
+      Transport.close ep
+  | [], _, _ -> ());
+  Unix.close sock;
+  let _, status = Unix.waitpid [] pid in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (status, stderr)
+
+let test_worker_exits_0_only_on_quit () =
+  List.iter
+    (fun (what, finish, reason) ->
+      let status, stderr = worker_ended_by finish in
+      check Alcotest.bool (what ^ ": exit 3") true (status = Unix.WEXITED 3);
+      check Alcotest.bool
+        (Printf.sprintf "%s: stderr %S gives the reason" what stderr)
+        true
+        (contains stderr ("gcr worker: " ^ reason)))
+    [
+      ("close", ignore, "the coordinator closed the connection without a quit frame");
+      ("unknown tag", (fun ep -> Transport.send ep ~tag:'Z' ""), "unexpected frame tag 'Z'");
+    ];
+  let status, stderr = worker_ended_by (fun ep -> Transport.send ep ~tag:'Q' "") in
+  check Alcotest.bool "quit: exit 0" true (status = Unix.WEXITED 0);
+  check Alcotest.bool (Printf.sprintf "quit: stderr %S has no failure" stderr) true
+    (not (contains stderr "gcr worker: "))
+
+(* A raw v3 worker that answers each group it is dealt with fresh runs,
+   [first_delay] seconds late on its first, and exits 0 on quit. *)
+let fork_raw_worker ~port ~connect_after ~first_delay =
+  match Unix.fork () with
+  | 0 ->
+      Unix._exit
+        (try
+           Unix.sleepf connect_after;
+           let ep = connect_loopback port in
+           Transport.send ep ~tag:'H' (hello ~version:3);
+           let rec serve delay =
+             match Transport.recv ep with
+             | Some ('G', payload) ->
+                 let g = (Marshal.from_string payload 0 : Fabric.group) in
+                 Unix.sleepf delay;
+                 let batch =
+                   List.map
+                     (fun (index, config) -> (index, false, Run.execute config))
+                     g.Fabric.cells
+                 in
+                 Transport.send ep ~tag:'B'
+                   (Marshal.to_string (batch, Gcr_runtime.Profile.zero) []);
+                 serve 0.0
+             | Some ('Q', _) -> 0
+             | Some _ | None -> 5
+           in
+           match Transport.recv ep with Some ('W', _) -> serve first_delay | Some _ | None -> 5
+         with _ -> 6)
+  | pid -> pid
+
+(* Worker 0 joins 2 s before worker 1, so with a 1 s timeout its last
+   frame is stale when the two are dealt their groups.  Worker 1 answers
+   at once, worker 0 after 0.3 s: a silence clock that ran from worker
+   0's hello would declare it dead when worker 1's frame woke the
+   coordinator. *)
+let test_silence_clock_starts_at_the_send () =
+  let var = "GCR_FABRIC_TIMEOUT_S" in
+  let saved = Option.value (Sys.getenv_opt var) ~default:"" in
+  let spec = Spec.scale (Suite.find_exn "jme") 0.05 in
+  let configs =
+    Array.map
+      (fun gc -> Run.default_config ~spec ~gc ~heap_words:160_000 ~seed:7)
+      [| Registry.Serial; Registry.G1 |]
+  in
+  let group cost index =
+    { Fabric.spec; seed = 7; tapes = false; cost; cells = [ (index, configs.(index)) ] }
+  in
+  let pids = ref [] in
+  let measurements, stats =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv var saved)
+      (fun () ->
+        Unix.putenv var "1";
+        let session =
+          Fabric.start ~workers:2 ~listen:("127.0.0.1", 0) ~connect_timeout:20.0
+            ~on_listen:(fun port ->
+              pids :=
+                [
+                  fork_raw_worker ~port ~connect_after:0.0 ~first_delay:0.3;
+                  fork_raw_worker ~port ~connect_after:2.0 ~first_delay:0.0;
+                ])
+            ()
+        in
+        Fun.protect
+          ~finally:(fun () -> Fabric.shutdown session)
+          (fun () -> Fabric.dispatch session ~n_cells:2 [ group 2.0 0; group 1.0 1 ]))
+  in
+  let statuses = List.map (fun pid -> snd (Unix.waitpid [] pid)) !pids in
+  check Alcotest.int "no cell was reassigned" 0 stats.Fabric.reassigned_cells;
+  check (Alcotest.array Alcotest.int) "each worker kept its group" [| 1; 1 |]
+    stats.Fabric.per_worker;
+  Array.iteri
+    (fun i config ->
+      check Alcotest.bool
+        (Printf.sprintf "cell %d equals a fresh run" i)
+        true
+        (measurements.(i) = Run.execute config))
+    configs;
+  List.iter
+    (fun st -> check Alcotest.bool "raw worker got its quit" true (st = Unix.WEXITED 0))
+    statuses
 
 (* --- A garbling socket worker. ---
 
@@ -883,4 +1096,11 @@ let suite =
     Alcotest.test_case "v1/v2 hellos get only a v3 welcome" `Quick test_old_hellos_refused;
     Alcotest.test_case "v1/v2 welcomes refused by a worker" `Quick test_old_welcomes_refused;
     Alcotest.test_case "malformed timeout refused" `Quick test_timeout_env_validated;
+    Alcotest.test_case "a silent peer cannot stall the handshake" `Quick
+      test_silent_peer_cannot_stall_handshake;
+    Alcotest.test_case "a worker without a welcome gives up" `Quick
+      test_worker_without_welcome_gives_up;
+    Alcotest.test_case "a worker exits 0 only on quit" `Quick test_worker_exits_0_only_on_quit;
+    Alcotest.test_case "the silence clock starts at the send" `Quick
+      test_silence_clock_starts_at_the_send;
   ]
