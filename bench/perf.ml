@@ -659,22 +659,10 @@ let bench_frame_roundtrip ~frames ~reps =
 
 let run_campaign_kernels () =
   let smoke = options.smoke in
-  (* warm the in-process minheap memo outside every timed region (the
-     memo key ignores machine memory, so the unscaled machine hits) *)
+  (* warm the in-process minheap memo outside every timed region *)
   let config, spec = campaign_grid ~smoke in
   let scaled = Spec.scale spec config.Harness.scale in
-  ignore
-    (Minheap.find
-       ~config:
-         {
-           Minheap.machine = config.Harness.machine;
-           cost = config.Harness.cost;
-           region_words = config.Harness.region_words;
-           seed = config.Harness.base_seed;
-           gc = Registry.G1;
-           tapes = config.Harness.tapes;
-         }
-       scaled);
+  ignore (Minheap.find ~config:(Harness.minheap_config config) scaled);
   let fabric = bench_campaign ~smoke ~workers:(Some 4) in
   record "campaign/cells_per_sec" fabric "cells/s" Higher_is_better;
   let dist = bench_dist_campaign ~smoke ~workers:4 in

@@ -27,6 +27,18 @@ module Market = Gcr_core.Market
 
 (* ---------- shared argument parsing ---------- *)
 
+(* Every failure — a bad flag or file, or a run that ended in OOM /
+   degeneration / budget exhaustion — exits with this code and a reason
+   on stderr, prefixed with [who]. *)
+let failed_run_exit = 3
+
+let die ?(who = "gcr") fmt =
+  Printf.ksprintf
+    (fun reason ->
+      Printf.eprintf "%s: %s\n%!" who reason;
+      exit failed_run_exit)
+    fmt
+
 let bench_conv =
   let parse s =
     match Suite.find s with
@@ -55,31 +67,50 @@ let gcs_arg =
   let doc = "Collectors to run (repeatable; default: the whole frontier)." in
   Arg.(value & opt_all gc_conv [] & info [ "g"; "gc" ] ~docv:"GC" ~doc)
 
+(* Grid values are checked where they are parsed, so a bad one exits 3
+   before any command runs: a zero scale or factor, or no invocations,
+   has no campaign cell to run. *)
+let positive what x =
+  if Float.is_finite x && x > 0.0 then x else die "%s must be finite and positive, got %g" what x
+
 let invocations_arg =
   let doc = "Invocations per configuration (distinct seeds)." in
-  Arg.(value & opt int 5 & info [ "n"; "invocations" ] ~docv:"N" ~doc)
+  let at_least_one n = if n >= 1 then n else die "-n must be at least 1, got %d" n in
+  Term.(
+    const at_least_one $ Arg.(value & opt int 5 & info [ "n"; "invocations" ] ~docv:"N" ~doc))
 
 let scale_arg =
   let doc = "Workload scale factor (run length and machine memory together)." in
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"S" ~doc)
+  Term.(const (positive "--scale") $ Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"S" ~doc))
+
+let seed_term doc = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let seed_arg =
-  let doc = "Base random seed." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
+  seed_term
+    "Base seed, in a campaign and a single run alike: min-heap searches run at \
+     $(i,SEED), and invocation $(i,i) (counting from 0) at $(i,SEED) + 1000·($(i,i)+1)."
 
 let factor_arg =
-  let doc = "Heap size as a multiple of the benchmark's minimum heap." in
-  Arg.(value & opt float 3.0 & info [ "x"; "heap-factor" ] ~docv:"F" ~doc)
+  let doc =
+    "Heap size as a multiple of the benchmark's minimum heap, rounded up to whole \
+     regions: the minimum a campaign at this scale and base seed sizes its heaps from \
+     (G1 on the scaled machine)."
+  in
+  Term.(
+    const (positive "the heap factor")
+    $ Arg.(value & opt float 3.0 & info [ "x"; "heap-factor" ] ~docv:"F" ~doc))
 
 let factors_arg =
   let doc =
     "Heap factors for grid experiments (comma separated; default: the twelve-point \
      grid, a superset of the paper's eight sizes)."
   in
-  Arg.(
-    value
-    & opt (list float) Harness.default_heap_factors
-    & info [ "factors" ] ~docv:"F1,F2,.." ~doc)
+  Term.(
+    const (List.map (positive "every --factors entry"))
+    $ Arg.(
+        value
+        & opt (list float) Harness.default_heap_factors
+        & info [ "factors" ] ~docv:"F1,F2,.." ~doc))
 
 let quiet_arg =
   let doc = "Suppress progress output." in
@@ -133,18 +164,6 @@ let cache_dir_arg =
      disk instead of re-run; without a cache nothing persists between invocations."
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-
-(* Every failure — a bad flag or file, or a run that ended in OOM /
-   degeneration / budget exhaustion — exits with this code and a reason
-   on stderr, prefixed with [who]. *)
-let failed_run_exit = 3
-
-let die ?(who = "gcr") fmt =
-  Printf.ksprintf
-    (fun reason ->
-      Printf.eprintf "%s: %s\n%!" who reason;
-      exit failed_run_exit)
-    fmt
 
 let exit_on_failures measurements =
   match Measurement.failure_lines measurements with
@@ -330,21 +349,22 @@ let run_cmd =
     let gcs = default_gcs gcs in
     let controller = resolve_controller controller_name in
     let cache = resolve_cache cache_dir in
+    (* every run is the cell of that name in the campaign at this scale
+       and base seed *)
+    let grid = { (Harness.default_config ()) with Harness.scale; base_seed = seed } in
+    let minheap spec = Minheap.find ?cache ~config:(Harness.minheap_config grid) spec in
     let configs =
       match tape_file with
       | None ->
           List.concat_map
             (fun spec ->
               let spec = Spec.scale spec scale in
-              let minheap = Minheap.find ?cache spec in
+              let minheap = minheap spec in
               List.concat_map
                 (fun gc ->
-                  List.init invocations (fun i ->
-                      let heap_words = int_of_float (factor *. float_of_int minheap) in
-                      {
-                        (Run.default_config ~spec ~gc ~heap_words ~seed:(seed + i + 1)) with
-                        Run.controller;
-                      }))
+                  List.init invocations (fun invocation ->
+                      Harness.cell_config ~controller grid ~minheap spec ~gc ~factor
+                        ~invocation))
                 gcs)
             (default_benchmarks benchmarks)
       | Some path ->
@@ -358,14 +378,15 @@ let run_cmd =
               ()
           | _ -> die "--tape %s replays benchmark %S; drop -b or pass it" path spec.Spec.name);
           let image = Decision_source.image_of_tape ~spec tape in
-          let minheap = Minheap.find ?cache spec in
-          let heap_words = int_of_float (factor *. float_of_int minheap) in
+          let minheap = minheap spec in
           List.map
             (fun gc ->
               {
-                (Run.default_config ~spec ~gc ~heap_words ~seed:tape.Tape.seed) with
-                Run.tape = Run.Tape_replay image;
-                controller;
+                (Harness.cell_config ~controller grid ~minheap spec ~gc ~factor
+                   ~invocation:0)
+                with
+                Run.seed = tape.Tape.seed;
+                tape = Run.Tape_replay image;
               })
             gcs
     in
@@ -408,14 +429,18 @@ let run_cmd =
   let tape_arg =
     let doc =
       "Replay a workload tape recorded with $(b,gcr tape record): the tape fixes the \
-       benchmark, spec and seed (so -n/--seed are ignored), and every requested \
-       collector runs against the identical decision stream.  Results are \
-       bit-identical to live runs at the tape's seed."
+       benchmark, spec and seed (so -n is ignored, and $(b,--seed) seeds only the \
+       min-heap search), and every requested collector runs against the identical \
+       decision stream.  Results are bit-identical to live runs at the tape's seed."
     in
     Arg.(value & opt (some string) None & info [ "tape" ] ~docv:"FILE" ~doc)
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run benchmark/collector configurations and print measurements")
+    (Cmd.info "run"
+       ~doc:
+         "Run benchmark/collector configurations and print measurements: each run is \
+          the cell of the same name in the campaign at this scale and base seed, so it \
+          prints exactly what that campaign measures")
     Term.(
       const run $ benchmarks_arg $ gcs_arg $ factor_arg $ invocations_arg $ scale_arg
       $ seed_arg $ cache_dir_arg $ trace_out_arg $ tape_arg $ controller_arg)
@@ -425,17 +450,21 @@ let run_cmd =
 let minheap_cmd =
   let run benchmarks scale =
     let cache = resolve_cache None in
+    let config = Harness.minheap_config { (Harness.default_config ()) with Harness.scale } in
     List.iter
       (fun spec ->
         let spec = Spec.scale spec scale in
-        let words = Minheap.find ?cache spec in
+        let words = Minheap.find ?cache ~config spec in
         Printf.printf "%-12s %8d words (%d regions)\n" spec.Spec.name words
           (words / Run.default_region_words))
       (default_benchmarks benchmarks)
   in
   Cmd.v
     (Cmd.info "minheap"
-       ~doc:"Measure the minimum heap (with G1) for benchmarks, as the paper does")
+       ~doc:
+         "Measure the minimum heap (with G1) for benchmarks, as the paper does: the \
+          search a flagless campaign at this scale runs (base seed 1, scaled \
+          machine), so it prints the minimum that campaign sizes its heaps from")
     Term.(const run $ benchmarks_arg $ scale_arg)
 
 (* ---------- campaign-backed commands ---------- *)
@@ -674,11 +703,13 @@ let trace_cmd =
     | None ->
         check_writable out;
         let controller = resolve_controller controller_name in
+        let grid = { (Harness.default_config ()) with Harness.scale; base_seed = seed } in
         let spec = Spec.scale bench scale in
-        let minheap = Minheap.find ?cache:(resolve_cache None) spec in
-        let heap_words = int_of_float (factor *. float_of_int minheap) in
+        let minheap =
+          Minheap.find ?cache:(resolve_cache None) ~config:(Harness.minheap_config grid) spec
+        in
         let config =
-          { (Run.default_config ~spec ~gc ~heap_words ~seed) with Run.controller }
+          Harness.cell_config ~controller grid ~minheap spec ~gc ~factor ~invocation:0
         in
         let m = execute_traced ~trace_out:out config in
         Format.printf "%a@." Measurement.pp m;
@@ -708,7 +739,9 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Record one run as a Chrome/Perfetto trace, or validate a trace file")
+       ~doc:
+         "Record one run as a Chrome/Perfetto trace, or validate a trace file.  The run \
+          is invocation 0 of the campaign cell of the same name")
     Term.(
       const run $ bench_arg $ gc_arg $ factor_arg $ scale_arg $ seed_arg $ out_arg
       $ check_arg $ controller_arg)
@@ -805,7 +838,8 @@ let market_cmd =
           limits every epoch")
     Term.(
       const run $ bench_arg $ tenants_arg $ gc_arg $ controller_arg $ budget_factor_arg
-      $ epoch_arg $ deadline_arg $ scale_arg $ seed_arg $ quiet_arg $ trace_out_arg)
+      $ epoch_arg $ deadline_arg $ scale_arg $ seed_term "Base random seed." $ quiet_arg
+      $ trace_out_arg)
 
 (* ---------- tape ---------- *)
 
@@ -837,7 +871,12 @@ let tape_record_cmd =
   Cmd.v
     (Cmd.info "record"
        ~doc:"Record the workload decision stream for one (benchmark, seed)")
-    Term.(const run $ bench_arg $ scale_arg $ seed_arg $ out_arg)
+    Term.(
+      const run $ bench_arg $ scale_arg
+      $ seed_term
+          "Seed to record, as given (a campaign's invocation $(i,i) runs at base seed \
+           + 1000·($(i,i)+1))."
+      $ out_arg)
 
 let tape_info_cmd =
   let run file =
@@ -857,9 +896,17 @@ let tape_verify_cmd =
     if replay_check then begin
       let spec = tape_resolve_spec ~scale tape in
       let image = Decision_source.image_of_tape ~spec tape in
-      let minheap = Minheap.find ?cache:(resolve_cache None) spec in
-      let heap_words = int_of_float (factor *. float_of_int minheap) in
-      let base = Run.default_config ~spec ~gc ~heap_words ~seed:tape.Tape.seed in
+      (* the heap of the default campaign's cell, run at the tape's seed *)
+      let grid = { (Harness.default_config ()) with Harness.scale } in
+      let minheap =
+        Minheap.find ?cache:(resolve_cache None) ~config:(Harness.minheap_config grid) spec
+      in
+      let base =
+        {
+          (Harness.cell_config grid ~minheap spec ~gc ~factor ~invocation:0) with
+          Run.seed = tape.Tape.seed;
+        }
+      in
       let live = Run.execute base in
       let replayed = Run.execute { base with Run.tape = Run.Tape_replay image } in
       let render m = Format.asprintf "%a" Measurement.pp m in

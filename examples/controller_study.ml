@@ -15,6 +15,7 @@ module Spec = Gcr_workloads.Spec
 module Run = Gcr_runtime.Run
 module Measurement = Gcr_runtime.Measurement
 module Minheap = Gcr_core.Minheap
+module Harness = Gcr_core.Harness
 module Controller = Gcr_policy.Controller
 module Units = Gcr_util.Units
 
@@ -27,14 +28,14 @@ let start_factor = 2.0
 let () =
   let bench = if Array.length Sys.argv > 1 then Sys.argv.(1) else "jme" in
   let gc = Registry.G1 in
-  let spec = Spec.scale (Suite.find_exn bench) 0.5 in
-  let minheap = Minheap.find spec in
+  (* every run is a cell of the campaign at scale 0.5 and base seed 9 *)
+  let grid = { (Harness.default_config ()) with Harness.scale = 0.5; base_seed = 9 } in
+  let spec = Spec.scale (Suite.find_exn bench) grid.Harness.scale in
+  let minheap = Minheap.find ~config:(Harness.minheap_config grid) spec in
   Printf.printf "%s (scaled) under %s: minimum heap %d words\n\n" bench
     (Registry.name gc) minheap;
   let run ~factor ~controller =
-    let heap_words = int_of_float (factor *. float_of_int minheap) in
-    Run.execute
-      { (Run.default_config ~spec ~gc ~heap_words ~seed:9) with Run.controller }
+    Run.execute (Harness.cell_config ~controller grid ~minheap spec ~gc ~factor ~invocation:0)
   in
   let line label (m : Measurement.t) =
     Printf.printf "%-18s %10.2f %12.0f %12.0f %8d %14.3e%s\n" label

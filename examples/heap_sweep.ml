@@ -10,6 +10,7 @@ module Spec = Gcr_workloads.Spec
 module Run = Gcr_runtime.Run
 module Measurement = Gcr_runtime.Measurement
 module Minheap = Gcr_core.Minheap
+module Harness = Gcr_core.Harness
 module Metrics = Gcr_core.Metrics
 module Lbo = Gcr_core.Lbo
 module Tablefmt = Gcr_util.Tablefmt
@@ -20,23 +21,24 @@ let collectors = Registry.production
 
 let () =
   let bench = if Array.length Sys.argv > 1 then Sys.argv.(1) else "pmd" in
-  let spec = Spec.scale (Suite.find_exn bench) 0.5 in
-  let minheap = Minheap.find spec in
+  let grid = { (Harness.default_config ()) with Harness.scale = 0.5; base_seed = 9 } in
+  let spec = Spec.scale (Suite.find_exn bench) grid.Harness.scale in
+  let minheap = Minheap.find ~config:(Harness.minheap_config grid) spec in
   Printf.printf "%s (scaled): minimum heap %d words\n%!" bench minheap;
   (* One invocation of every collector at every factor, plus Epsilon for
-     the LBO baseline. *)
-  let epsilon = Run.execute (Run.default_config ~spec ~gc:Registry.Epsilon ~heap_words:0 ~seed:9) in
+     the LBO baseline: the first invocation of the campaign at scale 0.5
+     and base seed 9. *)
   let cell gc factor =
-    let heap_words = int_of_float (factor *. float_of_int minheap) in
-    Run.execute (Run.default_config ~spec ~gc ~heap_words ~seed:9)
+    Run.execute (Harness.cell_config grid ~minheap spec ~gc ~factor ~invocation:0)
   in
-  let grid = List.map (fun gc -> (gc, List.map (cell gc) factors)) collectors in
+  let epsilon = cell Registry.Epsilon 0.0 in
+  let sweep = List.map (fun gc -> (gc, List.map (cell gc) factors)) collectors in
   let table metric title =
     let t = Tablefmt.create ~title ~columns:(List.map (Printf.sprintf "%.1fx") factors) in
     List.iter
       (fun (gc, runs) ->
         let observations =
-          epsilon :: List.concat_map (fun (_, runs) -> runs) grid
+          epsilon :: List.concat_map (fun (_, runs) -> runs) sweep
           |> List.filter Measurement.completed
           |> List.map (fun m -> Option.get (Lbo.observation metric [ m ]))
         in
@@ -50,7 +52,7 @@ let () =
             runs
         in
         Tablefmt.add_row t ~label:(Registry.name gc) cells)
-      grid;
+      sweep;
     Tablefmt.mark_best_in_column t ~min:true;
     Tablefmt.print t
   in

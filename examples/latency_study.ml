@@ -15,6 +15,7 @@ module Spec = Gcr_workloads.Spec
 module Run = Gcr_runtime.Run
 module Measurement = Gcr_runtime.Measurement
 module Minheap = Gcr_core.Minheap
+module Harness = Gcr_core.Harness
 module Stats = Gcr_util.Stats
 module Histogram = Gcr_util.Histogram
 module Units = Gcr_util.Units
@@ -25,15 +26,13 @@ let collectors = [ Registry.Parallel; Registry.G1; Registry.Shenandoah; Registry
 let percentiles = [ 50.0; 90.0; 99.0; 99.9 ]
 
 let () =
-  let spec = Spec.scale (Suite.find_exn "lusearch") 0.5 in
-  let heap_words = 3 * Minheap.find spec in
-  Printf.printf "lusearch (scaled) at 3.0x minimum heap = %d words\n%!" heap_words;
-  let results =
-    List.map
-      (fun gc ->
-        (gc, Run.execute (Run.default_config ~spec ~gc ~heap_words ~seed:7)))
-      collectors
-  in
+  let grid = { (Harness.default_config ()) with Harness.scale = 0.5; base_seed = 7 } in
+  let spec = Spec.scale (Suite.find_exn "lusearch") grid.Harness.scale in
+  let minheap = Minheap.find ~config:(Harness.minheap_config grid) spec in
+  let cell gc = Harness.cell_config grid ~minheap spec ~gc ~factor:3.0 ~invocation:0 in
+  Printf.printf "lusearch (scaled) at 3.0x minimum heap = %d words\n%!"
+    (cell Registry.G1).Run.heap_words;
+  let results = List.map (fun gc -> (gc, Run.execute (cell gc))) collectors in
   List.iter
     (fun (gc, m) ->
       if not (Measurement.completed m) then

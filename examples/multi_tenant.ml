@@ -16,19 +16,20 @@ module Spec = Gcr_workloads.Spec
 module Run = Gcr_runtime.Run
 module Measurement = Gcr_runtime.Measurement
 module Minheap = Gcr_core.Minheap
+module Harness = Gcr_core.Harness
 module Units = Gcr_util.Units
 
-let run ~gc ~cpus ~spec ~heap_words =
-  let machine = Machine.with_cpus Machine.default cpus in
-  let config =
-    { (Run.default_config ~spec ~gc ~heap_words ~seed:3) with Run.machine }
-  in
-  Run.execute config
-
 let () =
-  (* A parallel benchmark with enough threads to keep a big machine busy. *)
-  let spec = Spec.scale (Suite.find_exn "sunflow") 0.5 in
-  let heap_words = 2 * Minheap.find spec in
+  (* A parallel benchmark with enough threads to keep a big machine busy;
+     each run is the 2.0x cell of the campaign at scale 0.5 and base seed
+     3, on a machine of [cpus] CPUs. *)
+  let grid = { (Harness.default_config ()) with Harness.scale = 0.5; base_seed = 3 } in
+  let spec = Spec.scale (Suite.find_exn "sunflow") grid.Harness.scale in
+  let minheap = Minheap.find ~config:(Harness.minheap_config grid) spec in
+  let run ~gc ~cpus =
+    let config = Harness.cell_config grid ~minheap spec ~gc ~factor:2.0 ~invocation:0 in
+    Run.execute { config with Run.machine = Machine.with_cpus config.Run.machine cpus }
+  in
   Printf.printf "sunflow (scaled) at 2.0x minimum heap, %d mutator threads\n\n"
     spec.Spec.mutator_threads;
   Printf.printf "%-10s %6s %14s %16s %12s\n" "collector" "cpus" "wall (ms)"
@@ -37,7 +38,7 @@ let () =
     (fun cpus ->
       List.iter
         (fun gc ->
-          let m = run ~gc ~cpus ~spec ~heap_words in
+          let m = run ~gc ~cpus in
           let status = if Measurement.completed m then "" else "  (failed)" in
           Printf.printf "%-10s %6d %14.2f %16.3f %12.1f%s\n"
             (Registry.name gc) cpus

@@ -21,20 +21,18 @@ type config = {
 let default_config ?(bench = "h2") () =
   { spec = Suite.find_exn bench; heap_factor = 3.0; seed = 11; scale = 0.3 }
 
-let prepare config =
-  let spec = Spec.scale config.spec config.scale in
-  let minheap = Minheap.find spec in
-  let heap_words = int_of_float (config.heap_factor *. float_of_int minheap) in
-  (spec, heap_words)
-
+(* Every sweep point is the campaign cell (spec, gc, heap factor,
+   invocation 0) at [scale] and base seed [seed], with one knob moved. *)
 let execute ?make_collector ?(cost = Cost_model.default) ~gc config =
-  let spec, heap_words = prepare config in
-  Run.execute
-    {
-      (Run.default_config ~spec ~gc ~heap_words ~seed:config.seed) with
-      Run.cost;
-      make_collector;
-    }
+  let grid =
+    { (Harness.default_config ()) with Harness.scale = config.scale; base_seed = config.seed }
+  in
+  let spec = Spec.scale config.spec config.scale in
+  let minheap = Minheap.find ~config:(Harness.minheap_config grid) spec in
+  let cell =
+    Harness.cell_config grid ~minheap spec ~gc ~factor:config.heap_factor ~invocation:0
+  in
+  Run.execute { cell with Run.cost; make_collector }
 
 let row_of_measurement (m : Measurement.t) =
   match m.Measurement.outcome with

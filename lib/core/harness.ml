@@ -127,6 +127,22 @@ let scaled_machine config =
       max 4096 (int_of_float (float_of_int config.machine.Machine.memory_words *. config.scale));
   }
 
+let minheap_config config =
+  {
+    Minheap.machine = scaled_machine config;
+    cost = config.cost;
+    region_words = config.region_words;
+    seed = config.base_seed;
+    gc = Registry.G1;
+    tapes = config.tapes;
+  }
+
+let cell_config ?(controller = Controller.fixed) config ~minheap spec ~gc ~factor ~invocation =
+  Planner.cell_config ~machine:(scaled_machine config) ~cost:config.cost
+    ~region_words:config.region_words ~minheap ~spec
+    ~seed:(Planner.seed_of ~base_seed:config.base_seed ~invocation)
+    ~gc ~factor ~controller
+
 let config_of t = t.config
 
 let benchmarks t = t.specs
@@ -250,21 +266,10 @@ let fabric_minheaps session minheap_config config specs minheaps ~log_minheap =
 
 let run_campaign config ~benchmarks ~gcs =
   let started = Unix.gettimeofday () in
-  let machine = scaled_machine config in
-  let config = { config with machine } in
   (* one store for the whole campaign: min-heap probes and grid cells *)
   let cache = Option.map (fun dir -> Result_cache.create ~dir) config.cache_dir in
   let specs = List.map (fun s -> Spec.scale s config.scale) benchmarks in
-  let minheap_config =
-    {
-      Minheap.machine;
-      cost = config.cost;
-      region_words = config.region_words;
-      seed = config.base_seed;
-      gc = Registry.G1;
-      tapes = config.tapes;
-    }
-  in
+  let minheap_config = minheap_config config in
   let minheaps = Hashtbl.create 32 in
   let log_minheap (spec : Spec.t) words =
     if config.log_progress then
@@ -302,7 +307,7 @@ let run_campaign config ~benchmarks ~gcs =
     in
     let plan =
       Planner.plan ~controllers:config.controllers ~invocations:config.invocations
-        ~base_seed:config.base_seed ~machine ~cost:config.cost
+        ~base_seed:config.base_seed ~machine:(scaled_machine config) ~cost:config.cost
         ~region_words:config.region_words ~heap_factors:config.heap_factors
         ~minheap:(fun ~bench ->
           match Hashtbl.find_opt minheaps bench with

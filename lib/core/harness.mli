@@ -11,7 +11,12 @@
     workers it deals them out.  Either way it fills the plan's result
     slots and the reduction reads them back in submission order, so the
     recorded campaign is bit-identical at any worker count
-    ([test/test_fabric.ml] enforces this). *)
+    ([test/test_fabric.ml] enforces this).
+
+    A single run is a campaign cell: {!minheap_config} is the only
+    min-heap search and {!cell_config} the only way a (benchmark,
+    collector, heap factor, invocation) becomes a run, alone or in a
+    campaign. *)
 
 type config = {
   invocations : int;
@@ -82,6 +87,22 @@ val default_config : unit -> config
     workers (every cell runs in this process), tapes on, no result cache.  Reads no environment
     variable: the CLI maps its flags (and [GCR_WORKERS], [GCR_CACHE_DIR])
     onto these fields. *)
+
+val scaled_machine : config -> Gcr_mach.Machine.t
+(** [config.machine] with its memory scaled by [config.scale], the machine
+    every search and cell runs on.  A campaign keeps the caller's config
+    ({!config_of}), so derive from that through this function only. *)
+
+val minheap_config : config -> Minheap.config
+(** G1 on {!scaled_machine} at [base_seed].  The frozen
+    [perfbench/main.ml] copy must produce the same memo key. *)
+
+val cell_config :
+  ?controller:Gcr_policy.Controller.spec -> config -> minheap:int -> Gcr_workloads.Spec.t ->
+  gc:Gcr_gcs.Registry.kind -> factor:float -> invocation:int -> Gcr_runtime.Run.config
+(** {!Planner.cell_config} on {!scaled_machine} at {!Planner.seed_of}
+    [base_seed] [invocation] ([spec] scaled; [minheap] from
+    {!minheap_config}; [controller] defaults to [Fixed]). *)
 
 type exec_summary = {
   cells : int;  (** grid cells executed (invocations included) *)

@@ -15,16 +15,6 @@ type config = {
   tapes : bool;
 }
 
-let default_config () =
-  {
-    machine = Machine.default;
-    cost = Cost_model.default;
-    region_words = Run.default_region_words;
-    seed = 7;
-    gc = Registry.G1;
-    tapes = true;
-  }
-
 (* Key the memo on everything that can change the answer: every spec
    field (through its digest) and every cost-model field (minimum heaps
    move when costs do). *)
@@ -170,8 +160,7 @@ let record config spec words =
   let key = cache_key config spec in
   if not (Hashtbl.mem memo key) then Hashtbl.replace memo key words
 
-let find ?cache ?config spec =
-  let config = match config with Some c -> c | None -> default_config () in
+let find ?cache ~config spec =
   match find_cached config spec with
   | Some words -> words
   | None ->

@@ -7,7 +7,8 @@
     region granularity.  Answers are memoised in-process only; a search
     given a {!Gcr_sched.Result_cache} stores each probe there, so a repeat
     search in a fresh process replays its probes instead of running
-    them. *)
+    them.  Every caller passes [Harness.minheap_config], the campaign's
+    search (G1 on the scaled machine at the base seed). *)
 
 type config = {
   machine : Gcr_mach.Machine.t;
@@ -21,12 +22,8 @@ type config = {
           [false] as the replay oracle) *)
 }
 
-val default_config : unit -> config
-(** G1 (the paper's protocol) on the default machine and cost model,
-    seed 7, tapes on. *)
-
 val find :
-  ?cache:Gcr_sched.Result_cache.t -> ?config:config -> Gcr_workloads.Spec.t -> int
+  ?cache:Gcr_sched.Result_cache.t -> config:config -> Gcr_workloads.Spec.t -> int
 (** Minimum heap size in words (a whole number of regions) in which the
     benchmark completes.  A memoised answer returns at once; otherwise
     the search runs, storing each probe in (and replaying it from)

@@ -39,6 +39,26 @@ let heap_words ~region_words ~minheap ~factor =
 
 let seed_of ~base_seed ~invocation = base_seed + (1000 * (invocation + 1))
 
+let cell_config ~machine ~cost ~region_words ~minheap ~spec ~seed ~gc ~factor ~controller =
+  let heap_words =
+    match gc with
+    | Registry.Epsilon -> machine.Machine.memory_words
+    | _ -> heap_words ~region_words ~minheap ~factor
+  in
+  {
+    Run.spec;
+    gc;
+    heap_words;
+    machine;
+    cost;
+    seed;
+    region_words;
+    max_events = None;
+    make_collector = None;
+    tape = Run.Tape_off;
+    controller;
+  }
+
 (* --- Cost model for the size-aware fabric scheduler. ---
 
    A unitless estimate of how long a cell takes to simulate; only the
@@ -79,27 +99,10 @@ let plan ?(controllers = [ Controller.fixed ]) ~invocations ~base_seed ~machine 
   let gcs = with_epsilon gcs in
   let controllers = if controllers = [] then [ Controller.fixed ] else controllers in
   let index = ref 0 in
-  let cell ~invocation ~spec ~seed ~gc ~factor ~controller =
+  let cell ~invocation ~spec ~seed ~minheap ~gc ~factor ~controller =
     let bench = spec.Spec.name in
-    let heap_words =
-      match gc with
-      | Registry.Epsilon -> machine.Machine.memory_words
-      | _ -> heap_words ~region_words ~minheap:(minheap ~bench) ~factor
-    in
     let config =
-      {
-        Run.spec;
-        gc;
-        heap_words;
-        machine;
-        cost;
-        seed;
-        region_words;
-        max_events = None;
-        make_collector = None;
-        tape = Run.Tape_off;
-        controller;
-      }
+      cell_config ~machine ~cost ~region_words ~minheap ~spec ~seed ~gc ~factor ~controller
     in
     let key =
       match Cache_key.of_config config with
@@ -118,6 +121,7 @@ let plan ?(controllers = [ Controller.fixed ]) ~invocations ~base_seed ~machine 
     let seed = seed_of ~base_seed ~invocation in
     List.iter
       (fun spec ->
+        let minheap = minheap ~bench:spec.Spec.name in
         let cells =
           List.concat_map
             (fun gc ->
@@ -126,7 +130,7 @@ let plan ?(controllers = [ Controller.fixed ]) ~invocations ~base_seed ~machine 
                   (* no heap pressure, nothing for a controller to move:
                      one cell, always [Fixed] *)
                   [
-                    cell ~invocation ~spec ~seed ~gc ~factor:0.0
+                    cell ~invocation ~spec ~seed ~minheap ~gc ~factor:0.0
                       ~controller:Controller.fixed;
                   ]
               | _ ->
@@ -134,7 +138,7 @@ let plan ?(controllers = [ Controller.fixed ]) ~invocations ~base_seed ~machine 
                     (fun factor ->
                       List.map
                         (fun controller ->
-                          cell ~invocation ~spec ~seed ~gc ~factor ~controller)
+                          cell ~invocation ~spec ~seed ~minheap ~gc ~factor ~controller)
                         controllers)
                     heap_factors)
             gcs

@@ -12,7 +12,8 @@
     Cells are grouped by (invocation, benchmark): the cells of one group
     share a (spec, seed) pair and therefore one workload decision
     stream, which is the unit of tape generation and of fabric
-    placement. *)
+    placement.  {!cell_config} builds every cell, and every single run
+    through [Harness.cell_config]. *)
 
 type cell = {
   index : int;  (** dense result slot in submission order *)
@@ -50,6 +51,13 @@ val heap_words : region_words:int -> minheap:int -> factor:float -> int
 val seed_of : base_seed:int -> invocation:int -> int
 (** The per-invocation seed schedule ([base_seed + 1000 × (i + 1)]). *)
 
+val cell_config :
+  machine:Gcr_mach.Machine.t -> cost:Gcr_mach.Cost_model.t -> region_words:int ->
+  minheap:int -> spec:Gcr_workloads.Spec.t -> seed:int -> gc:Gcr_gcs.Registry.kind ->
+  factor:float -> controller:Gcr_policy.Controller.spec -> Gcr_runtime.Run.config
+(** One cell's run: a {!heap_words} heap (Epsilon: the machine's memory),
+    [Tape_off], no event budget.  [machine] and [spec] already scaled. *)
+
 val cell_cost : cell -> float
 (** Unitless runtime estimate for the size-aware fabric scheduler:
     workload volume (threads × packets) weighted by heap tightness
@@ -77,7 +85,7 @@ val plan :
   unit ->
   t
 (** [specs] must already be scaled; [machine] already memory-scaled;
-    [minheap] is consulted once per (benchmark, factor) cell.  Epsilon
+    [minheap] is consulted once per (invocation, benchmark) group.  Epsilon
     is included implicitly (heap = machine memory, factor 0.0) even when
     absent from [gcs], leading each benchmark's cell block.
     [controllers] (default [[Fixed]], in which case the grid is exactly

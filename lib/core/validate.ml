@@ -18,14 +18,15 @@ type tightness_row = {
    could not use Epsilon either). *)
 let ideal_costs campaign metric spec =
   let config = Harness.config_of campaign in
+  let machine = Harness.scaled_machine config in
   let seeds =
-    List.init config.Harness.invocations (fun i ->
-        config.Harness.base_seed + (1000 * (i + 1)))
+    List.init config.Harness.invocations (fun invocation ->
+        Planner.seed_of ~base_seed:config.Harness.base_seed ~invocation)
   in
   let totals =
     List.map
       (fun seed ->
-        let m = Run.execute_ideal ~spec ~machine:config.Harness.machine ~seed in
+        let m = Run.execute_ideal ~spec ~machine ~seed in
         if Measurement.completed m then Some (Metrics.total metric m) else None)
       seeds
   in
@@ -159,14 +160,16 @@ let genshen_study ?(benches = [ "lusearch"; "xalan"; "h2" ]) ?(factor = 3.0) ?(s
            factor)
       ~columns:[ "wall ms"; "GC Mcycles"; "stalls"; "pauses"; "full GCs" ]
   in
+  let grid = { (Harness.default_config ()) with Harness.scale; base_seed = seed } in
   List.iter
     (fun bench ->
       let spec = Spec.scale (Suite.find_exn bench) scale in
-      let minheap = Minheap.find spec in
-      let heap_words = int_of_float (factor *. float_of_int minheap) in
+      let minheap = Minheap.find ~config:(Harness.minheap_config grid) spec in
       List.iter
         (fun gc ->
-          let m = Run.execute (Run.default_config ~spec ~gc ~heap_words ~seed) in
+          let m =
+            Run.execute (Harness.cell_config grid ~minheap spec ~gc ~factor ~invocation:0)
+          in
           let label = Printf.sprintf "%s/%s" bench (Registry.name gc) in
           if Measurement.completed m then
             Tablefmt.add_row table ~label

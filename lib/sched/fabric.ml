@@ -504,76 +504,90 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
   let deadline = Unix.gettimeofday () +. connect_timeout in
   let ws = ref [] in
   let count = ref 0 in
-  let handshake fd =
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    let ep = Transport.of_socket fd in
-    let reject msg =
-      log ("rejected worker connection: " ^ msg);
-      Transport.close ep
-    in
-    (* a peer that connects and says nothing cannot hold the fleet past
-       the connect deadline *)
-    match Transport.recv ~deadline ep with
-    | exception Transport.Timeout -> reject "no hello before the connect deadline"
-    | exception Transport.Corrupt msg -> reject ("corrupt hello: " ^ msg)
-    | exception Unix.Unix_error (e, _, _) -> reject (Unix.error_message e)
-    | None -> reject "closed before hello"
-    | Some (tag, _) when tag <> tag_hello ->
-        reject (Printf.sprintf "expected hello, got tag %C" tag)
-    | Some (_, payload) -> (
-        match read_hello payload with
-        | exception Wire.Corrupt msg -> reject ("corrupt hello: " ^ msg)
-        | hello -> (
-            let id = !count in
-            (* answer with our versions even on mismatch, so the worker can
-               print the precise incompatibility before exiting 3 *)
-            match
-              Transport.send ep ~tag:tag_welcome
-                (welcome_payload ~worker_id:id ~plan_digest ~cache_results)
-            with
-            | exception Unix.Unix_error (e, _, _) -> reject (Unix.error_message e)
-            | () -> (
-                match hello with
-                | Error proto ->
-                    reject
-                      (Printf.sprintf "protocol version mismatch (worker v%d, ours v%d)"
-                         proto protocol_version)
-                | Ok (ckv, _) when not (String.equal ckv Cache_key.version) ->
-                    reject
-                      (Printf.sprintf "cache-key version mismatch (worker %s, ours %s)" ckv
-                         Cache_key.version)
-                | Ok (_, peer_host) ->
-                    incr count;
-                    log (Printf.sprintf "worker %d connected from %s" id peer_host);
-                    ws :=
-                      {
-                        w_id = id;
-                        w_host = peer_host;
-                        w_transport = "socket";
-                        ep;
-                        pid = None;
-                        alive = true;
-                        last_rx = Unix.gettimeofday ();
-                        cells_total = 0;
-                      }
-                      :: !ws)))
+  let reject ep msg =
+    log ("rejected worker connection: " ^ msg);
+    Transport.close ep
   in
-  let rec accept_loop () =
-    if !count < expected then begin
-      let left = deadline -. Unix.gettimeofday () in
-      if left > 0.0 then begin
-        match Unix.select [ sock ] [] [] left with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-        | [], _, _ -> ()
-        | _ :: _, _, _ ->
-            (match Unix.accept sock with
-            | fd, _ -> handshake fd
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            accept_loop ()
-      end
-    end
+  let admit ep payload =
+    match read_hello payload with
+    | exception Wire.Corrupt msg -> reject ep ("corrupt hello: " ^ msg)
+    | hello -> (
+        let id = !count in
+        (* answer with our versions even on mismatch, so the worker can
+           print the precise incompatibility before exiting 3 *)
+        match
+          Transport.send ep ~tag:tag_welcome
+            (welcome_payload ~worker_id:id ~plan_digest ~cache_results)
+        with
+        | exception Unix.Unix_error (e, _, _) -> reject ep (Unix.error_message e)
+        | () -> (
+            match hello with
+            | Error proto ->
+                reject ep
+                  (Printf.sprintf "protocol version mismatch (worker v%d, ours v%d)" proto
+                     protocol_version)
+            | Ok (ckv, _) when not (String.equal ckv Cache_key.version) ->
+                reject ep
+                  (Printf.sprintf "cache-key version mismatch (worker %s, ours %s)" ckv
+                     Cache_key.version)
+            | Ok (_, peer_host) ->
+                incr count;
+                log (Printf.sprintf "worker %d connected from %s" id peer_host);
+                ws :=
+                  {
+                    w_id = id;
+                    w_host = peer_host;
+                    w_transport = "socket";
+                    ep;
+                    pid = None;
+                    alive = true;
+                    last_rx = Unix.gettimeofday ();
+                    cells_total = 0;
+                  }
+                  :: !ws))
   in
-  accept_loop ();
+  (* One read from a readable pending peer: [false] while its hello is
+     incomplete, [true] once the peer is admitted or rejected. *)
+  let settle ep =
+    match Transport.read_step ep with
+    | exception Unix.Unix_error (e, _, _) -> reject ep (Unix.error_message e); true
+    | `Eof -> reject ep "closed before hello"; true
+    | `Ready -> (
+        match Transport.next_frame ep with
+        | exception Transport.Corrupt msg -> reject ep ("corrupt hello: " ^ msg); true
+        | None -> false
+        | Some (tag, payload) when tag = tag_hello -> admit ep payload; true
+        | Some (tag, _) -> reject ep (Printf.sprintf "expected hello, got tag %C" tag); true)
+  in
+  (* Every accepted peer waits for its hello under the one [select], so a
+     peer that connects and says nothing holds up no one after it. *)
+  let rec loop pending =
+    let left = deadline -. Unix.gettimeofday () in
+    if !count >= expected || left <= 0.0 then pending
+    else
+      match Unix.select (sock :: List.map Transport.recv_fd pending) [] [] left with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop pending
+      | ready, _, _ ->
+          let pending =
+            List.filter
+              (fun ep ->
+                not (!count < expected && List.mem (Transport.recv_fd ep) ready && settle ep))
+              pending
+          in
+          if List.mem sock ready then
+            match Unix.accept sock with
+            | fd, _ ->
+                (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+                loop (pending @ [ Transport.of_socket fd ])
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop pending
+          else loop pending
+  in
+  List.iter
+    (fun ep ->
+      reject ep
+        (if !count >= expected then "the fleet is already full"
+         else "no hello before the connect deadline"))
+    (loop []);
   (try Unix.close sock with Unix.Unix_error _ -> ());
   if !count < expected then
     log

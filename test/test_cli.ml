@@ -1,0 +1,75 @@
+(* The built [gcr] refuses a grid it cannot run before running anything:
+   a scale or heap factor that is not a finite positive number, or fewer
+   than one invocation, exits 3 with a one-line reason, never an internal
+   error and never a run that fails cell by cell.  The test's dune stanza
+   copies the built [gcr] next to the test directory. *)
+
+let check = Alcotest.check
+
+let gcr =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) Filename.parent_dir_name)
+    "bin/gcr.exe"
+
+let contains haystack needle =
+  let n = String.length needle and len = String.length haystack in
+  let rec go i = i + n <= len && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
+(* Runs [gcr args] with stdout and stderr in temporary files, so a run that
+   prints a lot cannot fill a pipe and stall. *)
+let run_gcr args =
+  let out = Filename.temp_file "gcr-cli" ".out" and err = Filename.temp_file "gcr-cli" ".err" in
+  let open_w file = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let out_fd = open_w out and err_fd = open_w err in
+  let pid = Unix.create_process gcr (Array.of_list (gcr :: args)) Unix.stdin out_fd err_fd in
+  Unix.close out_fd;
+  Unix.close err_fd;
+  let _, status = Unix.waitpid [] pid in
+  let read file =
+    let text = In_channel.with_open_bin file In_channel.input_all in
+    Sys.remove file;
+    text
+  in
+  let stdout = read out in
+  (status, stdout, read err)
+
+let test_bad_grid_flags () =
+  let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name in
+  let tape = tmp (Printf.sprintf "gcr-cli-%d.tape" (Unix.getpid ())) in
+  let trace = tmp (Printf.sprintf "gcr-cli-%d.json" (Unix.getpid ())) in
+  List.iter
+    (fun line ->
+      let args = List.filter (( <> ) "") (String.split_on_char ' ' line) in
+      let status, stdout, stderr = run_gcr args in
+      check Alcotest.bool (Printf.sprintf "gcr %s exits 3" line) true
+        (status = Unix.WEXITED 3);
+      check Alcotest.bool
+        (Printf.sprintf "gcr %s says why on a gcr: line (stderr %S)" line stderr)
+        true
+        (List.exists
+           (String.starts_with ~prefix:"gcr: ")
+           (String.split_on_char '\n' stderr));
+      List.iter
+        (fun bad ->
+          check Alcotest.bool (Printf.sprintf "gcr %s prints no %S" line bad) false
+            (contains stdout bad || contains stderr bad))
+        [ "internal error"; "uncaught exception" ])
+    [
+      "run -b jme --scale 0";
+      "campaign -b jme --scale 0 -q";
+      "artefact all -b jme --scale 0 -q";
+      "minheap -b jme --scale 0";
+      "ablation gc-workers --scale 0";
+      "tape record -b jme --scale 0 -o " ^ tape;
+      "run -b jme --scale=-1";
+      "campaign -b jme -g G1 --scale 0.05 -n 0 -q";
+      "run -b jme -g G1 --scale 0.05 -n 0";
+      "trace -b jme --scale 0.05 -x 0 -o " ^ trace;
+      "campaign -b jme -g G1 --scale 0.05 -n 1 --factors 0 -q";
+      "campaign -b jme -g G1 --scale 0.05 -n 1 --factors 1.4,nan -q";
+    ];
+  List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ tape; trace ]
+
+let suite =
+  [ Alcotest.test_case "bad grid flags exit 3 with a reason" `Quick test_bad_grid_flags ]

@@ -136,7 +136,7 @@ let test_fabric_cells_equal_fresh_runs () =
   let plan =
     Planner.plan ~controllers:config.Harness.controllers
       ~invocations:config.Harness.invocations ~base_seed:config.Harness.base_seed
-      ~machine:config.Harness.machine ~cost:config.Harness.cost
+      ~machine:(Harness.scaled_machine config) ~cost:config.Harness.cost
       ~region_words:config.Harness.region_words ~heap_factors:config.Harness.heap_factors
       ~minheap:(fun ~bench -> Harness.minheap_words campaign ~bench)
       ~specs:(Harness.benchmarks campaign) ~gcs:(Harness.gcs campaign) ()
@@ -755,41 +755,62 @@ let kill_and_reap pid =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] pid)
 
-(* A peer that connects and then says nothing for 20 s.  The coordinator
-   must give up on its hello at the connect deadline, 2 s in, and run the
-   campaign on its backstop. *)
+(* A peer that connects and then says nothing for 20 s, and a real
+   worker that connects right after it (a pipe orders the two), into a
+   fleet of two.  The silent peer must hold up no one: the worker is
+   welcomed at once, the silent peer is dropped at the connect deadline,
+   2 s in, and the worker runs the campaign and exits 0 on the quit. *)
 let test_silent_peer_cannot_stall_handshake () =
   let reference = Lazy.force serial in
-  let peer = ref None in
+  let silent = ref None and worker = ref None in
   let config =
     {
-      (campaign_config ~workers:(Some 1)) with
+      (campaign_config ~workers:(Some 2)) with
       Harness.listen = Some ("127.0.0.1", 0);
       connect_timeout = 2.0;
       on_listen =
         Some
           (fun port ->
-            match Unix.fork () with
+            let connected, go = Unix.pipe () in
+            (match Unix.fork () with
             | 0 ->
                 Unix._exit
                   (try
                      ignore (connect_loopback port : Transport.t);
+                     ignore (Unix.write_substring go "!" 0 1);
                      Unix.sleepf 20.0;
                      0
                    with _ -> 6)
-            | pid -> peer := Some pid);
+            | pid -> silent := Some pid);
+            (match Unix.fork () with
+            | 0 ->
+                ignore (Unix.read connected (Bytes.create 1) 0 1);
+                Unix._exit
+                  (match Fabric.worker_connect ~host:"127.0.0.1" ~port ~retry_for:20.0 () with
+                  | Ok () -> 0
+                  | Error msg ->
+                      Printf.eprintf "late worker failed: %s\n%!" msg;
+                      3)
+            | pid -> worker := Some pid);
+            Unix.close connected;
+            Unix.close go);
     }
   in
   let started = Unix.gettimeofday () in
   let campaign = Harness.run_campaign config ~benchmarks ~gcs:Registry.production in
   let elapsed = Unix.gettimeofday () -. started in
-  Option.iter kill_and_reap !peer;
+  Option.iter kill_and_reap !silent;
+  let worker_status = Option.map (fun pid -> snd (Unix.waitpid [] pid)) !worker in
   check Alcotest.bool (Printf.sprintf "finished in %.1fs, within a few seconds" elapsed) true
     (elapsed < 8.0);
+  check Alcotest.bool "the late worker exits 0" true (worker_status = Some (Unix.WEXITED 0));
   let s = Harness.summary campaign in
-  check Alcotest.int "no worker joined" 0 (List.length s.Harness.worker_rows);
-  check Alcotest.int "the backstop ran every cell" s.Harness.cells s.Harness.parent_cells;
-  check_campaigns_identical ~what:"serial vs backstop past a silent peer" reference campaign
+  check Alcotest.int "the late worker joined, the silent peer did not" 1
+    (List.length s.Harness.worker_rows);
+  check Alcotest.bool "the late worker ran cells" true
+    (Array.fold_left ( + ) 0 s.Harness.per_worker > 0);
+  check_campaigns_identical ~what:"serial vs a late worker past a silent peer" reference
+    campaign
 
 (* A fake coordinator takes the worker's hello and then holds the
    connection for 10 s without a welcome.  The worker must give up after

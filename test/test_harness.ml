@@ -12,6 +12,7 @@ module Lbo = Gcr_core.Lbo
 module Minheap = Gcr_core.Minheap
 module Report = Gcr_core.Report
 module Validate = Gcr_core.Validate
+module Pool = Gcr_sched.Pool
 
 let check = Alcotest.check
 
@@ -188,20 +189,55 @@ let test_validation_bound_holds () =
 let test_minheap_properties () =
   Minheap.clear_memo ();
   let spec = Spec.scale (Suite.find_exn "jme") 0.1 in
-  let config =
-    { (Minheap.default_config ()) with Minheap.machine = Gcr_mach.Machine.default }
-  in
-  let words = Minheap.find ~config spec in
+  let mh = Harness.minheap_config config in
+  let words = Minheap.find ~config:mh spec in
   check Alcotest.bool "positive" true (words > 0);
   check Alcotest.int "region multiple" 0 (words mod 256);
-  (* completes at the found size *)
+  (* completes at the found size, on the machine and seed of the search *)
   let m =
-    Run.execute (Run.default_config ~spec ~gc:Registry.G1 ~heap_words:words ~seed:7)
+    Run.execute
+      {
+        (Run.default_config ~spec ~gc:Registry.G1 ~heap_words:words ~seed:mh.Minheap.seed) with
+        Run.machine = mh.Minheap.machine;
+      }
   in
   check Alcotest.bool "completes at minheap" true (Measurement.completed m);
   (* memoised *)
-  let again = Minheap.find ~config spec in
+  let again = Minheap.find ~config:mh spec in
   check Alcotest.int "memoised" words again
+
+(* A single run is a campaign cell: the config [gcr run] builds for (h2,
+   collector, factor, invocation) — a fresh search with the campaign's
+   min-heap config, then the campaign's cell builder — measures exactly
+   what the shared campaign recorded for that cell, on a heap of whole
+   regions. *)
+let test_single_runs_are_campaign_cells () =
+  let c = Lazy.force campaign in
+  Minheap.clear_memo ();
+  let spec = Spec.scale (Suite.find_exn "h2") config.Harness.scale in
+  let minheap = Minheap.find ~config:(Harness.minheap_config config) spec in
+  check Alcotest.int "the campaign's min-heap" (Harness.minheap_words c ~bench:"h2") minheap;
+  let render m = Format.asprintf "%a" Measurement.pp m in
+  List.iter
+    (fun gc ->
+      List.iter
+        (fun factor ->
+          let recorded = Harness.runs c ~bench:"h2" ~gc ~factor in
+          check Alcotest.int "every invocation recorded" config.Harness.invocations
+            (List.length recorded);
+          List.iteri
+            (fun invocation (cell : Measurement.t) ->
+              let single =
+                Pool.execute (Harness.cell_config config ~minheap spec ~gc ~factor ~invocation)
+              in
+              let what = Printf.sprintf "%s@%g #%d" (Registry.name gc) factor invocation in
+              check Alcotest.string (what ^ " equals the campaign cell") (render cell)
+                (render single);
+              check Alcotest.int (what ^ " heap is whole regions") 0
+                (single.Measurement.heap_words mod config.Harness.region_words))
+            recorded)
+        config.Harness.heap_factors)
+    [ Registry.G1; Registry.Serial ]
 
 (* The memo key must cover every field that can move the answer, including
    cost-model fields and spec fields past the first few a structural hash
@@ -210,7 +246,7 @@ let test_minheap_properties () =
 let test_minheap_key_covers_every_field () =
   Minheap.clear_memo ();
   let spec = Spec.scale (Suite.find_exn "jme") 0.1 in
-  let config = { (Minheap.default_config ()) with Minheap.seed = 90_017 } in
+  let config = { (Harness.minheap_config config) with Minheap.seed = 90_017 } in
   Minheap.record config spec 4096;
   check (Alcotest.option Alcotest.int) "same config hits" (Some 4096)
     (Minheap.find_cached config spec);
@@ -234,7 +270,7 @@ let test_minheap_search_writes_nothing () =
   let dir = Filename.temp_dir "gcr-minheap-cwd" "" in
   let cwd = Sys.getcwd () in
   let spec = Spec.scale (Suite.find_exn "h2") 0.02 in
-  let config = { (Minheap.default_config ()) with Minheap.seed = 90_023 } in
+  let config = { (Harness.minheap_config config) with Minheap.seed = 90_023 } in
   Sys.chdir dir;
   let words =
     Fun.protect ~finally:(fun () -> Sys.chdir cwd) (fun () -> Minheap.find ~config spec)
@@ -287,6 +323,8 @@ let suite =
       test_stw_tables_with_no_core_benchmark;
     Alcotest.test_case "validation bound holds" `Quick test_validation_bound_holds;
     Alcotest.test_case "minheap properties" `Quick test_minheap_properties;
+    Alcotest.test_case "single runs are campaign cells" `Quick
+      test_single_runs_are_campaign_cells;
     Alcotest.test_case "minheap key covers every field" `Quick
       test_minheap_key_covers_every_field;
     Alcotest.test_case "minheap search writes nothing in its working directory" `Quick
