@@ -576,12 +576,14 @@ let bench_campaign ~smoke ~workers =
   done;
   1.0 /. !best
 
-(* The same grid over the socket transport on loopback: the coordinator
-   binds an ephemeral port and the workers are forked [worker_connect]
-   children with no result cache.  Each worker generates the tapes it
-   replays, and every result rides a marshalled batch frame.  The spread
-   between this and the pipe figure above is the TCP framing and
-   handshake tax the cross-host deployment pays. *)
+(* The same grid over TCP on loopback: the coordinator binds an
+   ephemeral port and the workers are forked [worker_connect] children
+   with no result cache.  Each worker generates the tapes it replays,
+   and every result rides a marshalled batch frame.  Both fleets
+   handshake, so the spread between this and the forked figure above
+   (a Unix socketpair per worker; the untracked ratio keeps its old
+   [dist_tax_vs_pipe] name) is TCP against a socketpair: the tax the
+   cross-host deployment pays. *)
 let fork_socket_worker ~port =
   match Unix.fork () with
   | 0 ->

@@ -24,6 +24,7 @@ module Tape_gen = Gcr_workloads.Tape_gen
 module Decision_source = Gcr_workloads.Decision_source
 module Controller = Gcr_policy.Controller
 module Market = Gcr_core.Market
+module Planner = Gcr_core.Planner
 
 (* ---------- shared argument parsing ---------- *)
 
@@ -105,8 +106,12 @@ let factors_arg =
     "Heap factors for grid experiments (comma separated; default: the twelve-point \
      grid, a superset of the paper's eight sizes)."
   in
+  let factors = function
+    | [] -> die "--factors needs at least one heap factor"
+    | factors -> List.map (positive "every --factors entry") factors
+  in
   Term.(
-    const (List.map (positive "every --factors entry"))
+    const factors
     $ Arg.(
         value
         & opt (list float) Harness.default_heap_factors
@@ -137,9 +142,9 @@ let listen_arg =
 
 let connect_timeout_arg =
   let doc =
-    "Seconds to wait for $(b,--listen) workers to connect and say hello before \
-     proceeding with however many arrived (the coordinator backstops an empty \
-     fleet inline)."
+    "Seconds to wait for the workers to say hello (and, with $(b,--listen), to \
+     connect) before proceeding with however many arrived (the coordinator \
+     backstops an empty fleet inline)."
   in
   Arg.(value & opt float 30.0 & info [ "connect-timeout" ] ~docv:"S" ~doc)
 
@@ -173,6 +178,10 @@ let exit_on_failures measurements =
       exit failed_run_exit
 
 let write_or_die write = try write () with Sys_error msg -> die "cannot write %s" msg
+
+(* A cell no run can execute (a heap below two regions) is refused where
+   it is built, before it runs. *)
+let refuse_unrunnable f = try f () with Planner.Unrunnable reason -> die "%s" reason
 
 (* Output paths are checked before anything is simulated, so a bad path
    fails at once instead of after the whole run; no file is left behind. *)
@@ -334,7 +343,8 @@ let execute_traced ~trace_out config =
     let obs = Engine.obs engine in
     captured := Some (obs, Obs.attach_trace obs)
   in
-  let m = Run.execute ~on_engine config in
+  (* crash-isolated like every untraced run *)
+  let m = try Run.execute ~on_engine config with exn -> Pool.failed_of_exn config exn in
   (match !captured with
   | Some (obs, trace) ->
       write_or_die (fun () -> Perfetto.write_file trace_out obs trace);
@@ -353,7 +363,7 @@ let run_cmd =
        and base seed *)
     let grid = { (Harness.default_config ()) with Harness.scale; base_seed = seed } in
     let minheap spec = Minheap.find ?cache ~config:(Harness.minheap_config grid) spec in
-    let configs =
+    let configs () =
       match tape_file with
       | None ->
           List.concat_map
@@ -390,6 +400,7 @@ let run_cmd =
               })
             gcs
     in
+    let configs = refuse_unrunnable configs in
     let measurements =
       match trace_out with
       | None ->
@@ -475,8 +486,9 @@ let build_campaign ?controllers ?listen ?connect_timeout benchmarks gcs invocati
     harness_config ?controllers ?listen ?connect_timeout ~invocations ~scale ~seed
       ~factors ~quiet ~workers ~cache_dir ()
   in
-  Harness.run_campaign config ~benchmarks:(default_benchmarks benchmarks)
-    ~gcs:(default_gcs gcs)
+  refuse_unrunnable (fun () ->
+      Harness.run_campaign config ~benchmarks:(default_benchmarks benchmarks)
+        ~gcs:(default_gcs gcs))
 
 let artefact_names =
   [
@@ -659,13 +671,14 @@ let ablation_cmd =
         seed;
       }
     in
-    match name with
-    | "gc-workers" -> Gcr_core.Ablation.gc_workers config
-    | "tenure-age" -> Gcr_core.Ablation.tenure_age config
-    | "shenandoah-trigger" -> Gcr_core.Ablation.shenandoah_trigger config
-    | "conc-mark-penalty" -> Gcr_core.Ablation.concurrent_mark_penalty config
-    | "genshen" -> Validate.genshen_study ~factor ~scale ~seed ()
-    | _ -> Gcr_core.Ablation.all config
+    refuse_unrunnable (fun () ->
+        match name with
+        | "gc-workers" -> Gcr_core.Ablation.gc_workers config
+        | "tenure-age" -> Gcr_core.Ablation.tenure_age config
+        | "shenandoah-trigger" -> Gcr_core.Ablation.shenandoah_trigger config
+        | "conc-mark-penalty" -> Gcr_core.Ablation.concurrent_mark_penalty config
+        | "genshen" -> Validate.genshen_study ~factor ~scale ~seed ()
+        | _ -> Gcr_core.Ablation.all config)
   in
   let name_arg =
     Arg.(
@@ -709,7 +722,8 @@ let trace_cmd =
           Minheap.find ?cache:(resolve_cache None) ~config:(Harness.minheap_config grid) spec
         in
         let config =
-          Harness.cell_config ~controller grid ~minheap spec ~gc ~factor ~invocation:0
+          refuse_unrunnable (fun () ->
+              Harness.cell_config ~controller grid ~minheap spec ~gc ~factor ~invocation:0)
         in
         let m = execute_traced ~trace_out:out config in
         Format.printf "%a@." Measurement.pp m;
@@ -903,7 +917,9 @@ let tape_verify_cmd =
       in
       let base =
         {
-          (Harness.cell_config grid ~minheap spec ~gc ~factor ~invocation:0) with
+          (refuse_unrunnable (fun () ->
+               Harness.cell_config grid ~minheap spec ~gc ~factor ~invocation:0))
+          with
           Run.seed = tape.Tape.seed;
         }
       in

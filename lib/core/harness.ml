@@ -418,8 +418,8 @@ let run_campaign config ~benchmarks ~gcs =
           summary.limit_changes summary.peak_footprint_words summary.mean_footprint_words;
       List.iter
         (fun (r : Fabric.worker_row) ->
-          Printf.eprintf "[harness]   worker %d (%s, %s): %d cells%s\n%!" r.Fabric.row_id
-            r.Fabric.row_transport r.Fabric.row_host r.Fabric.row_cells
+          Printf.eprintf "[harness]   worker %d (%s): %d cells%s\n%!" r.Fabric.row_id
+            r.Fabric.row_host r.Fabric.row_cells
             (if r.Fabric.row_alive then "" else " (died)"))
         worker_rows
     end;

@@ -102,7 +102,8 @@ val cell_config :
   gc:Gcr_gcs.Registry.kind -> factor:float -> invocation:int -> Gcr_runtime.Run.config
 (** {!Planner.cell_config} on {!scaled_machine} at {!Planner.seed_of}
     [base_seed] [invocation] ([spec] scaled; [minheap] from
-    {!minheap_config}; [controller] defaults to [Fixed]). *)
+    {!minheap_config}; [controller] defaults to [Fixed]).  Raises
+    {!Planner.Unrunnable} on a heap below two regions. *)
 
 type exec_summary = {
   cells : int;  (** grid cells executed (invocations included) *)
@@ -168,7 +169,9 @@ val run_campaign :
     are scaled before running; min-heaps are measured per benchmark,
     through the in-process memo and the [cache_dir] store.  One
     {!Gcr_sched.Fabric} session carries the searches and then the grid.
-    Raises [Invalid_argument] on [listen] without workers. *)
+    Raises [Invalid_argument] on [listen] without workers, and
+    {!Planner.Unrunnable} on a grid cell below two regions (after the
+    searches; the session is shut down first). *)
 
 (** {1 Access} *)
 

@@ -39,12 +39,21 @@ let heap_words ~region_words ~minheap ~factor =
 
 let seed_of ~base_seed ~invocation = base_seed + (1000 * (invocation + 1))
 
+exception Unrunnable of string
+
 let cell_config ~machine ~cost ~region_words ~minheap ~spec ~seed ~gc ~factor ~controller =
   let heap_words =
     match gc with
     | Registry.Epsilon -> machine.Machine.memory_words
     | _ -> heap_words ~region_words ~minheap ~factor
   in
+  (* the heap cannot be built below two regions *)
+  if heap_words < 2 * region_words then
+    raise
+      (Unrunnable
+         (Printf.sprintf
+            "%s at heap factor %g: a %d-word heap is below the two-region minimum of %d words"
+            spec.Spec.name factor heap_words (2 * region_words)));
   {
     Run.spec;
     gc;

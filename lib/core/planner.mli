@@ -51,12 +51,18 @@ val heap_words : region_words:int -> minheap:int -> factor:float -> int
 val seed_of : base_seed:int -> invocation:int -> int
 (** The per-invocation seed schedule ([base_seed + 1000 × (i + 1)]). *)
 
+exception Unrunnable of string
+(** A cell no run can execute; the string is a one-line reason. *)
+
 val cell_config :
   machine:Gcr_mach.Machine.t -> cost:Gcr_mach.Cost_model.t -> region_words:int ->
   minheap:int -> spec:Gcr_workloads.Spec.t -> seed:int -> gc:Gcr_gcs.Registry.kind ->
   factor:float -> controller:Gcr_policy.Controller.spec -> Gcr_runtime.Run.config
 (** One cell's run: a {!heap_words} heap (Epsilon: the machine's memory),
-    [Tape_off], no event budget.  [machine] and [spec] already scaled. *)
+    [Tape_off], no event budget.  [machine] and [spec] already scaled.
+    Raises {!Unrunnable} when the heap is below two regions, the fewest
+    a heap is built with; the reason names the benchmark, the factor and
+    both sizes in words. *)
 
 val cell_cost : cell -> float
 (** Unitless runtime estimate for the size-aware fabric scheduler:
@@ -90,4 +96,5 @@ val plan :
     absent from [gcs], leading each benchmark's cell block.
     [controllers] (default [[Fixed]], in which case the grid is exactly
     the historical one) multiplies each non-Epsilon (gc, factor) pair —
-    the innermost axis; Epsilon always runs a single [Fixed] cell. *)
+    the innermost axis; Epsilon always runs a single [Fixed] cell.
+    Raises {!Unrunnable} as {!cell_config} does. *)

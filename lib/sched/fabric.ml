@@ -25,7 +25,6 @@ type stats = {
 type worker_row = {
   row_id : int;
   row_host : string;
-  row_transport : string;
   row_cells : int;
   row_alive : bool;
 }
@@ -34,9 +33,9 @@ type worker_row = {
 (* Protocol                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Checksummed frames (see {!Transport}); one tag byte each.  The
-   coordinator speaks the identical protocol to forked pipe workers and
-   TCP socket workers; only sockets handshake.  No tape crosses the
+(* Checksummed frames (see {!Transport}); one tag byte each.  Every
+   worker, forked over a socketpair or connected over TCP, handshakes
+   and then speaks the same frames.  No tape crosses the
    wire: every worker generates the replay images it needs.  A group
    frame carries the marshalled group alone, so a change to [group]'s
    type needs a new protocol version. *)
@@ -154,7 +153,7 @@ let execute_group ?(before_cell = ignore) ~state ~cache ~on_result (g : group) =
    loss after a crash). *)
 let batch_cap = 32
 
-(* The worker loop, shared by forked pipe workers and socket workers.
+(* The worker loop, which [join] runs once the welcome is checked.
    [Ok ()] only after the coordinator's quit frame; any other end is an
    [Error] naming it.  The coordinator sends a worker its next group only
    after the last result of the current one, so the loop blocks in
@@ -206,6 +205,47 @@ let worker_main ~cache ~ep =
   | Unix.Unix_error (e, _, _) -> Error ("lost the coordinator: " ^ Unix.error_message e)
   | exn -> Error ("uncaught exception: " ^ Printexc.to_string exn)
 
+(* --- The worker half of the handshake. --- *)
+
+(* Every worker joins this way, forked or [gcr worker]: send the hello,
+   read the welcome within [wait] seconds, check both versions, then
+   serve groups until the quit frame.  [peer] names the coordinator in
+   the reasons; [on_welcome] gets the worker id and the plan digest. *)
+let join ?(on_welcome = fun _ _ -> ()) ~peer ~wait ~cache ep =
+  (* a coordinator that died must surface as EPIPE, not kill us *)
+  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
+  let ended =
+    match
+      Transport.send ep ~tag:tag_hello (hello_payload ());
+      Transport.recv ~deadline:(Unix.gettimeofday () +. wait) ep
+    with
+    | exception Transport.Timeout ->
+        Error (Printf.sprintf "no welcome from %s within %.0fs of the hello" peer wait)
+    | exception Transport.Corrupt msg | exception Wire.Corrupt msg ->
+        Error ("corrupt handshake: " ^ msg)
+    | exception Unix.Unix_error (e, _, _) -> Error ("handshake failed: " ^ Unix.error_message e)
+    | None -> Error "coordinator closed the connection during the handshake"
+    | Some (tag, _) when tag <> tag_welcome ->
+        Error (Printf.sprintf "expected welcome frame, got tag %C" tag)
+    | Some (_, payload) -> (
+        match read_welcome payload with
+        | exception Wire.Corrupt msg -> Error ("corrupt welcome: " ^ msg)
+        | Error proto ->
+            Error
+              (Printf.sprintf "protocol version mismatch: coordinator speaks v%d, this build v%d"
+                 proto protocol_version)
+        | Ok (ckv, _, _, _) when not (String.equal ckv Cache_key.version) ->
+            Error
+              (Printf.sprintf "cache-key version mismatch: coordinator %s, this build %s" ckv
+                 Cache_key.version)
+        | Ok (_, plan_digest, worker_id, cache_results) ->
+            on_welcome worker_id plan_digest;
+            (* results are cached only when the coordinator caches too *)
+            worker_main ~cache:(if cache_results then cache else None) ~ep)
+  in
+  Transport.close ep;
+  ended
+
 (* --- Remote worker entry point (gcr worker --connect). --- *)
 
 let resolve_addr host port =
@@ -218,7 +258,6 @@ let resolve_addr host port =
       | exception Not_found -> failwith ("unknown host " ^ host))
 
 let worker_connect ~host ~port ?cache ?(retry_for = 30.0) () =
-  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
   match resolve_addr host port with
   | exception Failure msg -> Error msg
   | addr -> (
@@ -257,52 +296,15 @@ let worker_connect ~host ~port ?cache ?(retry_for = 30.0) () =
       | None ->
           Error
             (Printf.sprintf "could not connect to %s:%d within %.0fs" host port retry_for)
-      | Some fd -> (
-          let ep = Transport.of_socket fd in
-          let fail msg =
-            Transport.close ep;
-            Error msg
-          in
-          match
-            Transport.send ep ~tag:tag_hello (hello_payload ());
-            Transport.recv ~deadline:(Unix.gettimeofday () +. retry_for) ep
-          with
-          | exception Transport.Timeout ->
-              fail
-                (Printf.sprintf "no welcome from %s:%d within %.0fs of the hello" host port
-                   retry_for)
-          | exception Transport.Corrupt msg | exception Wire.Corrupt msg ->
-              fail ("corrupt handshake: " ^ msg)
-          | exception Unix.Unix_error (e, _, _) ->
-              fail ("handshake failed: " ^ Unix.error_message e)
-          | None -> fail "coordinator closed the connection during the handshake"
-          | Some (tag, _) when tag <> tag_welcome ->
-              fail (Printf.sprintf "expected welcome frame, got tag %C" tag)
-          | Some (_, payload) -> (
-              match read_welcome payload with
-              | exception Wire.Corrupt msg -> fail ("corrupt welcome: " ^ msg)
-              | Error proto ->
-                  fail
-                    (Printf.sprintf
-                       "protocol version mismatch: coordinator speaks v%d, this build v%d"
-                       proto protocol_version)
-              | Ok (ckv, _, _, _) when not (String.equal ckv Cache_key.version) ->
-                  fail
-                    (Printf.sprintf
-                       "cache-key version mismatch: coordinator %s, this build %s" ckv
-                       Cache_key.version)
-              | Ok (_, plan_digest, worker_id, cache_results) ->
-                  Printf.eprintf "gcr worker %d: connected to %s:%d (plan %s%s)\n%!"
-                    worker_id host port
-                    (if plan_digest = "" then "unnamed" else plan_digest)
-                    (match cache with
-                    | Some c -> "; result cache " ^ Result_cache.dir c
-                    | None -> "");
-                  (* results are cached only when the coordinator caches too *)
-                  let cache = if cache_results then cache else None in
-                  let ended = worker_main ~cache ~ep in
-                  Transport.close ep;
-                  ended)))
+      | Some fd ->
+          join ~peer:(Printf.sprintf "%s:%d" host port) ~wait:retry_for ~cache
+            (Transport.of_socket fd) ~on_welcome:(fun worker_id plan_digest ->
+              Printf.eprintf "gcr worker %d: connected to %s:%d (plan %s%s)\n%!" worker_id
+                host port
+                (if plan_digest = "" then "unnamed" else plan_digest)
+                (match cache with
+                | Some c -> "; result cache " ^ Result_cache.dir c
+                | None -> "")))
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator core                                                    *)
@@ -436,10 +438,8 @@ end
 
 type wrec = {
   w_id : int;
-  w_host : string;
-  w_transport : string;
+  w_host : string;  (** the hello's "host/pid" *)
   ep : Transport.t;
-  pid : int option;  (** forked workers only, for [waitpid] *)
   mutable alive : bool;
   mutable last_rx : float;  (** its last frame, or the send of its group if later *)
   mutable cells_total : int;  (** session-cumulative, probe waves included *)
@@ -450,6 +450,7 @@ type session = {
   log : string -> unit;
   timeout_s : float;
   ws : wrec array;
+  children : int list;  (** forked workers' pids, for [waitpid] *)
   backstop_state : Run.state;  (** one warm state for every group the coordinator runs *)
   scratch : Buffer.t;
   old_sigpipe : Sys.signal_behavior option;
@@ -457,38 +458,28 @@ type session = {
   mutable closed : bool;
 }
 
-(* --- Spawning: forked pipe workers. --- *)
+(* --- Spawning: forked workers join like any other. --- *)
 
-let spawn_forked ~cache ~id ~close_in_child =
-  let req_read, req_write = Unix.pipe ~cloexec:false () in
-  let resp_read, resp_write = Unix.pipe ~cloexec:false () in
+(* A forked worker holds one end of a Unix socketpair and runs the join
+   [gcr worker] runs.  A socketpair, not loopback TCP, opens no port
+   another local process could connect to.  The child first closes the
+   coordinator's ends it inherited, of its own pair and of every earlier
+   sibling's, so that the coordinator's death is an EOF to every
+   worker. *)
+let spawn_forked ~cache ~wait ~close_in_child =
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.fork () with
   | 0 ->
-      Unix.close req_write;
-      Unix.close resp_read;
-      (* the parent-side ends of earlier siblings, inherited across the
-         fork: close them so sibling EOFs are not kept artificially open *)
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) close_in_child;
-      let ep = Transport.of_fds ~recv:req_read ~send:resp_write in
-      Unix._exit (match worker_main ~cache ~ep with Ok () -> 0 | Error _ -> 3)
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) (ours :: close_in_child);
+      let ended = join ~peer:"the coordinator" ~wait ~cache (Transport.of_socket theirs) in
+      Unix._exit (match ended with Ok () -> 0 | Error _ -> 3)
   | pid ->
-      Unix.close req_read;
-      Unix.close resp_write;
-      {
-        w_id = id;
-        w_host = "local";
-        w_transport = "pipe";
-        ep = Transport.of_fds ~recv:resp_read ~send:req_write;
-        pid = Some pid;
-        alive = true;
-        last_rx = Unix.gettimeofday ();
-        cells_total = 0;
-      }
+      Unix.close theirs;
+      (pid, ours)
 
-(* --- Socket accept + handshake. --- *)
+(* --- Socket listen. --- *)
 
-let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
-    ~cache_results ~on_listen =
+let listen_on ~log ~host ~port ~expected ~connect_timeout ~on_listen =
   let addr = resolve_addr host port in
   let sock = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -501,6 +492,15 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
   log
     (Printf.sprintf "listening on %s:%d; waiting up to %.0fs for %d worker(s)" host
        actual_port connect_timeout expected);
+  sock
+
+(* --- Admission: the coordinator half of the handshake. --- *)
+
+(* [pending] are the forked workers' ends; [listener], when given,
+   accepts more peers until [expected] have joined or the deadline
+   passes. *)
+let admit_workers ~log ~listener ~pending ~expected ~connect_timeout ~plan_digest
+    ~cache_results =
   let deadline = Unix.gettimeofday () +. connect_timeout in
   let ws = ref [] in
   let count = ref 0 in
@@ -537,9 +537,7 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
                   {
                     w_id = id;
                     w_host = peer_host;
-                    w_transport = "socket";
                     ep;
-                    pid = None;
                     alive = true;
                     last_rx = Unix.gettimeofday ();
                     cells_total = 0;
@@ -559,41 +557,39 @@ let accept_workers ~log ~host ~port ~expected ~connect_timeout ~plan_digest
         | Some (tag, payload) when tag = tag_hello -> admit ep payload; true
         | Some (tag, _) -> reject ep (Printf.sprintf "expected hello, got tag %C" tag); true)
   in
-  (* Every accepted peer waits for its hello under the one [select], so a
-     peer that connects and says nothing holds up no one after it. *)
+  (* Every pending peer waits for its hello under the one [select], so a
+     peer that says nothing holds up no one after it. *)
   let rec loop pending =
     let left = deadline -. Unix.gettimeofday () in
-    if !count >= expected || left <= 0.0 then pending
+    if !count >= expected || left <= 0.0 || (pending = [] && listener = None) then pending
     else
-      match Unix.select (sock :: List.map Transport.recv_fd pending) [] [] left with
+      match Unix.select (Option.to_list listener @ List.map Transport.fd pending) [] [] left with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop pending
-      | ready, _, _ ->
+      | ready, _, _ -> (
           let pending =
             List.filter
               (fun ep ->
-                not (!count < expected && List.mem (Transport.recv_fd ep) ready && settle ep))
+                not (!count < expected && List.mem (Transport.fd ep) ready && settle ep))
               pending
           in
-          if List.mem sock ready then
-            match Unix.accept sock with
-            | fd, _ ->
-                (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-                loop (pending @ [ Transport.of_socket fd ])
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop pending
-          else loop pending
+          match listener with
+          | Some sock when List.mem sock ready -> (
+              match Unix.accept sock with
+              | fd, _ ->
+                  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+                  loop (pending @ [ Transport.of_socket fd ])
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop pending)
+          | _ -> loop pending)
   in
   List.iter
     (fun ep ->
       reject ep
         (if !count >= expected then "the fleet is already full"
          else "no hello before the connect deadline"))
-    (loop []);
-  (try Unix.close sock with Unix.Unix_error _ -> ());
+    (loop pending);
   if !count < expected then
     log
-      (Printf.sprintf
-         "only %d of %d worker(s) connected before the deadline; proceeding%s" !count
-         expected
+      (Printf.sprintf "only %d of %d worker(s) joined; proceeding%s" !count expected
          (if !count = 0 then " (coordinator executes everything inline)" else ""));
   List.rev !ws
 
@@ -612,29 +608,36 @@ let start ~workers ?cache ?(log = fun (_ : string) -> ()) ?listen ?(connect_time
     (* a worker that died mid-read must surface as EPIPE, not kill us *)
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
   in
-  let ws =
+  let admit =
+    admit_workers ~log ~expected:workers ~connect_timeout ~plan_digest
+      ~cache_results:(cache <> None)
+  in
+  let children, ws =
     match listen with
     | Some (host, port) ->
-        accept_workers ~log ~host ~port ~expected:workers ~connect_timeout ~plan_digest
-          ~cache_results:(cache <> None) ~on_listen
+        let sock = listen_on ~log ~host ~port ~expected:workers ~connect_timeout ~on_listen in
+        let ws = admit ~listener:(Some sock) ~pending:[] in
+        (try Unix.close sock with Unix.Unix_error _ -> ());
+        ([], ws)
     | None ->
-        (* spawn in id order; each child closes the parent-side pipe ends
-           of the workers spawned before it *)
-        let rec spawn id acc close_fds =
-          if id >= workers then List.rev acc
-          else begin
-            let w = spawn_forked ~cache ~id ~close_in_child:close_fds in
-            let close_fds = Transport.recv_fd w.ep :: Transport.send_fd w.ep :: close_fds in
-            spawn (id + 1) (w :: acc) close_fds
-          end
+        (* each child closes the coordinator's ends of the pairs before it *)
+        let rec spawn id forked =
+          if id >= workers then List.rev forked
+          else
+            let close_in_child = List.map snd forked in
+            spawn (id + 1) (spawn_forked ~cache ~wait:connect_timeout ~close_in_child :: forked)
         in
-        spawn 0 [] []
+        let forked = spawn 0 [] in
+        ( List.map fst forked,
+          admit ~listener:None ~pending:(List.map (fun (_, fd) -> Transport.of_socket fd) forked)
+        )
   in
   {
     cache;
     log;
     timeout_s;
     ws = Array.of_list ws;
+    children;
     backstop_state = Run.new_state ();
     scratch = Buffer.create 65536;
     old_sigpipe;
@@ -656,12 +659,7 @@ let shutdown session =
           close_worker w
         end)
       session.ws;
-    Array.iter
-      (fun w ->
-        match w.pid with
-        | Some pid -> ( try ignore (Unix.waitpid [] pid) with _ -> ())
-        | None -> ())
-      session.ws;
+    List.iter (fun pid -> try ignore (Unix.waitpid [] pid) with _ -> ()) session.children;
     match session.old_sigpipe with
     | Some behaviour -> ( try Sys.set_signal Sys.sigpipe behaviour with _ -> ())
     | None -> ()
@@ -671,13 +669,7 @@ let worker_rows session =
   Array.to_list
     (Array.map
        (fun w ->
-         {
-           row_id = w.w_id;
-           row_host = w.w_host;
-           row_transport = w.w_transport;
-           row_cells = w.cells_total;
-           row_alive = w.alive;
-         })
+         { row_id = w.w_id; row_host = w.w_host; row_cells = w.cells_total; row_alive = w.alive })
        session.ws)
 
 let worker_deaths session = session.deaths
@@ -782,12 +774,12 @@ let dispatch session ~n_cells groups =
   in
   let wait () =
     let live = List.filter (fun w -> w.alive) (Array.to_list session.ws) in
-    match Unix.select (List.map (fun w -> Transport.recv_fd w.ep) live) [] [] 5.0 with
+    match Unix.select (List.map (fun w -> Transport.fd w.ep) live) [] [] 5.0 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, _, _ ->
         List.iter
           (fun w ->
-            if w.alive && List.mem (Transport.recv_fd w.ep) readable then begin
+            if w.alive && List.mem (Transport.fd w.ep) readable then begin
               w.last_rx <- Unix.gettimeofday ();
               match Transport.read_step w.ep with
               | `Ready -> drain w

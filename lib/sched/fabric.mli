@@ -3,15 +3,16 @@
     reduces their result batches by plan index, so the report is
     bit-identical to a serial run at every worker and host count.
 
-    Two transports, one protocol:
+    One transport, one way in.  Every worker holds a connected stream
+    socket and joins through the same handshake: its hello carries the
+    protocol version, the {!Cache_key.version} and its "host/pid"; the
+    coordinator checks both versions and answers with a welcome that
+    also carries the worker id and the plan digest.  The fleet is either
 
-    - {e pipe}: the coordinator forks [workers] children sharing its
-      result cache — the classic single-host fabric.
-    - {e socket}: with [listen], the coordinator accepts TCP workers
+    - {e forked}: the coordinator forks [workers] children, each holding
+      one end of a Unix socketpair and sharing its result cache, or
+    - {e listening}: with [listen], the coordinator accepts TCP workers
       started elsewhere via [gcr worker --connect] ({!worker_connect}).
-      The handshake checks the protocol version and the
-      {!Cache_key.version}; the welcome also carries the plan digest,
-      which the worker prints.
 
     No tape travels between processes: every worker (and the
     coordinator's backstop) generates the replay image a group needs
@@ -69,8 +70,7 @@ type stats = {
 
 type worker_row = {
   row_id : int;
-  row_host : string;  (** ["local"] for forked workers, else "host/pid" *)
-  row_transport : string;  (** ["pipe"] or ["socket"] *)
+  row_host : string;  (** the "host/pid" of the worker's hello *)
   row_cells : int;  (** session-cumulative, probe waves included *)
   row_alive : bool;
 }
@@ -156,15 +156,19 @@ val start :
   ?plan_digest:string ->
   unit ->
   session
-(** Spawn (pipe) or accept (socket) the fleet.  [workers = 0] forks
-    nothing and listens nowhere: the coordinator runs every group
-    itself.  With [listen:(host, port)] no processes are forked: the
+(** Fork or accept the fleet, and admit each worker through the
+    handshake.  [workers = 0] forks nothing and listens nowhere: the
+    coordinator runs every group itself.  Without [listen] the
+    coordinator forks [workers] children, one Unix socketpair each;
+    each child closes the coordinator's ends of its own and its earlier
+    siblings' pairs, so the coordinator's death is an EOF to every
+    worker.  With [listen:(host, port)] nothing is forked: the
     coordinator binds, announces the actual port via [on_listen] (after
     [listen(2)], before waiting — port [0] requests an ephemeral port),
-    and accepts handshakes until [workers] have joined or
-    [connect_timeout] seconds (default 30) pass.  A peer's hello must
-    arrive by that deadline too: one that connects and says nothing is
-    rejected then, and the session goes on without it.  A mismatched
+    and accepts connections until [workers] have joined or
+    [connect_timeout] seconds (default 30) pass.  Either way every
+    pending worker's hello must arrive by that deadline: one that says
+    nothing is rejected then, and holds up no other.  A mismatched
     worker is answered with our versions and then dropped, so it can
     report the precise incompatibility before exiting.  A short fleet —
     even an empty one — is not an error: the backstop guarantees
@@ -209,9 +213,9 @@ val worker_connect :
   (unit, string) result
 (** The [gcr worker --connect] entry point: connect (retrying refused
     connections for [retry_for] seconds, default 30 — workers are often
-    started before the coordinator), handshake (waiting at most
-    [retry_for] seconds for the welcome), then serve groups until the
-    coordinator's quit frame.  With [cache], results are replayed from
+    started before the coordinator), then join exactly as a forked worker
+    does: handshake (waiting at most [retry_for] seconds for the
+    welcome), then serve groups until the coordinator's quit frame.  With [cache], results are replayed from
     and stored in it whenever the coordinator caches results too.
     [Ok ()] means the coordinator sent quit.  Every other end is an
     [Error] naming it: a failed connect or handshake (a protocol version

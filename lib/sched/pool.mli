@@ -15,6 +15,12 @@ val on_execute : (Gcr_runtime.Run.config -> unit) ref
     the cell, so a forked fabric worker fires its own inherited copy.
     Default: no-op. *)
 
+val failed_of_exn : Gcr_runtime.Run.config -> exn -> Gcr_runtime.Measurement.t
+(** The [Failed] measurement an invocation gets when its run raises:
+    the config's labels, the exception as the reason, every counter
+    zero.  A caller that must run [Run.execute] itself (with a tracer
+    attached, say) isolates a crash with it. *)
+
 val execute :
   ?cache:Result_cache.t -> ?state:Gcr_runtime.Run.state ->
   Gcr_runtime.Run.config -> Gcr_runtime.Measurement.t

@@ -87,22 +87,11 @@ module Codec = struct
         end
 end
 
-type t = {
-  rfd : Unix.file_descr;
-  wfd : Unix.file_descr;
-  dec : Codec.decoder;
-  chunk : Bytes.t;
-  mutable open_ : bool;
-}
+type t = { fd : Unix.file_descr; dec : Codec.decoder; chunk : Bytes.t; mutable open_ : bool }
 
-let of_fds ~recv ~send =
-  { rfd = recv; wfd = send; dec = Codec.decoder (); chunk = Bytes.create 65536; open_ = true }
+let of_socket fd = { fd; dec = Codec.decoder (); chunk = Bytes.create 65536; open_ = true }
 
-let of_socket fd = of_fds ~recv:fd ~send:fd
-
-let recv_fd t = t.rfd
-
-let send_fd t = t.wfd
+let fd t = t.fd
 
 let rec write_all fd s off len =
   if len > 0 then begin
@@ -121,14 +110,14 @@ let send ?scratch t ~tag payload =
   in
   Codec.encode b ~tag payload;
   let s = Buffer.contents b in
-  write_all t.wfd s 0 (String.length s)
+  write_all t.fd s 0 (String.length s)
 
 let next_frame t = Codec.next t.dec
 
 let mid_frame t = Codec.buffered t.dec > 0
 
 let read_step t =
-  match Unix.read t.rfd t.chunk 0 (Bytes.length t.chunk) with
+  match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
   | 0 -> `Eof
   | n ->
       Codec.feed t.dec t.chunk n;
@@ -147,7 +136,7 @@ let rec recv ?deadline t =
   match next_frame t with
   | Some frame -> Some frame
   | None -> (
-      Option.iter (wait_readable t.rfd) deadline;
+      Option.iter (wait_readable t.fd) deadline;
       match read_step t with
       | `Ready -> recv ?deadline t
       | `Eof ->
@@ -156,6 +145,5 @@ let rec recv ?deadline t =
 let close t =
   if t.open_ then begin
     t.open_ <- false;
-    (try Unix.close t.rfd with Unix.Unix_error _ -> ());
-    if t.wfd <> t.rfd then try Unix.close t.wfd with Unix.Unix_error _ -> ()
+    try Unix.close t.fd with Unix.Unix_error _ -> ()
   end

@@ -2,9 +2,9 @@
 
     One frame = a {!Gcr_tape.Wire} varint body length, a one-byte tag, the
     payload, and an FNV-1a-64 checksum of tag + payload (8 bytes,
-    little-endian).  The same framing runs over a pipe pair (forked
-    workers) and a TCP socket (remote workers), so the coordinator treats
-    both identically.
+    little-endian).  Every endpoint is one connected stream socket: a
+    Unix socketpair end for a forked worker, a TCP connection for a
+    [gcr worker] peer, so the coordinator treats both identically.
 
     Hostile input never escapes the codec: an oversized or malformed
     length prefix, a checksum mismatch, or a truncated stream raises
@@ -50,21 +50,12 @@ module Codec : sig
 end
 
 type t
-(** One bidirectional endpoint: a pipe pair or a connected socket. *)
-
-val of_fds : recv:Unix.file_descr -> send:Unix.file_descr -> t
-(** A pipe-pair endpoint (forked worker ↔ coordinator). *)
+(** One bidirectional endpoint: a connected stream socket. *)
 
 val of_socket : Unix.file_descr -> t
-(** A connected-socket endpoint (both directions on one fd). *)
 
-val recv_fd : t -> Unix.file_descr
+val fd : t -> Unix.file_descr
 (** The descriptor to [select] on for inbound frames. *)
-
-val send_fd : t -> Unix.file_descr
-(** The outbound descriptor (equal to {!recv_fd} for sockets).  The
-    coordinator needs both when closing a forked worker's pipe ends in
-    later children. *)
 
 val send : ?scratch:Buffer.t -> t -> tag:char -> string -> unit
 (** Write one frame.  [scratch], when given, is a caller-owned assembly
@@ -91,4 +82,4 @@ val mid_frame : t -> bool
     state means the peer died mid-send. *)
 
 val close : t -> unit
-(** Close the underlying descriptor(s); idempotent. *)
+(** Close the socket; idempotent. *)

@@ -1,8 +1,9 @@
 (* The built [gcr] refuses a grid it cannot run before running anything:
-   a scale or heap factor that is not a finite positive number, or fewer
-   than one invocation, exits 3 with a one-line reason, never an internal
-   error and never a run that fails cell by cell.  The test's dune stanza
-   copies the built [gcr] next to the test directory. *)
+   a scale or heap factor that is not a finite positive number, an empty
+   factor list, fewer than one invocation, or a heap factor whose heap
+   rounds below two regions exits 3 with a one-line reason, never an
+   internal error and never a run that fails cell by cell.  The test's
+   dune stanza copies the built [gcr] next to the test directory. *)
 
 let check = Alcotest.check
 
@@ -38,6 +39,11 @@ let test_bad_grid_flags () =
   let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name in
   let tape = tmp (Printf.sprintf "gcr-cli-%d.tape" (Unix.getpid ())) in
   let trace = tmp (Printf.sprintf "gcr-cli-%d.json" (Unix.getpid ())) in
+  let recorded = tmp (Printf.sprintf "gcr-cli-%d-jme.tape" (Unix.getpid ())) in
+  let status, _, _ =
+    run_gcr [ "tape"; "record"; "-b"; "jme"; "--scale"; "0.05"; "-o"; recorded ]
+  in
+  check Alcotest.bool "the tape for tape verify was recorded" true (status = Unix.WEXITED 0);
   List.iter
     (fun line ->
       let args = List.filter (( <> ) "") (String.split_on_char ' ' line) in
@@ -68,8 +74,16 @@ let test_bad_grid_flags () =
       "trace -b jme --scale 0.05 -x 0 -o " ^ trace;
       "campaign -b jme -g G1 --scale 0.05 -n 1 --factors 0 -q";
       "campaign -b jme -g G1 --scale 0.05 -n 1 --factors 1.4,nan -q";
+      "campaign -b jme --scale 0.05 -n 1 --factors= -q";
+      (* jme's 4,864-word min-heap at scale 0.05 times 0.001 is one region *)
+      "trace -b jme -x 0.001 --scale 0.05 -o " ^ trace;
+      "ablation gc-workers -x 0.001 --scale 0.05";
+      "ablation genshen -x 0.001 --scale 0.05";
+      "tape verify " ^ recorded ^ " --scale 0.05 --replay-check -x 0.001";
+      "run -b jme -g G1 -x 0.001 --scale 0.05 -n 1";
+      "campaign -b jme -g G1 --scale 0.05 -n 1 --factors 0.001 -q";
     ];
-  List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ tape; trace ]
+  List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ tape; trace; recorded ]
 
 let suite =
   [ Alcotest.test_case "bad grid flags exit 3 with a reason" `Quick test_bad_grid_flags ]

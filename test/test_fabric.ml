@@ -127,6 +127,31 @@ let test_summary_accounting () =
   check Alcotest.int "in-process run reports no worker processes" 0
     p.Harness.worker_processes
 
+(* Forked workers join through the same hello as [gcr worker] peers, so
+   each row carries the id its welcome gave and the "host/pid" of the
+   child that sent the hello. *)
+let test_forked_rows_name_their_workers () =
+  let rows = (Harness.summary (Lazy.force fabric4)).Harness.worker_rows in
+  check (Alcotest.list Alcotest.int) "ids 0..3" [ 0; 1; 2; 3 ]
+    (List.sort compare (List.map (fun (r : Fabric.worker_row) -> r.Fabric.row_id) rows));
+  let pid_of (r : Fabric.worker_row) =
+    let host = r.Fabric.row_host in
+    match String.rindex_opt host '/' with
+    | Some i when String.sub host 0 i = Unix.gethostname () ->
+        int_of_string_opt (String.sub host (i + 1) (String.length host - i - 1))
+    | _ -> None
+  in
+  List.iter
+    (fun (r : Fabric.worker_row) ->
+      check Alcotest.bool
+        (Printf.sprintf "worker %d's host %S is this host and another pid" r.Fabric.row_id
+           r.Fabric.row_host)
+        true
+        (match pid_of r with Some pid -> pid <> Unix.getpid () | None -> false))
+    rows;
+  check Alcotest.int "four distinct pids" 4
+    (List.length (List.sort_uniq compare (List.map pid_of rows)))
+
 (* The warm workers' reuse≡fresh contract, end to end: every cell of the
    fabric campaign equals [Run.execute] of its planned config on fresh
    state (no tape, no pooled engine or heap). *)
@@ -470,18 +495,12 @@ let test_socket_fabric_identical () =
   check Alcotest.bool "probes rode the fabric" true (s.Harness.probe_cells > 0);
   check Alcotest.int "two socket workers" 2 (List.length s.Harness.worker_rows);
   List.iter
-    (fun (r : Fabric.worker_row) ->
-      check Alcotest.string
-        (Printf.sprintf "worker %d transport" r.Fabric.row_id)
-        "socket" r.Fabric.row_transport)
-    s.Harness.worker_rows;
-  List.iter
     (fun st ->
       check Alcotest.bool "socket worker exited cleanly" true (st = Unix.WEXITED 0))
     statuses
 
 (* One worker sharing the coordinator's result cache, one with none:
-   warm the cache first (a pipe-fabric campaign on a narrower factor
+   warm the cache first (a forked-fleet campaign on a narrower factor
    grid, whose cells are a subset of this grid's), then check the mixed
    fleet reproduces the serial report and that the worker with the cache
    replayed the warmed entries.  The plan has two groups and the dealer
@@ -1001,7 +1020,7 @@ let fork_garbling_peer ~port =
                     ([ (index, false, Run.execute config) ], Gcr_runtime.Profile.zero)
                     []);
                let garbage = String.make 10 '\xff' in
-               ignore (Unix.write_substring (Transport.send_fd ep) garbage 0 10 : int);
+               ignore (Unix.write_substring (Transport.fd ep) garbage 0 10 : int);
                match Transport.recv ep with None -> 0 | Some _ -> 4)
            | _ -> 5
          with _ -> 6)
@@ -1124,4 +1143,6 @@ let suite =
     Alcotest.test_case "a worker exits 0 only on quit" `Quick test_worker_exits_0_only_on_quit;
     Alcotest.test_case "the silence clock starts at the send" `Quick
       test_silence_clock_starts_at_the_send;
+    Alcotest.test_case "forked workers report their own host/pid" `Quick
+      test_forked_rows_name_their_workers;
   ]
