@@ -532,6 +532,35 @@ let bench_warm_overhead ~cells ~reps =
   let per d = d *. 1e6 /. float_of_int cells in
   (per dw, per df)
 
+(* The thrashing min-heap probe: jme's floor probe of [gcr minheap
+   --scale 0.02 --seed 7] (G1, 3,840 words), cut at 200,000 engine events,
+   on a warm Run.state.  Nearly every pause is a scavenge, a full mark
+   and a compaction on 13 STW workers, most of whose steps are zero-cycle
+   resumes and termination barriers, so these kernels time the engine's
+   per-event path and the pause loop: host µs per simulated pause and
+   engine events per second. *)
+let bench_thrash ~reps =
+  let grid = { (Harness.default_config ()) with Harness.scale = 0.02; base_seed = 7 } in
+  let search =
+    Minheap.Search.start (Harness.minheap_config grid) (Spec.scale (Suite.find_exn "jme") 0.02)
+  in
+  let max_events = 200_000 in
+  let config =
+    { (Option.get (Minheap.Search.probe_config search)) with Run.max_events = Some max_events }
+  in
+  let state = Run.new_state () in
+  let pauses = ref 0 in
+  let run () =
+    let m = Run.execute ~state config in
+    (match m.Gcr_runtime.Measurement.outcome with
+    | Gcr_runtime.Measurement.Failed "event budget exhausted" -> ()
+    | _ -> failwith "bench_thrash: the probe must run to its event budget");
+    pauses := Gcr_runtime.Measurement.pause_count m
+  in
+  run ();
+  let dt = best_of reps run in
+  (dt *. 1e6 /. float_of_int !pauses, float_of_int max_events /. dt)
+
 (* Campaign throughput: one fixed grid (lusearch, the production
    collectors, several heap factors and invocations) executed through the
    multi-process fabric and in-process, in cells/second of host time.
@@ -711,6 +740,10 @@ let run_wall_clock () =
   in
   record ~tracked:false "run/warm_cell_us" warm_us "us/cell" Lower_is_better;
   record ~tracked:false "run/fresh_cell_us" fresh_us "us/cell" Lower_is_better;
+  (* untracked while the smoke gate cannot tell these from noise *)
+  let pause_us, thrash_events = bench_thrash ~reps in
+  record ~tracked:false "gc/thrash_pause_us" pause_us "us/pause" Lower_is_better;
+  record ~tracked:false "gc/thrash_events_per_sec" thrash_events "events/s" Higher_is_better;
   run_campaign_kernels ()
 
 (* ------------------------------------------------------------------ *)

@@ -180,8 +180,10 @@ let exit_on_failures measurements =
 let write_or_die write = try write () with Sys_error msg -> die "cannot write %s" msg
 
 (* A cell no run can execute (a heap below two regions) is refused where
-   it is built, before it runs. *)
-let refuse_unrunnable f = try f () with Planner.Unrunnable reason -> die "%s" reason
+   it is built, before it runs; a run outside a campaign that raises exits
+   with the failure line a campaign would record for it. *)
+let refuse_unrunnable f =
+  try f () with Planner.Unrunnable reason | Pool.Crashed reason -> die "%s" reason
 
 (* Output paths are checked before anything is simulated, so a bad path
    fails at once instead of after the whole run; no file is left behind. *)
@@ -923,8 +925,11 @@ let tape_verify_cmd =
           Run.seed = tape.Tape.seed;
         }
       in
-      let live = Run.execute base in
-      let replayed = Run.execute { base with Run.tape = Run.Tape_replay image } in
+      let live = refuse_unrunnable (fun () -> Pool.execute_or_crash base) in
+      let replayed =
+        refuse_unrunnable (fun () ->
+            Pool.execute_or_crash { base with Run.tape = Run.Tape_replay image })
+      in
       let render m = Format.asprintf "%a" Measurement.pp m in
       if String.equal (render live) (render replayed) then
         Printf.printf "replay check: bit-identical to a live run under %s at %gx\n"

@@ -32,7 +32,7 @@ let execute ?make_collector ?(cost = Cost_model.default) ~gc config =
   let cell =
     Harness.cell_config grid ~minheap spec ~gc ~factor:config.heap_factor ~invocation:0
   in
-  Run.execute { cell with Run.cost; make_collector }
+  Gcr_sched.Pool.execute_or_crash { cell with Run.cost; make_collector }
 
 let row_of_measurement (m : Measurement.t) =
   match m.Measurement.outcome with

@@ -17,6 +17,17 @@ type config = {
 val default_config : ?bench:string -> unit -> config
 (** h2 at 3.0x, scale 0.3. *)
 
+val execute :
+  ?make_collector:(Gcr_gcs.Gc_types.ctx -> Gcr_gcs.Gc_types.t) ->
+  ?cost:Gcr_mach.Cost_model.t ->
+  gc:Gcr_gcs.Registry.kind ->
+  config ->
+  Gcr_runtime.Measurement.t
+(** One sweep point: the campaign cell (spec, [gc], heap factor,
+    invocation 0) at [config]'s scale and base seed, run with [cost]
+    (default {!Gcr_mach.Cost_model.default}) and [make_collector].  A run
+    that raises raises {!Gcr_sched.Pool.Crashed}. *)
+
 val gc_workers : config -> unit
 (** Sweep the Parallel collector's STW worker count: pause wall time falls
     with workers while GC cycles rise (dispatch, termination, imbalance) —

@@ -168,7 +168,8 @@ let genshen_study ?(benches = [ "lusearch"; "xalan"; "h2" ]) ?(factor = 3.0) ?(s
       List.iter
         (fun gc ->
           let m =
-            Run.execute (Harness.cell_config grid ~minheap spec ~gc ~factor ~invocation:0)
+            Gcr_sched.Pool.execute_or_crash
+              (Harness.cell_config grid ~minheap spec ~gc ~factor ~invocation:0)
           in
           let label = Printf.sprintf "%s/%s" bench (Registry.name gc) in
           if Measurement.completed m then

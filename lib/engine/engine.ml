@@ -1,6 +1,5 @@
 module Vec = Gcr_util.Vec
 module Ivec = Gcr_util.Ivec
-module Binary_heap = Gcr_util.Binary_heap
 module Obs = Gcr_obs.Obs
 module Event = Gcr_obs.Event
 
@@ -19,7 +18,9 @@ type thread_state =
 
 (* The pending step (cost + continuation) lives flat on the thread record
    rather than in per-event tuples/variants: submitting, queueing and
-   completing a step allocates nothing.
+   completing a step allocates nothing.  A completed step's continuation
+   stays in [pending_cb] until the next submit replaces it, which saves a
+   write barrier per step; [exit_thread] and [reset] clear it.
 
    Cycle accounting does not live here: step completions are emitted into
    the observation spine ([obs]), which owns every derived counter. *)
@@ -56,22 +57,23 @@ type legacy = {
   lpauses : pause Vec.t;
 }
 
-(* The event queue holds one int per event.  A payload [tid >= 0] is the
-   completion of that thread's step or stall — the thread's state says
-   which, and the state machine puts a thread in the queue at most once.
-   A payload [-(slot + 1)] is a timer whose callback waits in [timers];
-   fired slots go back on the [timer_free] stack.  Threads and timers
-   share the queue's insertion sequence, so ties break in the order the
-   events were scheduled, whatever their kind. *)
+(* The event queue holds one int per event and owns the clock.  A payload
+   [tid >= 0] is the completion of that thread's step or stall — the
+   thread's state says which, and the state machine puts a thread in the
+   queue at most once.  A payload [-(slot + 1)] is a timer whose callback
+   waits in [timers]; fired slots go back on the [timer_free] stack.
+   Events pop in (time, seq) order, where seq is the order in which they
+   entered the queue: a step enters when [dispatch] puts it on a CPU, a
+   stall or timer when it is scheduled, so ties break in that order,
+   whatever the event's kind. *)
 type t = {
   mutable cpus : int;
   mutable safepoint_sync : int;
   mutable cache_disruption : int;
   obs : Obs.t;
-  mutable clock : int;
-  events : Binary_heap.t;
-  (* FIFO run queue: a ring of tids (their step is in the pending
-     fields) *)
+  events : Event_queue.t;
+  (* FIFO run queue: a power-of-two ring of tids (their step is in the
+     pending fields) *)
   mutable ready : int array;
   mutable ready_head : int;
   mutable ready_len : int;
@@ -104,9 +106,8 @@ let create ~cpus ?(safepoint_sync_cycles = 3000) ?(cache_disruption_cycles = 0) 
       safepoint_sync = safepoint_sync_cycles;
       cache_disruption = cache_disruption_cycles;
       obs;
-      clock = 0;
-      events = Binary_heap.create ();
-      ready = [||];
+      events = Event_queue.create ();
+      ready = Array.make 16 0;
       ready_head = 0;
       ready_len = 0;
       busy = 0;
@@ -129,7 +130,7 @@ let create ~cpus ?(safepoint_sync_cycles = 3000) ?(cache_disruption_cycles = 0) 
       aborted = None;
     }
   in
-  Obs.set_clock obs (fun () -> t.clock);
+  Obs.set_clock obs (fun () -> Event_queue.now t.events);
   t
 
 (* Rewind a finished (or aborted) engine for its next run, keeping the
@@ -148,8 +149,7 @@ let reset t ~cpus ?(safepoint_sync_cycles = 3000) ?(cache_disruption_cycles = 0)
   t.cpus <- cpus;
   t.safepoint_sync <- safepoint_sync_cycles;
   t.cache_disruption <- cache_disruption_cycles;
-  t.clock <- 0;
-  Binary_heap.reset t.events;
+  Event_queue.reset t.events;
   t.ready_head <- 0;
   t.ready_len <- 0;
   t.busy <- 0;
@@ -178,7 +178,7 @@ let reset t ~cpus ?(safepoint_sync_cycles = 3000) ?(cache_disruption_cycles = 0)
 
 let obs t = t.obs
 
-let now t = t.clock
+let[@inline] now t = Event_queue.now t.events
 
 let spawn t ~kind ~name =
   let th =
@@ -194,53 +194,51 @@ let spawn t ~kind ~name =
   in
   Vec.push t.threads th;
   if kind = Mutator then t.mutators_live <- t.mutators_live + 1;
-  Obs.thread_spawn t.obs ~time:t.clock ~tid:th.tid ~kind:(kind_index kind) ~name;
+  Obs.thread_spawn t.obs ~time:(now t) ~tid:th.tid ~kind:(kind_index kind) ~name;
   th
 
 let thread_kind th = th.kind
 
-let thread_id th = th.tid
+let[@inline] thread_id th = th.tid
 
-let pause_active t = match t.stop with Paused _ -> true | No_stop | Stopping _ -> false
+let[@inline] pause_active t = match t.stop with Paused _ -> true | No_stop | Stopping _ -> false
 
-let stop_pending t = match t.stop with No_stop -> false | Stopping _ | Paused _ -> true
+let[@inline] stop_pending t = match t.stop with No_stop -> false | Stopping _ | Paused _ -> true
 
 let stw_active t = pause_active t
 
 let stop_requested = stop_pending
 
-let ready_push t tid =
-  let cap = Array.length t.ready in
-  if t.ready_len = cap then begin
-    let cap' = if cap = 0 then 8 else cap * 2 in
-    let ring = Array.make cap' 0 in
+let[@inline] ready_push t tid =
+  if t.ready_len = Array.length t.ready then begin
+    let cap = Array.length t.ready in
+    let ring = Array.make (2 * cap) 0 in
     for i = 0 to t.ready_len - 1 do
-      let j = t.ready_head + i in
-      ring.(i) <- t.ready.(if j >= cap then j - cap else j)
+      ring.(i) <- t.ready.((t.ready_head + i) land (cap - 1))
     done;
     t.ready <- ring;
     t.ready_head <- 0
   end;
-  let cap = Array.length t.ready in
-  let tail = t.ready_head + t.ready_len in
-  t.ready.(if tail >= cap then tail - cap else tail) <- tid;
+  let ring = t.ready in
+  Array.unsafe_set ring ((t.ready_head + t.ready_len) land (Array.length ring - 1)) tid;
   t.ready_len <- t.ready_len + 1
 
-let ready_pop t =
-  let tid = t.ready.(t.ready_head) in
-  let head = t.ready_head + 1 in
-  t.ready_head <- (if head >= Array.length t.ready then 0 else head);
+let[@inline] ready_pop t =
+  let ring = t.ready in
+  let tid = Array.unsafe_get ring t.ready_head in
+  t.ready_head <- (t.ready_head + 1) land (Array.length ring - 1);
   t.ready_len <- t.ready_len - 1;
   tid
 
-let enqueue_ready t th cycles cb =
+let[@inline] enqueue_ready t th cycles cb =
   th.state <- Queued;
   th.pending_cycles <- cycles;
-  th.pending_cb <- cb;
+  (* a worker resubmitting its own continuation skips the write barrier *)
+  if th.pending_cb != cb then th.pending_cb <- cb;
   if th.kind = Mutator then t.mutators_active <- t.mutators_active + 1;
   ready_push t th.tid
 
-let submit t th ~cycles cb =
+let[@inline] submit t th ~cycles cb =
   if cycles < 0 then invalid_arg "Engine.submit: negative cycles";
   (match th.state with
   | Idle -> ()
@@ -271,17 +269,18 @@ let stall t th ~cycles cb =
   th.state <- Stalled;
   th.pending_cycles <- 0;
   th.pending_cb <- cb;
-  Obs.stall_begin t.obs ~time:t.clock ~tid:th.tid ~wake:(t.clock + cycles);
-  Binary_heap.add t.events ~priority:(t.clock + cycles) th.tid
+  let time = now t + cycles in
+  Obs.stall_begin t.obs ~time:(now t) ~tid:th.tid ~wake:time;
+  Event_queue.add t.events ~time th.tid
 
-let park _t th =
+let[@inline] park _t th =
   (match th.state with
   | Idle -> ()
   | Queued | On_cpu | Parked_safepoint | Parked | Stalled | Finished ->
       invalid_arg (Printf.sprintf "Engine.park: thread %s is not idle" th.name));
   th.state <- Parked
 
-let resume t th cb =
+let[@inline] resume t th cb =
   (match th.state with
   | Parked -> ()
   | Idle | Queued | On_cpu | Parked_safepoint | Stalled | Finished ->
@@ -290,7 +289,7 @@ let resume t th cb =
   submit t th ~cycles:0 cb
 
 let at t ~time cb =
-  if time < t.clock then invalid_arg "Engine.at: time in the past";
+  if time < now t then invalid_arg "Engine.at: time in the past";
   let slot =
     if not (Ivec.is_empty t.timer_free) then Ivec.pop t.timer_free
     else begin
@@ -306,18 +305,18 @@ let at t ~time cb =
     end
   in
   t.timers.(slot) <- cb;
-  Binary_heap.add t.events ~priority:time (-(slot + 1))
+  Event_queue.add t.events ~time (-(slot + 1))
 
 let after t ~cycles cb =
   if cycles < 0 then invalid_arg "Engine.after: negative cycles";
-  at t ~time:(t.clock + cycles) cb
+  at t ~time:(now t + cycles) cb
 
 let request_stop t ~reason cb =
   (match t.stop with
   | No_stop -> ()
   | Stopping _ | Paused _ -> invalid_arg "Engine.request_stop: stop already in progress");
   let reason_id = Obs.intern t.obs reason in
-  Obs.safepoint_request t.obs ~time:t.clock ~reason_id;
+  Obs.safepoint_request t.obs ~time:(now t) ~reason_id;
   t.stop <- Stopping { reason; reason_id; cb; sync_scheduled = false }
 
 (* Once no mutator step is queued or running, the global sync cost elapses
@@ -328,10 +327,10 @@ let check_stop_ready t =
   | Stopping s ->
       if t.mutators_active = 0 && not s.sync_scheduled then begin
         s.sync_scheduled <- true;
-        at t ~time:(t.clock + t.safepoint_sync) (fun () ->
+        at t ~time:(now t + t.safepoint_sync) (fun () ->
             t.stop <- Paused { reason = s.reason; reason_id = s.reason_id };
-            t.pause_start <- t.clock;
-            Obs.pause_begin t.obs ~time:t.clock ~reason_id:s.reason_id;
+            t.pause_start <- now t;
+            Obs.pause_begin t.obs ~time:(now t) ~reason_id:s.reason_id;
             s.cb ())
       end
 
@@ -341,8 +340,8 @@ let release_stop t =
   | Paused { reason; reason_id } ->
       if t.legacy_on then
         Vec.push t.legacy.lpauses
-          { start = t.pause_start; duration = t.clock - t.pause_start; reason };
-      Obs.pause_end t.obs ~time:t.clock ~reason_id;
+          { start = t.pause_start; duration = now t - t.pause_start; reason };
+      Obs.pause_end t.obs ~time:(now t) ~reason_id;
       t.stop <- No_stop;
       Vec.iter
         (fun th ->
@@ -355,7 +354,7 @@ let release_stop t =
 
 let pauses t = Obs.pauses t.obs
 
-let wall_stw t = Obs.wall_stw t.obs ~now:t.clock
+let wall_stw t = Obs.wall_stw t.obs ~now:(now t)
 
 let cycles_of_kind t kind = Obs.cycles_of_kind t.obs (kind_index kind)
 
@@ -391,7 +390,7 @@ let legacy_snapshot t =
 
 let abort t ~reason = if t.aborted = None then t.aborted <- Some reason
 
-let dispatch t =
+let[@inline] dispatch t =
   while t.busy < t.cpus && t.ready_len > 0 do
     let th = Vec.get t.threads (ready_pop t) in
     (match th.state with
@@ -399,14 +398,18 @@ let dispatch t =
     | Idle | On_cpu | Parked_safepoint | Parked | Stalled | Finished -> assert false);
     th.state <- On_cpu;
     t.busy <- t.busy + 1;
-    Binary_heap.add t.events ~priority:(t.clock + th.pending_cycles) th.tid
+    Event_queue.add t.events ~time:(now t + th.pending_cycles) th.tid
   done
 
-let advance_clock t time =
-  assert (time >= t.clock);
-  if t.legacy_on && pause_active t then
-    t.legacy.lwall_stw <- t.legacy.lwall_stw + (time - t.clock);
-  t.clock <- time
+(* Pop the next event, advancing the clock to its time. *)
+let[@inline] pop_event t =
+  if t.legacy_on && pause_active t then begin
+    let before = now t in
+    let payload = Event_queue.pop t.events in
+    t.legacy.lwall_stw <- t.legacy.lwall_stw + (now t - before);
+    payload
+  end
+  else Event_queue.pop t.events
 
 let fire_timer t slot =
   let cb = t.timers.(slot) in
@@ -426,9 +429,8 @@ let process_event t payload =
         t.busy <- t.busy - 1;
         if th.kind = Mutator then t.mutators_active <- t.mutators_active - 1;
         th.state <- Idle;
-        th.pending_cb <- nop;
         let in_pause = pause_active t in
-        Obs.step_complete t.obs ~time:t.clock ~tid:th.tid ~kind:(kind_index th.kind)
+        Obs.step_complete t.obs ~time:(now t) ~tid:th.tid ~kind:(kind_index th.kind)
           ~cycles ~in_pause;
         if t.legacy_on then begin
           let k = kind_index th.kind in
@@ -439,7 +441,7 @@ let process_event t payload =
         cb ()
     | Stalled ->
         (* stall completion *)
-        Obs.stall_end t.obs ~time:t.clock ~tid:th.tid;
+        Obs.stall_end t.obs ~time:(now t) ~tid:th.tid;
         if th.kind = Mutator && stop_pending t then begin
           (* A mutator waking into a safepoint parks instead: its
              continuation (which may touch the heap) must not interleave
@@ -449,10 +451,8 @@ let process_event t payload =
           (* pending_cb already holds the continuation *)
         end
         else begin
-          let cb = th.pending_cb in
           th.state <- Idle;
-          th.pending_cb <- nop;
-          cb ()
+          th.pending_cb ()
         end
     | Idle | Queued | Parked_safepoint | Parked | Finished -> assert false
   end
@@ -460,46 +460,32 @@ let process_event t payload =
 (* Shared loop under [run] and [run_until].  [until = Some horizon]
    additionally pauses — returning [None] — once the next event lies
    strictly beyond [horizon]; the event stays queued and a later call
-   resumes exactly where this one stopped.  With [until = None] the
-   horizon check compiles away and the loop is the historical [run]. *)
+   resumes exactly where this one stopped. *)
 let run_general t ~until ~max_events =
-  let outcome = ref None in
-  let paused = ref false in
-  let events_seen = ref 0 in
   (* a stop may have been requested before the engine started *)
   check_stop_ready t;
   dispatch t;
-  while !outcome = None && not !paused do
+  let rec loop events_seen =
     match t.aborted with
-    | Some reason -> outcome := Some (Aborted reason)
+    | Some reason -> Some (Aborted reason)
     | None ->
-        if t.mutators_live = 0 then outcome := Some All_mutators_finished
-        else if Binary_heap.is_empty t.events then
-          outcome := Some (Aborted "deadlock: no runnable threads or events")
-        else begin
+        if t.mutators_live = 0 then Some All_mutators_finished
+        else if Event_queue.is_empty t.events then
+          Some (Aborted "deadlock: no runnable threads or events")
+        else if
           match until with
-          | Some horizon when Binary_heap.min_priority t.events > horizon ->
-              paused := true
-          | _ ->
-              incr events_seen;
-              if !events_seen > max_events then
-                outcome := Some (Aborted "event budget exhausted")
-              else begin
-                (* pop_min_value + popped_priority: one heap removal per event,
-                   no min_priority peek and no (priority, value) pair. *)
-                let payload = Binary_heap.pop_min_value t.events in
-                advance_clock t (Binary_heap.popped_priority t.events);
-                process_event t payload;
-                check_stop_ready t;
-                dispatch t
-              end
+          | Some horizon -> Event_queue.next_time t.events > horizon
+          | None -> false
+        then None
+        else if events_seen >= max_events then Some (Aborted "event budget exhausted")
+        else begin
+          process_event t (pop_event t);
+          check_stop_ready t;
+          dispatch t;
+          loop (events_seen + 1)
         end
-  done;
-  match !outcome with
-  | Some o -> Some o
-  | None ->
-      assert !paused;
-      None
+  in
+  loop 0
 
 let run t ?(max_events = 50_000_000) () =
   match run_general t ~until:None ~max_events with

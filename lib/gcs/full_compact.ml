@@ -59,28 +59,29 @@ let run (ctx : Gc_types.ctx) ~pool ~on_done =
   let compact_per_word = ctx.Gc_types.cost.Cost_model.compact_per_word in
   let update_ref_per_edge = ctx.Gc_types.cost.Cost_model.update_ref_per_edge in
   (* Survivors go a run at a time into the current region; the one that
-     does not fit takes [place]'s refill and OOM path on its own. *)
+     does not fit takes [place]'s refill and OOM path on its own.  The
+     slice is priced from the words and fields the runs sum as they
+     place. *)
   let compact_slice ~worker:_ =
-    let start = !cursor in
-    let stop = min (Ivec.length survivors) (start + slice_budget) in
+    let stop = min (Ivec.length survivors) (!cursor + slice_budget) in
+    let words = ref 0 in
+    let fields = ref 0 in
     while !cursor < stop do
       (match Allocator.current_region target with
-      | Some dst -> cursor := Heap.place_run heap dst survivors ~pos:!cursor ~stop
+      | Some dst ->
+          cursor := Heap.place_run heap dst survivors ~pos:!cursor ~stop;
+          words := !words + Heap.placed_words heap;
+          fields := !fields + Heap.placed_fields heap
       | None -> ());
       if !cursor < stop then begin
-        place ctx target (Ivec.get survivors !cursor) ~retried:false;
+        let id = Ivec.get survivors !cursor in
+        place ctx target id ~retried:false;
+        words := !words + Heap.obj_size heap id;
+        fields := !fields + Heap.obj_nfields heap id;
         incr cursor
       end
     done;
-    let cost = ref 0 in
-    for i = start to stop - 1 do
-      let id = Ivec.get survivors i in
-      cost :=
-        !cost
-        + (compact_per_word * Heap.obj_size heap id)
-        + (update_ref_per_edge * Heap.obj_nfields heap id)
-    done;
-    !cost
+    (compact_per_word * !words) + (update_ref_per_edge * !fields)
   in
   let mark_slice ~worker:_ = Tracer.drain tracer ~budget:slice_budget in
   Worker_pool.run_phase pool ~phase:Gcr_obs.Event.Mark ~work:mark_slice ~on_done:(fun () ->

@@ -69,7 +69,7 @@ let add_roots t ids = List.iter (add_root t) ids
    nothing here allocates a simulated object: [on_mark] (the scavenge's
    copy) only moves one.  An unfiltered trace (every caller but the
    scavenge) makes no indirect call per object or edge. *)
-let drain t ~budget =
+let drain_slice t ~budget =
   let heap = t.ctx.Gc_types.heap in
   let store = t.store in
   let stack = t.stack in
@@ -130,6 +130,10 @@ let drain t ~budget =
     end
   done;
   !cost
+
+(* Most workers of a parallel pause find the stack empty: answer them
+   before hoisting anything. *)
+let drain t ~budget = if Ivec.is_empty t.stack then 0 else drain_slice t ~budget
 
 let pending t = not (Ivec.is_empty t.stack)
 

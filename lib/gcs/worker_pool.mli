@@ -10,7 +10,12 @@
 
     Workers are engine threads of kind [Gc_worker]: during a pause their
     cycles are attributed to STW, and outside pauses they contend with
-    mutators for CPUs. *)
+    mutators for CPUs.
+
+    Continuations live per pool: each worker's pull and finish
+    continuations are built once, by {!create}, and the running phase's
+    [work], [on_done] and phase are kept in the pool, so starting a phase
+    or a slice allocates nothing. *)
 
 type t
 

@@ -26,6 +26,8 @@ type t = {
           same-slot writes in a different order digest differently — which
           makes the digest a collector-independent progress coordinate for
           differential oracles. *)
+  mutable placed_words : int;  (** total size of the last [place_run]'s objects *)
+  mutable placed_fields : int;  (** their total field count *)
 }
 
 let space_tag = function
@@ -66,6 +68,8 @@ let create ?obs ~capacity_words ~region_words () =
     objects_allocated = 0;
     reserve = 0;
     history_digest = 0;
+    placed_words = 0;
+    placed_fields = 0;
   }
 
 (* Rewind a used heap to the state [create] would produce for the given
@@ -109,6 +113,8 @@ let reset t ~capacity_words ~region_words =
   t.objects_allocated <- 0;
   t.reserve <- 0;
   t.history_digest <- 0;
+  t.placed_words <- 0;
+  t.placed_fields <- 0;
   match t.obs with
   | Some o -> Obs.heap_init o ~time:(Obs.now o) ~regions:n ~region_words
   | None -> ()
@@ -404,12 +410,14 @@ let place_object = move_object
 (* [move_object] over a run of survivors, with the destination's counters
    written once: the same checks in the same order, so the region's object
    order and every counter end as a loop of [place_object] calls leaves
-   them. *)
+   them.  The walk also sums the placed objects' field counts, so a
+   compaction prices its slice without a second pass. *)
 let place_run t (dst : Region.t) objs ~pos ~stop =
   if Region.space_equal dst.space Region.Free then invalid_arg "Heap.move_object: free region";
   let store = t.store in
   let limit = t.region_words in
   let used = ref dst.used_words in
+  let fields = ref 0 in
   let i = ref pos in
   let fits = ref true in
   while !fits && !i < stop do
@@ -418,6 +426,7 @@ let place_run t (dst : Region.t) objs ~pos ~stop =
     if !used + size > limit then fits := false
     else begin
       used := !used + size;
+      fields := !fields + Obj_model.nfields store id;
       Ivec.push dst.objects id;
       Obj_model.set_region store id dst.index;
       incr i
@@ -427,7 +436,13 @@ let place_run t (dst : Region.t) objs ~pos ~stop =
   dst.used_words <- !used;
   t.used_words <- t.used_words + placed;
   t.space_used.(space_tag dst.space) <- t.space_used.(space_tag dst.space) + placed;
+  t.placed_words <- placed;
+  t.placed_fields <- !fields;
   !i
+
+let placed_words t = t.placed_words
+
+let placed_fields t = t.placed_fields
 
 let iter_resident_objects t (r : Region.t) f =
   let store = t.store in

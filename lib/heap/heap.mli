@@ -199,7 +199,16 @@ val place_run : t -> Region.t -> Gcr_util.Ivec.t -> pos:int -> stop:int -> int
     first one that does not ([stop] when all of them fit).  The result is
     exactly that of {!place_object} called on each in turn up to the first
     [false].  Raises the same [Invalid_argument] as {!move_object} when
-    [dst] is free. *)
+    [dst] is free.  The placed objects' total size and field count are
+    left in {!placed_words} and {!placed_fields}. *)
+
+val placed_words : t -> int
+(** Total size of the objects the last {!place_run} placed (0 before
+    any). *)
+
+val placed_fields : t -> int
+(** Total field count of the objects the last {!place_run} placed (0
+    before any). *)
 
 val iter_resident_objects : t -> Region.t -> (Obj_model.id -> unit) -> unit
 (** Live objects whose storage is currently in this region. *)

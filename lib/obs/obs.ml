@@ -146,19 +146,21 @@ module Counters = struct
       t.thread_kind <- grow t.thread_kind
     end
 
-  (* The fold step.  The [Step_complete] arm is the engine's per-step hot
-     path: four array updates, no allocation. *)
-  let apply t ~time ~code ~a ~b ~c =
-    if code = Event.code_step_complete then begin
-      let tid = a and cycles = c in
-      let kind = Event.step_kind_of_flags b in
-      t.thread_cycles.(tid) <- t.thread_cycles.(tid) + cycles;
-      t.kind_cycles.(kind) <- t.kind_cycles.(kind) + cycles;
-      if b land 1 = 1 then begin
-        t.thread_cycles_stw.(tid) <- t.thread_cycles_stw.(tid) + cycles;
-        t.kind_cycles_stw.(kind) <- t.kind_cycles_stw.(kind) + cycles
-      end
+  (* The [Step_complete] arm of the fold, the engine's per-step hot path:
+     four array updates, no allocation.  The typed emitter calls it
+     directly. *)
+  let[@inline] apply_step t ~tid ~flags ~cycles =
+    let kind = Event.step_kind_of_flags flags in
+    t.thread_cycles.(tid) <- t.thread_cycles.(tid) + cycles;
+    t.kind_cycles.(kind) <- t.kind_cycles.(kind) + cycles;
+    if flags land 1 = 1 then begin
+      t.thread_cycles_stw.(tid) <- t.thread_cycles_stw.(tid) + cycles;
+      t.kind_cycles_stw.(kind) <- t.kind_cycles_stw.(kind) + cycles
     end
+
+  (* The fold step. *)
+  let apply t ~time ~code ~a ~b ~c =
+    if code = Event.code_step_complete then apply_step t ~tid:a ~flags:b ~cycles:c
     else
       match code with
       | 1 (* thread-spawn *) ->
@@ -376,20 +378,24 @@ let attach_trace ?capacity_events t =
     };
   tr
 
+let fan_out t ~time ~code ~a ~b ~c =
+  for i = 0 to t.nsubs - 1 do
+    t.subs.(i).on_event ~time ~code ~a ~b ~c
+  done
+
 (* One dispatch point: fold into the counters, then fan out.  [t.nsubs] is
    0 in ordinary runs, so the subscriber loop costs one load + branch. *)
 let[@inline] emit t ~time ~code ~a ~b ~c =
   Counters.apply t.counters ~time ~code ~a ~b ~c;
-  if t.nsubs > 0 then
-    for i = 0 to t.nsubs - 1 do
-      t.subs.(i).on_event ~time ~code ~a ~b ~c
-    done
+  if t.nsubs > 0 then fan_out t ~time ~code ~a ~b ~c
 
 (* ---------- typed emitters ---------- *)
 
-let step_complete t ~time ~tid ~kind ~cycles ~in_pause =
-  emit t ~time ~code:Event.code_step_complete ~a:tid
-    ~b:(Event.pack_step_flags ~kind ~in_pause) ~c:cycles
+(* [emit] with the fold's step arm called directly. *)
+let[@inline] step_complete t ~time ~tid ~kind ~cycles ~in_pause =
+  let flags = Event.pack_step_flags ~kind ~in_pause in
+  Counters.apply_step t.counters ~tid ~flags ~cycles;
+  if t.nsubs > 0 then fan_out t ~time ~code:Event.code_step_complete ~a:tid ~b:flags ~c:cycles
 
 let thread_spawn t ~time ~tid ~kind ~name =
   emit t ~time ~code:Event.code_thread_spawn ~a:tid ~b:kind ~c:(intern t name)
@@ -404,11 +410,11 @@ let pause_end t ~time ~reason_id =
   let duration = time - t.counters.Counters.pause_open_start in
   emit t ~time ~code:Event.code_pause_end ~a:reason_id ~b:duration ~c:0
 
-let phase_begin t ~time ~collector_id ~phase ~tid =
+let[@inline] phase_begin t ~time ~collector_id ~phase ~tid =
   emit t ~time ~code:Event.code_phase_begin ~a:collector_id
     ~b:(Event.phase_index phase) ~c:tid
 
-let phase_end t ~time ~collector_id ~phase ~tid =
+let[@inline] phase_end t ~time ~collector_id ~phase ~tid =
   emit t ~time ~code:Event.code_phase_end ~a:collector_id
     ~b:(Event.phase_index phase) ~c:tid
 

@@ -38,6 +38,12 @@ let failed_of_exn (config : Run.config) exn =
     footprint_word_cycles = 0.0;
   }
 
+exception Crashed of string
+
+let execute_or_crash config =
+  try Run.execute config
+  with exn -> raise (Crashed (Option.get (Measurement.failure_line (failed_of_exn config exn))))
+
 let execute_fresh ?state config =
   !on_execute config;
   try Run.execute ?state config with exn -> failed_of_exn config exn

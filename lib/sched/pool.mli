@@ -21,6 +21,17 @@ val failed_of_exn : Gcr_runtime.Run.config -> exn -> Gcr_runtime.Measurement.t
     zero.  A caller that must run [Run.execute] itself (with a tracer
     attached, say) isolates a crash with it. *)
 
+exception Crashed of string
+(** A run outside a campaign raised.  The string is the failure line of
+    {!failed_of_exn}'s measurement
+    ({!Gcr_runtime.Measurement.failure_line}): it names the benchmark,
+    collector, heap words and seed, and the exception. *)
+
+val execute_or_crash : Gcr_runtime.Run.config -> Gcr_runtime.Measurement.t
+(** [Run.execute] for a caller outside a campaign (an ablation point, the
+    GenShen study, a tape's replay check), which has no failed cell to
+    record a crash in: a simulator exception is raised as {!Crashed}. *)
+
 val execute :
   ?cache:Result_cache.t -> ?state:Gcr_runtime.Run.state ->
   Gcr_runtime.Run.config -> Gcr_runtime.Measurement.t

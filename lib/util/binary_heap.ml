@@ -23,7 +23,7 @@ let create () =
 
 let length t = t.len
 
-let is_empty t = t.len = 0
+let[@inline] is_empty t = t.len = 0
 
 let grow t =
   let capacity = Array.length t.prio in
@@ -38,16 +38,16 @@ let grow t =
   t.values <- extend t.values
 
 (* (p, s) < entry at index [j]? *)
-let before t p s j =
+let[@inline] before t p s j =
   let pj = Array.unsafe_get t.prio j in
   p < pj || (p = pj && s < Array.unsafe_get t.seq j)
 
-let set_entry t i p s v =
+let[@inline] set_entry t i p s v =
   Array.unsafe_set t.prio i p;
   Array.unsafe_set t.seq i s;
   Array.unsafe_set t.values i v
 
-let move t ~src ~dst =
+let[@inline] move t ~src ~dst =
   Array.unsafe_set t.prio dst (Array.unsafe_get t.prio src);
   Array.unsafe_set t.seq dst (Array.unsafe_get t.seq src);
   Array.unsafe_set t.values dst (Array.unsafe_get t.values src)
@@ -70,7 +70,7 @@ let add t ~priority value =
   done;
   set_entry t !i priority s value
 
-let min_priority t =
+let[@inline] min_priority t =
   if t.len = 0 then invalid_arg "Binary_heap.min_priority: empty";
   Array.unsafe_get t.prio 0
 
@@ -108,7 +108,7 @@ let pop_min_value t =
   t.last_prio <- top_prio;
   top
 
-let popped_priority t = t.last_prio
+let[@inline] popped_priority t = t.last_prio
 
 let clear t = t.len <- 0
 

@@ -57,9 +57,32 @@ let test_default_config () =
   let c = Ablation.default_config ~bench:"jme" () in
   check Alcotest.string "chosen bench" "jme" c.Ablation.spec.Spec.name
 
+(* An ablation point runs outside a campaign's crash isolation: a
+   simulator exception must come out as [Pool.Crashed] with the failure
+   line a campaign would record (benchmark, collector, heap words, seed),
+   which the CLI prints before exiting 3. *)
+let test_crash_names_the_cell () =
+  let config =
+    { (Ablation.default_config ~bench:"jme" ()) with Ablation.scale = 0.01; seed = 5 }
+  in
+  let make_collector _ = failwith "collector exploded" in
+  match Ablation.execute ~make_collector ~gc:Registry.G1 config with
+  | _ -> Alcotest.fail "a raising collector yielded a measurement"
+  | exception Gcr_sched.Pool.Crashed line ->
+      let expected_prefix = "jme/G1 heap=" in
+      check Alcotest.string "names the benchmark and collector" expected_prefix
+        (String.sub line 0 (String.length expected_prefix));
+      let expected_suffix =
+        " seed=1005 failed: uncaught exception: Failure(\"collector exploded\")"
+      in
+      let n = String.length expected_suffix in
+      check Alcotest.string "names the seed and the exception" expected_suffix
+        (String.sub line (String.length line - n) n)
+
 let suite =
   [
     Alcotest.test_case "worker tradeoff" `Quick test_worker_tradeoff;
     Alcotest.test_case "tenure extremes complete" `Quick test_tenure_extremes_complete;
     Alcotest.test_case "default config" `Quick test_default_config;
+    Alcotest.test_case "a crashing point names its cell" `Quick test_crash_names_the_cell;
   ]

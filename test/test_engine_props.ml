@@ -91,10 +91,58 @@ let prop_deterministic =
   QCheck.Test.make ~name:"identical scenarios give identical runs" ~count:100 scenario_arb
     (fun s -> run_scenario s = run_scenario s)
 
+(* The engine's event queue (FIFO lane plus heap) against a sorted-list
+   model of (time, seq) entries, seq being the add order, under random
+   add/pop schedules.  About half the adds are due at the current time, so
+   lane entries meet heap entries of the same time throughout. *)
+type queue_op = Add of int  (** due this many cycles after now *) | Pop
+
+let queue_ops_arb =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, map (fun d -> Add d) (frequency [ (1, return 0); (1, int_range 1 4) ]));
+          (1, return Pop);
+        ])
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat " " (List.map (function Add d -> "+" ^ string_of_int d | Pop -> "pop") ops))
+    QCheck.Gen.(list_size (int_range 0 120) op)
+
+let prop_queue_matches_model =
+  QCheck.Test.make ~name:"event queue pops in (time, seq) order" ~count:1000 queue_ops_arb
+    (fun ops ->
+      let module Q = Gcr_engine.Event_queue in
+      let q = Q.create () in
+      let model = ref [] and next_seq = ref 0 in
+      let rec insert e = function
+        | [] -> [ e ]
+        | x :: rest -> if e < x then e :: x :: rest else x :: insert e rest
+      in
+      List.for_all
+        (function
+          | Add d ->
+              let time = Q.now q + d and seq = !next_seq in
+              incr next_seq;
+              Q.add q ~time seq;
+              model := insert (time, seq) !model;
+              Q.next_time q = fst (List.hd !model)
+          | Pop -> (
+              match !model with
+              | [] -> Q.is_empty q
+              | (time, seq) :: rest ->
+                  model := rest;
+                  let popped = Q.pop q in
+                  popped = seq && Q.now q = time))
+        ops)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_cycles_conserved;
     QCheck_alcotest.to_alcotest prop_wall_bounds;
     QCheck_alcotest.to_alcotest prop_utilisation;
     QCheck_alcotest.to_alcotest prop_deterministic;
+    QCheck_alcotest.to_alcotest prop_queue_matches_model;
   ]
