@@ -42,7 +42,7 @@ module Tape_gen = Gcr_workloads.Tape_gen
 module Decision_source = Gcr_workloads.Decision_source
 module Harness = Gcr_core.Harness
 module Minheap = Gcr_core.Minheap
-module Fabric = Gcr_sched.Fabric
+module Fabric = Gcr_core.Fabric
 module Transport = Gcr_sched.Transport
 
 (* ------------------------------------------------------------------ *)

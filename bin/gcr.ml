@@ -179,11 +179,15 @@ let exit_on_failures measurements =
 
 let write_or_die write = try write () with Sys_error msg -> die "cannot write %s" msg
 
-(* A cell no run can execute (a heap below two regions) is refused where
-   it is built, before it runs; a run outside a campaign that raises exits
-   with the failure line a campaign would record for it. *)
+(* A cell no run can execute (a heap below two regions), or a benchmark
+   whose min-heap search cannot complete, is refused where it is built,
+   before it runs; a run outside a campaign that raises exits with the
+   failure line a campaign would record for it. *)
 let refuse_unrunnable f =
   try f () with Planner.Unrunnable reason | Pool.Crashed reason -> die "%s" reason
+
+let minheap_of ?cache grid spec =
+  refuse_unrunnable (fun () -> Minheap.find ?cache ~config:(Harness.minheap_config grid) spec)
 
 (* Output paths are checked before anything is simulated, so a bad path
    fails at once instead of after the whole run; no file is left behind. *)
@@ -273,7 +277,7 @@ let harness_config ?(controllers = [ Controller.fixed ]) ?listen
     ?(connect_timeout = 30.0) ~invocations ~scale ~seed ~factors ~quiet ~workers
     ~cache_dir () =
   let workers = resolve_workers workers in
-  (match Gcr_sched.Fabric.timeout_of_env () with
+  (match Gcr_core.Fabric.timeout_of_env () with
   | Ok _ -> ()
   | Error reason -> die "invalid fabric timeout: %s" reason);
   let listen = resolve_listen listen in
@@ -364,7 +368,7 @@ let run_cmd =
     (* every run is the cell of that name in the campaign at this scale
        and base seed *)
     let grid = { (Harness.default_config ()) with Harness.scale; base_seed = seed } in
-    let minheap spec = Minheap.find ?cache ~config:(Harness.minheap_config grid) spec in
+    let minheap spec = minheap_of ?cache grid spec in
     let configs () =
       match tape_file with
       | None ->
@@ -463,11 +467,11 @@ let run_cmd =
 let minheap_cmd =
   let run benchmarks scale =
     let cache = resolve_cache None in
-    let config = Harness.minheap_config { (Harness.default_config ()) with Harness.scale } in
+    let grid = { (Harness.default_config ()) with Harness.scale } in
     List.iter
       (fun spec ->
         let spec = Spec.scale spec scale in
-        let words = Minheap.find ?cache ~config spec in
+        let words = minheap_of ?cache grid spec in
         Printf.printf "%-12s %8d words (%d regions)\n" spec.Spec.name words
           (words / Run.default_region_words))
       (default_benchmarks benchmarks)
@@ -621,7 +625,7 @@ let worker_cmd =
           try Some (Gcr_sched.Result_cache.create ~dir)
           with Sys_error msg -> die "unusable store directory: %s" msg)
     in
-    match Gcr_sched.Fabric.worker_connect ~host ~port ?cache ~retry_for () with
+    match Gcr_core.Fabric.worker_connect ~host ~port ?cache ~retry_for () with
     | Ok () -> ()
     | Error msg -> die "%s" msg
   in
@@ -720,9 +724,7 @@ let trace_cmd =
         let controller = resolve_controller controller_name in
         let grid = { (Harness.default_config ()) with Harness.scale; base_seed = seed } in
         let spec = Spec.scale bench scale in
-        let minheap =
-          Minheap.find ?cache:(resolve_cache None) ~config:(Harness.minheap_config grid) spec
-        in
+        let minheap = minheap_of ?cache:(resolve_cache None) grid spec in
         let config =
           refuse_unrunnable (fun () ->
               Harness.cell_config ~controller grid ~minheap spec ~gc ~factor ~invocation:0)
@@ -914,9 +916,7 @@ let tape_verify_cmd =
       let image = Decision_source.image_of_tape ~spec tape in
       (* the heap of the default campaign's cell, run at the tape's seed *)
       let grid = { (Harness.default_config ()) with Harness.scale } in
-      let minheap =
-        Minheap.find ?cache:(resolve_cache None) ~config:(Harness.minheap_config grid) spec
-      in
+      let minheap = minheap_of ?cache:(resolve_cache None) grid spec in
       let base =
         {
           (refuse_unrunnable (fun () ->

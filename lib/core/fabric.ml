@@ -4,14 +4,24 @@ module Tape_gen = Gcr_workloads.Tape_gen
 module Run = Gcr_runtime.Run
 module Profile = Gcr_runtime.Profile
 module Measurement = Gcr_runtime.Measurement
+module Transport = Gcr_sched.Transport
+module Result_cache = Gcr_sched.Result_cache
+module Cache_key = Gcr_sched.Cache_key
+module Pool = Gcr_sched.Pool
 
-type group = {
-  spec : Spec.t;
-  seed : int;
-  tapes : bool;
-  cost : float;
-  cells : (int * Run.config) list;
-}
+type group =
+  | Cells of {
+      spec : Spec.t;
+      seed : int;
+      tapes : bool;
+      cost : float;
+      cells : (int * Run.config) list;
+    }
+  | Search of { slot : int; spec : Spec.t; config : Minheap.config; cost : float }
+
+let group_cost = function Cells g -> g.cost | Search s -> s.cost
+
+let group_slots = function Cells g -> List.map fst g.cells | Search s -> [ s.slot ]
 
 type stats = {
   cells : int;
@@ -40,7 +50,7 @@ type worker_row = {
    frame carries the marshalled group alone, so a change to [group]'s
    type needs a new protocol version. *)
 
-let protocol_version = 3
+let protocol_version = 4
 
 (* coordinator -> worker *)
 let tag_welcome = 'W'
@@ -55,9 +65,9 @@ let tag_heartbeat = 'h'
 let heartbeat_interval_s = 1.0
 
 (* A worker that has sent nothing for this long while holding a group is
-   declared dead and its cells are requeued.  Heartbeats flow
-   between cells, so the timeout must comfortably exceed one cell's
-   runtime; [GCR_FABRIC_TIMEOUT_S] overrides (0 disables). *)
+   declared dead and its cells are requeued.  Heartbeats flow between
+   cells and between a search's probes, so the timeout must comfortably
+   exceed one run; [GCR_FABRIC_TIMEOUT_S] overrides (0 disables). *)
 let default_timeout_s = 600.0
 
 let timeout_of_env () =
@@ -125,26 +135,31 @@ let read_welcome payload =
 (* Worker process                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let group_tape (g : group) =
-  if not g.tapes then Run.Tape_off
+let group_tape ~spec ~seed ~tapes =
+  if not tapes then Run.Tape_off
   else begin
     let started = Unix.gettimeofday () in
-    let image = Tape_gen.image ~spec:g.spec ~seed:g.seed in
+    let image = Tape_gen.image ~spec ~seed in
     Profile.add_tape_s (Unix.gettimeofday () -. started);
     Run.Tape_replay image
   end
 
-(* [before_cell] runs ahead of each cell: the worker loop heartbeats
-   there. *)
-let execute_group ?(before_cell = ignore) ~state ~cache ~on_result (g : group) =
-  let tape = group_tape g in
-  List.iter
-    (fun (index, config) ->
-      before_cell ();
-      let config = { config with Run.tape } in
-      let m, hit = Pool.execute_cached ?cache ~state config in
-      on_result index hit m)
-    g.cells
+(* [before_run] runs ahead of each cell and each probe of a search: the
+   worker loop heartbeats there.  A search's slot gets the probe that
+   decided it, or the failed measurement of a search that cannot
+   complete: a result, not a worker death. *)
+let execute_group ?(before_run = ignore) ~state ~cache ~on_result = function
+  | Cells { spec; seed; tapes; cells; _ } ->
+      let tape = group_tape ~spec ~seed ~tapes in
+      List.iter
+        (fun (index, config) ->
+          before_run ();
+          let config = { config with Run.tape } in
+          let m, hit = Pool.execute_cached ?cache ~state config in
+          on_result index hit m)
+        cells
+  | Search { slot; spec; config; _ } ->
+      on_result slot false (Minheap.search ?cache ~state ~before_probe:before_run config spec)
 
 (* Results are shipped in batches: fewer, larger frames amortise the
    marshal and write cost per cell, and each batch carries the worker's
@@ -194,7 +209,7 @@ let worker_main ~cache ~ep =
     | None -> Error "the coordinator closed the connection without a quit frame"
     | Some (tag, payload) when tag = tag_group ->
         let (g : group) = Marshal.from_string payload 0 in
-        execute_group ~before_cell:heartbeat ~state ~cache ~on_result g;
+        execute_group ~before_run:heartbeat ~state ~cache ~on_result g;
         flush ();
         loop ()
     | Some (tag, _) when tag = tag_quit -> Ok ()
@@ -442,7 +457,7 @@ type wrec = {
   ep : Transport.t;
   mutable alive : bool;
   mutable last_rx : float;  (** its last frame, or the send of its group if later *)
-  mutable cells_total : int;  (** session-cumulative, probe waves included *)
+  mutable cells_total : int;  (** session-cumulative, searches included *)
 }
 
 type session = {
@@ -678,24 +693,24 @@ let worker_deaths session = session.deaths
 
 let validate_groups ~n_cells groups =
   let seen = Array.make n_cells false in
-  List.iter
-    (fun (g : group) ->
-      List.iter
-        (fun (index, (config : Run.config)) ->
-          if index < 0 then invalid_arg "Fabric.dispatch: negative cell index";
-          if index >= n_cells then invalid_arg "Fabric.dispatch: cell index out of range";
-          if seen.(index) then invalid_arg "Fabric.dispatch: duplicate cell index";
-          seen.(index) <- true;
-          if config.Run.make_collector <> None then
-            invalid_arg "Fabric.dispatch: custom collectors cannot cross processes";
-          match config.Run.tape with
-          | Run.Tape_off -> ()
-          | Run.Tape_replay _ ->
-              invalid_arg
-                "Fabric.dispatch: cell configs must carry Tape_off (workers attach the \
-                 group tape themselves)")
-        g.cells)
-    groups
+  let slot index =
+    if index < 0 then invalid_arg "Fabric.dispatch: negative cell index";
+    if index >= n_cells then invalid_arg "Fabric.dispatch: cell index out of range";
+    if seen.(index) then invalid_arg "Fabric.dispatch: duplicate cell index";
+    seen.(index) <- true
+  in
+  let cell (index, (config : Run.config)) =
+    slot index;
+    if config.Run.make_collector <> None then
+      invalid_arg "Fabric.dispatch: custom collectors cannot cross processes";
+    match config.Run.tape with
+    | Run.Tape_off -> ()
+    | Run.Tape_replay _ ->
+        invalid_arg
+          "Fabric.dispatch: cell configs must carry Tape_off (workers attach the group \
+           tape themselves)"
+  in
+  List.iter (function Cells g -> List.iter cell g.cells | Search s -> slot s.slot) groups
 
 let dispatch session ~n_cells groups =
   if session.closed then invalid_arg "Fabric.dispatch: session is shut down";
@@ -703,7 +718,7 @@ let dispatch session ~n_cells groups =
   let core =
     Coordinator.create
       ~alive:(Array.map (fun w -> w.alive) session.ws)
-      (List.map (fun (g : group) -> (g.cost, List.map fst g.cells)) groups)
+      (List.map (fun g -> (group_cost g, group_slots g)) groups)
   in
   let groups = Array.of_list groups in
   let results : Measurement.t option array = Array.make n_cells None in
@@ -711,9 +726,11 @@ let dispatch session ~n_cells groups =
   let hits = ref 0 in
   let parent_cells = ref 0 in
   let worker_profile = ref Profile.zero in
-  let subgroup gid cells =
-    let g = groups.(gid) in
-    { g with cells = List.filter (fun (index, _) -> List.mem index cells) g.cells }
+  (* A search is dealt whole, so only a cell group has a part left. *)
+  let subgroup gid pending =
+    match groups.(gid) with
+    | Cells g -> Cells { g with cells = List.filter (fun (i, _) -> List.mem i pending) g.cells }
+    | Search _ as g -> g
   in
   let perform = function
     | Coordinator.Take { worker; cell; result = hit, m } ->
@@ -728,10 +745,14 @@ let dispatch session ~n_cells groups =
         session.deaths <- session.deaths + 1
   in
   let feed input = List.iter perform (Coordinator.step core input) in
-  let log_group who (g : group) =
+  let log_group who g =
     session.log
-      (Printf.sprintf "%s <- %s seed=%d (%d cells, cost %.0f)" who g.spec.Spec.name g.seed
-         (List.length g.cells) g.cost)
+      (match g with
+      | Cells { spec; seed; cells; cost; _ } ->
+          Printf.sprintf "%s <- %s seed=%d (%d cells, cost %.0f)" who spec.Spec.name seed
+            (List.length cells) cost
+      | Search { spec; cost; _ } ->
+          Printf.sprintf "%s <- %s min-heap search (cost %.0f)" who spec.Spec.name cost)
   in
   let send worker gid cells =
     let g = subgroup gid cells in

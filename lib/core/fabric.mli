@@ -1,24 +1,28 @@
-(** Multi-process campaign fabric: one coordinator deals sibling groups
-    to worker processes over checksummed frames (see {!Transport}) and
-    reduces their result batches by plan index, so the report is
-    bit-identical to a serial run at every worker and host count.
+(** Multi-process campaign fabric: one coordinator deals groups to
+    worker processes over checksummed frames (see
+    {!Gcr_sched.Transport}) and reduces their result batches by plan
+    index, so the report is bit-identical to a serial run at every
+    worker and host count.
 
     One transport, one way in.  Every worker holds a connected stream
     socket and joins through the same handshake: its hello carries the
-    protocol version, the {!Cache_key.version} and its "host/pid"; the
-    coordinator checks both versions and answers with a welcome that
-    also carries the worker id and the plan digest.  The fleet is either
+    protocol version, the {!Gcr_sched.Cache_key.version} and its
+    "host/pid"; the coordinator checks both versions and answers with a
+    welcome that also carries the worker id and the plan digest.  The
+    fleet is either
 
     - {e forked}: the coordinator forks [workers] children, each holding
       one end of a Unix socketpair and sharing its result cache, or
     - {e listening}: with [listen], the coordinator accepts TCP workers
       started elsewhere via [gcr worker --connect] ({!worker_connect}).
 
-    No tape travels between processes: every worker (and the
-    coordinator's backstop) generates the replay image a group needs
-    with [Tape_gen.image], a pure function of (spec, seed).  Workers run
-    {e warm}: each recycles one {!Gcr_runtime.Run.state} (engine + heap)
-    across every cell it executes.
+    A group is either a list of cells sharing (spec, seed) or one whole
+    min-heap search ({!Minheap.search}).  No tape travels between
+    processes: every worker (and the coordinator's backstop) generates
+    the replay image a group needs with [Tape_gen.image], a pure
+    function of (spec, seed).  Workers run {e warm}: each recycles one
+    {!Gcr_runtime.Run.state} (engine + heap) across every cell and
+    probe it executes.
 
     Scheduling is greedy LPT list scheduling, one group per worker (see
     {!Coordinator.deal}).  Reduction is by plan index, and a worker's
@@ -30,8 +34,9 @@
     payload, on an unknown frame tag, on a result for a cell it does not
     hold, on a failed send, or after [GCR_FABRIC_TIMEOUT_S] (default
     600 s) of silence while holding a group, counted from the send of
-    that group or from its last frame, whichever is later.  The
-    unfinished cells of that group are requeued for the survivors; with
+    that group or from its last frame, whichever is later; a worker
+    heartbeats before each cell and each probe.  The unfinished cells
+    of that group are requeued for the survivors; with
     no workers left, the coordinator runs the remainder itself (the
     {e backstop}).  The report is unchanged either way.  {!Coordinator}
     makes each of these decisions.
@@ -40,20 +45,27 @@
     backstop, and the coordinator runs each wave's groups costliest
     first.  This is how an in-process campaign runs. *)
 
-type group = {
-  spec : Gcr_workloads.Spec.t;
-  seed : int;
-  tapes : bool;  (** attach the group's replay tape to every cell *)
-  cost : float;
-      (** the planner's cost estimate (cells × heap factor × invocation
-          weight) — the size-aware scheduler's sort key; any
-          non-negative number, only relative order matters *)
-  cells : (int * Gcr_runtime.Run.config) list;
-      (** (result slot, config); configs must carry [Tape_off] — the
-          worker attaches the group tape itself — and no
-          [make_collector] closure (closures cannot cross processes) *)
-}
-(** One sibling batch: every cell shares (spec, seed), hence one tape. *)
+(** The unit of dealing: a sibling batch of cells, which share (spec,
+    seed) and hence one tape, or one whole min-heap search.  [cost] is
+    the planner's estimate, the size-aware scheduler's sort key: any
+    non-negative number, only relative order matters. *)
+type group =
+  | Cells of {
+      spec : Gcr_workloads.Spec.t;
+      seed : int;
+      tapes : bool;  (** attach the group's replay tape to every cell *)
+      cost : float;
+      cells : (int * Gcr_runtime.Run.config) list;
+          (** (result slot, config); configs must carry [Tape_off] — the
+              worker attaches the group tape itself — and no
+              [make_collector] closure (closures cannot cross processes) *)
+    }
+  | Search of { slot : int; spec : Gcr_workloads.Spec.t; config : Minheap.config; cost : float }
+      (** {!Minheap.search} on the executor's warm state and result
+          cache; [slot] receives its result. *)
+
+val protocol_version : int
+(** Carried by hello and welcome; a group frame is the marshalled {!group}. *)
 
 type stats = {
   cells : int;  (** total result slots *)
@@ -71,7 +83,7 @@ type stats = {
 type worker_row = {
   row_id : int;
   row_host : string;  (** the "host/pid" of the worker's hello *)
-  row_cells : int;  (** session-cumulative, probe waves included *)
+  row_cells : int;  (** session-cumulative; a search counts as one *)
   row_alive : bool;
 }
 
@@ -134,9 +146,9 @@ end
     A session owns the worker fleet, possibly empty, and one warm
     {!Gcr_runtime.Run.state} for its backstop; {!dispatch} runs one wave
     of groups through it.  The harness runs every campaign through a
-    single session: minheap probe waves (when a worker is live) and then
-    the grid, so probe runs ride the same transport, result cache, and
-    warm worker state as the grid. *)
+    single session: one wave of cold min-heap searches, then the grid,
+    so searches ride the same transport, result cache and warm worker
+    state as the grid. *)
 
 type session
 
@@ -148,7 +160,7 @@ val timeout_of_env : unit -> (float, string) result
 
 val start :
   workers:int ->
-  ?cache:Result_cache.t ->
+  ?cache:Gcr_sched.Result_cache.t ->
   ?log:(string -> unit) ->
   ?listen:string * int ->
   ?connect_timeout:float ->
@@ -186,9 +198,9 @@ val dispatch :
   Gcr_runtime.Measurement.t array * stats
 (** Execute one wave: deal its groups to the live workers, then run
     what is left (everything, with no live worker) as the backstop,
-    logging one line per group.  Returns measurements indexed by plan
-    index (every index in \[0, n_cells) must be covered by exactly one
-    cell) plus the wave's stats.  Raises [Invalid_argument] on malformed groups
+    logging one line per group.  Returns measurements indexed by result
+    slot (every slot in \[0, n_cells) must be covered by exactly one cell
+    or search) plus the wave's stats.  Raises [Invalid_argument] on malformed groups
     (out-of-range or duplicate indices, collector closures, non-[Tape_off]
     cell configs) and on a session already shut down. *)
 
@@ -207,7 +219,7 @@ val worker_deaths : session -> int
 val worker_connect :
   host:string ->
   port:int ->
-  ?cache:Result_cache.t ->
+  ?cache:Gcr_sched.Result_cache.t ->
   ?retry_for:float ->
   unit ->
   (unit, string) result

@@ -6,7 +6,6 @@ module Run = Gcr_runtime.Run
 module Measurement = Gcr_runtime.Measurement
 module Stats = Gcr_util.Stats
 module Result_cache = Gcr_sched.Result_cache
-module Fabric = Gcr_sched.Fabric
 module Controller = Gcr_policy.Controller
 
 type config = {
@@ -93,7 +92,6 @@ type exec_summary = {
   limit_changes : int;  (** controller decisions applied, summed over cells *)
   peak_footprint_words : int;  (** highest heap limit any cell reached *)
   mean_footprint_words : float;  (** per-cell mean heap limit, averaged *)
-  probe_cells : int;  (** minheap probe runs dispatched through the fabric *)
   worker_deaths : int;
   stolen_groups : int;
   worker_rows : Fabric.worker_row list;  (** per-worker accounting (fabric) *)
@@ -177,14 +175,15 @@ let runs ?(controller = Controller.fixed) t ~bench ~gc ~factor =
 (* One planner group as a fabric group: the cost estimate rides along so
    the size-aware scheduler can deal largest-first. *)
 let fabric_group_of config (g : Planner.group) =
-  {
-    Fabric.spec = g.Planner.spec;
-    seed = g.Planner.seed;
-    tapes = config.tapes;
-    cost = Planner.group_cost g;
-    cells =
-      List.map (fun (c : Planner.cell) -> (c.Planner.index, c.Planner.config)) g.Planner.cells;
-  }
+  Fabric.Cells
+    {
+      spec = g.Planner.spec;
+      seed = g.Planner.seed;
+      tapes = config.tapes;
+      cost = Planner.group_cost g;
+      cells =
+        List.map (fun (c : Planner.cell) -> (c.Planner.index, c.Planner.config)) g.Planner.cells;
+    }
 
 (* The plan digest a socket worker receives in its welcome and prints,
    computed before any plan exists (minheap probes precede planning): a
@@ -200,69 +199,6 @@ let campaign_digest config specs gcs =
   List.iter (fun (s : Spec.t) -> Printf.bprintf b "|spec=%s" (Spec.digest s)) specs;
   List.iter (fun g -> Printf.bprintf b "|gc=%s" (Registry.name g)) gcs;
   Digest.to_hex (Digest.string (Buffer.contents b))
-
-(* Minheap searches as fabric waves: every benchmark's search advances
-   one probe per wave, each probe a first-class single-cell group, so
-   probe runs ride the same transport, result cache, and warm worker
-   state as the grid — and N benchmarks search concurrently on N
-   workers instead of serially in the coordinator. *)
-let fabric_minheaps session minheap_config config specs minheaps ~log_minheap =
-  let searches =
-    List.filter_map
-      (fun (spec : Spec.t) ->
-        match Minheap.find_cached minheap_config spec with
-        | Some words ->
-            Hashtbl.replace minheaps spec.Spec.name words;
-            log_minheap spec words;
-            None
-        | None -> Some (spec, Minheap.Search.start minheap_config spec))
-      specs
-  in
-  let probe_cells = ref 0 in
-  let rec waves actives =
-    let running, finished =
-      List.partition (fun (_, s) -> Minheap.Search.result_words s = None) actives
-    in
-    List.iter
-      (fun ((spec : Spec.t), s) ->
-        match Minheap.Search.result_words s with
-        | Some words ->
-            Minheap.record minheap_config spec words;
-            Hashtbl.replace minheaps spec.Spec.name words;
-            log_minheap spec words
-        | None -> assert false)
-      finished;
-    if running <> [] then begin
-      let groups =
-        List.mapi
-          (fun i ((spec : Spec.t), s) ->
-            let rc =
-              match Minheap.Search.probe_config s with
-              | Some rc -> rc
-              | None -> assert false (* running implies a next probe *)
-            in
-            {
-              Fabric.spec;
-              seed = minheap_config.Minheap.seed;
-              tapes = config.tapes;
-              cost = Planner.probe_cost spec;
-              cells = [ (i, rc) ];
-            })
-          running
-      in
-      let measurements, _stats =
-        Fabric.dispatch session ~n_cells:(List.length running) groups
-      in
-      probe_cells := !probe_cells + List.length running;
-      List.iteri
-        (fun i (_, s) ->
-          Minheap.Search.advance s ~completed:(Measurement.completed measurements.(i)))
-        running;
-      waves running
-    end
-  in
-  waves searches;
-  !probe_cells
 
 let run_campaign config ~benchmarks ~gcs =
   let started = Unix.gettimeofday () in
@@ -287,24 +223,31 @@ let run_campaign config ~benchmarks ~gcs =
       ?on_listen:config.on_listen ~plan_digest:(campaign_digest config specs gcs) ()
   in
   let run () =
-    (* With a live worker every search advances one probe per wave
-       through the fleet.  Alone, the coordinator searches inline,
-       replaying one tape per search: a wave would generate a whole tape
-       for every one-cell probe group. *)
-    let live (r : Fabric.worker_row) = r.Fabric.row_alive in
-    let probe_cells =
-      if List.exists live (Fabric.worker_rows session) then
-        fabric_minheaps session minheap_config config specs minheaps ~log_minheap
-      else begin
-        List.iter
-          (fun spec ->
-            let words = Minheap.find ?cache ~config:minheap_config spec in
-            log_minheap spec words;
-            Hashtbl.replace minheaps spec.Spec.name words)
-          specs;
-        0
-      end
+    (* Memo hits are taken as they are.  Every cold search is one group
+       of one wave, dealt costliest first: whoever takes it, a worker or
+       the backstop, runs the whole search on one tape and one warm
+       state.  A benchmark named twice is searched once. *)
+    let cold =
+      List.sort_uniq compare
+        (List.filter (fun spec -> Minheap.find_cached minheap_config spec = None) specs)
     in
+    let decided, _ =
+      Fabric.dispatch session ~n_cells:(List.length cold)
+        (List.mapi
+           (fun slot (spec : Spec.t) ->
+             Fabric.Search
+               { slot; spec; config = minheap_config; cost = Planner.search_cost spec })
+           cold)
+    in
+    List.iteri
+      (fun slot spec -> Minheap.record minheap_config spec (Minheap.minimum decided.(slot)))
+      cold;
+    List.iter
+      (fun (spec : Spec.t) ->
+        let words = Option.get (Minheap.find_cached minheap_config spec) in
+        log_minheap spec words;
+        Hashtbl.replace minheaps spec.Spec.name words)
+      specs;
     let plan =
       Planner.plan ~controllers:config.controllers ~invocations:config.invocations
         ~base_seed:config.base_seed ~machine:(scaled_machine config) ~cost:config.cost
@@ -391,7 +334,6 @@ let run_campaign config ~benchmarks ~gcs =
         peak_footprint_words = !peak_footprint;
         mean_footprint_words =
           (if n_cells = 0 then 0.0 else !footprint_sum /. float_of_int n_cells);
-        probe_cells;
         worker_deaths = Fabric.worker_deaths session;
         stolen_groups = 0;
         worker_rows;
@@ -401,15 +343,14 @@ let run_campaign config ~benchmarks ~gcs =
       let count label n = if n > 0 then Printf.sprintf " %s=%d" label n else "" in
       Printf.eprintf
         "[harness] %d cells in %.1fs (plan %.1fs, execute %.1fs at %.1f cells/s, reduce \
-         %.2fs): %d cache hits, %d executed; workers=%d%s%s%s%s\n\
+         %.2fs): %d cache hits, %d executed; workers=%d%s%s%s\n\
          %!"
         n_cells elapsed_s plan_s execute_s summary.cells_per_sec reduce_s cache_hits
         summary.cache_misses summary.worker_processes
         (String.concat ""
            (Array.to_list (Array.mapi (Printf.sprintf " w%d=%d") summary.per_worker)))
         (count "reassigned" summary.reassigned_cells)
-        (count "parent" summary.parent_cells)
-        (count "probes" probe_cells);
+        (count "parent" summary.parent_cells);
       if summary.limit_changes > 0 then
         Printf.eprintf
           "[harness] controllers: %d limit changes, peak footprint %d words, mean %.0f \

@@ -6,7 +6,7 @@
     memory.
 
     The harness is split into a pure {!Planner} (grid → ordered cell
-    specs) and one executor, a {!Gcr_sched.Fabric} session.  With no
+    specs) and one executor, a {!Fabric} session.  With no
     workers the session's coordinator runs every group itself; with
     workers it deals them out.  Either way it fills the plan's result
     slots and the reduction reads them back in submission order, so the
@@ -136,17 +136,13 @@ type exec_summary = {
   mean_footprint_words : float;
       (** per-cell mean heap limit (footprint integral / wall time),
           averaged over cells *)
-  probe_cells : int;
-      (** minheap probe runs dispatched through the fabric as first-class
-          cells (0 when no worker is live: the coordinator then searches
-          inline, replaying one tape per search) *)
   worker_deaths : int;  (** workers declared dead during the session *)
   stolen_groups : int;
       (** always 0: a fabric worker holds one group at a time, so there
           is nothing to steal.  The field stays only because the frozen
           [perfbench/main.ml] reads it for its [fabric.stolen_groups]
           metric; it goes in the next change to the benchmark. *)
-  worker_rows : Gcr_sched.Fabric.worker_row list;
+  worker_rows : Fabric.worker_row list;
       (** per-worker accounting (host, transport, session-cumulative
           cells); empty when the session has no workers *)
 }
@@ -168,10 +164,12 @@ val run_campaign :
     Epsilon once per benchmark (its heap is the machine memory).  Specs
     are scaled before running; min-heaps are measured per benchmark,
     through the in-process memo and the [cache_dir] store.  One
-    {!Gcr_sched.Fabric} session carries the searches and then the grid.
-    Raises [Invalid_argument] on [listen] without workers, and
-    {!Planner.Unrunnable} on a grid cell below two regions (after the
-    searches; the session is shut down first). *)
+    {!Fabric} session carries the searches and then the grid: every
+    cold search is one group of one wave, whole, and memo hits are
+    taken as they are.  Raises [Invalid_argument] on [listen] without
+    workers, and {!Planner.Unrunnable} on a search that cannot complete
+    or a grid cell below two regions (the session is shut down
+    first). *)
 
 (** {1 Access} *)
 

@@ -53,16 +53,11 @@ let probe_run_config config (spec : Spec.t) ~tape heap_words =
     controller = Gcr_policy.Controller.fixed;
   }
 
-let completes ?cache config spec ~state ~tape heap_words =
-  Measurement.completed
-    (Pool.execute ?cache ~state (probe_run_config config spec ~tape heap_words))
-
-(* The search as an explicit state machine, so an external driver — the
-   fabric's probe waves — can run many searches concurrently, one probe
-   per step, while the inline driver below walks the identical sequence:
-   exponential doubling from the floor to a completing upper bound, then
-   bisection down to one region.  The probe order is a pure function of
-   the completion answers, so any driver lands on the same minimum. *)
+(* The search as an explicit state machine: exponential doubling from
+   the floor to a completing upper bound, then bisection down to one
+   region.  The probe order is a pure function of the completion
+   answers, so a walk of its probes from outside (perfbench's traced
+   walk, the golden floor probe) lands where {!search} does. *)
 module Search = struct
   type phase = Upper of int | Bisect of int * int | Finished of int
 
@@ -83,20 +78,6 @@ module Search = struct
       memory_regions = config.machine.Machine.memory_words / region;
       phase = Upper (max 8 (Spec.live_words_estimate spec / region));
     }
-
-  (* The next heap size to probe, in regions; [None] when finished.
-     Raises [Failure] when doubling escapes machine memory — the
-     benchmark cannot complete at all. *)
-  let probe_regions t =
-    match t.phase with
-    | Finished _ -> None
-    | Upper n ->
-        if n > t.memory_regions then
-          failwith
-            (Printf.sprintf "Minheap.find: %s does not complete even in machine memory"
-               t.s_spec.Spec.name)
-        else Some n
-    | Bisect (lo, hi) -> Some ((lo + hi) / 2)
 
   let advance t ~completed =
     match t.phase with
@@ -120,15 +101,25 @@ module Search = struct
     | Finished hi -> Some (hi * t.s_config.region_words)
     | Upper _ | Bisect _ -> None
 
+  (* Raises [Planner.Unrunnable] when doubling escapes machine memory:
+     the benchmark cannot complete at all. *)
   let probe_config t =
-    match probe_regions t with
-    | None -> None
-    | Some n ->
-        Some (probe_run_config t.s_config t.s_spec ~tape:Run.Tape_off
-                (n * t.s_config.region_words))
+    let probe regions =
+      let words = regions * t.s_config.region_words in
+      Some (probe_run_config t.s_config t.s_spec ~tape:Run.Tape_off words)
+    in
+    match t.phase with
+    | Finished _ -> None
+    | Upper n when n > t.memory_regions ->
+        raise
+          (Planner.Unrunnable
+             (Printf.sprintf "%s does not complete even in machine memory (%d words)"
+                t.s_spec.Spec.name t.s_config.machine.Machine.memory_words))
+    | Upper n -> probe n
+    | Bisect (lo, hi) -> probe ((lo + hi) / 2)
 end
 
-let search ?cache config spec =
+let search ?cache ?(state = Run.new_state ()) ?(before_probe = ignore) config spec =
   (* Every probe shares (spec, seed): one tape image serves the whole
      search.  Thrashing probes overrun the recorded stream with retry
      re-draws; the cursor's PRNG fallback keeps them bit-identical. *)
@@ -136,23 +127,34 @@ let search ?cache config spec =
     if config.tapes then Run.Tape_replay (tape_image ~spec ~seed:config.seed)
     else Run.Tape_off
   in
-  (* One warm run-state serves every probe of the search: the bisection
-     is a long chain of same-spec runs, exactly the reuse the warm path
-     exists for. *)
-  let state = Run.new_state () in
   let s = Search.start config spec in
-  let rec loop () =
-    match Search.probe_regions s with
-    | None -> (
-        match Search.result_words s with
-        | Some words -> words
-        | None -> assert false)
-    | Some n ->
-        let completed = completes ?cache config spec ~state ~tape (n * config.region_words) in
+  (* Each completing probe lowers the upper bound, so the last one to
+     complete is the probe at the minimum. *)
+  let rec loop decisive =
+    match Search.probe_config s with
+    | exception (Planner.Unrunnable reason as exn) ->
+        (* a result, not an exception, so that a fabric worker returns
+           it: the labels of a probe at the whole machine memory *)
+        let probe =
+          probe_run_config config spec ~tape:Run.Tape_off config.machine.Machine.memory_words
+        in
+        { (Pool.failed_of_exn probe exn) with Measurement.outcome = Measurement.Failed reason }
+    | None -> Option.get decisive
+    | Some probe ->
+        before_probe ();
+        (* [state] is warm across probes: the bisection is a long chain of
+           same-spec runs, exactly the reuse the warm path exists for *)
+        let m = Pool.execute ?cache ~state { probe with Run.tape } in
+        let completed = Measurement.completed m in
         Search.advance s ~completed;
-        loop ()
+        loop (if completed then Some m else decisive)
   in
-  loop ()
+  loop None
+
+let minimum (m : Measurement.t) =
+  match m.Measurement.outcome with
+  | Measurement.Completed -> m.Measurement.heap_words
+  | Measurement.Failed reason -> raise (Planner.Unrunnable reason)
 
 let find_cached config spec = Hashtbl.find_opt memo (cache_key config spec)
 
@@ -164,6 +166,6 @@ let find ?cache ~config spec =
   match find_cached config spec with
   | Some words -> words
   | None ->
-      let words = search ?cache config spec in
+      let words = minimum (search ?cache config spec) in
       record config spec words;
       words

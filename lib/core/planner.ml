@@ -3,7 +3,6 @@ module Cost_model = Gcr_mach.Cost_model
 module Registry = Gcr_gcs.Registry
 module Spec = Gcr_workloads.Spec
 module Run = Gcr_runtime.Run
-module Cache_key = Gcr_sched.Cache_key
 module Controller = Gcr_policy.Controller
 
 type cell = {
@@ -14,7 +13,6 @@ type cell = {
   factor : float;
   controller : Controller.spec;
   config : Run.config;
-  key : string;
 }
 
 type group = {
@@ -94,9 +92,9 @@ let cell_cost c =
 
 let group_cost g = List.fold_left (fun acc c -> acc +. cell_cost c) 0.0 g.cells
 
-(* Probe cells (minheap search) run one invocation of the workload with no
-   collector pressure worth modelling: weight them as a bare workload. *)
-let probe_cost spec = spec_weight spec
+(* A min-heap search is a chain of runs of one workload, each a bare
+   workload run as far as this model goes: weight it as one. *)
+let search_cost spec = spec_weight spec
 
 (* Epsilon participates implicitly even if not requested; it leads the
    cell order exactly as the serial harness always emitted it. *)
@@ -113,12 +111,7 @@ let plan ?(controllers = [ Controller.fixed ]) ~invocations ~base_seed ~machine 
     let config =
       cell_config ~machine ~cost ~region_words ~minheap ~spec ~seed ~gc ~factor ~controller
     in
-    let key =
-      match Cache_key.of_config config with
-      | Some digest -> digest
-      | None -> assert false (* make_collector is None above *)
-    in
-    let c = { index = !index; invocation; bench; gc; factor; controller; config; key } in
+    let c = { index = !index; invocation; bench; gc; factor; controller; config } in
     incr index;
     c
   in

@@ -4,9 +4,8 @@
     no clocks, no environment.  It enumerates the full benchmark ×
     collector × heap-factor × invocation grid in the canonical
     submission order (invocation-major, then benchmark, then collector,
-    then factor — the interleaving of §IV-A d), assigns each cell a
-    dense result-slot [index], and keys each cell by its
-    {!Gcr_sched.Cache_key} digest, so the fabric, which fills slots by
+    then factor — the interleaving of §IV-A d) and assigns each cell a
+    dense result-slot [index], so the fabric, which fills slots by
     index, reproduces the identical campaign at any worker count.
 
     Cells are grouped by (invocation, benchmark): the cells of one group
@@ -24,7 +23,6 @@ type cell = {
   controller : Gcr_policy.Controller.spec;
       (** heap-sizing controller; always [Fixed] for Epsilon *)
   config : Gcr_runtime.Run.config;  (** carries [Tape_off]; executors attach tapes *)
-  key : string;  (** {!Gcr_sched.Cache_key.of_config} digest *)
 }
 
 type group = {
@@ -52,7 +50,9 @@ val seed_of : base_seed:int -> invocation:int -> int
 (** The per-invocation seed schedule ([base_seed + 1000 × (i + 1)]). *)
 
 exception Unrunnable of string
-(** A cell no run can execute; the string is a one-line reason. *)
+(** A cell no run can execute, or a benchmark whose min-heap search
+    cannot complete ({!Minheap.find}); the string is a one-line reason
+    naming the benchmark. *)
 
 val cell_config :
   machine:Gcr_mach.Machine.t -> cost:Gcr_mach.Cost_model.t -> region_words:int ->
@@ -73,9 +73,11 @@ val cell_cost : cell -> float
 val group_cost : group -> float
 (** Sum of {!cell_cost} over the group's cells — the scheduler's key. *)
 
-val probe_cost : Gcr_workloads.Spec.t -> float
-(** Cost estimate for one minheap probe cell of [spec] (a bare workload
-    run), so probe waves ride the same size-aware scheduling. *)
+val search_cost : Gcr_workloads.Spec.t -> float
+(** Cost estimate for one whole min-heap search of [spec], which the
+    fabric deals as one group: a bare workload run's weight, the same
+    for every probe, so only the order across benchmarks means
+    anything. *)
 
 val plan :
   ?controllers:Gcr_policy.Controller.spec list ->

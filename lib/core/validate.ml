@@ -12,61 +12,59 @@ type tightness_row = {
   true_overhead : float;
 }
 
-(* Ground truth: mean ideal cost over the campaign's seeds.  [None] when
-   even the ideal cannot run within machine memory (e.g. xalan, whose
-   total allocation exceeds it — exactly the benchmarks where the paper
-   could not use Epsilon either). *)
-let ideal_costs campaign metric spec =
+(* Ground truth: one ideal run per (benchmark, seed) of the campaign,
+   for every benchmark whose ideal completes at every seed.  The others
+   drop out: even the ideal cannot run within machine memory there (e.g.
+   xalan, whose total allocation exceeds it — exactly the benchmarks
+   where the paper could not use Epsilon either). *)
+let ideal_runs campaign =
   let config = Harness.config_of campaign in
   let machine = Harness.scaled_machine config in
   let seeds =
     List.init config.Harness.invocations (fun invocation ->
         Planner.seed_of ~base_seed:config.Harness.base_seed ~invocation)
   in
-  let totals =
-    List.map
-      (fun seed ->
-        let m = Run.execute_ideal ~spec ~machine ~seed in
-        if Measurement.completed m then Some (Metrics.total metric m) else None)
-      seeds
-  in
-  if List.exists Option.is_none totals then None
-  else Some (Stats.mean (Array.of_list (List.filter_map Fun.id totals)))
+  List.filter_map
+    (fun spec ->
+      let runs = List.map (fun seed -> Run.execute_ideal ~spec ~machine ~seed) seeds in
+      if List.for_all Measurement.completed runs then Some (spec, runs) else None)
+    (Harness.benchmarks campaign)
 
-let tightness_rows campaign ~metric ~factor =
+let rows_of_ideals campaign ideals ~metric ~factor =
   let gcs =
     List.filter (fun g -> g <> Registry.Epsilon) (Harness.gcs campaign)
   in
   List.concat_map
-    (fun spec ->
+    (fun ((spec : Spec.t), runs) ->
       let bench = spec.Spec.name in
-      match ideal_costs campaign metric spec with
-      | None ->
-          (* ground truth itself cannot run in machine memory *)
-          []
-      | Some ideal_true ->
-          List.filter_map
-            (fun gc ->
-              match
-                ( Harness.lbo_value campaign metric ~bench ~gc ~factor,
-                  Lbo.observation metric (Harness.runs campaign ~bench ~gc ~factor) )
-              with
-              | Some lbo, Some o ->
-                  Some
-                    {
-                      benchmark = bench;
-                      collector = Registry.name gc;
-                      lbo;
-                      true_overhead = o.Lbo.total /. ideal_true;
-                    }
-              | _, _ -> None)
-            gcs)
-    (Harness.benchmarks campaign)
+      (* the mean ideal cost over the campaign's seeds *)
+      let ideal_true = Stats.mean (Array.of_list (List.map (Metrics.total metric) runs)) in
+      List.filter_map
+        (fun gc ->
+          match
+            ( Harness.lbo_value campaign metric ~bench ~gc ~factor,
+              Lbo.observation metric (Harness.runs campaign ~bench ~gc ~factor) )
+          with
+          | Some lbo, Some o ->
+              Some
+                {
+                  benchmark = bench;
+                  collector = Registry.name gc;
+                  lbo;
+                  true_overhead = o.Lbo.total /. ideal_true;
+                }
+          | _, _ -> None)
+        gcs)
+    ideals
+
+let tightness_rows campaign ~metric ~factor =
+  rows_of_ideals campaign (ideal_runs campaign) ~metric ~factor
 
 let tightness_study campaign ~factor =
+  let ideals = ideal_runs campaign in
   List.iter
     (fun metric ->
-      let rows = tightness_rows campaign ~metric ~factor in
+      let rows = rows_of_ideals campaign ideals ~metric ~factor in
       let table =
         Tablefmt.create
           ~title:

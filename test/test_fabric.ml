@@ -14,7 +14,7 @@ module Harness = Gcr_core.Harness
 module Planner = Gcr_core.Planner
 module Metrics = Gcr_core.Metrics
 module Minheap = Gcr_core.Minheap
-module Fabric = Gcr_sched.Fabric
+module Fabric = Gcr_core.Fabric
 module Result_cache = Gcr_sched.Result_cache
 module Transport = Gcr_sched.Transport
 module Cache_key = Gcr_sched.Cache_key
@@ -73,10 +73,14 @@ let check_campaigns_identical ~what reference candidate =
     (Printf.sprintf "%s: all measurements bit-identical" what)
     true
     (Harness.all_measurements reference = Harness.all_measurements candidate);
-  check Alcotest.int
-    (Printf.sprintf "%s: minheap words equal" what)
-    (Harness.minheap_words reference ~bench:"h2")
-    (Harness.minheap_words candidate ~bench:"h2");
+  List.iter
+    (fun (spec : Spec.t) ->
+      let bench = spec.Spec.name in
+      check Alcotest.int
+        (Printf.sprintf "%s: %s minheap words equal" what bench)
+        (Harness.minheap_words reference ~bench)
+        (Harness.minheap_words candidate ~bench))
+    (Harness.benchmarks reference);
   List.iter
     (fun gc ->
       List.iter
@@ -151,6 +155,59 @@ let test_forked_rows_name_their_workers () =
     rows;
   check Alcotest.int "four distinct pids" 4
     (List.length (List.sort_uniq compare (List.map pid_of rows)))
+
+(* A cold search is one group: the worker runs it whole, so its row
+   counts one result per searched benchmark on top of the grid's cells,
+   where one group per probe counted every probe. *)
+let test_cold_search_is_one_group () =
+  Minheap.clear_memo ();
+  let benchmarks = [ Suite.find_exn "h2"; Suite.find_exn "jme" ] in
+  let campaign =
+    Harness.run_campaign (campaign_config ~workers:(Some 1)) ~benchmarks
+      ~gcs:Registry.production
+  in
+  let s = Harness.summary campaign in
+  match s.Harness.worker_rows with
+  | [ row ] ->
+      check Alcotest.bool "the worker lived" true row.Fabric.row_alive;
+      check Alcotest.int "the backstop ran nothing" 0 s.Harness.parent_cells;
+      check Alcotest.int "grid cells plus one result per search"
+        (s.Harness.cells + List.length benchmarks)
+        row.Fabric.row_cells
+  | rows -> Alcotest.failf "expected one worker row, got %d" (List.length rows)
+
+(* h2 at scale 0.001 cannot complete even in the machine's memory.  In a
+   search group that is a result, not a worker death: the worker hands
+   back a failed measurement carrying the reason [Minheap.find] raises,
+   and a campaign raises it once the session is shut down. *)
+let test_unfinishable_search_kills_no_worker () =
+  let config = { (campaign_config ~workers:(Some 1)) with Harness.scale = 0.001 } in
+  let h2 = Suite.find_exn "h2" in
+  let spec = Spec.scale h2 0.001 in
+  let mh = Harness.minheap_config config in
+  Minheap.clear_memo ();
+  let reason =
+    match Minheap.find ~config:mh spec with
+    | words -> Alcotest.failf "h2 at scale 0.001 found a %d-word minimum" words
+    | exception Planner.Unrunnable reason -> reason
+  in
+  check Alcotest.bool (Printf.sprintf "%S names h2" reason) true (contains reason "h2");
+  let session = Fabric.start ~workers:1 () in
+  let results, stats =
+    Fun.protect
+      ~finally:(fun () -> Fabric.shutdown session)
+      (fun () ->
+        Fabric.dispatch session ~n_cells:1
+          [ Fabric.Search { slot = 0; spec; config = mh; cost = 1.0 } ])
+  in
+  check (Alcotest.array Alcotest.int) "the worker ran the search" [| 1 |] stats.Fabric.per_worker;
+  check Alcotest.int "no worker died" 0 (Fabric.worker_deaths session);
+  (match Minheap.minimum results.(0) with
+  | words -> Alcotest.failf "the worker's search found a %d-word minimum" words
+  | exception Planner.Unrunnable r -> check Alcotest.string "the worker's reason" reason r);
+  match Harness.run_campaign config ~benchmarks:[ h2 ] ~gcs:[ Registry.G1 ] with
+  | _ -> Alcotest.fail "a campaign ran an unfinishable search"
+  | exception Planner.Unrunnable r -> check Alcotest.string "the campaign's reason" reason r
 
 (* The warm workers' reuse≡fresh contract, end to end: every cell of the
    fabric campaign equals [Run.execute] of its planned config on fresh
@@ -484,16 +541,18 @@ let run_socket ?cache_dir ~worker_caches () =
   (campaign, statuses)
 
 (* Two workers without a result cache, each generating the tapes it
-   replays.  The minheap memo is cleared first so the probe searches
-   ride the socket as first-class plan cells. *)
+   replays.  The minheap memo is cleared first so the search rides the
+   socket as a group of its own. *)
 let test_socket_fabric_identical () =
   let reference = Lazy.force serial in
   Minheap.clear_memo ();
   let campaign, statuses = run_socket ~worker_caches:[ None; None ] () in
   check_campaigns_identical ~what:"serial vs socket fabric" reference campaign;
   let s = Harness.summary campaign in
-  check Alcotest.bool "probes rode the fabric" true (s.Harness.probe_cells > 0);
   check Alcotest.int "two socket workers" 2 (List.length s.Harness.worker_rows);
+  check Alcotest.int "the workers ran the search and every cell" (s.Harness.cells + 1)
+    (List.fold_left (fun n (r : Fabric.worker_row) -> n + r.Fabric.row_cells) 0
+       s.Harness.worker_rows);
   List.iter
     (fun st ->
       check Alcotest.bool "socket worker exited cleanly" true (st = Unix.WEXITED 0))
@@ -635,10 +694,15 @@ let test_profile_other_never_negative () =
    Version 1 workers carried a has-store byte in their hello and could
    fetch tapes over the wire; version 2 had neither, but its group
    frames carried a group id for revoke/ack work-stealing; version 3
-   sends the group alone.  Version 2 has today's handshake layout, so it
-   is the peer a deployment meets after an upgrade.  Each side reads
-   the peer's version before anything else, answers a mismatch with its
-   own versions, and drops the peer. *)
+   sent the group alone, always a list of cells; version 4's group is
+   either cells or one whole min-heap search.  Versions 2 and 3 have
+   today's handshake layout, so they are the peers a deployment meets
+   after an upgrade.  Each side reads the peer's version before
+   anything else, answers a mismatch with its own versions, and drops
+   the peer.  Raw peers speak the current version as
+   [Fabric.protocol_version]. *)
+
+let current = Fabric.protocol_version
 
 let v1_hello () =
   let b = Buffer.create 64 in
@@ -673,7 +737,7 @@ let connect_loopback port =
   Transport.of_socket fd
 
 (* A raw peer sending an old [hello] must get the coordinator's
-   version-3 welcome and then EOF; the child exits 0 only if it saw
+   current welcome and then EOF; the child exits 0 only if it saw
    exactly that. *)
 let fork_old_peer ~port hello =
   match Unix.fork () with
@@ -684,34 +748,32 @@ let fork_old_peer ~port hello =
            Transport.send ep ~tag:'H' hello;
            match Transport.recv ep with
            | Some ('W', payload)
-             when Wire.get_varint (Wire.cursor payload) "welcome version" = 3 -> (
+             when Wire.get_varint (Wire.cursor payload) "welcome version" = current -> (
                match Transport.recv ep with None -> 0 | Some _ -> 4)
            | Some _ | None -> 5
          with _ -> 6)
   | pid -> pid
 
-(* A v1 and a v2 peer both try to join; no worker joins, so the backstop
-   runs every cell. *)
+(* A v1, a v2 and a v3 peer all try to join; no worker joins, so the
+   backstop runs every cell. *)
 let test_old_hellos_refused () =
   let pids = ref [] in
+  let hellos = [ v1_hello (); hello ~version:2; hello ~version:3 ] in
   let config =
     {
-      (campaign_config ~workers:(Some 2)) with
+      (campaign_config ~workers:(Some (List.length hellos))) with
       Harness.listen = Some ("127.0.0.1", 0);
       connect_timeout = 2.0;
-      on_listen =
-        Some
-          (fun port ->
-            pids := List.map (fork_old_peer ~port) [ v1_hello (); hello ~version:2 ]);
+      on_listen = Some (fun port -> pids := List.map (fork_old_peer ~port) hellos);
     }
   in
   let campaign = Harness.run_campaign config ~benchmarks ~gcs:Registry.production in
   let statuses = List.map (fun pid -> snd (Unix.waitpid [] pid)) !pids in
-  check Alcotest.int "both peers connected" 2 (List.length statuses);
+  check Alcotest.int "every peer connected" (List.length hellos) (List.length statuses);
   List.iteri
     (fun i status ->
       check Alcotest.bool
-        (Printf.sprintf "the v%d peer got a v3 welcome, then EOF" (i + 1))
+        (Printf.sprintf "the v%d peer got a v%d welcome, then EOF" (i + 1) current)
         true (status = Unix.WEXITED 0))
     statuses;
   let s = Harness.summary campaign in
@@ -721,8 +783,8 @@ let test_old_hellos_refused () =
   check_campaigns_identical ~what:"serial vs backstop after refused peers"
     (Lazy.force serial) campaign
 
-(* A fake coordinator answers the hello with a version-1, then a
-   version-2 welcome. *)
+(* A fake coordinator answers the hello with a version-1, a version-2,
+   then a version-3 welcome. *)
 let test_old_welcomes_refused () =
   List.iter
     (fun version ->
@@ -754,12 +816,13 @@ let test_old_welcomes_refused () =
               check Alcotest.bool
                 (Printf.sprintf "%S names the mismatch" msg)
                 true
-                (contains msg (Printf.sprintf "coordinator speaks v%d, this build v3" version))
+                (contains msg
+                   (Printf.sprintf "coordinator speaks v%d, this build v%d" version current))
           | Ok () -> Alcotest.failf "worker served a v%d coordinator" version);
           check Alcotest.bool
             (Printf.sprintf "the fake v%d coordinator saw a hello" version)
             true (status = Unix.WEXITED 0))
-    [ 1; 2 ]
+    [ 1; 2; 3 ]
 
 (* --- Handshake deadlines, and how a worker ends. --- *)
 
@@ -883,7 +946,7 @@ let worker_ended_by finish =
       let ep = Transport.of_socket fd in
       (match Transport.recv ep with
       | Some ('H', _) ->
-          Transport.send ep ~tag:'W' (welcome ~version:3);
+          Transport.send ep ~tag:'W' (welcome ~version:current);
           finish ep
       | Some _ | None -> ());
       Transport.close ep
@@ -912,8 +975,8 @@ let test_worker_exits_0_only_on_quit () =
   check Alcotest.bool (Printf.sprintf "quit: stderr %S has no failure" stderr) true
     (not (contains stderr "gcr worker: "))
 
-(* A raw v3 worker that answers each group it is dealt with fresh runs,
-   [first_delay] seconds late on its first, and exits 0 on quit. *)
+(* A raw worker that answers each cell group it is dealt with fresh
+   runs, [first_delay] seconds late on its first, and exits 0 on quit. *)
 let fork_raw_worker ~port ~connect_after ~first_delay =
   match Unix.fork () with
   | 0 ->
@@ -921,16 +984,18 @@ let fork_raw_worker ~port ~connect_after ~first_delay =
         (try
            Unix.sleepf connect_after;
            let ep = connect_loopback port in
-           Transport.send ep ~tag:'H' (hello ~version:3);
+           Transport.send ep ~tag:'H' (hello ~version:current);
            let rec serve delay =
              match Transport.recv ep with
              | Some ('G', payload) ->
-                 let g = (Marshal.from_string payload 0 : Fabric.group) in
+                 let cells =
+                   match (Marshal.from_string payload 0 : Fabric.group) with
+                   | Fabric.Cells { cells; _ } -> cells
+                   | Fabric.Search _ -> []
+                 in
                  Unix.sleepf delay;
                  let batch =
-                   List.map
-                     (fun (index, config) -> (index, false, Run.execute config))
-                     g.Fabric.cells
+                   List.map (fun (index, config) -> (index, false, Run.execute config)) cells
                  in
                  Transport.send ep ~tag:'B'
                    (Marshal.to_string (batch, Gcr_runtime.Profile.zero) []);
@@ -957,7 +1022,7 @@ let test_silence_clock_starts_at_the_send () =
       [| Registry.Serial; Registry.G1 |]
   in
   let group cost index =
-    { Fabric.spec; seed = 7; tapes = false; cost; cells = [ (index, configs.(index)) ] }
+    Fabric.Cells { spec; seed = 7; tapes = false; cost; cells = [ (index, configs.(index)) ] }
   in
   let pids = ref [] in
   let measurements, stats =
@@ -996,7 +1061,7 @@ let test_silence_clock_starts_at_the_send () =
 
 (* --- A garbling socket worker. ---
 
-   A raw v3 peer joins, answers the first cell of the group it is dealt,
+   A raw peer joins, answers the first cell of the group it is dealt,
    then writes bytes below the framing (an unterminated varint) and
    hangs up.  The coordinator must keep the answered cell, refuse the
    stream as corrupt, drop the peer and run the rest on the backstop,
@@ -1009,12 +1074,15 @@ let fork_garbling_peer ~port =
       Unix._exit
         (try
            let ep = connect_loopback port in
-           Transport.send ep ~tag:'H' (hello ~version:3);
+           Transport.send ep ~tag:'H' (hello ~version:current);
            let welcome = Transport.recv ep in
            match (welcome, Transport.recv ep) with
            | Some ('W', _), Some ('G', payload) -> (
-               let g = (Marshal.from_string payload 0 : Fabric.group) in
-               let index, config = List.hd g.Fabric.cells in
+               let index, config =
+                 match (Marshal.from_string payload 0 : Fabric.group) with
+                 | Fabric.Cells { cells; _ } -> List.hd cells
+                 | Fabric.Search _ -> failwith "dealt a search"
+               in
                Transport.send ep ~tag:'B'
                  (Marshal.to_string
                     ([ (index, false, Run.execute config) ], Gcr_runtime.Profile.zero)
@@ -1047,7 +1115,7 @@ let test_garbled_stream_reassigns () =
       ~finally:(fun () -> Fabric.shutdown session)
       (fun () ->
         Fabric.dispatch session ~n_cells:3
-          [ { Fabric.spec; seed = 7; tapes = true; cost = 1.0; cells } ])
+          [ Fabric.Cells { spec; seed = 7; tapes = true; cost = 1.0; cells } ])
   in
   let status =
     match !pid with
@@ -1133,8 +1201,8 @@ let suite =
     Alcotest.test_case "fabric stores no tapes" `Quick test_fabric_stores_no_tapes;
     Alcotest.test_case "profile other is never negative" `Quick
       test_profile_other_never_negative;
-    Alcotest.test_case "v1/v2 hellos get only a v3 welcome" `Quick test_old_hellos_refused;
-    Alcotest.test_case "v1/v2 welcomes refused by a worker" `Quick test_old_welcomes_refused;
+    Alcotest.test_case "old hellos get only a current welcome" `Quick test_old_hellos_refused;
+    Alcotest.test_case "old welcomes refused by a worker" `Quick test_old_welcomes_refused;
     Alcotest.test_case "malformed timeout refused" `Quick test_timeout_env_validated;
     Alcotest.test_case "a silent peer cannot stall the handshake" `Quick
       test_silent_peer_cannot_stall_handshake;
@@ -1145,4 +1213,7 @@ let suite =
       test_silence_clock_starts_at_the_send;
     Alcotest.test_case "forked workers report their own host/pid" `Quick
       test_forked_rows_name_their_workers;
+    Alcotest.test_case "a cold search is one group" `Quick test_cold_search_is_one_group;
+    Alcotest.test_case "an unfinishable search kills no worker" `Quick
+      test_unfinishable_search_kills_no_worker;
   ]
