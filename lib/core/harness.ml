@@ -200,8 +200,30 @@ let campaign_digest config specs gcs =
   List.iter (fun g -> Printf.bprintf b "|gc=%s" (Registry.name g)) gcs;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* The first occurrence of each [key] in [xs], in order. *)
+let first_of key xs =
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun x ->
+      let k = key x in
+      let fresh = not (Hashtbl.mem seen k) in
+      Hashtbl.replace seen k ();
+      fresh)
+    xs
+
 let run_campaign config ~benchmarks ~gcs =
   let started = Unix.gettimeofday () in
+  (* A grid value named twice is one configuration, run once: the cells
+     of a configuration are its invocations, never a repeated value. *)
+  let config =
+    {
+      config with
+      heap_factors = first_of permille config.heap_factors;
+      controllers = first_of Controller.name config.controllers;
+    }
+  in
+  let benchmarks = first_of (fun (s : Spec.t) -> s.Spec.name) benchmarks in
+  let gcs = first_of Fun.id gcs in
   (* one store for the whole campaign: min-heap probes and grid cells *)
   let cache = Option.map (fun dir -> Result_cache.create ~dir) config.cache_dir in
   let specs = List.map (fun s -> Spec.scale s config.scale) benchmarks in
@@ -226,9 +248,9 @@ let run_campaign config ~benchmarks ~gcs =
     (* Memo hits are taken as they are.  Every cold search is one group
        of one wave, dealt costliest first: whoever takes it, a worker or
        the backstop, runs the whole search on one tape and one warm
-       state.  A benchmark named twice is searched once. *)
+       state. *)
     let cold =
-      List.sort_uniq compare
+      List.sort compare
         (List.filter (fun spec -> Minheap.find_cached minheap_config spec = None) specs)
     in
     let decided, _ =

@@ -90,8 +90,9 @@ val default_config : unit -> config
 
 val scaled_machine : config -> Gcr_mach.Machine.t
 (** [config.machine] with its memory scaled by [config.scale], the machine
-    every search and cell runs on.  A campaign keeps the caller's config
-    ({!config_of}), so derive from that through this function only. *)
+    every search and cell runs on.  A campaign keeps the caller's config,
+    deduplicated ({!config_of}), so derive from that through this
+    function only. *)
 
 val minheap_config : config -> Minheap.config
 (** G1 on {!scaled_machine} at [base_seed].  The frozen
@@ -161,14 +162,17 @@ val run_campaign :
   gcs:Gcr_gcs.Registry.kind list ->
   campaign
 (** Runs everything: each production collector at every heap factor, plus
-    Epsilon once per benchmark (its heap is the machine memory).  Specs
-    are scaled before running; min-heaps are measured per benchmark,
-    through the in-process memo and the [cache_dir] store.  One
-    {!Fabric} session carries the searches and then the grid: every
-    cold search is one group of one wave, whole, and memo hits are
-    taken as they are.  Raises [Invalid_argument] on [listen] without
-    workers, and {!Planner.Unrunnable} on a search that cannot complete
-    or a grid cell below two regions (the session is shut down
+    Epsilon once per benchmark (its heap is the machine memory).  A
+    benchmark (by name), collector, heap factor (to the permille that
+    keys a configuration) or controller (by name) given twice counts
+    once, at its first place; the campaign keeps the deduplicated lists
+    and config.  Specs are scaled before running; min-heaps are measured
+    per benchmark, through the in-process memo and the [cache_dir]
+    store.  One {!Fabric} session carries the searches and then the
+    grid: every cold search is one group of one wave, whole, and memo
+    hits are taken as they are.  Raises [Invalid_argument] on [listen]
+    without workers, and {!Planner.Unrunnable} on a search that cannot
+    complete or a grid cell below two regions (the session is shut down
     first). *)
 
 (** {1 Access} *)

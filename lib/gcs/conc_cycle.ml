@@ -48,6 +48,8 @@ let create ctx ~pool ~garbage_threshold ~reserve_regions ~concurrent_copy ?(old_
 
 let phase t = t.phase
 
+let[@inline] active t = match t.phase with Idle -> false | Marking | Evacuating | Updating -> true
+
 let cycles_completed t = t.cycles
 
 let words_copied t = t.words_copied
@@ -109,15 +111,6 @@ let select_cset t =
       else false)
     sorted
 
-let one_shot_cost cost =
-  let remaining = ref cost in
-  fun ~worker:_ ->
-    let c = !remaining in
-    remaining := 0;
-    c
-
-let root_scan_cost nroots = 20 * nroots
-
 let start t ~pause ~on_done =
   if t.in_flight then invalid_arg "Conc_cycle.start: cycle in flight";
   t.in_flight <- true;
@@ -144,7 +137,7 @@ let start t ~pause ~on_done =
           incr nroots;
           Tracer.add_root tracer id);
       Worker_pool.run_phase t.pool ~phase:Gcr_obs.Event.Root_scan
-        ~work:(one_shot_cost (root_scan_cost !nroots))
+        ~work:(Worker_pool.one_shot (Gc_types.root_scan_cost !nroots))
         ~on_done:(fun () ->
           release ();
           (* Concurrent marking: SATB publishes keep arriving while this

@@ -1,4 +1,5 @@
-(** The concurrent collection cycle shared by Shenandoah and ZGC.
+(** The concurrent collection cycle shared by Shenandoah, ZGC and, for
+    its old generation, GenShen.
 
     One cycle is: init-mark pause (root scan) → concurrent marking (SATB
     protected) → final-mark pause (root re-scan, drain, collection-set
@@ -35,6 +36,10 @@ val create :
     Shenandoah leaves the young generation to its scavenges). *)
 
 val phase : t -> phase
+
+val active : t -> bool
+(** The phase is not [Idle].  A cycle that {!start} has taken but whose
+    init-mark pause has not opened yet is not active. *)
 
 val start :
   t ->

@@ -31,6 +31,28 @@ let make_ctx ~heap ~engine ~cost ~machine =
     survivors = Gcr_util.Ivec.create ();
   }
 
+let[@inline] free_fraction ctx =
+  let heap = ctx.heap in
+  float_of_int (Gcr_heap.Heap.free_regions heap) /. float_of_int (Gcr_heap.Heap.total_regions heap)
+
+let[@inline] low_free ctx =
+  Gcr_heap.Heap.free_regions ctx.heap * 50 < Gcr_heap.Heap.total_regions ctx.heap
+
+let root_scan_cost nroots = 20 * nroots
+
+type waiters = (Gcr_engine.Engine.thread * (unit -> unit)) Gcr_util.Vec.t
+
+let waiters () = Gcr_util.Vec.create ()
+
+let park ctx waiters th cont =
+  Gcr_engine.Engine.park ctx.engine th;
+  Gcr_util.Vec.push waiters (th, cont)
+
+let resume_waiters ctx waiters =
+  let pending = Gcr_util.Vec.to_list waiters in
+  Gcr_util.Vec.clear waiters;
+  List.iter (fun (th, cont) -> Gcr_engine.Engine.resume ctx.engine th cont) pending
+
 type stats = {
   collections : int;
   full_collections : int;

@@ -3,7 +3,7 @@
     A collector is a record of closures consulted by the mutator on its hot
     paths (allocation, field reads and writes) plus the machinery that runs
     collection work on GC threads.  The record-of-closures shape keeps the
-    mutator code identical across all six collectors — exactly the property
+    mutator code identical across all nine collectors — exactly the property
     that makes the LBO methodology applicable: the runtime never needs to
     know which collector it is running. *)
 
@@ -43,6 +43,30 @@ val make_ctx :
     every collection of the run reuses them: a collection allocates no
     mark stack or survivor array of its own.  They belong to the run, not
     the process, because one process may interleave several runs. *)
+
+(** {1 Helpers every collector shares} *)
+
+val free_fraction : ctx -> float
+(** The share of the heap's regions in the free pool. *)
+
+val low_free : ctx -> bool
+(** Under 2% of the heap's regions are free: the test behind every
+    collector's GC-overhead limit. *)
+
+val root_scan_cost : int -> int
+(** Cycles a pause spends scanning [n] roots: 20 per root, a fixed price
+    outside {!Gcr_mach.Cost_model}. *)
+
+type waiters
+(** Mutator threads parked until a collection frees memory. *)
+
+val waiters : unit -> waiters
+
+val park : ctx -> waiters -> Gcr_engine.Engine.thread -> (unit -> unit) -> unit
+(** Park the thread; [cont] runs when {!resume_waiters} wakes it. *)
+
+val resume_waiters : ctx -> waiters -> unit
+(** Wake every parked thread, in the order they parked. *)
 
 type stats = {
   collections : int;  (** completed collection cycles of any kind *)

@@ -42,7 +42,7 @@ type state = {
   store : Obj_model.store;
   rc_pool : Worker_pool.t;  (** STW RC-update pause phases *)
   trace_pool : Worker_pool.t;  (** backup concurrent cycle trace *)
-  waiters : (Engine.thread * (unit -> unit)) Vec.t;
+  waiters : Gc_types.waiters;
   mutable rc : int array;  (** reference counts by id; see [rc] *)
   mutable gc_pending : bool;
   mutable live_census_done : bool;
@@ -96,36 +96,15 @@ let set_rc s id v =
   end;
   Array.unsafe_set s.rc id v
 
-let one_shot_cost cost =
-  let remaining = ref cost in
-  fun ~worker:_ ->
-    let c = !remaining in
-    remaining := 0;
-    c
-
-let root_scan_cost nroots = 20 * nroots
-
 let heap s = s.ctx.Gc_types.heap
 
 let engine s = s.ctx.Gc_types.engine
 
-let free_fraction s =
-  float_of_int (Heap.free_regions (heap s)) /. float_of_int (Heap.total_regions (heap s))
-
 let evac_reserve s = max 2 (Heap.total_regions (heap s) / 20)
-
-let resume_waiters s =
-  let pending = Vec.to_list s.waiters in
-  Vec.clear s.waiters;
-  List.iter (fun (th, cont) -> Engine.resume (engine s) th cont) pending
-
-let enqueue_waiter s th cont =
-  Engine.park (engine s) th;
-  Vec.push s.waiters (th, cont)
 
 let run_phase_opt s phase cost k =
   if cost <= 0 then k ()
-  else Worker_pool.run_phase s.rc_pool ~phase ~work:(one_shot_cost cost) ~on_done:k
+  else Worker_pool.run_phase s.rc_pool ~phase ~work:(Worker_pool.one_shot cost) ~on_done:k
 
 (* An entry is current iff the id still names the object it was logged
    against. *)
@@ -442,7 +421,7 @@ let maybe_start_cycle s =
   if
     (not s.cycle_marking)
     && (not (Worker_pool.busy s.trace_pool))
-    && free_fraction s < s.config.trigger_free_fraction
+    && Gc_types.free_fraction s.ctx < s.config.trigger_free_fraction
   then begin
     s.cycle_session <- s.cycle_session + 1;
     let h = heap s in
@@ -499,9 +478,7 @@ let normal_end s =
      take at least one region after a pause, or starved pauses would
      full-compact the same heap state forever. *)
   Heap.set_alloc_reserve h (min (evac_reserve s) (max 0 (Heap.free_regions h - 1)));
-  if Heap.free_regions h * 50 < Heap.total_regions h then
-    s.low_free_streak <- s.low_free_streak + 1
-  else s.low_free_streak <- 0;
+  s.low_free_streak <- (if Gc_types.low_free s.ctx then s.low_free_streak + 1 else 0);
   if s.low_free_streak >= 4 then
     s.ctx.Gc_types.oom "LXR: GC overhead limit exceeded (heap too small)"
   else begin
@@ -509,7 +486,7 @@ let normal_end s =
     let started = maybe_start_cycle s in
     Engine.release_stop (engine s);
     s.gc_pending <- false;
-    resume_waiters s;
+    Gc_types.resume_waiters s.ctx s.waiters;
     match started with
     | Some c -> launch_concurrent_drain s c
     | None -> ()
@@ -560,7 +537,7 @@ let run_pause s ~starved =
   s.pause_freed <- 0;
   ensure_live_census s;
   let nroots = scan_roots s in
-  run_phase_opt s Event.Root_scan (root_scan_cost nroots) (fun () ->
+  run_phase_opt s Event.Root_scan (Gc_types.root_scan_cost nroots) (fun () ->
       let inc_entries = apply_incs s in
       run_phase_opt s Event.Rc_increment
         (inc_entries * cost.Cost_model.rc_update_per_entry)
@@ -580,20 +557,24 @@ let run_pause s ~starved =
 
 let trigger_pause s th cont ~starved ~reason =
   s.gc_pending <- true;
-  enqueue_waiter s th cont;
+  Gc_types.park s.ctx s.waiters th cont;
   Engine.request_stop (engine s) ~reason (fun () -> run_pause s ~starved)
 
 let make (ctx : Gc_types.ctx) config =
   let h = ctx.Gc_types.heap in
   let total = Heap.total_regions h in
+  (* The trace pool is created first: pool creation order fixes thread
+     ids, which the event stream carries. *)
+  let trace_pool = Worker_pool.create ctx ~count:config.trace_workers ~name:"LXR" in
+  let rc_pool = Worker_pool.create ctx ~count:config.rc_workers ~name:"LXR" in
   let s =
     {
       ctx;
       config;
       store = Heap.store h;
-      rc_pool = Worker_pool.create ctx ~count:config.rc_workers ~name:"LXR";
-      trace_pool = Worker_pool.create ctx ~count:config.trace_workers ~name:"LXR";
-      waiters = Vec.create ();
+      rc_pool;
+      trace_pool;
+      waiters = Gc_types.waiters ();
       rc = Array.make 1024 0;
       gc_pending = false;
       live_census_done = false;
@@ -627,7 +608,7 @@ let make (ctx : Gc_types.ctx) config =
     s.eden_since_pause <- s.eden_since_pause + 1;
     if busy () then begin
       s.stalls <- s.stalls + 1;
-      enqueue_waiter s th cont
+      Gc_types.park ctx s.waiters th cont
     end
     else if
       s.eden_since_pause >= s.pause_budget
@@ -638,7 +619,7 @@ let make (ctx : Gc_types.ctx) config =
   let on_out_of_regions th ~retry =
     if busy () then begin
       s.stalls <- s.stalls + 1;
-      enqueue_waiter s th retry
+      Gc_types.park ctx s.waiters th retry
     end
     else trigger_pause s th retry ~starved:true ~reason:"LXR allocation failure"
   in

@@ -19,7 +19,7 @@ let is_young (r : Region.t) =
   | Region.Eden | Region.Survivor -> true
   | Region.Free | Region.Old -> false
 
-let run (ctx : Gc_types.ctx) ~pool ~remset ~tenure_age ~on_mark_young ~on_done =
+let run (ctx : Gc_types.ctx) ~pool ~remset ~tenure_age ~on_done =
   let heap = ctx.Gc_types.heap in
   let cost_model = ctx.Gc_types.cost in
   Vec.iter Allocator.retire ctx.Gc_types.allocators;
@@ -33,7 +33,6 @@ let run (ctx : Gc_types.ctx) ~pool ~remset ~tenure_age ~on_mark_young ~on_done =
   let objects_copied = ref 0 in
   let words_copied = ref 0 in
   let on_mark id =
-    on_mark_young id;
     let age = Heap.obj_age heap id in
     let tenured = age >= tenure_age in
     if not (Allocator.move_object (if tenured then old_target else survivor_target) id) then

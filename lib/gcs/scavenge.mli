@@ -1,5 +1,6 @@
-(** The young-generation copying collection (scavenge), shared by Serial,
-    Parallel and G1.
+(** The young-generation copying collection (scavenge) of the young
+    generation ({!Stw_gen.young}) that Serial, Parallel, SerialPT, G1 and
+    GenShen share.
 
     Must run inside an open pause.  Traces eden+survivor from the workload
     roots and the remembered set; each reached object is copied to a
@@ -23,9 +24,5 @@ val run :
   pool:Worker_pool.t ->
   remset:Remset.t ->
   tenure_age:int ->
-  on_mark_young:(Gcr_heap.Obj_model.id -> unit) ->
   on_done:(result -> unit) ->
   unit
-(** [on_mark_young] is invoked for every surviving young object before it
-    moves (G1 hooks concurrent-marking bookkeeping here; Serial/Parallel
-    pass [ignore]). *)

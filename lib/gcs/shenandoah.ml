@@ -1,7 +1,6 @@
 module Heap = Gcr_heap.Heap
 module Engine = Gcr_engine.Engine
 module Obs = Gcr_obs.Obs
-module Vec = Gcr_util.Vec
 module Cost_model = Gcr_mach.Cost_model
 
 type config = {
@@ -26,7 +25,7 @@ type state = {
   config : config;
   cycle : Conc_cycle.t;
   pool : Worker_pool.t;
-  waiters : (Engine.thread * (unit -> unit)) Vec.t;
+  waiters : Gc_types.waiters;
   mutable degenerated : bool;  (** we own an open (or opening) pause *)
   mutable on_pause_open : (unit -> unit) option;
       (** continuation deferred until the degenerated pause actually opens
@@ -38,19 +37,6 @@ type state = {
   mutable degenerated_collections : int;
   mutable stalls : int;
 }
-
-let free_fraction s =
-  let heap = s.ctx.Gc_types.heap in
-  float_of_int (Heap.free_regions heap) /. float_of_int (Heap.total_regions heap)
-
-let resume_waiters s =
-  let pending = Vec.to_list s.waiters in
-  Vec.clear s.waiters;
-  List.iter (fun (th, cont) -> Engine.resume s.ctx.Gc_types.engine th cont) pending
-
-let enqueue_waiter s th cont =
-  Engine.park s.ctx.Gc_types.engine th;
-  Vec.push s.waiters (th, cont)
 
 (* Pause broker handed to the cycle driver: in degenerated mode the pause
    is already open (or opening), so phase transitions run immediately and
@@ -65,8 +51,7 @@ let pause_broker s reason body =
    nothing: paced / degenerated cycles are Shenandoah's normal (if very
    slow) operating mode under pressure — the paper's xalan pathology. *)
 let note_full_compaction s =
-  if free_fraction s < 0.02 then s.low_free_streak <- s.low_free_streak + 1
-  else s.low_free_streak <- 0;
+  s.low_free_streak <- (if Gc_types.low_free s.ctx then s.low_free_streak + 1 else 0);
   if s.low_free_streak >= 3 then
     s.ctx.Gc_types.oom "Shenandoah: GC overhead limit exceeded (heap too small)"
 
@@ -102,7 +87,7 @@ let handle_pause_open s () =
 let end_cycle s ~evac_failed =
   let engine = s.ctx.Gc_types.engine in
   let heap = s.ctx.Gc_types.heap in
-  let wrap_up () = resume_waiters s in
+  let wrap_up () = Gc_types.resume_waiters s.ctx s.waiters in
   let release_and_wrap_up () =
     s.degenerated <- false;
     Engine.release_stop engine;
@@ -133,11 +118,6 @@ let start_cycle s =
   s.free_at_cycle_start <- Heap.free_regions s.ctx.Gc_types.heap;
   Conc_cycle.start s.cycle ~pause:(pause_broker s) ~on_done:(end_cycle s)
 
-let cycle_active s =
-  match Conc_cycle.phase s.cycle with
-  | Conc_cycle.Idle -> false
-  | Conc_cycle.Marking | Conc_cycle.Evacuating | Conc_cycle.Updating -> true
-
 let make (ctx : Gc_types.ctx) config =
   Heap.set_alloc_reserve ctx.Gc_types.heap
     (max 2 (Heap.total_regions ctx.Gc_types.heap / 10));
@@ -153,7 +133,7 @@ let make (ctx : Gc_types.ctx) config =
       config;
       cycle;
       pool;
-      waiters = Vec.create ();
+      waiters = Gc_types.waiters ();
       degenerated = false;
       on_pause_open = None;
       low_free_streak = 0;
@@ -165,19 +145,20 @@ let make (ctx : Gc_types.ctx) config =
   in
   let engine = ctx.Gc_types.engine in
   let after_refill th ~cont =
-    if (not (cycle_active s)) && (not (Engine.stop_requested engine))
+    if (not (Conc_cycle.active cycle)) && (not (Engine.stop_requested engine))
        && (not (Worker_pool.busy pool))
-       && free_fraction s < config.trigger_free_fraction
+       && Gc_types.free_fraction ctx < config.trigger_free_fraction
     then begin
       start_cycle s;
       cont ()
     end
-    else if cycle_active s && free_fraction s < config.pace_free_fraction then begin
+    else if Conc_cycle.active cycle && Gc_types.free_fraction ctx < config.pace_free_fraction
+    then begin
       (* Pacing: tax this allocation with a stall proportional to how far
          behind reclamation is.  Sleeping threads burn wall time but no
          cycles. *)
       s.stalls <- s.stalls + 1;
-      let deficit = 1.0 -. (free_fraction s /. config.pace_free_fraction) in
+      let deficit = 1.0 -. (Gc_types.free_fraction ctx /. config.pace_free_fraction) in
       let stall =
         config.pace_stall_cycles
         + int_of_float (deficit *. float_of_int (8 * config.pace_stall_cycles))
@@ -189,12 +170,12 @@ let make (ctx : Gc_types.ctx) config =
     else cont ()
   in
   let on_out_of_regions th ~retry =
-    enqueue_waiter s th retry;
+    Gc_types.park ctx s.waiters th retry;
     if Engine.stop_requested engine || s.degenerated then
       (* A pause is already in flight; once it completes and frees memory
          the waiter retries. *)
       ()
-    else if cycle_active s then begin
+    else if Conc_cycle.active cycle then begin
       (* Degenerated GC: finish the in-flight cycle stop-the-world. *)
       note_degeneration s;
       s.degenerated_collections <- s.degenerated_collections + 1;

@@ -1,9 +1,7 @@
 module Heap = Gcr_heap.Heap
 module Region = Gcr_heap.Region
-module Obj_model = Gcr_heap.Obj_model
 module Engine = Gcr_engine.Engine
 module Obs = Gcr_obs.Obs
-module Vec = Gcr_util.Vec
 module Cost_model = Gcr_mach.Cost_model
 
 type config = {
@@ -30,57 +28,15 @@ let default_config ~cpus =
 type state = {
   ctx : Gc_types.ctx;
   config : config;
-  stw_pool : Worker_pool.t;
+  young : Stw_gen.young;
   conc_pool : Worker_pool.t;
   cycle : Conc_cycle.t;
-  remset : Remset.t;
-  waiters : (Engine.thread * (unit -> unit)) Vec.t;
-  mutable gc_pending : bool;  (** a young pause is being organised / open *)
   mutable degen_wait : bool;
       (** a young pause stays open until the in-flight old cycle finishes
           (the generational analogue of degenerated GC) *)
   mutable full_wanted : bool;  (** old cycle failed; compact at next pause *)
-  mutable eden_regions_since_gc : int;
-  mutable eden_budget : int;
-  mutable last_survivor_regions : int;
-  mutable low_free_streak : int;
-  mutable collections : int;
-  mutable full_collections : int;
-  mutable words_copied : int;
-  mutable objects_marked : int;
   mutable stalls : int;
 }
-
-let total_regions s = Heap.total_regions s.ctx.Gc_types.heap
-
-let free_regions s = Heap.free_regions s.ctx.Gc_types.heap
-
-let free_fraction s = float_of_int (free_regions s) /. float_of_int (total_regions s)
-
-let survivor_reserve s = max 2 ((s.last_survivor_regions * 2) + 1)
-
-let full_gc_reserve s = max 3 (total_regions s / 32)
-
-let should_collect_young s =
-  s.eden_regions_since_gc >= s.eden_budget || free_regions s <= survivor_reserve s
-
-let recompute_eden_budget s =
-  let headroom = free_regions s - survivor_reserve s in
-  s.eden_budget <- max 2 (headroom / 2)
-
-let resume_waiters s =
-  let pending = Vec.to_list s.waiters in
-  Vec.clear s.waiters;
-  List.iter (fun (th, cont) -> Engine.resume s.ctx.Gc_types.engine th cont) pending
-
-let enqueue_waiter s th cont =
-  Engine.park s.ctx.Gc_types.engine th;
-  Vec.push s.waiters (th, cont)
-
-let cycle_active s =
-  match Conc_cycle.phase s.cycle with
-  | Conc_cycle.Idle -> false
-  | Conc_cycle.Marking | Conc_cycle.Evacuating | Conc_cycle.Updating -> true
 
 (* The old cycle's pauses piggyback on whatever young pause is open;
    otherwise they open their own short safepoints. *)
@@ -91,31 +47,17 @@ let pause_broker s reason body =
     Engine.request_stop engine ~reason:("GenShen " ^ reason) (fun () ->
         body (fun () -> Engine.release_stop engine))
 
-let note_full_compaction s =
-  if free_fraction s < 0.02 then s.low_free_streak <- s.low_free_streak + 1
-  else s.low_free_streak <- 0;
-  if s.low_free_streak >= 3 then
-    s.ctx.Gc_types.oom "GenShen: GC overhead limit exceeded (heap too small)"
-
 (* End of a young pause: bookkeeping + release + waiters. *)
 let finish_pause s ~ran_full =
-  let heap = s.ctx.Gc_types.heap in
-  s.collections <- s.collections + 1;
-  if ran_full then s.full_collections <- s.full_collections + 1;
-  s.eden_regions_since_gc <- 0;
-  s.last_survivor_regions <- Heap.regions_in_space_count heap Region.Survivor;
-  Heap.set_alloc_reserve heap (survivor_reserve s);
-  recompute_eden_budget s;
-  Engine.release_stop s.ctx.Gc_types.engine;
-  s.gc_pending <- false;
-  resume_waiters s
+  Stw_gen.end_pause s.young ~ran_full;
+  Stw_gen.release s.young
 
+(* The overhead limit counts full compactions only. *)
 let run_full_then_finish s =
   s.full_wanted <- false;
-  Full_compact.run s.ctx ~pool:s.stw_pool ~on_done:(fun (res : Full_compact.result) ->
-      s.objects_marked <- s.objects_marked + res.objects_marked;
-      Remset.clear s.remset;
-      note_full_compaction s;
+  Stw_gen.full_compact s.young ~on_done:(fun () ->
+      if Stw_gen.over_limit s.young ~limit:3 then
+        s.ctx.Gc_types.oom "GenShen: GC overhead limit exceeded (heap too small)";
       finish_pause s ~ran_full:true)
 
 (* Start a concurrent old cycle (caller checked it is safe). *)
@@ -125,14 +67,13 @@ let start_old_cycle s =
     ~on_done:(fun ~evac_failed ->
       if s.degen_wait then begin
         (* A young pause has been held open waiting for us. *)
-
         s.degen_wait <- false;
-        if evac_failed || free_regions s <= full_gc_reserve s then run_full_then_finish s
+        if evac_failed || Stw_gen.needs_full s.young then run_full_then_finish s
         else finish_pause s ~ran_full:false
       end
       else begin
         if evac_failed then s.full_wanted <- true;
-        resume_waiters s
+        Stw_gen.resume_waiters s.young
       end)
 
 let maybe_start_old_cycle s =
@@ -140,24 +81,16 @@ let maybe_start_old_cycle s =
   let old_used = float_of_int (Heap.space_used_words heap Region.Old) in
   let capacity = float_of_int (Heap.capacity_words heap) in
   if
-    (not (cycle_active s))
+    (not (Conc_cycle.active s.cycle))
     && (not (Worker_pool.busy s.conc_pool))
     && old_used > s.config.old_trigger_occupancy *. capacity
   then start_old_cycle s
 
 (* The young collection, inside its pause. *)
-let run_young_collection s =
-  Scavenge.run s.ctx ~pool:s.stw_pool ~remset:s.remset ~tenure_age:s.config.tenure_age
-    ~on_mark_young:ignore
-    ~on_done:(fun (res : Scavenge.result) ->
-      s.objects_marked <- s.objects_marked + res.objects_copied;
-      s.words_copied <- s.words_copied + res.words_copied;
-      if not res.promo_failed then Remset.rebuild s.remset ~extra:res.promoted_with_fields;
-      let need_full =
-        res.promo_failed || s.full_wanted || free_regions s <= full_gc_reserve s
-      in
-      if need_full then begin
-        if cycle_active s then begin
+let run_young_collection s () =
+  Stw_gen.scavenge s.young ~on_done:(fun ~promo_failed ->
+      if promo_failed || s.full_wanted || Stw_gen.needs_full s.young then begin
+        if Conc_cycle.active s.cycle then begin
           (* Cannot compact while the old cycle is mid-flight: hold the
              pause open; the cycle finishes stop-the-world on its workers
              and then compacts if still needed. *)
@@ -174,58 +107,25 @@ let run_young_collection s =
         finish_pause s ~ran_full:false
       end)
 
-let trigger_young s th cont ~reason =
-  s.gc_pending <- true;
-  enqueue_waiter s th cont;
-  Engine.request_stop s.ctx.Gc_types.engine ~reason (fun () -> run_young_collection s)
-
-let is_old s id =
-  match Heap.obj_space s.ctx.Gc_types.heap id with
-  | Region.Old -> true
-  | Region.Free | Region.Eden | Region.Survivor -> false
-
 let make (ctx : Gc_types.ctx) config =
-  Heap.set_alloc_reserve ctx.Gc_types.heap (max 4 (Heap.total_regions ctx.Gc_types.heap / 8));
   let stw_pool = Worker_pool.create ctx ~count:config.stw_workers ~name:"GenShen-stw" in
   let conc_pool = Worker_pool.create ctx ~count:config.conc_workers ~name:"GenShen-conc" in
+  let young = Stw_gen.young ctx ~name:"GenShen" ~pool:stw_pool ~tenure_age:config.tenure_age in
   let cycle =
     Conc_cycle.create ctx ~pool:conc_pool ~garbage_threshold:config.garbage_threshold
       ~reserve_regions:(fun () -> max 2 (Heap.total_regions ctx.Gc_types.heap / 20))
       ~concurrent_copy:true ~old_only:true ()
   in
   let s =
-    {
-      ctx;
-      config;
-      stw_pool;
-      conc_pool;
-      cycle;
-      remset = Remset.create ctx.Gc_types.heap;
-      waiters = Vec.create ();
-      gc_pending = false;
-      degen_wait = false;
-      full_wanted = false;
-      eden_regions_since_gc = 0;
-      eden_budget = max 2 (Heap.total_regions ctx.Gc_types.heap / 4);
-      last_survivor_regions = 0;
-      low_free_streak = 0;
-      collections = 0;
-      full_collections = 0;
-      words_copied = 0;
-      objects_marked = 0;
-      stalls = 0;
-    }
+    { ctx; config; young; conc_pool; cycle; degen_wait = false; full_wanted = false; stalls = 0 }
   in
   let engine = ctx.Gc_types.engine in
-  let busy () = s.gc_pending || Engine.stop_requested engine in
-  let after_refill th ~cont =
-    s.eden_regions_since_gc <- s.eden_regions_since_gc + 1;
-    if busy () then enqueue_waiter s th cont
-    else if should_collect_young s then trigger_young s th cont ~reason:"GenShen young"
-    else if cycle_active s && free_fraction s < config.pace_free_fraction then begin
-      (* Pacing while the old cycle is behind. *)
+  let collect = run_young_collection s in
+  (* Pacing while the old cycle is behind. *)
+  let pace th cont =
+    if Conc_cycle.active cycle && Gc_types.free_fraction ctx < config.pace_free_fraction then begin
       s.stalls <- s.stalls + 1;
-      let deficit = 1.0 -. (free_fraction s /. config.pace_free_fraction) in
+      let deficit = 1.0 -. (Gc_types.free_fraction ctx /. config.pace_free_fraction) in
       let stall =
         config.pace_stall_cycles
         + int_of_float (deficit *. float_of_int (4 * config.pace_stall_cycles))
@@ -236,12 +136,8 @@ let make (ctx : Gc_types.ctx) config =
     end
     else cont ()
   in
-  let on_out_of_regions th ~retry =
-    if busy () then enqueue_waiter s th retry
-    else trigger_young s th retry ~reason:"GenShen allocation failure"
-  in
   let on_pointer_write ~src ~old_target ~new_target =
-    if (not (Obj_model.is_null new_target)) && is_old s src then Remset.remember s.remset src;
+    Stw_gen.remember young ~src ~new_target;
     Conc_cycle.satb_publish cycle old_target
   in
   let write_barrier () =
@@ -265,15 +161,17 @@ let make (ctx : Gc_types.ctx) config =
     write_barrier;
     on_alloc = (fun o -> Conc_cycle.mark_new_object cycle o);
     on_pointer_write;
-    after_refill;
-    on_out_of_regions;
+    after_refill =
+      (fun th ~cont -> Stw_gen.after_refill young ~collect ~otherwise:pace th ~cont);
+    on_out_of_regions = (fun th ~retry -> Stw_gen.on_out_of_regions young ~collect th ~retry);
     stats =
       (fun () ->
+        let y = Stw_gen.stats young in
         {
-          Gc_types.collections = s.collections + Conc_cycle.cycles_completed cycle;
-          full_collections = s.full_collections;
-          words_copied = s.words_copied + Conc_cycle.words_copied cycle;
-          objects_marked = s.objects_marked + Conc_cycle.objects_marked cycle;
+          y with
+          Gc_types.collections = y.Gc_types.collections + Conc_cycle.cycles_completed cycle;
+          words_copied = y.Gc_types.words_copied + Conc_cycle.words_copied cycle;
+          objects_marked = y.Gc_types.objects_marked + Conc_cycle.objects_marked cycle;
           stalls = s.stalls;
         });
   }

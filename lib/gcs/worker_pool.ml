@@ -100,6 +100,13 @@ let run_phase t ~phase ~work ~on_done =
     Engine.resume t.engine t.threads.(i) t.pulls.(i)
   done
 
+let one_shot cycles =
+  let remaining = ref cycles in
+  fun ~worker:_ ->
+    let c = !remaining in
+    remaining := 0;
+    c
+
 let rec run_phases t phases ~on_done =
   match phases with
   | [] -> on_done ()

@@ -41,6 +41,10 @@ val run_phase :
     already in flight.  Each worker emits a [phase] begin event when the
     phase starts and an end event as it passes the termination barrier. *)
 
+val one_shot : int -> worker:int -> int
+(** [one_shot cycles] is phase work that one slice takes whole: the
+    first worker to pull gets [cycles], every later pull finds none. *)
+
 val run_phases :
   t ->
   (Gcr_obs.Event.phase * (worker:int -> int)) list ->

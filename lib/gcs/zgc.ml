@@ -44,10 +44,6 @@ type state = {
   mutable stalls : int;
 }
 
-let free_fraction s =
-  let heap = s.ctx.Gc_types.heap in
-  float_of_int (Heap.free_regions heap) /. float_of_int (Heap.total_regions heap)
-
 let memory_available s =
   Heap.free_regions s.ctx.Gc_types.heap > Heap.alloc_reserve s.ctx.Gc_types.heap
 
@@ -122,11 +118,6 @@ and start_cycle s =
     (max 2 (Heap.total_regions s.ctx.Gc_types.heap / 10));
   Conc_cycle.start s.cycle ~pause:(pause_broker s) ~on_done:(end_cycle s)
 
-let cycle_active s =
-  match Conc_cycle.phase s.cycle with
-  | Conc_cycle.Idle -> false
-  | Conc_cycle.Marking | Conc_cycle.Evacuating | Conc_cycle.Updating -> true
-
 let make (ctx : Gc_types.ctx) config =
   Heap.set_alloc_reserve ctx.Gc_types.heap
     (max 2 (Heap.total_regions ctx.Gc_types.heap / 10));
@@ -151,13 +142,15 @@ let make (ctx : Gc_types.ctx) config =
   in
   let engine = ctx.Gc_types.engine in
   let can_start () =
-    (not (cycle_active s)) && (not (Engine.stop_requested engine)) && not (Worker_pool.busy pool)
+    (not (Conc_cycle.active cycle))
+    && (not (Engine.stop_requested engine))
+    && not (Worker_pool.busy pool)
   in
   let after_refill _th ~cont =
     (* Opportunistic wake-up: a successful refill proves memory is
        available again, so stalled threads need not wait for the poll. *)
     if (not (Vec.is_empty s.waiters)) && memory_available s then resume_waiters s;
-    if can_start () && free_fraction s < config.trigger_free_fraction then start_cycle s;
+    if can_start () && Gc_types.free_fraction ctx < config.trigger_free_fraction then start_cycle s;
     cont ()
   in
   let on_out_of_regions th ~retry =

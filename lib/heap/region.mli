@@ -3,7 +3,7 @@
     The heap is a flat array of equally sized regions (G1/Shenandoah/ZGC
     style).  The stop-the-world collectors reuse the same substrate: their
     "spaces" are simply sets of regions tagged with a space label, which
-    keeps one allocation and accounting path for all six collectors. *)
+    keeps one allocation and accounting path for all nine collectors. *)
 
 type space =
   | Free  (** in the free pool *)

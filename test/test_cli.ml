@@ -98,5 +98,32 @@ let test_bad_grid_flags () =
     ];
   List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ tape; trace; recorded ]
 
+(* A benchmark, collector, heap factor or controller named twice is one
+   configuration: the campaign that repeats every axis prints what the
+   deduplicated one prints, and its summary counts the deduplicated cells
+   (jme's Epsilon cell and its G1 cell). *)
+let test_repeated_grid_values () =
+  let campaign axes = run_gcr (("campaign" :: axes) @ [ "-n"; "1"; "--scale"; "0.05" ]) in
+  let once_status, once, _ =
+    campaign [ "-b"; "jme"; "-g"; "G1"; "--factors"; "3.0"; "--controllers"; "fixed" ]
+  in
+  let twice_status, twice, twice_err =
+    campaign
+      [
+        "-b"; "jme"; "-b"; "jme"; "-g"; "G1"; "-g"; "G1"; "--factors"; "3.0,3.0";
+        "--controllers"; "fixed,fixed";
+      ]
+  in
+  check Alcotest.bool "the deduplicated campaign exits 0" true (once_status = Unix.WEXITED 0);
+  check Alcotest.bool "the repeated campaign exits 0" true (twice_status = Unix.WEXITED 0);
+  check Alcotest.string "the repeated campaign prints the same report" once twice;
+  check Alcotest.bool
+    (Printf.sprintf "the summary counts 2 cells (stderr %S)" twice_err)
+    true
+    (contains twice_err "[harness] 2 cells in ")
+
 let suite =
-  [ Alcotest.test_case "bad grid flags exit 3 with a reason" `Quick test_bad_grid_flags ]
+  [
+    Alcotest.test_case "bad grid flags exit 3 with a reason" `Quick test_bad_grid_flags;
+    Alcotest.test_case "repeated grid values count once" `Quick test_repeated_grid_values;
+  ]

@@ -217,8 +217,137 @@ let test_thrash_order () =
     Alcotest.(check (triple int int int))
       "floor heap, pauses and event digest" expected_thrash actual
 
+(* Tight heaps, where the comfortable lusearch runs above never go: the
+   full-compaction fallback, GenShen's held-open young pause, the
+   GC-overhead-limit and allocation-stall OOMs, and the event budget.
+   Each shape runs every collector but Epsilon at seed 42, cut to
+   100,000 engine events. *)
+type tight = {
+  t_gc : string;
+  t_outcome : string;
+  t_full : int;  (** full (or degenerated) collections *)
+  t_digest : int;
+}
+
+let tight_shapes = [ ("lusearch", 13_312); ("h2", 32_768) ]
+
+let tight_run bench heap_words gc =
+  let spec = Spec.scale (Suite.find_exn bench) 0.02 in
+  let m, digest =
+    with_event_digest (fun ~on_engine ->
+        Run.execute ~on_engine
+          { (Run.default_config ~spec ~gc ~heap_words ~seed) with Run.max_events = Some 100_000 })
+  in
+  let f = fingerprint_of m m.Measurement.gc_stats ~event_digest:digest in
+  {
+    t_gc = f.gc;
+    t_outcome = f.outcome;
+    t_full = m.Measurement.gc_stats.Gc_types.full_collections;
+    t_digest = digest;
+  }
+
+let tight_collectors = List.filter (fun k -> k <> Registry.Epsilon) collectors
+
+(* Recorded before the collectors shared one young generation; print with
+   GCR_GOLDEN_RECORD=1 as above.  ZGC has no full collection; every other
+   collector must run one in both shapes. *)
+let expected_tight : (string * tight list) list =
+  [
+    ( "lusearch",
+      [
+        { t_gc = "Serial";
+          t_outcome = "ok";
+          t_full = 268; t_digest = 4393241450305161784 };
+        { t_gc = "Parallel";
+          t_outcome = "ok";
+          t_full = 268; t_digest = -666313708667136923 };
+        { t_gc = "G1";
+          t_outcome = "ok";
+          t_full = 361; t_digest = 3109393065107451209 };
+        { t_gc = "Shenandoah";
+          t_outcome = "ok";
+          t_full = 93; t_digest = -4518204945787781196 };
+        { t_gc = "ZGC";
+          t_outcome = "failed: OutOfMemoryError: ZGC: sustained allocation stalls (allocation rate exceeds reclamation)";
+          t_full = 0; t_digest = 2118337263723143274 };
+        { t_gc = "GenShen";
+          t_outcome = "ok";
+          t_full = 309; t_digest = -4265139955395264397 };
+        { t_gc = "LXR";
+          t_outcome = "failed: OutOfMemoryError: LXR: GC overhead limit exceeded (heap too small)";
+          t_full = 9; t_digest = -4301070564280200583 };
+        { t_gc = "SerialPT";
+          t_outcome = "failed: event budget exhausted";
+          t_full = 2448; t_digest = -3325464454104736867 };
+      ] );
+    ( "h2",
+      [
+        { t_gc = "Serial";
+          t_outcome = "failed: OutOfMemoryError: Serial: GC overhead limit exceeded (heap too small)";
+          t_full = 13; t_digest = 955744729260621210 };
+        { t_gc = "Parallel";
+          t_outcome = "failed: OutOfMemoryError: Parallel: GC overhead limit exceeded (heap too small)";
+          t_full = 13; t_digest = 2757873600128206664 };
+        { t_gc = "G1";
+          t_outcome = "failed: OutOfMemoryError: G1: GC overhead limit exceeded (heap too small)";
+          t_full = 17; t_digest = 107931650941079296 };
+        { t_gc = "Shenandoah";
+          t_outcome = "failed: event budget exhausted";
+          t_full = 1087; t_digest = -353488349769266338 };
+        { t_gc = "ZGC";
+          t_outcome = "failed: OutOfMemoryError: ZGC: sustained allocation stalls (allocation rate exceeds reclamation)";
+          t_full = 0; t_digest = -746647336144745856 };
+        { t_gc = "GenShen";
+          t_outcome = "failed: OutOfMemoryError: GenShen: GC overhead limit exceeded (heap too small)";
+          t_full = 20; t_digest = 1831158112870175560 };
+        { t_gc = "LXR";
+          t_outcome = "failed: OutOfMemoryError: LXR: GC overhead limit exceeded (heap too small)";
+          t_full = 24; t_digest = -1485401389285340011 };
+        { t_gc = "SerialPT";
+          t_outcome = "failed: OutOfMemoryError: SerialPT: GC overhead limit exceeded (heap too small)";
+          t_full = 28; t_digest = -2209851052695579881 };
+      ] );
+  ]
+
+let test_tight () =
+  if Sys.getenv_opt "GCR_GOLDEN_RECORD" <> None then begin
+    Printf.printf "let expected_tight : (string * tight list) list =\n  [\n";
+    List.iter
+      (fun (bench, words) ->
+        Printf.printf "    ( %S,\n      [\n" bench;
+        List.iter
+          (fun gc ->
+            let t = tight_run bench words gc in
+            Printf.printf
+              "        { t_gc = %S;\n          t_outcome = %S;\n          t_full = %d; t_digest = %d };\n"
+              t.t_gc t.t_outcome t.t_full t.t_digest)
+          tight_collectors;
+        Printf.printf "      ] );\n")
+      tight_shapes;
+    Printf.printf "  ]\n%!"
+  end
+  else
+    List.iter
+      (fun (bench, words) ->
+        let expected = List.assoc bench expected_tight in
+        Alcotest.(check int)
+          (bench ^ " covers every collector but Epsilon")
+          (List.length tight_collectors) (List.length expected);
+        List.iter
+          (fun e ->
+            let a = tight_run bench words (Option.get (Registry.of_name e.t_gc)) in
+            let name what = Printf.sprintf "%s/%s %s" bench e.t_gc what in
+            Alcotest.(check string) (name "outcome") e.t_outcome a.t_outcome;
+            Alcotest.(check int) (name "full collections") e.t_full a.t_full;
+            if e.t_gc <> "ZGC" then
+              Alcotest.(check bool) (name "ran a full collection") true (a.t_full > 0);
+            Alcotest.(check int) (name "event digest") e.t_digest a.t_digest)
+          expected)
+      tight_shapes
+
 let suite =
   [
     Alcotest.test_case "fixed-seed lusearch per collector" `Quick test_golden;
     Alcotest.test_case "thrashing probe event order" `Quick test_thrash_order;
+    Alcotest.test_case "tight heaps per collector" `Quick test_tight;
   ]

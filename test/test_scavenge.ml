@@ -38,7 +38,7 @@ let run_scavenge ctx engine ~remset ~tenure_age =
   let m = Engine.spawn engine ~kind:Engine.Mutator ~name:"driver" in
   let result = ref None in
   Engine.request_stop engine ~reason:"young" (fun () ->
-      Scavenge.run ctx ~pool ~remset ~tenure_age ~on_mark_young:ignore
+      Scavenge.run ctx ~pool ~remset ~tenure_age
         ~on_done:(fun r ->
           result := Some r;
           Engine.release_stop engine;
