@@ -197,9 +197,13 @@ let check_writable path =
       close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path);
       if not existed then Sys.remove path)
 
-let default_benchmarks = function [] -> Suite.all | bs -> bs
+(* A benchmark or collector named twice is run once, at its first place,
+   as a campaign counts it. *)
+let default_benchmarks = function
+  | [] -> Suite.all
+  | bs -> Harness.first_of (fun (s : Spec.t) -> s.Spec.name) bs
 
-let default_gcs = function [] -> Harness.default_gcs | gs -> gs
+let default_gcs = function [] -> Harness.default_gcs | gs -> Harness.first_of Fun.id gs
 
 (* Worker-count validation is strict: a typo'd GCR_WORKERS silently
    running a campaign single-process would quietly invalidate a

@@ -156,6 +156,10 @@ type exec_summary = {
 
 type campaign
 
+val first_of : ('a -> 'k) -> 'a list -> 'a list
+(** [first_of key xs] keeps the first element of [xs] with each [key],
+    in order: the rule by which a grid value named twice counts once. *)
+
 val run_campaign :
   config ->
   benchmarks:Gcr_workloads.Spec.t list ->

@@ -29,14 +29,28 @@ let rec place (ctx : Gc_types.ctx) target id ~retried =
         place ctx target id ~retried:true
       end
 
+(* The mark keeps no per-region live words.  [prepare_compaction] releases
+   every region that is not free, which zeroes its [Region.live_words],
+   and a free region's are already zero, so the sums a mark would add are
+   thrown away unread unless a collection-set choice (Conc_cycle's
+   [select_cset], G1's mixed candidates, LXR's evacuation candidates)
+   reads them between here and [prepare_compaction].  None can, because
+   every caller has ended or ruled out its concurrent cycle first:
+   - Serial, Parallel and SerialPT have none;
+   - GenShen compacts only when no old cycle is in flight, and holds its
+     pause open until the cycle finishes otherwise;
+   - Shenandoah compacts from [end_cycle], once its cycle is over;
+   - G1 cancels its concurrent mark first;
+   - LXR resets its cycle first.
+   After the compaction every region's [live_words] is zero, as it was
+   when the mark summed them. *)
 let run (ctx : Gc_types.ctx) ~pool ~on_done =
   let heap = ctx.Gc_types.heap in
   Vec.iter Allocator.retire ctx.Gc_types.allocators;
   ignore (Heap.begin_mark_epoch heap);
-  Heap.iter_regions (fun r -> r.Region.live_words <- 0) heap;
   let tracer =
     Tracer.create ctx ~stack:ctx.Gc_types.pause_marks ~use_scratch:false
-      ~update_region_live:true ()
+      ~update_region_live:false ()
   in
   !(ctx.Gc_types.iter_roots) (Tracer.add_root tracer);
   (* Compaction state, filled in between the two phases: every marked

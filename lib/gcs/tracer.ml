@@ -64,19 +64,117 @@ let add_root t id =
 
 let add_roots t ids = List.iter (add_root t) ids
 
-(* The store's planes, the mark epoch and the tracer's configuration are
-   read once per slice.  The planes stay valid for the whole slice because
-   nothing here allocates a simulated object: [on_mark] (the scavenge's
-   copy) only moves one.  An unfiltered trace (every caller but the
-   scavenge) makes no indirect call per object or edge. *)
-let drain_slice t ~budget =
+(* Both mark loops read the store's planes, the mark epoch and the
+   tracer's configuration once per slice.  The planes stay valid for the
+   whole slice because nothing here allocates a simulated object:
+   [on_mark] (the scavenge's copy) only moves one.  The stack's length
+   lives in a local, written back when the loop ends, and children go
+   straight into the stack's array.
+
+   The unfiltered loop serves every caller but the scavenge.  It keeps
+   its counters in locals too and makes no call, so its locals stay in
+   registers: it stops before popping an object whose fields might not
+   fit in the stack's array, for [drain_plain] to grow it, and returns
+   the number of objects it popped. *)
+let mark_run t ~budget =
+  let stack = t.stack in
+  (* the one call, made before anything else is live *)
+  let data = Ivec.reserve stack 0 in
+  let store = t.store in
+  let heap = t.ctx.Gc_types.heap in
+  let update_region_live = t.update_region_live in
+  let flags = Obj_model.flags_plane store in
+  let bound = Obj_model.id_bound store in
+  let sizes = Obj_model.size_plane store in
+  let regions = Obj_model.region_plane store in
+  let marks =
+    if t.use_scratch then Obj_model.scratch_plane store else Obj_model.mark_plane store
+  in
+  let epoch = if t.use_scratch then Heap.current_scratch_epoch heap else Heap.current_epoch heap in
+  let nfields = Obj_model.nfields_plane store in
+  let foff = Obj_model.foff_plane store in
+  let arena = Obj_model.arena_plane store in
+  let capacity = Array.length data in
+  let top = ref (Ivec.length stack) in
+  let limit = ref budget in
+  let processed = ref 0 in
+  let dead = ref 0 in
+  let words = ref 0 in
+  let edges = ref 0 in
+  while !processed < !limit && !top > 0 do
+    let id = Array.unsafe_get data (!top - 1) in
+    (* The id was live and marked when pushed; objects are only removed by
+       region release, which should not happen mid-trace for visited
+       spaces — but stay defensive across collector fallbacks. *)
+    if not (Obj_model.live_in ~flags ~bound id) then begin
+      decr top;
+      incr processed;
+      incr dead
+    end
+    else begin
+      let nf = Array.unsafe_get nfields id in
+      (* fields that might not fit end the run, the object left on the stack *)
+      if !top - 1 + nf > capacity then limit := !processed
+      else begin
+        decr top;
+        incr processed;
+        let size = Array.unsafe_get sizes id in
+        words := !words + size;
+        if update_region_live then begin
+          let r = Heap.region heap (Array.unsafe_get regions id) in
+          r.Gcr_heap.Region.live_words <- r.Gcr_heap.Region.live_words + size
+        end;
+        edges := !edges + nf;
+        let base = Array.unsafe_get foff id in
+        for i = 0 to nf - 1 do
+          let child = Array.unsafe_get arena (base + i) in
+          (* add_root, inlined over the hoisted planes *)
+          if Obj_model.live_in ~flags ~bound child && Array.unsafe_get marks child <> epoch
+          then begin
+            Array.unsafe_set marks child epoch;
+            Array.unsafe_set data !top child;
+            incr top
+          end
+        done
+      end
+    end
+  done;
+  t.objects_marked <- t.objects_marked + !processed - !dead;
+  t.words_marked <- t.words_marked + !words;
+  t.edges_seen <- t.edges_seen + !edges;
+  Ivec.set_length stack !top;
+  !processed
+
+(* An unfiltered slice prices every object and edge at a flat rate, so its
+   cost follows from the counters. *)
+let drain_plain t ~budget =
+  let cost_model = t.ctx.Gc_types.cost in
+  let objects = t.objects_marked and edges = t.edges_seen in
+  let left = ref budget in
+  while !left > 0 && not (Ivec.is_empty t.stack) do
+    left := !left - mark_run t ~budget:!left;
+    if !left > 0 && not (Ivec.is_empty t.stack) then
+      (* the top object's fields did not fit *)
+      let id = Ivec.get t.stack (Ivec.length t.stack - 1) in
+      ignore (Ivec.reserve t.stack (Obj_model.nfields t.store id))
+  done;
+  (cost_model.Cost_model.mark_per_object * (t.objects_marked - objects))
+  + (cost_model.Cost_model.mark_per_edge * (t.edges_seen - edges))
+
+(* The scavenge's slice: [mark_run] with a [should_visit] call per child
+   and an [on_mark] call per object, and the stack grown in place, after
+   one capacity check per object for all of its fields.  [on_mark] may
+   raise [Trace_failure] mid-slice, so the stack's length is written back
+   before each call, and the counters are kept in the tracer: the raise
+   then leaves the stack without the object and the counters with it,
+   its edges not yet counted. *)
+let drain_filtered t ~budget =
   let heap = t.ctx.Gc_types.heap in
   let store = t.store in
   let stack = t.stack in
   let cost_model = t.ctx.Gc_types.cost in
   let mark_per_object = cost_model.Cost_model.mark_per_object in
   let mark_per_edge = cost_model.Cost_model.mark_per_edge in
-  let filtered = t.filtered in
   let should_visit = t.should_visit in
   let on_mark = t.on_mark in
   let update_region_live = t.update_region_live in
@@ -91,14 +189,14 @@ let drain_slice t ~budget =
   let nfields = Obj_model.nfields_plane store in
   let foff = Obj_model.foff_plane store in
   let arena = Obj_model.arena_plane store in
+  let data = ref (Ivec.reserve stack 0) in
+  let top = ref (Ivec.length stack) in
   let cost = ref 0 in
   let processed = ref 0 in
-  while !processed < budget && Ivec.length stack > 0 do
-    let id = Ivec.pop stack in
+  while !processed < budget && !top > 0 do
+    decr top;
+    let id = Array.unsafe_get !data !top in
     incr processed;
-    (* The id was live and marked when pushed; objects are only removed by
-       region release, which should not happen mid-trace for visited
-       spaces — but stay defensive across collector fallbacks. *)
     if Obj_model.live_in ~flags ~bound id then begin
       let size = Array.unsafe_get sizes id in
       t.objects_marked <- t.objects_marked + 1;
@@ -107,33 +205,41 @@ let drain_slice t ~budget =
         let r = Heap.region heap (Array.unsafe_get regions id) in
         r.Gcr_heap.Region.live_words <- r.Gcr_heap.Region.live_words + size
       end;
+      Ivec.set_length stack !top;
       cost := !cost + mark_per_object;
-      if filtered then cost := !cost + on_mark id;
-      (* Fields: one contiguous arena extent.  Read the base after
-         [on_mark] (it may move the object). *)
+      cost := !cost + on_mark id;
+      (* Read the field extent after [on_mark] (it may move the object). *)
       let nf = Array.unsafe_get nfields id in
       let base = Array.unsafe_get foff id in
       t.edges_seen <- t.edges_seen + nf;
       cost := !cost + (mark_per_edge * nf);
+      (* [reserve] counts from the length published before [on_mark]:
+         the unchecked writes below depend on it *)
+      if !top + nf > Array.length !data then data := Ivec.reserve stack nf;
+      let data = !data in
       for i = 0 to nf - 1 do
         let child = Array.unsafe_get arena (base + i) in
-        (* add_root, inlined over the hoisted planes *)
         if
           Obj_model.live_in ~flags ~bound child
           && Array.unsafe_get marks child <> epoch
-          && ((not filtered) || should_visit child)
+          && should_visit child
         then begin
           Array.unsafe_set marks child epoch;
-          Ivec.push stack child
+          Array.unsafe_set data !top child;
+          incr top
         end
       done
     end
   done;
+  Ivec.set_length stack !top;
   !cost
 
 (* Most workers of a parallel pause find the stack empty: answer them
    before hoisting anything. *)
-let drain t ~budget = if Ivec.is_empty t.stack then 0 else drain_slice t ~budget
+let drain t ~budget =
+  if Ivec.is_empty t.stack then 0
+  else if t.filtered then drain_filtered t ~budget
+  else drain_plain t ~budget
 
 let pending t = not (Ivec.is_empty t.stack)
 

@@ -14,8 +14,9 @@
     The mark loop works directly on the heap's struct-of-arrays object
     store: liveness, mark bits and field extents are flat int-array reads
     through planes hoisted once per slice, with no host allocation per
-    visited object.  The stack is LIFO and children are pushed in field
-    order; that order decides a scavenge's copy order, and so must not
+    visited object.  An unfiltered trace runs a loop that makes no call
+    at all.  The stack is LIFO and children are pushed in field order;
+    that order decides a scavenge's copy order, and so must not
     change. *)
 
 type t
@@ -45,9 +46,10 @@ val create :
     [should_visit] (default: every object) bounds the trace (e.g. young
     objects only for a scavenge); objects failing it are neither marked
     nor traversed.  [on_mark] (default: no extra cost) is the copy
-    hook described above.  With both omitted, {!drain} makes no closure
-    call at all.  [update_region_live] accumulates marked sizes into the
-    owning region's [live_words] (reset them beforehand). *)
+    hook described above; it must not add roots to the tracer that
+    calls it.  With both omitted, {!drain} makes no closure call at
+    all.  [update_region_live] accumulates marked sizes into the owning
+    region's [live_words] (reset them beforehand). *)
 
 val add_root : t -> Gcr_heap.Obj_model.id -> unit
 (** Push a root (or SATB-buffered value).  Dead, already-marked and
@@ -57,7 +59,10 @@ val add_roots : t -> Gcr_heap.Obj_model.id list -> unit
 
 val drain : t -> budget:int -> int
 (** Process up to [budget] objects; returns the cycle cost of the slice,
-    0 when the stack is empty. *)
+    0 when the stack is empty.  When [on_mark] raises [Trace_failure],
+    the stack no longer holds the object it was called on, and
+    {!objects_marked} and {!words_marked} count that object while
+    {!edges_seen} does not yet count its fields. *)
 
 val pending : t -> bool
 

@@ -270,8 +270,6 @@ let is_scratch_marked t id = Obj_model.scratch t.store id = t.scratch_epoch
 
 let set_scratch_marked t id = Obj_model.set_scratch t.store id t.scratch_epoch
 
-let release_log : (int -> string -> unit) ref = ref (fun _ _ -> ())
-
 let set_alloc_reserve t n =
   if n < 0 then invalid_arg "Heap.set_alloc_reserve: negative";
   t.reserve <- n
@@ -302,7 +300,6 @@ let take_free_region t ~space =
     let r = t.regions.(idx) in
     assert (Region.space_equal r.space Region.Free);
     retag_region t r space;
-    !release_log idx "take";
     Some r
   end
 
@@ -348,7 +345,6 @@ let free_region_bookkeeping t (r : Region.t) =
   Ivec.push t.free_pool r.index
 
 let release_region t (r : Region.t) =
-  !release_log r.index "release";
   if Region.space_equal r.space Region.Free then invalid_arg "Heap.release_region: already free";
   (* Only objects whose storage is still here die with the region: evacuated
      objects have had [region] repointed elsewhere. *)
@@ -365,22 +361,49 @@ let release_region t (r : Region.t) =
 
 (* Both orders are the vec order and must stay so: the free order decides
    which ids and field extents later allocations recycle, and the survivor
-   order decides where compaction places each object. *)
+   order decides where compaction places each object.  The first walk
+   makes no call, so its locals stay in registers: it writes the survivors
+   straight into [into]'s array, reserved for every resident up front, and
+   counts the dead.  Only when there are any does a second walk, in the
+   same order, free them.  Freeing an object changes no other object's
+   liveness, home or mark, so the two walks see what one walk would. *)
 let sweep_unmarked t (r : Region.t) ~into =
+  let objects = r.objects in
+  let n = Ivec.length objects in
+  let src = Ivec.reserve objects 0 in
+  let out = Ivec.reserve into n in
   let store = t.store in
+  let flags = Obj_model.flags_plane store in
+  let bound = Obj_model.id_bound store in
+  let regions = Obj_model.region_plane store in
+  let marks = Obj_model.mark_plane store in
   let epoch = t.epoch in
   let index = r.index in
-  let objects = r.objects in
-  for i = 0 to Ivec.length objects - 1 do
-    let id = Ivec.get objects i in
-    if Obj_model.is_live store id && Obj_model.region store id = index then
-      if Obj_model.mark store id = epoch then Ivec.push into id
-      else begin
+  let len = ref (Ivec.length into) in
+  let dead = ref 0 in
+  for i = 0 to n - 1 do
+    let id = Array.unsafe_get src i in
+    if Obj_model.live_in ~flags ~bound id && Array.unsafe_get regions id = index then
+      if Array.unsafe_get marks id = epoch then begin
+        Array.unsafe_set out !len id;
+        incr len
+      end
+      else incr dead
+  done;
+  Ivec.set_length into !len;
+  if !dead > 0 then
+    for i = 0 to n - 1 do
+      let id = Array.unsafe_get src i in
+      if
+        Obj_model.live_in ~flags ~bound id
+        && Array.unsafe_get regions id = index
+        && Array.unsafe_get marks id <> epoch
+      then begin
         t.live_count <- t.live_count - 1;
         t.live_words <- t.live_words - Obj_model.size store id;
         Obj_model.free store id
       end
-  done
+    done
 
 (* Free one object in place, as RC reclamation does.  The region keeps its
    [used_words] (the garbage words are what fragmentation-driven evacuation
@@ -400,7 +423,6 @@ let compact_region_objects t (r : Region.t) =
     r.objects
 
 let release_region_keep_objects t (r : Region.t) =
-  !release_log r.index "release-keep";
   if Region.space_equal r.space Region.Free then
     invalid_arg "Heap.release_region_keep_objects: already free";
   free_region_bookkeeping t r
@@ -411,26 +433,46 @@ let place_object = move_object
    written once: the same checks in the same order, so the region's object
    order and every counter end as a loop of [place_object] calls leaves
    them.  The walk also sums the placed objects' field counts, so a
-   compaction prices its slice without a second pass. *)
+   compaction prices its slice without a second pass.  The planes and both
+   vectors' arrays are read through locals, each survivor's new home is
+   written through the region plane, and the placed ids go straight into
+   the destination's object array.  The inner loop makes no call, so its
+   locals stay in registers: it stops where that array is full, and the
+   outer loop grows it, doubling as [Ivec.push] does. *)
 let place_run t (dst : Region.t) objs ~pos ~stop =
   if Region.space_equal dst.space Region.Free then invalid_arg "Heap.move_object: free region";
+  if pos < stop && (pos < 0 || stop > Ivec.length objs) then
+    invalid_arg "Heap.place_run: run outside the vector";
   let store = t.store in
+  let sizes = Obj_model.size_plane store in
+  let nfields = Obj_model.nfields_plane store in
+  let regions = Obj_model.region_plane store in
+  let src = Ivec.reserve objs 0 in
+  let index = dst.index in
   let limit = t.region_words in
+  let objects = dst.objects in
   let used = ref dst.used_words in
   let fields = ref 0 in
   let i = ref pos in
   let fits = ref true in
   while !fits && !i < stop do
-    let id = Ivec.get objs !i in
-    let size = Obj_model.size store id in
-    if !used + size > limit then fits := false
-    else begin
-      used := !used + size;
-      fields := !fields + Obj_model.nfields store id;
-      Ivec.push dst.objects id;
-      Obj_model.set_region store id dst.index;
-      incr i
-    end
+    let len = Ivec.length objects in
+    let out = Ivec.reserve objects 1 in
+    let room = Int.min stop (!i + Array.length out - len) in
+    let first = !i in
+    while !fits && !i < room do
+      let id = Array.unsafe_get src !i in
+      let size = Array.unsafe_get sizes id in
+      if !used + size > limit then fits := false
+      else begin
+        used := !used + size;
+        fields := !fields + Array.unsafe_get nfields id;
+        Array.unsafe_set out (len + !i - first) id;
+        Array.unsafe_set regions id index;
+        incr i
+      end
+    done;
+    Ivec.set_length objects (len + !i - first)
   done;
   let placed = !used - dst.used_words in
   dst.used_words <- !used;

@@ -159,9 +159,6 @@ val move_object : t -> Obj_model.id -> Region.t -> bool
     region's cursor is left as-is — its space is garbage until the region
     is released. *)
 
-val release_log : (int -> string -> unit) ref
-(** Debug hook: called with (region index, caller tag) on every release. *)
-
 val release_region : t -> Region.t -> unit
 (** Reclaims the region: every object still resident dies (its field
     extent is recycled); the region returns to the free pool. *)
@@ -169,7 +166,10 @@ val release_region : t -> Region.t -> unit
 val sweep_unmarked : t -> Region.t -> into:Gcr_util.Ivec.t -> unit
 (** The sweep half of mark-sweep, fused with survivor collection: walking
     the region's residents in object order, kills each one not marked in
-    the current epoch and pushes each marked one onto [into]. *)
+    the current epoch and pushes each marked one onto [into].  Both orders
+    are the object order: the survivors' decides where a compaction
+    places them, the dead ones' which ids and field extents later
+    allocations recycle. *)
 
 val free_object : t -> Obj_model.id -> unit
 (** Kill one object in place (RC reclamation).  The owning region keeps
@@ -199,8 +199,9 @@ val place_run : t -> Region.t -> Gcr_util.Ivec.t -> pos:int -> stop:int -> int
     first one that does not ([stop] when all of them fit).  The result is
     exactly that of {!place_object} called on each in turn up to the first
     [false].  Raises the same [Invalid_argument] as {!move_object} when
-    [dst] is free.  The placed objects' total size and field count are
-    left in {!placed_words} and {!placed_fields}. *)
+    [dst] is free, and [Invalid_argument] when [pos < stop] and the run
+    is not inside [objs].  The placed objects' total size and field count
+    are left in {!placed_words} and {!placed_fields}. *)
 
 val placed_words : t -> int
 (** Total size of the objects the last {!place_run} placed (0 before

@@ -51,7 +51,7 @@ type store = {
           different object; the serial is the stable identity that
           disambiguates (deferred RC work, cross-collector live sets). *)
   mutable next_serial : int;
-  mutable count : int;  (** next fresh id; ids are never reused *)
+  mutable count : int;  (** next fresh id; freed ids are recycled LIFO first *)
   mutable arena : int array;  (** all reference fields, as object ids *)
   mutable arena_top : int;  (** bump frontier *)
   mutable free_heads : int array;
@@ -254,7 +254,7 @@ let field_extent s id = (s.foff.(id), s.nfields.(id))
 
 (* The planes themselves, for a loop that hoists them into locals.  Only
    [grow_meta] and [grow_arena] replace a plane, and only [alloc] calls
-   them. *)
+   them: [free] writes the flags and arena planes in place. *)
 
 let[@inline] id_bound s = s.count
 

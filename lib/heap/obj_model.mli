@@ -123,9 +123,11 @@ val arena_used : store -> int
     through locals hoisted once per slice instead of through the store
     record once per object.  A plane is the live storage, not a copy, but
     {!alloc} may replace it with a grown one: a plane read is valid only
-    until the next {!alloc}.  Callers only read the planes, except that a
-    mark loop may store its epoch through {!mark_plane} or
-    {!scratch_plane}, as {!set_mark} and {!set_scratch} would. *)
+    until the next {!alloc} ({!free} replaces none).  Callers only read
+    the planes, except that a mark loop may store its epoch through
+    {!mark_plane} or {!scratch_plane}, as {!set_mark} and {!set_scratch}
+    would, and a compaction's placement may store an object's new home
+    through {!region_plane}, as {!set_region} would. *)
 
 val id_bound : store -> int
 (** Every id ever handed out is below it. *)

@@ -34,6 +34,28 @@ val pop : t -> int
 val clear : t -> unit
 (** O(1): resets the length, keeping the capacity. *)
 
+(** {1 Bulk writes}
+
+    A kernel that pushes or pops many elements in one loop keeps the
+    length in a local and writes through the backing array, then
+    publishes the new length once. *)
+
+val reserve : t -> int -> int array
+(** [reserve t n] grows the capacity, if needed, so that [n] more
+    elements fit past the length, and returns the backing array itself,
+    not a copy.  Its slots below [length t] are the elements; the slots
+    from [length t] up to its own length are spare and may be written,
+    then published with {!set_length}.  The array stays the vector's
+    storage until the next call that grows it ([push] on a full vector,
+    or [reserve]).  [reserve t 0] returns the array unchanged.  Raises
+    [Invalid_argument] when [n] is negative. *)
+
+val set_length : t -> int -> unit
+(** [set_length t n] makes the first [n] slots of the backing array the
+    elements: below the old length it drops the tail, as that many pops
+    would; above it, it publishes slots written through {!reserve}'s
+    array.  Raises [Invalid_argument] outside [0, capacity]. *)
+
 val iter : (int -> unit) -> t -> unit
 
 val fold : ('acc -> int -> 'acc) -> 'acc -> t -> 'acc

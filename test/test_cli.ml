@@ -122,8 +122,29 @@ let test_repeated_grid_values () =
     true
     (contains twice_err "[harness] 2 cells in ")
 
+(* Outside a campaign too, a benchmark or collector named twice is run
+   once: [gcr run] and [gcr minheap] print what they print for each flag
+   given once. *)
+let test_repeated_flags_outside_campaign () =
+  let same once twice =
+    let once_status, once_out, _ = run_gcr once in
+    let twice_status, twice_out, _ = run_gcr twice in
+    let line = String.concat " " twice in
+    check Alcotest.bool (Printf.sprintf "gcr %s exits 0" line) true
+      (once_status = Unix.WEXITED 0 && twice_status = Unix.WEXITED 0);
+    check Alcotest.string (Printf.sprintf "gcr %s prints each line once" line) once_out twice_out
+  in
+  let run = [ "run"; "-x"; "3.0"; "--scale"; "0.05"; "-n"; "1" ] in
+  same (run @ [ "-b"; "jme"; "-g"; "G1" ]) (run @ [ "-b"; "jme"; "-b"; "jme"; "-g"; "G1" ]);
+  same (run @ [ "-b"; "jme"; "-g"; "G1" ]) (run @ [ "-b"; "jme"; "-g"; "G1"; "-g"; "G1" ]);
+  same
+    [ "minheap"; "-b"; "jme"; "--scale"; "0.05" ]
+    [ "minheap"; "-b"; "jme"; "-b"; "jme"; "--scale"; "0.05" ]
+
 let suite =
   [
     Alcotest.test_case "bad grid flags exit 3 with a reason" `Quick test_bad_grid_flags;
     Alcotest.test_case "repeated grid values count once" `Quick test_repeated_grid_values;
+    Alcotest.test_case "repeated flags print once outside a campaign" `Quick
+      test_repeated_flags_outside_campaign;
   ]

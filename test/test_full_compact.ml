@@ -114,12 +114,42 @@ let test_idempotent_when_all_live () =
   let _ = run_compact ctx engine in
   check Alcotest.int "nothing reclaimed" live_before (Heap.live_objects heap)
 
+(* The mark keeps no per-region live words: releasing every region that
+   is not free zeroes them, so after the compaction every region reads 0,
+   as when the mark summed them.  A trace that accumulates live words
+   first, as a concurrent mark does, leaves them non-zero beforehand. *)
+let test_no_live_words_after () =
+  let ctx, engine, roots =
+    build ~regions:32 ~region_words:64 ~objects:200 ~live_every:3 ~seed:6
+  in
+  let heap = ctx.Gc_types.heap in
+  ignore (Heap.begin_mark_epoch heap);
+  let tracer =
+    Gcr_gcs.Tracer.create ctx ~stack:ctx.Gc_types.conc_marks ~use_scratch:false
+      ~update_region_live:true ()
+  in
+  Gcr_gcs.Tracer.add_roots tracer !roots;
+  while Gcr_gcs.Tracer.pending tracer do
+    ignore (Gcr_gcs.Tracer.drain tracer ~budget:64)
+  done;
+  let live () =
+    let acc = ref [] in
+    Heap.iter_regions (fun r -> acc := r.Region.live_words :: !acc) heap;
+    List.rev !acc
+  in
+  check Alcotest.bool "a region has live words before" true (List.exists (( <> ) 0) (live ()));
+  let _ = run_compact ctx engine in
+  check (Alcotest.list Alcotest.int) "every region's live words after"
+    (List.init (Heap.total_regions heap) (fun _ -> 0))
+    (live ())
+
 (* Survivors that do not fit.  Compaction always has room of its own, so
-   a release-log hook empties the free pool as soon as compaction takes
-   its first destination region: every survivor after the ones that fit
-   there takes the refill path and fails.  The OOM reasons, the
-   destination's contents and the spine's fingerprint are pinned to what
-   the per-object placement loop gives. *)
+   a spine subscriber empties the free pool as soon as compaction takes
+   its first destination region (the region's transition out of the free
+   space, which [Heap.take_free_region] emits before it returns): every
+   survivor after the ones that fit there takes the refill path and
+   fails.  The OOM reasons, the destination's contents and the spine's
+   fingerprint are pinned to what the per-object placement loop gives. *)
 let test_survivors_do_not_fit () =
   let ctx, engine, roots =
     build ~regions:16 ~region_words:64 ~objects:60 ~live_every:3 ~seed:5
@@ -150,25 +180,28 @@ let test_survivors_do_not_fit () =
           if code = Gcr_obs.Event.code_oom then reasons := Obs.string_of_id obs a :: !reasons);
     };
   let destination = ref None in
-  let saved_log = !Heap.release_log in
-  (Heap.release_log :=
-     fun index tag ->
-       if tag = "take" && Option.is_none !destination then begin
-         destination := Some index;
-         while Option.is_some (Heap.take_free_region heap ~space:Region.Old) do
-           ()
-         done
-       end);
+  (* space 0 is the free space *)
+  Obs.subscribe obs
+    {
+      Obs.sub_name = "first-take";
+      on_event =
+        (fun ~time:_ ~code ~a ~b ~c ->
+          match Gcr_obs.Event.decode ~string_of_id:(Obs.string_of_id obs) ~code ~a ~b ~c with
+          | Gcr_obs.Event.Region_transition { index; from_space = 0; to_space = _ }
+            when Option.is_none !destination ->
+              destination := Some index;
+              while Option.is_some (Heap.take_free_region heap ~space:Region.Old) do
+                ()
+              done
+          | _ -> ());
+    };
   let pool = Worker_pool.create ctx ~count:2 ~name:"compact-test" in
   let m = Engine.spawn engine ~kind:Engine.Mutator ~name:"mutator" in
   Engine.request_stop engine ~reason:"test" (fun () ->
       Full_compact.run ctx ~pool ~on_done:(fun _ ->
           Engine.release_stop engine;
           Engine.exit_thread engine m));
-  let outcome =
-    Fun.protect ~finally:(fun () -> Heap.release_log := saved_log) (Engine.run engine)
-  in
-  (match outcome with
+  (match Engine.run engine () with
   | Engine.Aborted reason ->
       check Alcotest.string "abort reason"
         "OutOfMemoryError: full compaction found no free region" reason
@@ -206,4 +239,5 @@ let suite =
     Alcotest.test_case "works with empty pool" `Quick test_works_with_empty_pool;
     Alcotest.test_case "idempotent when all live" `Quick test_idempotent_when_all_live;
     Alcotest.test_case "survivors that do not fit" `Quick test_survivors_do_not_fit;
+    Alcotest.test_case "no live words after" `Quick test_no_live_words_after;
   ]

@@ -304,6 +304,119 @@ let prop_sweep_matches_two_walks =
       && Heap.live_words_exact a = Heap.live_words_exact b
       && next_allocations a = next_allocations b)
 
+(* A whole compaction's sweep and placement, the kernels against the
+   per-object loops they replaced.  Every non-free region, in index order,
+   is swept onto the survivor list and released with its objects kept;
+   the survivors are then placed in slices of the given budgets, a run at
+   a time, each one that does not fit taking a fresh old region, as
+   [Full_compact] does.  The reference sweeps with a loop of [Ivec.get],
+   [Heap.is_marked] and [Heap.free_object], and places with one
+   [place_object] per survivor.  Each [place_run] call's [placed_words]
+   and [placed_fields] are checked against its run's sizes and field
+   counts; the outcome is the survivor order, every region's space,
+   cursor and object vector, the heap's and each space's counters, the
+   placed totals, each survivor's home, the live counts and the ids and
+   extents the next allocations get. *)
+let compaction_outcome h survivors ~placed_words ~placed_fields =
+  let spaces = [ Region.Free; Region.Eden; Region.Survivor; Region.Old ] in
+  let ivec_list v = List.rev (Gcr_util.Ivec.fold (fun acc id -> id :: acc) [] v) in
+  let regions = ref [] in
+  Heap.iter_regions
+    (fun r ->
+      regions := (r.Region.space, r.Region.used_words, ivec_list r.Region.objects) :: !regions)
+    h;
+  ( ivec_list survivors,
+    List.rev !regions,
+    ( Heap.used_words h,
+      List.map (fun sp -> (Heap.space_used_words h sp, Heap.regions_in_space_count h sp)) spaces,
+      (placed_words, placed_fields),
+      List.map (Heap.obj_region h) (ivec_list survivors) ),
+    (Heap.live_objects h, Heap.live_words_exact h),
+    next_allocations h )
+
+let sweep_all h sweep =
+  let survivors = Gcr_util.Ivec.create () in
+  Heap.iter_regions
+    (fun r ->
+      if not (Region.space_equal r.Region.space Region.Free) then begin
+        sweep r survivors;
+        Heap.release_region_keep_objects h r
+      end)
+    h;
+  survivors
+
+let compact_with_kernels h budgets =
+  let survivors = sweep_all h (fun r into -> Heap.sweep_unmarked h r ~into) in
+  let n = Gcr_util.Ivec.length survivors in
+  let words = ref 0 and fields = ref 0 and ok = ref true in
+  let dst = ref None and cursor = ref 0 and slice = ref 0 in
+  while !cursor < n do
+    let budget = List.nth budgets (!slice mod List.length budgets) in
+    incr slice;
+    let stop = min n (!cursor + budget) in
+    while !cursor < stop do
+      (match !dst with
+      | Some d ->
+          let pos = !cursor in
+          cursor := Heap.place_run h d survivors ~pos ~stop;
+          let run_words = ref 0 and run_fields = ref 0 in
+          for i = pos to !cursor - 1 do
+            let id = Gcr_util.Ivec.get survivors i in
+            run_words := !run_words + Heap.obj_size h id;
+            run_fields := !run_fields + Heap.obj_nfields h id
+          done;
+          ok := !ok && Heap.placed_words h = !run_words && Heap.placed_fields h = !run_fields;
+          words := !words + Heap.placed_words h;
+          fields := !fields + Heap.placed_fields h
+      | None -> ());
+      if !cursor < stop then begin
+        let id = Gcr_util.Ivec.get survivors !cursor in
+        let d = Option.get (Heap.take_free_region h ~space:Region.Old) in
+        ok := !ok && Heap.place_object h id d;
+        dst := Some d;
+        words := !words + Heap.obj_size h id;
+        fields := !fields + Heap.obj_nfields h id;
+        incr cursor
+      end
+    done
+  done;
+  (!ok, compaction_outcome h survivors ~placed_words:!words ~placed_fields:!fields)
+
+let compact_per_object h =
+  let store = Heap.store h in
+  let survivors =
+    sweep_all h (fun r into ->
+        for i = 0 to Gcr_util.Ivec.length r.Region.objects - 1 do
+          let id = Gcr_util.Ivec.get r.Region.objects i in
+          if Obj_model.is_live store id && Obj_model.region store id = r.Region.index then
+            if Heap.is_marked h id then Gcr_util.Ivec.push into id else Heap.free_object h id
+        done)
+  in
+  let words = ref 0 and fields = ref 0 and dst = ref None in
+  Gcr_util.Ivec.iter
+    (fun id ->
+      let placed = match !dst with Some d -> Heap.place_object h id d | None -> false in
+      if not placed then begin
+        let d = Option.get (Heap.take_free_region h ~space:Region.Old) in
+        ignore (Heap.place_object h id d);
+        dst := Some d
+      end;
+      words := !words + Heap.obj_size h id;
+      fields := !fields + Heap.obj_nfields h id)
+    survivors;
+  compaction_outcome h survivors ~placed_words:!words ~placed_fields:!fields
+
+let prop_compaction_kernels_match_per_object_loops =
+  QCheck.Test.make ~name:"sweep and place_run match the per-object loops" ~count:200
+    QCheck.(
+      triple
+        (make ~print:(Print.list print_sweep_op) Gen.(list_size (int_range 1 80) sweep_op_gen))
+        (list_of_size Gen.(int_range 1 16) bool)
+        (list_of_size Gen.(int_range 1 6) (int_range 1 70)))
+    (fun (ops, marks, budgets) ->
+      let checked, kernels = compact_with_kernels (build_swept_heap ops marks) budgets in
+      checked && kernels = compact_per_object (build_swept_heap ops marks))
+
 (* Run-wise placement against a loop of [place_object] calls that stops
    at the first [false]: the same returned index, destination object
    order, cursors, space counters and object homes.  On a free
@@ -395,4 +508,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_accounting;
     QCheck_alcotest.to_alcotest prop_sweep_matches_two_walks;
     QCheck_alcotest.to_alcotest prop_place_run_matches_place_object;
+    QCheck_alcotest.to_alcotest prop_compaction_kernels_match_per_object_loops;
   ]

@@ -71,7 +71,38 @@ let test_filter_in_place () =
   Ivec.push v 9;
   check Alcotest.(list int) "push after filter" [ 8; 6; 4; 4; 9 ] (to_list v)
 
-type op = Push of int | Pop | Clear | Get of int | Set of int * int
+(* The bulk-write pair: slots written through [reserve]'s array become
+   elements once [set_length] publishes them, and a shorter length drops
+   the tail. *)
+let test_reserve_set_length () =
+  let v = of_list [ 1; 2 ] in
+  let data = Ivec.reserve v 20 in
+  check Alcotest.bool "room for 20 more" true (Array.length data >= 22);
+  check Alcotest.(list int) "reserve keeps the elements" [ 1; 2 ] (to_list v);
+  check Alcotest.bool "reserve 0 returns the same array" true (Ivec.reserve v 0 == data);
+  data.(2) <- 3;
+  data.(3) <- 4;
+  Ivec.set_length v 4;
+  check Alcotest.(list int) "published" [ 1; 2; 3; 4 ] (to_list v);
+  Ivec.set_length v 1;
+  check Alcotest.(list int) "truncated" [ 1 ] (to_list v);
+  Ivec.push v 9;
+  check Alcotest.(list int) "push after truncation" [ 1; 9 ] (to_list v);
+  let outside = Invalid_argument "Ivec.set_length: outside the capacity" in
+  Alcotest.check_raises "set_length negative" outside (fun () -> Ivec.set_length v (-1));
+  Alcotest.check_raises "set_length past the capacity" outside (fun () ->
+      Ivec.set_length v (Array.length (Ivec.reserve v 0) + 1));
+  Alcotest.check_raises "reserve negative" (Invalid_argument "Ivec.reserve: negative count")
+    (fun () -> ignore (Ivec.reserve v (-1)))
+
+type op =
+  | Push of int
+  | Pop
+  | Clear
+  | Get of int
+  | Set of int * int
+  | Append of int list
+  | Truncate of int
 
 let op_gen =
   QCheck.Gen.(
@@ -82,6 +113,8 @@ let op_gen =
         (1, return Clear);
         (2, map (fun i -> Get i) (int_range (-2) 40));
         (2, map2 (fun i x -> Set (i, x)) (int_range (-2) 40) int);
+        (1, map (fun xs -> Append xs) (list_size (int_range 0 20) int));
+        (1, map (fun k -> Truncate k) (int_range 0 5));
       ])
 
 let op_print = function
@@ -90,6 +123,8 @@ let op_print = function
   | Clear -> "clear"
   | Get i -> Printf.sprintf "get %d" i
   | Set (i, x) -> Printf.sprintf "set %d %d" i x
+  | Append xs -> Printf.sprintf "append [%s]" (String.concat ";" (List.map string_of_int xs))
+  | Truncate k -> Printf.sprintf "truncate %d" k
 
 (* The model is a list stack, top first.  Out-of-range reads and writes
    must raise exactly where the model has no element. *)
@@ -128,7 +163,18 @@ let prop_stack_model =
                   Ivec.set v i x;
                   model := List.mapi (fun j y -> if j = n - 1 - i then x else y) !model;
                   true
-                end)
+                end
+            | Append xs ->
+                let data = Ivec.reserve v (List.length xs) in
+                List.iteri (fun j x -> data.(n + j) <- x) xs;
+                Ivec.set_length v (n + List.length xs);
+                model := List.rev_append xs !model;
+                true
+            | Truncate k ->
+                let k = min k n in
+                Ivec.set_length v (n - k);
+                model := List.filteri (fun j _ -> j >= k) !model;
+                true)
           ops
       in
       ok && Ivec.length v = List.length !model && to_list v = List.rev !model)
@@ -141,5 +187,6 @@ let suite =
     Alcotest.test_case "clear and reuse" `Quick test_clear_and_reuse;
     Alcotest.test_case "iter/fold" `Quick test_iter_fold;
     Alcotest.test_case "filter_in_place keeps order" `Quick test_filter_in_place;
+    Alcotest.test_case "reserve and set_length" `Quick test_reserve_set_length;
     QCheck_alcotest.to_alcotest prop_stack_model;
   ]

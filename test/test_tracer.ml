@@ -264,6 +264,172 @@ let prop_unfiltered_matches_filtered =
       let exact, _, _, _, _ = fresh in
       exact && fresh = trace true && reused = (fresh, fresh))
 
+(* A graph whose objects have 0 to 12 fields, so that a few pops can
+   outgrow a small mark stack. *)
+let build_wide_graph ctx ~objects ~edges ~seed =
+  let heap = ctx.Gc_types.heap in
+  let prng = Prng.create seed in
+  let region = ref (Option.get (Heap.take_free_region heap ~space:Region.Eden)) in
+  let objs =
+    Array.init objects (fun _ ->
+        let nfields = Prng.int prng 13 in
+        let id = Heap.alloc_in_region heap !region ~size:(nfields + 2) ~nfields in
+        if not (Obj_model.is_null id) then id
+        else begin
+          region := Option.get (Heap.take_free_region heap ~space:Region.Eden);
+          alloc ctx !region ~nfields
+        end)
+  in
+  for _ = 1 to edges do
+    let src = objs.(Prng.int prng objects) in
+    let nf = Heap.obj_nfields heap src in
+    if nf > 0 then Heap.set_field heap src (Prng.int prng nf) objs.(Prng.int prng objects)
+  done;
+  objs
+
+(* Drains the trace of [objs.(0)] and [objs.(1)] in slices of [budgets],
+   cycling, and returns the total cost, the mark bits, the counters and
+   the per-region live words. *)
+let drained ~stack ~budgets ~update_region_live ~seed ~edges =
+  let ctx = make_ctx ~regions:128 () in
+  let heap = ctx.Gc_types.heap in
+  let objs = build_wide_graph ctx ~objects:200 ~edges ~seed in
+  ignore (Heap.begin_mark_epoch heap);
+  Heap.iter_regions (fun r -> r.Region.live_words <- 0) heap;
+  let tracer = Tracer.create ctx ~stack ~use_scratch:false ~update_region_live () in
+  Tracer.add_roots tracer [ objs.(0); objs.(1) ];
+  let cost = ref 0 and slice = ref 0 in
+  while Tracer.pending tracer do
+    cost := !cost + Tracer.drain tracer ~budget:(List.nth budgets (!slice mod List.length budgets));
+    incr slice
+  done;
+  ( !cost,
+    Array.map (Heap.is_marked heap) objs,
+    (Tracer.objects_marked tracer, Tracer.words_marked tracer, Tracer.edges_seen tracer),
+    List.map (fun r -> r.Region.live_words) (Heap.regions_in_space heap Region.Eden) )
+
+(* The unfiltered loop stops where the stack's array might overflow and
+   resumes once it has grown.  Slices of random budgets over a stack that
+   starts empty, so that it grows mid-slice, must end where one whole
+   drain over a stack with room for everything ends. *)
+let prop_split_drain_equals_whole =
+  QCheck.Test.make ~name:"a drain split into random slices equals one whole drain" ~count:60
+    QCheck.(
+      quad small_int (int_range 0 1500) bool (list_of_size Gen.(int_range 1 5) (int_range 1 9)))
+    (fun (seed, edges, update_region_live, budgets) ->
+      let split =
+        drained ~stack:(Gcr_util.Ivec.create ()) ~budgets ~update_region_live ~seed ~edges
+      in
+      let whole =
+        drained
+          ~stack:(Gcr_util.Ivec.make ~capacity:4096)
+          ~budgets:[ max_int ] ~update_region_live ~seed ~edges
+      in
+      split = whole)
+
+(* The per-object loop the filtered slice replaced: a pop, the counters
+   and [on_mark] per object, a [should_visit] call per unmarked child. *)
+type reference = {
+  stack : Gcr_util.Ivec.t;
+  mutable objects : int;
+  mutable words : int;
+  mutable edges : int;
+}
+
+let reference_drain ctx r ~budget ~should_visit ~on_mark =
+  let heap = ctx.Gc_types.heap in
+  let cost_model = ctx.Gc_types.cost in
+  let cost = ref 0 and processed = ref 0 in
+  while !processed < budget && not (Gcr_util.Ivec.is_empty r.stack) do
+    let id = Gcr_util.Ivec.pop r.stack in
+    incr processed;
+    if Heap.is_live heap id then begin
+      r.objects <- r.objects + 1;
+      r.words <- r.words + Heap.obj_size heap id;
+      cost := !cost + cost_model.Gcr_mach.Cost_model.mark_per_object;
+      cost := !cost + on_mark id;
+      let nf = Heap.obj_nfields heap id in
+      r.edges <- r.edges + nf;
+      cost := !cost + (cost_model.Gcr_mach.Cost_model.mark_per_edge * nf);
+      for i = 0 to nf - 1 do
+        let child = Heap.field heap id i in
+        if
+          Heap.is_live heap child
+          && (not (Heap.is_scratch_marked heap child))
+          && should_visit child
+        then begin
+          Heap.set_scratch_marked heap child;
+          Gcr_util.Ivec.push r.stack child
+        end
+      done
+    end
+  done;
+  !cost
+
+(* A filtered trace whose [on_mark] raises [Trace_failure] at its [k]th
+   call, as a scavenge's promotion failure does mid-slice: the slice
+   costs before the raise, the stack's contents, the counters and the
+   mark bits, by the tracer or by the reference loop. *)
+let failed_trace ~use_reference ~seed ~edges ~k ~budgets =
+  let ctx = make_ctx ~regions:128 () in
+  let heap = ctx.Gc_types.heap in
+  let objs = build_wide_graph ctx ~objects:200 ~edges ~seed in
+  ignore (Heap.begin_scratch_epoch heap);
+  let calls = ref 0 in
+  let on_mark id =
+    incr calls;
+    if !calls = k then raise (Tracer.Trace_failure "test") else id mod 7
+  in
+  let should_visit id = id mod 5 <> 0 in
+  let stack = Gcr_util.Ivec.create () in
+  let drain, counters =
+    if use_reference then begin
+      let r = { stack; objects = 0; words = 0; edges = 0 } in
+      List.iter
+        (fun id ->
+          if Heap.is_live heap id && (not (Heap.is_scratch_marked heap id)) && should_visit id
+          then begin
+            Heap.set_scratch_marked heap id;
+            Gcr_util.Ivec.push stack id
+          end)
+        [ objs.(1); objs.(2) ];
+      ( (fun budget -> reference_drain ctx r ~budget ~should_visit ~on_mark),
+        fun () -> (r.objects, r.words, r.edges) )
+    end
+    else begin
+      let tracer =
+        Tracer.create ctx ~stack ~use_scratch:true ~update_region_live:false ~should_visit
+          ~on_mark ()
+      in
+      Tracer.add_roots tracer [ objs.(1); objs.(2) ];
+      ( (fun budget -> Tracer.drain tracer ~budget),
+        fun () ->
+          (Tracer.objects_marked tracer, Tracer.words_marked tracer, Tracer.edges_seen tracer) )
+    end
+  in
+  let costs = ref [] and raised = ref false and slice = ref 0 in
+  while (not !raised) && not (Gcr_util.Ivec.is_empty stack) do
+    (match drain (List.nth budgets (!slice mod List.length budgets)) with
+    | cost -> costs := cost :: !costs
+    | exception Tracer.Trace_failure _ -> raised := true);
+    incr slice
+  done;
+  ( !raised,
+    List.rev !costs,
+    List.rev (Gcr_util.Ivec.fold (fun acc id -> id :: acc) [] stack),
+    counters (),
+    Array.map (Heap.is_scratch_marked heap) objs )
+
+let prop_raise_mid_slice_matches_reference =
+  QCheck.Test.make ~name:"an on_mark raise mid-slice leaves what the reference leaves"
+    ~count:60
+    QCheck.(
+      quad small_int (int_range 0 1500) (int_range 1 60)
+        (list_of_size Gen.(int_range 1 5) (int_range 1 9)))
+    (fun (seed, edges, k, budgets) ->
+      failed_trace ~use_reference:false ~seed ~edges ~k ~budgets
+      = failed_trace ~use_reference:true ~seed ~edges ~k ~budgets)
+
 let suite =
   [
     Alcotest.test_case "marks exactly reachable" `Quick test_marks_exactly_reachable;
@@ -275,4 +441,6 @@ let suite =
     Alcotest.test_case "dead roots ignored" `Quick test_dead_roots_ignored;
     QCheck_alcotest.to_alcotest prop_trace_equals_bfs;
     QCheck_alcotest.to_alcotest prop_unfiltered_matches_filtered;
+    QCheck_alcotest.to_alcotest prop_split_drain_equals_whole;
+    QCheck_alcotest.to_alcotest prop_raise_mid_slice_matches_reference;
   ]
